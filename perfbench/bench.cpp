@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 
 #include "serve/request.hpp"
@@ -28,6 +29,14 @@ double quantile(std::vector<double> v, double q) {
 }
 
 double peakRssMiB() {
+  // VmHWM is the high-water mark of this program's own address space.
+  // getrusage's ru_maxrss would also keep the peak of the process image
+  // that exec'd it (the python runner), which can exceed this program's.
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.compare(0, 6, "VmHWM:") == 0)
+      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;  // kB
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
   return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux

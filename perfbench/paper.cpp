@@ -4,18 +4,21 @@
 // (transient) in anchor and fast numerics, and a fast-numerics FitCampaign
 // re-extracting VS cards.
 //
-// Set-up builds every campaign's session pool (one session per pool
-// thread) and the FitCampaign; the timed phase runs whole rounds (kRound:
-// five small Fig. 9 anchor campaigns, one statistical-tier SNM campaign,
-// the two delay campaigns, then the fit campaign) against those warm
-// pools through the library's chunked campaign runner until the time
-// budget is spent.
+// Every campaign goes through the paper flows' own entry point,
+// mc::runCampaign<Fixture>, so each one builds its session pool (one
+// session per worker) as examples/dvs_timing, sram_yield and bench_fig9
+// do.  Set-up is the cold work before the first campaign: one session per
+// (fixture, mode) and the FitCampaign; the median of several set-ups is
+// reported.  The timed phase runs whole rounds (kRound: five small Fig. 9
+// anchor campaigns, one statistical-tier SNM campaign, the two delay
+// campaigns, then the fit campaign) until the time budget is spent.
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <memory>
 #include <optional>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 #include "bench.hpp"
@@ -41,7 +44,8 @@ namespace {
 
 constexpr unsigned kThreads = 3;
 constexpr int kSnmPoints = 45;
-constexpr int kSetups = 41;
+constexpr int kSetupsPerGap = 2;  ///< cold set-ups between two rounds
+constexpr int kMinSetups = 41;
 constexpr std::size_t kFitLanes = 192;
 
 spice::SessionOptions anchorMode() { return {}; }
@@ -65,9 +69,6 @@ std::unique_ptr<circuits::DeviceProvider> makeProvider() {
       serve::defaultAlphas(), stats::Rng(1));
 }
 
-using SramPool = sim::SessionPool<circuits::SramButterflyBench>;
-using InvPool = sim::SessionPool<circuits::GateFo3Bench>;
-
 circuits::SramButterflyBench buildSram(circuits::DeviceProvider& p) {
   return circuits::buildSramButterfly(p, 0.9, circuits::SramMode::Read,
                                       circuits::SramSizing{});
@@ -77,80 +78,6 @@ circuits::GateFo3Bench buildInv(circuits::DeviceProvider& p) {
                                circuits::StimulusSpec{});
 }
 
-/// Solver work of a campaign's samples, summed from the sessions'
-/// telemetry around each measurement (traced run only).
-struct SolverCounts {
-  std::atomic<std::uint64_t> fullFactors{0};
-  std::atomic<std::uint64_t> fastRefactors{0};
-};
-
-template <class Fixture>
-using Measure = std::function<double(sim::CampaignSession<Fixture>&)>;
-
-/// Wraps a measurement as a campaign sample function; with `counts` it
-/// also accumulates the solver telemetry the sample consumed.
-template <class Fixture>
-mc::CircuitSampleFn<Fixture> sampleFn(Measure<Fixture> measure,
-                                      SolverCounts* counts) {
-  return [measure, counts](std::size_t, sim::CampaignSession<Fixture>& s,
-                           stats::Rng&, std::vector<double>& out) {
-    if (counts == nullptr) {
-      out[0] = measure(s);
-      return;
-    }
-    const auto before = s.spice().solverTelemetry();
-    out[0] = measure(s);
-    const auto after = s.spice().solverTelemetry();
-    counts->fullFactors += after.fullFactors - before.fullFactors;
-    counts->fastRefactors += after.fastRefactors - before.fastRefactors;
-  };
-}
-
-/// The circuit-campaign runner of mc/circuit_campaign.hpp against a
-/// long-lived pool (sessions built at set-up, leased per sample or per
-/// statistical warm-chain block), streamed through runCampaignChunked.
-template <class Fixture>
-mc::McResult runPooled(sim::SessionPool<Fixture>& pool,
-                       const spice::SessionOptions& mode,
-                       const mc::McOptions& options,
-                       const mc::CircuitSampleFn<Fixture>& fn, int chunk,
-                       const mc::ChunkFn& onChunk) {
-  mc::McOptions effective = options;
-  if (mode.tier == spice::ToleranceTier::statistical)
-    effective.sampleBlock = mc::kStatisticalSampleBlock;
-  const sim::RescuePolicy rescue;
-  const mc::SampleFnEx runSample = [&](std::size_t index, stats::Rng& rng,
-                                       std::vector<double>& out,
-                                       mc::SampleContext& ctx) {
-    if (sim::CampaignSession<Fixture>* block =
-            mc::detail::blockSessionSlot<Fixture>()) {
-      sim::runSampleWithRescue(index, *block, rng, out, ctx, fn, rescue);
-      return;
-    }
-    typename sim::SessionPool<Fixture>::Lease lease = pool.acquire();
-    sim::runSampleWithRescue(index, *lease, rng, out, ctx, fn, rescue);
-  };
-  mc::BlockResourceFn blockResource;
-  if (effective.sampleBlock > 0)
-    blockResource = [&pool](std::size_t) -> std::shared_ptr<void> {
-      return std::make_shared<mc::detail::BlockHold<Fixture>>(pool.acquire());
-    };
-  return mc::runCampaignChunked(effective, 1, runSample, blockResource, chunk,
-                                onChunk);
-}
-
-/// Builds exactly `kThreads` sessions into a fresh pool.
-template <class Fixture>
-std::shared_ptr<sim::SessionPool<Fixture>> primedPool(
-    typename sim::SessionPool<Fixture>::Builder build,
-    const spice::SessionOptions& mode) {
-  auto pool = std::make_shared<sim::SessionPool<Fixture>>(
-      std::move(build), [] { return makeProvider(); }, mode);
-  std::vector<typename sim::SessionPool<Fixture>::Lease> leases;
-  for (unsigned i = 0; i < kThreads; ++i) leases.push_back(pool->acquire());
-  return pool;
-}
-
 double snmOf(sim::CampaignSession<circuits::SramButterflyBench>& s) {
   return measure::measureSnm(s.fixture(), s.spice(), kSnmPoints).cellSnm();
 }
@@ -158,37 +85,76 @@ double delayOf(sim::CampaignSession<circuits::GateFo3Bench>& s) {
   return measure::measureGateDelays(s.fixture(), s.spice()).average();
 }
 
-/// The warm state of a paper_batch run.
-struct Setup {
-  std::shared_ptr<SramPool> snmAnchor, snmStat;
-  std::shared_ptr<InvPool> invAnchor, invFast;
-  std::unique_ptr<extract::FitCampaign> fits;
+/// What the benchmark observes of one campaign's samples from outside:
+/// when the first sample finished, and (traced run) the solver work the
+/// samples consumed, read from the sessions' telemetry.
+struct SampleWatch {
+  Clock::time_point start = Clock::now();
+  std::atomic<bool> seen{false};
+  double firstMs = -1.0;  ///< written once, by the first finishing sample
+  bool countSolver = false;
+  std::atomic<std::uint64_t> fullFactors{0};
+  std::atomic<std::uint64_t> fastRefactors{0};
 };
 
-Setup makeSetup() {
-  Setup s;
-  s.snmAnchor = primedPool<circuits::SramButterflyBench>(buildSram, anchorMode());
-  s.snmStat =
-      primedPool<circuits::SramButterflyBench>(buildSram, statisticalMode());
-  s.invAnchor = primedPool<circuits::GateFo3Bench>(buildInv, anchorMode());
-  s.invFast = primedPool<circuits::GateFo3Bench>(buildInv, fastMode());
-  s.fits = fastFitCampaign(kThreads);
-  return s;
+template <class Fixture>
+using Measure = double (*)(sim::CampaignSession<Fixture>&);
+
+/// Wraps a measurement as a campaign sample function observed by `watch`.
+template <class Fixture>
+mc::CircuitSampleFn<Fixture> sampleFn(Measure<Fixture> measure,
+                                      SampleWatch& watch) {
+  return [measure, &watch](std::size_t, sim::CampaignSession<Fixture>& s,
+                           stats::Rng&, std::vector<double>& out) {
+    spice::SimSession::SolverTelemetry before;
+    if (watch.countSolver) before = s.spice().solverTelemetry();
+    out[0] = measure(s);
+    if (watch.countSolver) {
+      const auto after = s.spice().solverTelemetry();
+      watch.fullFactors += after.fullFactors - before.fullFactors;
+      watch.fastRefactors += after.fastRefactors - before.fastRefactors;
+    }
+    if (!watch.seen.exchange(true)) watch.firstMs = msSince(watch.start);
+  };
 }
+
+/// Set-up: one session per (fixture, mode) the campaigns use, then the
+/// FitCampaign, which the timed phase keeps.  With a tracer, one span per
+/// build.
+std::unique_ptr<extract::FitCampaign> makeSetup(Tracer* tracer = nullptr) {
+  const auto build = [tracer](auto builder, const spice::SessionOptions& mode) {
+    using Fixture = std::invoke_result_t<decltype(builder),
+                                         circuits::DeviceProvider&>;
+    std::optional<Tracer::Scope> span;
+    if (tracer != nullptr)
+      span.emplace(*tracer, "sim.CampaignSession.build", -1);
+    const sim::CampaignSession<Fixture> session(builder, makeProvider(), mode);
+  };
+  build(buildSram, anchorMode());
+  build(buildSram, statisticalMode());
+  build(buildInv, anchorMode());
+  build(buildInv, fastMode());
+  std::optional<Tracer::Scope> span;
+  if (tracer != nullptr)
+    span.emplace(*tracer, "extract.FitCampaign.construct", -1);
+  return fastFitCampaign(kThreads);
+}
+
+/// Sessions makeSetup builds.
+constexpr int kSetupSessions = 4;
 
 /// One Monte Carlo campaign of the round.
 struct McSpec {
   const char* name;
   bool anchor;
   int samples;
-  int chunk;  ///< streamed chunk (the first statistic arrives after it)
 };
 
 constexpr McSpec kCampaigns[] = {
-    {"snm_anchor", true, 48, 24},
-    {"snm_statistical", false, 192, 96},
-    {"delay_anchor", true, 24, 24},
-    {"delay_fast", false, 24, 24},
+    {"snm_anchor", true, 48},
+    {"snm_statistical", false, 192},
+    {"delay_anchor", true, 24},
+    {"delay_fast", false, 24},
 };
 
 /// One round: five small Fig. 9 anchor campaigns (the request and
@@ -242,59 +208,51 @@ struct CampaignRun {
   int kind = 0;
   std::uint64_t seed = 0;
   mc::McResult result;
-  double ttfsMs = -1.0;
+  double ttfsMs = -1.0;  ///< call to the first finished sample
   double totalMs = 0.0;
+  std::uint64_t fullFactors = 0;  ///< traced run only
+  std::uint64_t fastRefactors = 0;
 };
 
-mc::McOptions mcOptions(int kind, std::uint64_t seed, int samples = 0) {
+/// Runs campaign `kind` through mc::runCampaign<Fixture> (`samples` and
+/// `threads` override the campaign's size and kThreads).
+CampaignRun runCampaign(int kind, std::uint64_t seed, bool countSolver,
+                        int samples = 0, unsigned threads = kThreads) {
   mc::McOptions options;
   options.samples = samples > 0 ? samples : kCampaigns[kind].samples;
   options.seed = seed;
-  options.threads = kThreads;
-  return options;
-}
-
-/// Runs campaign `kind` against the warm pools (`samples` overrides the
-/// campaign's size).
-CampaignRun runCampaign(const Setup& s, int kind, std::uint64_t seed,
-                        SolverCounts* counts, int samples = 0) {
-  const int chunk = kCampaigns[kind].chunk;
-  const mc::McOptions options = mcOptions(kind, seed, samples);
+  options.threads = threads;
   CampaignRun run;
   run.kind = kind;
   run.seed = seed;
-  const Clock::time_point t0 = Clock::now();
-  const mc::ChunkFn onChunk = [&](const mc::McChunkView&) {
-    if (run.ttfsMs < 0.0) run.ttfsMs = msSince(t0);
-  };
-  const auto snm = sampleFn<circuits::SramButterflyBench>(snmOf, counts);
-  const auto delay = sampleFn<circuits::GateFo3Bench>(delayOf, counts);
+  SampleWatch watch;
+  watch.countSolver = countSolver;
+  const auto provider = [] { return makeProvider(); };
   switch (kind) {
     case 0:
-      run.result = runPooled(*s.snmAnchor, anchorMode(), options, snm, chunk,
-                             onChunk);
-      break;
     case 1:
-      run.result = runPooled(*s.snmStat, statisticalMode(), options, snm,
-                             chunk, onChunk);
-      break;
-    case 2:
-      run.result = runPooled(*s.invAnchor, anchorMode(), options, delay,
-                             chunk, onChunk);
+      run.result = mc::runCampaign<circuits::SramButterflyBench>(
+          options, 1, buildSram, provider,
+          sampleFn<circuits::SramButterflyBench>(snmOf, watch),
+          kind == 0 ? anchorMode() : statisticalMode());
       break;
     default:
-      run.result =
-          runPooled(*s.invFast, fastMode(), options, delay, chunk, onChunk);
+      run.result = mc::runCampaign<circuits::GateFo3Bench>(
+          options, 1, buildInv, provider,
+          sampleFn<circuits::GateFo3Bench>(delayOf, watch),
+          kind == 2 ? anchorMode() : fastMode());
       break;
   }
-  run.totalMs = msSince(t0);
+  run.totalMs = msSince(watch.start);
+  run.ttfsMs = watch.firstMs;
+  run.fullFactors = watch.fullFactors.load();
+  run.fastRefactors = watch.fastRefactors.load();
   return run;
 }
 
 /// One round of campaigns; seeds are a function of (seed, round, slot).
-std::vector<CampaignRun> runRound(const Setup& s, std::uint64_t seed,
-                                  int round, Tracer* tracer,
-                                  std::vector<SolverCounts>* counts) {
+std::vector<CampaignRun> runRound(std::uint64_t seed, int round,
+                                  Tracer* tracer) {
   std::vector<CampaignRun> runs;
   for (int slot = 0; slot < kRoundSlots; ++slot) {
     const int kind = kRound[slot];
@@ -304,9 +262,7 @@ std::vector<CampaignRun> runRound(const Setup& s, std::uint64_t seed,
     if (tracer != nullptr)
       span.emplace(*tracer, std::string("mc.") + kCampaigns[kind].name,
                    round * (kRoundSlots + 1) + slot);
-    runs.push_back(runCampaign(
-        s, kind, campaignSeed,
-        counts == nullptr ? nullptr : &(*counts)[static_cast<std::size_t>(slot)]));
+    runs.push_back(runCampaign(kind, campaignSeed, tracer != nullptr));
   }
   return runs;
 }
@@ -315,41 +271,33 @@ std::uint64_t fitSeed(std::uint64_t seed, int round) {
   return mixSeed(seed, 1000u * static_cast<unsigned>(round) + 999u);
 }
 
-/// Correctness of one round: each anchor kind's first campaign equals the
-/// library's own mc::runCampaign<Fixture> flow bit-for-bit; the
-/// statistical SNM and the fast delay stay within 3 MC standard errors of
-/// the anchor run on the same seed; the extracted cards stay within
-/// bench_extract's ceilings (mean <= 0.05, max <= 0.25).
-void verifyRound(const Setup& s, const std::vector<CampaignRun>& runs,
+/// Correctness of one round: each anchor kind's first campaign is
+/// bit-identical to the same campaign on one thread (results never depend
+/// on the thread count); the statistical SNM and the fast delay stay within
+/// 3 MC standard errors of the anchor run on the same seed; the extracted
+/// cards stay within bench_extract's ceilings (mean <= 0.05, max <= 0.25);
+/// the shared pool runs exactly the stated helper threads.
+void verifyRound(const std::vector<CampaignRun>& runs,
                  const extract::FitCampaignResult& fit, std::uint64_t fitSeed,
                  Result& result) {
   std::set<int> seen;
   for (const CampaignRun& run : runs) {
     if (!seen.insert(run.kind).second) continue;
     const McSpec& spec = kCampaigns[run.kind];
-    const bool snm = run.kind < 2;
     if (spec.anchor) {
-      const mc::McOptions options = mcOptions(run.kind, run.seed);
-      const mc::McResult library =
-          snm ? mc::runCampaign<circuits::SramButterflyBench>(
-                    options, 1, buildSram, [] { return makeProvider(); },
-                    sampleFn<circuits::SramButterflyBench>(snmOf, nullptr),
-                    anchorMode())
-              : mc::runCampaign<circuits::GateFo3Bench>(
-                    options, 1, buildInv, [] { return makeProvider(); },
-                    sampleFn<circuits::GateFo3Bench>(delayOf, nullptr),
-                    anchorMode());
-      const std::string pooled = hex(serve::metricsFingerprint(run.result));
-      const std::string flow = hex(serve::metricsFingerprint(library));
-      result.check(pooled == flow, std::string("anchor fingerprint ") +
-                                       spec.name + ": pooled " + pooled +
-                                       " vs mc::runCampaign " + flow);
-      result.note(std::string("anchor metrics_fnv1a ") + spec.name, pooled);
+      const CampaignRun serial = runCampaign(run.kind, run.seed, false, 0, 1);
+      const std::string parallel = hex(serve::metricsFingerprint(run.result));
+      const std::string one = hex(serve::metricsFingerprint(serial.result));
+      result.check(parallel == one, std::string("anchor fingerprint ") +
+                                      spec.name + ": " +
+                                      std::to_string(kThreads) + " threads " +
+                                      parallel + " vs 1 thread " + one);
+      result.note(std::string("anchor metrics_fnv1a ") + spec.name, parallel);
       continue;
     }
     // The anchor run of the tuned campaign's fixture, seed and size.
     const CampaignRun anchor =
-        runCampaign(s, snm ? 0 : 2, run.seed, nullptr, spec.samples);
+        runCampaign(run.kind < 2 ? 0 : 2, run.seed, false, spec.samples);
     const stats::Summary a = stats::summarize(anchor.result.metrics[0]);
     const stats::Summary t = stats::summarize(run.result.metrics[0]);
     const double se = a.stddev / std::sqrt(static_cast<double>(a.count));
@@ -365,6 +313,12 @@ void verifyRound(const Setup& s, const std::vector<CampaignRun>& runs,
   result.note("extraction", "mean card error " + std::to_string(meanErr) +
                                 ", max " + std::to_string(maxErr) +
                                 ", params_fnv1a " + hex(fit.paramsFnv1a()));
+  const unsigned workers = util::ThreadPool::instance().workerCount();
+  result.check(workers == kThreads - 1,
+               "thread pool runs " + std::to_string(workers) +
+                   " helper threads for campaigns at threads " +
+                   std::to_string(kThreads) + " (expected " +
+                   std::to_string(kThreads - 1) + ")");
 }
 
 void countCampaign(const CampaignRun& r, Result& result) {
@@ -375,39 +329,34 @@ void countCampaign(const CampaignRun& r, Result& result) {
 }
 
 int untraced(const Options& options, Result& result) {
+  // Cold set-ups; after each, a one-sample-per-thread snm_anchor campaign's
+  // first statistic (the cold population: right after fresh set-up work).
+  // A set-up takes well under a millisecond, so set-ups run between every
+  // two rounds (outside the timed intervals; the latest FitCampaign serves
+  // the next round) and both medians sample the whole run.
   std::vector<double> setupS, coldTtfs;
-  std::optional<Setup> setup;
-  for (int rep = 0; rep < kSetups; ++rep) {
-    setup.reset();
+  std::unique_ptr<extract::FitCampaign> fits;
+  const auto coldSetup = [&] {
+    fits.reset();
     const Clock::time_point t0 = Clock::now();
-    setup.emplace(makeSetup());
+    fits = makeSetup();
     setupS.push_back(msSince(t0) / 1000.0);
-    // Cold first statistic: a fresh (unbuilt) pool to its first chunk.
-    SramPool cold(buildSram, [] { return makeProvider(); }, anchorMode());
-    const int chunk = kCampaigns[0].chunk;
-    mc::McOptions o = mcOptions(0, mixSeed(options.seed, 30u + rep));
-    o.samples = chunk;
-    const Clock::time_point c0 = Clock::now();
-    double ttfs = -1.0;
-    (void)runPooled(cold, anchorMode(), o,
-                    sampleFn<circuits::SramButterflyBench>(snmOf, nullptr),
-                    chunk, [&](const mc::McChunkView&) {
-                      if (ttfs < 0.0) ttfs = msSince(c0);
-                    });
-    coldTtfs.push_back(ttfs);
-  }
+    coldTtfs.push_back(runCampaign(0, mixSeed(options.seed, 30u + setupS.size()),
+                                   false, static_cast<int>(kThreads))
+                           .ttfsMs);
+  };
+  coldSetup();
 
   std::vector<double> requestMs, ttfsMs;
   double mcMs = 0.0, fitMs = 0.0;
-  long samples = 0, fits = 0;
+  long samples = 0, lanes = 0;
   int rounds = 0;
   for (int round = 0;; ++round) {
     const std::vector<CampaignRun> runs =
-        runRound(*setup, options.seed, round, nullptr, nullptr);
+        runRound(options.seed, round, nullptr);
     const Clock::time_point f0 = Clock::now();
-    const extract::FitCampaignResult fit =
-        setup->fits->run(kFitLanes, fitSeed(options.seed, round),
-                         fitPopulation(*setup->fits));
+    const extract::FitCampaignResult fit = fits->run(
+        kFitLanes, fitSeed(options.seed, round), fitPopulation(*fits));
     const double fitRoundMs = msSince(f0);
     if (round == 0) continue;  // warm-up round: untimed
     ++rounds;
@@ -424,16 +373,18 @@ int untraced(const Options& options, Result& result) {
     const bool fitOk = fitCampaignOk(fit, fitSeed(options.seed, round), why);
     result.operation(fitOk, "fit campaign: " + why);
     fitMs += fitRoundMs;
-    fits += static_cast<long>(kFitLanes);
+    lanes += static_cast<long>(kFitLanes);
     if (round == 1)
-      verifyRound(*setup, runs, fit, fitSeed(options.seed, round), result);
+      verifyRound(runs, fit, fitSeed(options.seed, round), result);
     if ((mcMs + fitMs) / 1000.0 >= options.seconds) break;
+    for (int k = 0; k < kSetupsPerGap; ++k) coldSetup();
   }
+  while (setupS.size() < static_cast<std::size_t>(kMinSetups)) coldSetup();
 
   result.metric("setup_s", median(setupS), "s");
   result.metric("samples_per_s",
                 static_cast<double>(samples) / (mcMs / 1000.0), "1/s");
-  result.metric("fits_per_s", static_cast<double>(fits) / (fitMs / 1000.0),
+  result.metric("fits_per_s", static_cast<double>(lanes) / (fitMs / 1000.0),
                 "1/s");
   result.metric("ttfs_p50_ms", median(ttfsMs), "ms");
   result.metric("cold_ttfs_p50_ms", median(coldTtfs), "ms");
@@ -444,12 +395,12 @@ int untraced(const Options& options, Result& result) {
               std::to_string(rounds) + " timed rounds on " +
                   std::to_string(kThreads) + " threads; " +
                   std::to_string(samples) + " MC samples, " +
-                  std::to_string(fits) + " fits; request and ttfs " +
+                  std::to_string(lanes) + " fits; request and ttfs " +
                   "percentiles over " + std::to_string(requestMs.size()) +
                   " snm_anchor campaigns; cold_ttfs over " +
-                  std::to_string(coldTtfs.size()) + " fresh pools; " +
-                  "setup_s over " + std::to_string(setupS.size()) +
-                  " set-ups");
+                  std::to_string(coldTtfs.size()) +
+                  " post-set-up snm_anchor campaigns; setup_s over " +
+                  std::to_string(setupS.size()) + " set-ups");
   return result.correct() ? 0 : 1;
 }
 
@@ -458,53 +409,27 @@ constexpr int kTracedRounds = 2;
 int traced(const Options& options, Result& result) {
   Tracer tracer;
   // One cold set-up with a span per session build.
-  int sessionsBuilt = 0;
-  Setup s;
+  std::unique_ptr<extract::FitCampaign> fits;
   {
     Tracer::Scope setupSpan(tracer, "paper.setup", -1);
-    const auto build = [&](auto& pool, auto builder,
-                           const spice::SessionOptions& mode) {
-      using PoolT = typename std::decay_t<decltype(pool)>::element_type;
-      pool = std::make_shared<PoolT>(builder, [] { return makeProvider(); },
-                                     mode);
-      std::vector<typename PoolT::Lease> leases;
-      for (unsigned i = 0; i < kThreads; ++i) {
-        Tracer::Scope span(tracer, "sim.SessionPool.acquire.cold", -1);
-        leases.push_back(pool->acquire());
-        ++sessionsBuilt;
-      }
-    };
-    build(s.snmAnchor, buildSram, anchorMode());
-    build(s.snmStat, buildSram, statisticalMode());
-    build(s.invAnchor, buildInv, anchorMode());
-    build(s.invFast, buildInv, fastMode());
-    Tracer::Scope span(tracer, "extract.FitCampaign.construct", -1);
-    s.fits = fastFitCampaign(kThreads);
+    fits = makeSetup(&tracer);
   }
 
   // An untraced warm-up round, then the traced rounds: a span per
   // campaign, solver counts per campaign.
-  (void)runRound(s, options.seed, kTracedRounds, nullptr, nullptr);
+  (void)runRound(options.seed, kTracedRounds, nullptr);
   std::vector<CampaignRun> runs;
-  std::vector<SolverCounts> counts(kRoundSlots * kTracedRounds);
   double fitUs = 0.0;
   for (int round = 0; round < kTracedRounds; ++round) {
-    std::vector<SolverCounts> roundCounts(kRoundSlots);
     std::vector<CampaignRun> roundRuns =
-        runRound(s, options.seed, round, &tracer, &roundCounts);
-    for (int slot = 0; slot < kRoundSlots; ++slot) {
-      auto& c = counts[static_cast<std::size_t>(round * kRoundSlots + slot)];
-      c.fullFactors = roundCounts[static_cast<std::size_t>(slot)].fullFactors.load();
-      c.fastRefactors =
-          roundCounts[static_cast<std::size_t>(slot)].fastRefactors.load();
-    }
+        runRound(options.seed, round, &tracer);
     extract::FitCampaignResult fit;
     {
       Tracer::Scope span(tracer, "extract.FitCampaign.run",
                          round * (kRoundSlots + 1) + kRoundSlots);
       const Clock::time_point f0 = Clock::now();
-      fit = s.fits->run(kFitLanes, fitSeed(options.seed, round),
-                        fitPopulation(*s.fits));
+      fit = fits->run(kFitLanes, fitSeed(options.seed, round),
+                      fitPopulation(*fits));
       fitUs += msSince(f0) * 1000.0;
     }
     for (const CampaignRun& r : roundRuns) countCampaign(r, result);
@@ -512,7 +437,7 @@ int traced(const Options& options, Result& result) {
     const bool fitOk = fitCampaignOk(fit, fitSeed(options.seed, round), why);
     result.operation(fitOk, "traced fit campaign: " + why);
     if (round == 0)
-      verifyRound(s, roundRuns, fit, fitSeed(options.seed, round), result);
+      verifyRound(roundRuns, fit, fitSeed(options.seed, round), result);
     runs.insert(runs.end(), roundRuns.begin(), roundRuns.end());
   }
 
@@ -523,14 +448,17 @@ int traced(const Options& options, Result& result) {
   const CircuitProbe sramProbe = probeCircuit(sram.circuit);
   const CircuitProbe invProbe = probeCircuit(inv.circuit);
   const PaperProbe paper = probePaper(options.seed);
-  const auto rebindUs = [&](auto& pool) {
-    auto lease = pool->acquire();
+  const auto rebindUs = [&](auto builder) {
+    using Fixture = std::invoke_result_t<decltype(builder),
+                                         circuits::DeviceProvider&>;
+    sim::CampaignSession<Fixture> session(builder, makeProvider(),
+                                          anchorMode());
     stats::Rng rng(mixSeed(options.seed, 600));
     std::uint64_t k = 0;
-    return timeUs([&] { lease->bindSample(rng.fork(++k)); });
+    return timeUs([&] { session.bindSample(rng.fork(++k)); });
   };
-  const double sramRebind = rebindUs(s.snmAnchor);
-  const double invRebind = rebindUs(s.invAnchor);
+  const double sramRebind = rebindUs(buildSram);
+  const double invRebind = rebindUs(buildInv);
 
   // Campaign spans in run order (one per slot per round).
   std::vector<double> campaignUs;
@@ -562,8 +490,8 @@ int traced(const Options& options, Result& result) {
     CampaignCounts cc;
     cc.samples = spec.samples;
     cc.newtonIterations = m.newtonIterations;
-    cc.fullFactors = counts[i].fullFactors.load();
-    cc.fastRefactors = counts[i].fastRefactors.load();
+    cc.fullFactors = r.fullFactors;
+    cc.fastRefactors = r.fastRefactors;
     cc.fastNumerics = !spec.anchor;
     LayerTime t = attribute(snm ? sramProbe : invProbe, cc,
                             snm ? sramRebind : invRebind);
@@ -577,11 +505,11 @@ int traced(const Options& options, Result& result) {
   const double share = 1.0 / (totalUs * kThreads);
   fitUs *= kThreads;
   const std::vector<double> builds =
-      tracer.durationsUs("sim.SessionPool.acquire.cold");
+      tracer.durationsUs("sim.CampaignSession.build");
 
   // Tracing overhead: round 0 again, untraced and uncounted.
   double untracedUs = 0.0;
-  for (const CampaignRun& r : runRound(s, options.seed, 0, nullptr, nullptr))
+  for (const CampaignRun& r : runRound(options.seed, 0, nullptr))
     untracedUs += r.totalMs * 1000.0;
   double tracedUs = 0.0;
   for (int slot = 0; slot < kRoundSlots; ++slot)
@@ -593,7 +521,7 @@ int traced(const Options& options, Result& result) {
   result.merge(serveProbe, "serve.");
 
   result.metric("sim.session_build_ms", median(builds) / 1000.0, "ms");
-  result.metric("sim.sessions_built", sessionsBuilt, "count");
+  result.metric("sim.sessions_built", kSetupSessions, "count");
   result.metric("sim.rebind_us",
                 (sramRebind * sramSamples + invRebind * invSamples) /
                     allSamples,
@@ -631,8 +559,8 @@ int traced(const Options& options, Result& result) {
   result.metric("trace.overhead_share", (tracedUs - untracedUs) / untracedUs,
                 "ratio");
   result.note("traced run", std::to_string(kTracedRounds) +
-                                " rounds; sessions built " +
-                                std::to_string(sessionsBuilt) + "; spans " +
+                                " rounds; set-up sessions built " +
+                                std::to_string(kSetupSessions) + "; spans " +
                                 std::to_string(tracer.spans().size()));
   tracer.write(".bench_build/trace-paper_batch.jsonl");
   return result.correct() ? 0 : 1;

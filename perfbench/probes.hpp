@@ -86,9 +86,11 @@ inline constexpr double kFitNoiseRel = 0.004;
 [[nodiscard]] std::unique_ptr<vsstat::extract::FitCampaign> fastFitCampaign(
     unsigned threads);
 
-/// Fits per second of `batches` one-thread batches of `lanes` [1/s], one
-/// entry per batch.
-[[nodiscard]] std::vector<double> fitBatchRates(std::uint64_t seed,
+/// Fits per second of the one-thread batches [first, first + batches) of
+/// `lanes` lanes each [1/s], one entry per batch.  Batch b draws its
+/// population from (seed, b) and runs pinned to CPU b mod n of the n CPUs
+/// in the process's affinity mask.
+[[nodiscard]] std::vector<double> fitBatchRates(std::uint64_t seed, int first,
                                                 int batches,
                                                 std::size_t lanes);
 

@@ -1,12 +1,13 @@
 // Serving workloads: cell_warm and grid_edit, driven through the campaign
 // server's real unix socket by closed-loop client connections.
 //
-// Untraced runs: several cold set-ups (fresh server to every warm topology
-// primed; median reported); then every connection, an independent closed
-// loop, runs an untimed warm-up round and whole rounds of its fixed
+// Untraced runs: half of several cold set-ups (fresh server to every warm
+// topology primed; median reported); then every connection, an independent
+// closed loop, runs an untimed warm-up round and whole rounds of its fixed
 // request list until its timed rounds add up to the time budget (every
-// round is the same work); then the verify pass on the first timed round's
-// final frames and, on cell_warm, the protocol-coverage pass.
+// round is the same work); then the verify pass on every timed outcome and
+// the first timed round's final frames, on cell_warm the protocol-coverage
+// pass, and the other half of the set-ups.
 //
 // Traced runs replay the same generated requests one after another three
 // times, each on a fresh cache: through CampaignServer::handleLine
@@ -136,15 +137,21 @@ const char* modeName(Mode m) {
   return m == Mode::anchor ? "anchor" : (m == Mode::fast ? "fast" : "stat");
 }
 
+/// Latency population a request belongs to.  Each latency percentile is
+/// taken over one population: requests of one deck kind and mode, either
+/// warm (cached) or cold (the server has not seen the deck yet).
+enum class Pop { other, warm, cold };
+
 /// One generated request: the wire line plus what the benchmark knows
 /// about it (for percentiles by population and for the verify pass).
 struct Req {
   std::string line;
+  std::string id;
   std::string deckName;  ///< topology label for reports
   std::string deck;      ///< deck text (probe input)
   Mode mode = Mode::anchor;
   int samples = 0;
-  bool cold = false;  ///< the server has not seen this deck+mode yet
+  Pop pop = Pop::other;
 };
 
 struct ReqShape {
@@ -160,16 +167,17 @@ struct ReqShape {
   std::optional<std::pair<double, double>> spec;
   int kdeEvery = 0;
   std::string analysis = "op";
-  bool cold = false;
+  Pop pop = Pop::other;
 };
 
 Req makeReq(const ReqShape& s) {
   Req r;
+  r.id = s.id;
   r.deckName = s.deckName;
   r.deck = *s.deck;
   r.mode = s.mode;
   r.samples = s.samples;
-  r.cold = s.cold;
+  r.pop = s.pop;
   std::string& line = r.line;
   line = "{\"id\":";
   serve::appendJsonString(line, s.id);
@@ -212,9 +220,11 @@ struct Workload {
   int connections = 0;
   std::vector<std::vector<Req>> prime;
   std::function<std::vector<Req>(int conn, int round)> round;
-  int setups = 0;          ///< cold set-ups per run (median reported)
-  int tracedRounds = 0;    ///< rounds the traced replay covers
-  bool coldTtfsFromPrime = false;  ///< cell_warm: cold = priming requests
+  int setups = 0;        ///< cold set-ups per run (median reported)
+  int tracedRounds = 0;  ///< rounds the traced replay covers
+  std::string warmPop;   ///< what the warm population is, for reports
+  std::string coldPop;   ///< what the cold population is
+  Pop requestPop = Pop::warm;  ///< population of request_p50/p90
 };
 
 // cell_warm: every connection owns four (deck, mode, scheme) keys -- its
@@ -222,11 +232,11 @@ struct Workload {
 // cache and the timed phase is all hits.  Both connections send the same
 // mix.  All modes stream the same first chunk (64 samples, two
 // statistical warm-chain blocks).  Sobol runs on a small deck only (the
-// sampler supports at most 32 dimensions, 5 per device).  The weights keep
-// the request and first-statistic medians inside one cost cluster
-// (half-cell anchor + NAND2 fast) and the p90 inside the chain's.  Priming
-// sends each key's first full request; the cold first-statistic population
-// is the chain key's (key 0), the heaviest first chunk.
+// sampler supports at most 32 dimensions, 5 per device).  Priming sends
+// each key's first full request.  The latency populations are the
+// headline key's (key 0, the inverter chain in anchor mode, the heaviest
+// first chunk): its timed requests are the warm population, its priming
+// requests the cold one.
 struct CellKey {
   int deck;  ///< 0 half cell, 1 chain, 2 nand2
   Mode mode;
@@ -235,13 +245,14 @@ struct CellKey {
 };
 
 constexpr CellKey kCellKeys[4] = {
-    {1, Mode::fast, "rng", 2},
-    {0, Mode::anchor, "rng", 3},
-    {2, Mode::statistical, "rng", 3},
+    {1, Mode::anchor, "rng", 3},
+    {0, Mode::fast, "rng", 3},
+    {2, Mode::statistical, "rng", 2},
     {2, Mode::fast, "sobol", 2},
 };
+constexpr int kCellHeadline = 0;
 
-constexpr int kCellSamples = 256;
+constexpr int kCellSamples = 512;
 constexpr int kCellChunk = 64;
 constexpr int kChainStages = 6;
 
@@ -276,15 +287,16 @@ Workload cellWarm(std::uint64_t seed) {
   w.connections = 2;
   w.setups = 41;
   w.tracedRounds = 6;
-  w.coldTtfsFromPrime = true;
+  w.warmPop = "inv_chain6 anchor, cached";
+  w.coldPop = "inv_chain6 anchor priming requests";
   w.prime.resize(2);
   for (int c = 0; c < 2; ++c)
-    for (const CellKey& k : kCellKeys) {
-      ReqShape s = shape(c, k);
+    for (int k = 0; k < 4; ++k) {
+      ReqShape s = shape(c, kCellKeys[k]);
       s.id = "prime";
       s.samples = kCellSamples;
       s.seed = mixSeed(seed, 100u + static_cast<unsigned>(c));
-      s.cold = true;
+      if (k == kCellHeadline) s.pop = Pop::cold;
       w.prime[static_cast<std::size_t>(c)].push_back(makeReq(s));
     }
   w.round = [shape, seed](int conn, int round) {
@@ -306,7 +318,8 @@ Workload cellWarm(std::uint64_t seed) {
         s.samples = kCellSamples;
         s.seed = rng.fork(static_cast<std::uint64_t>(slot)).nextU64();
         if (slot % 3 == 1) s.spec = specs[kCellKeys[k].deck];
-        if (slot % 4 == 2) s.kdeEvery = 128;
+        if (slot % 4 == 2) s.kdeEvery = 256;
+        if (k == kCellHeadline) s.pop = Pop::warm;
         out.push_back(makeReq(s));
         ++slot;
       }
@@ -320,7 +333,11 @@ Workload cellWarm(std::uint64_t seed) {
 // and edits their values; an edit is new deck text, so it misses both
 // cache levels.  The repeats rerun the connection's previous request (a
 // new MC seed) and always hit.  Per round and connection:
-//   edit A (anchor), repeat, repeat, edit B (fast+reusePivot), edit A (fast)
+//   edit A, repeat, repeat, edit B (fast+reusePivot), edit A
+// where the A requests run in anchor mode.  The latency populations are
+// the A requests: the repeats are the warm population, the edits the cold
+// one.  Request latency is the edits' (the designer's action this workload
+// is about).
 constexpr int kGridEdgeA = 32;
 constexpr int kGridEdgeB = 48;
 constexpr int kGridSamples = 2;
@@ -330,7 +347,10 @@ Workload gridEdit(std::uint64_t seed) {
   w.name = "grid_edit";
   w.connections = 2;
   w.setups = 9;
-  w.tracedRounds = 1;
+  w.tracedRounds = 3;
+  w.warmPop = "grid32 anchor repeats";
+  w.coldPop = "grid32 anchor edits";
+  w.requestPop = Pop::cold;
   w.prime.resize(2);
 
   const auto baseOhms = [seed](int conn, int topo) {
@@ -339,7 +359,7 @@ Workload gridEdit(std::uint64_t seed) {
   };
   const auto edgeOf = [](int topo) { return topo == 0 ? kGridEdgeA : kGridEdgeB; };
   const auto shape = [](const std::string& id, const std::string& deck,
-                        int edge, Mode mode, std::uint64_t mcSeed, bool cold) {
+                        int edge, Mode mode, std::uint64_t mcSeed, Pop pop) {
     ReqShape s;
     s.id = id;
     s.deck = &deck;
@@ -349,7 +369,7 @@ Workload gridEdit(std::uint64_t seed) {
     s.samples = kGridSamples;
     s.streamEvery = 1;
     s.seed = mcSeed;
-    s.cold = cold;
+    s.pop = pop;
     return makeReq(s);
   };
 
@@ -360,7 +380,7 @@ Workload gridEdit(std::uint64_t seed) {
       w.prime[static_cast<std::size_t>(c)].push_back(
           shape("prime", deck, edgeOf(topo),
                 topo == 0 ? Mode::anchor : Mode::fast,
-                mixSeed(seed, 300u + static_cast<unsigned>(c)), true));
+                mixSeed(seed, 300u + static_cast<unsigned>(c)), Pop::other));
     }
 
   w.round = [seed, baseOhms, edgeOf, shape](int conn, int round) {
@@ -381,19 +401,19 @@ Workload gridEdit(std::uint64_t seed) {
       return gridDeck(edge, baseOhms(conn, topo), edits);
     };
     const auto add = [&](std::vector<Req>& out, const std::string& deck,
-                         int edge, Mode mode, bool cold) {
+                         int edge, Mode mode, Pop pop) {
       const int slot = static_cast<int>(out.size());
       out.push_back(shape(
           requestId(conn, round, slot), deck, edge, mode,
-          rng.fork(100u + static_cast<std::uint64_t>(slot)).nextU64(), cold));
+          rng.fork(100u + static_cast<std::uint64_t>(slot)).nextU64(), pop));
     };
     std::vector<Req> out;
     const std::string deckA = edited(0, 0);
-    add(out, deckA, kGridEdgeA, Mode::anchor, true);
-    add(out, deckA, kGridEdgeA, Mode::anchor, false);
-    add(out, deckA, kGridEdgeA, Mode::anchor, false);
-    add(out, edited(1, 1), kGridEdgeB, Mode::fast, true);
-    add(out, edited(0, 2), kGridEdgeA, Mode::fast, true);
+    add(out, deckA, kGridEdgeA, Mode::anchor, Pop::cold);
+    add(out, deckA, kGridEdgeA, Mode::anchor, Pop::warm);
+    add(out, deckA, kGridEdgeA, Mode::anchor, Pop::warm);
+    add(out, edited(1, 1), kGridEdgeB, Mode::fast, Pop::other);
+    add(out, edited(0, 2), kGridEdgeA, Mode::anchor, Pop::cold);
     return out;
   };
   return w;
@@ -421,13 +441,23 @@ struct Outcome {
   double ttfsMs = -1.0;
   double totalMs = 0.0;
   int progress = 0;
+  int stray = 0;  ///< frames addressed to another request
   bool final = false;
   bool healthOk = false;
   std::string finalFrame;
   std::string errorFrame;
 
+  /// One final frame with health OK, after at least one progress frame,
+  /// and no frame of another request in between.
   [[nodiscard]] bool ok() const {
-    return final && healthOk && progress >= 1;
+    return final && healthOk && progress >= 1 && stray == 0;
+  }
+  [[nodiscard]] std::string why() const {
+    if (!errorFrame.empty()) return errorFrame.substr(0, 200);
+    return "final " + std::to_string(final) + ", health OK " +
+           std::to_string(healthOk) + ", progress frames " +
+           std::to_string(progress) + ", stray frames " +
+           std::to_string(stray);
   }
 };
 
@@ -455,9 +485,15 @@ class Client {
   Client& operator=(const Client&) = delete;
 
   /// Sends one request line and reads frames up to its final or error
-  /// frame.  `keepFinal` keeps the final frame text for the verify pass.
-  Outcome request(const std::string& line, bool keepFinal) {
+  /// frame.  Frames must carry the request's `id` (unchecked when empty);
+  /// others count as stray.  `keepFinal` keeps the final frame text for the
+  /// verify pass.
+  Outcome request(const std::string& line, const std::string& id,
+                  bool keepFinal) {
     Outcome out;
+    // Every frame starts {"type":"<kind>","id":"<id>", ...
+    const std::string idField = ",\"id\":\"" + id + "\"";
+    constexpr std::size_t kTypeAt = 9;  // after {"type":"
     const Clock::time_point start = Clock::now();
     if (!writeAll(fd_, line + "\n")) {
       out.errorFrame = "send failed";
@@ -469,6 +505,13 @@ class Client {
       while ((newline = pending_.find('\n')) != std::string::npos) {
         const std::string frame = pending_.substr(0, newline);
         pending_.erase(0, newline + 1);
+        const std::size_t typeEnd = frame.find('"', kTypeAt);
+        if (!id.empty() && (typeEnd == std::string::npos ||
+                            frame.compare(typeEnd + 1, idField.size(),
+                                          idField) != 0)) {
+          ++out.stray;
+          continue;
+        }
         if (startsWith(frame, "{\"type\":\"progress\"")) {
           if (out.progress++ == 0) out.ttfsMs = msSince(start);
         } else if (startsWith(frame, "{\"type\":\"final\"")) {
@@ -571,9 +614,13 @@ void verifyFinals(const std::vector<std::pair<const Req*, std::string>>& finals,
   std::map<std::string, std::string> anchorFnv;  // deck label -> first fnv
   int anchors = 0, tuned = 0;
   for (const auto& [req, frame] : finals) {
-    if (frame.empty()) continue;
-    const mc::McResult anchor = runInProcess(req->line, true);
     const std::string label = req->deckName + "/" + modeName(req->mode);
+    if (frame.empty()) {
+      result.check(false, "request " + req->id + " (" + label +
+                              ") has no final frame to verify");
+      continue;
+    }
+    const mc::McResult anchor = runInProcess(req->line, true);
     if (req->mode == Mode::anchor) {
       const std::string served = frameString(frame, "metrics_fnv1a");
       const std::string local = hex(serve::metricsFingerprint(anchor));
@@ -653,9 +700,9 @@ void coveragePass(Client& client, std::uint64_t seed, Result& result) {
   }
   int served = 0;
   for (const auto& [what, shape] : features) {
-    const Outcome o = client.request(makeReq(shape).line, false);
-    result.operation(o.ok(), "coverage " + what + ": " +
-                                 (o.ok() ? "ok" : o.errorFrame.substr(0, 200)));
+    const Req r = makeReq(shape);
+    const Outcome o = client.request(r.line, r.id, false);
+    result.operation(o.ok(), "coverage " + what + ": " + o.why());
     served += o.ok() ? 1 : 0;
   }
 
@@ -665,14 +712,16 @@ void coveragePass(Client& client, std::uint64_t seed, Result& result) {
   const int badLine = 6;  // .title, 4 sources, MPU, then QPD
   ReqShape s = base("cov-deck-error");
   s.deck = &bad;
-  const Outcome deckError = client.request(makeReq(s).line, false);
+  const Outcome deckError = client.request(makeReq(s).line, s.id, false);
   const bool deckOk =
       deckError.errorFrame.find("\"code\":\"deck_error\"") !=
           std::string::npos &&
       deckError.errorFrame.find("\"line\":" + std::to_string(badLine + 1)) !=
           std::string::npos;
   result.operation(deckOk, "coverage deck_error: " + deckError.errorFrame);
-  const Outcome badJson = client.request("{\"id\":\"cov-bad\",\"deck\":", false);
+  // The line does not parse, so its error frame cannot name the id.
+  const Outcome badJson =
+      client.request("{\"id\":\"cov-bad\",\"deck\":", "", false);
   const bool jsonOk = badJson.errorFrame.find("\"code\":\"bad_json\"") !=
                       std::string::npos;
   result.operation(jsonOk, "coverage bad_json: " + badJson.errorFrame);
@@ -692,11 +741,11 @@ void noteCache(Result& result, serve::CampaignServer& server,
 
 // --- untraced run ----------------------------------------------------------
 
-/// What the benchmark keeps of one timed request.
+/// What the benchmark keeps of one timed request of a latency population.
 struct Sample {
   double ttfsMs = 0.0;
   double totalMs = 0.0;
-  bool cold = false;
+  Pop pop = Pop::other;
 };
 
 /// What one connection saw in the timed phase.  Only the first timed
@@ -707,6 +756,7 @@ struct ConnectionLog {
   std::vector<double> roundRates;  ///< samples per second, per timed round
   std::vector<Req> firstRound;
   std::vector<std::string> firstFinals;
+  long requests = 0;
   long sampleCount = 0;
   int rounds = 0;
   int failed = 0;
@@ -724,7 +774,8 @@ void clientLoop(const Workload& w, int conn, double seconds, Client& client,
     const bool keep = round == 1;
     std::vector<Outcome> outcomes;
     const Clock::time_point t0 = Clock::now();
-    for (const Req& r : list) outcomes.push_back(client.request(r.line, keep));
+    for (const Req& r : list)
+      outcomes.push_back(client.request(r.line, r.id, keep));
     const double roundS = msSince(t0) / 1000.0;
     if (round == 0) continue;  // warm-up round: untimed
     timed += roundS;
@@ -732,15 +783,16 @@ void clientLoop(const Workload& w, int conn, double seconds, Client& client,
     long roundSamples = 0;
     for (std::size_t i = 0; i < list.size(); ++i) {
       const Outcome& o = outcomes[i];
+      ++log.requests;
       if (!o.ok()) {
         if (++log.failed <= 5)
-          log.failures.push_back(list[i].deckName + "/" +
-                                 modeName(list[i].mode) + ": " +
-                                 o.errorFrame.substr(0, 200));
+          log.failures.push_back(list[i].id + " (" + list[i].deckName + "/" +
+                                 modeName(list[i].mode) + "): " + o.why());
         continue;
       }
       roundSamples += list[i].samples;
-      log.samples.push_back(Sample{o.ttfsMs, o.totalMs, list[i].cold});
+      if (list[i].pop != Pop::other)
+        log.samples.push_back(Sample{o.ttfsMs, o.totalMs, list[i].pop});
     }
     log.sampleCount += roundSamples;
     log.roundRates.push_back(static_cast<double>(roundSamples) / roundS);
@@ -752,40 +804,53 @@ void clientLoop(const Workload& w, int conn, double seconds, Client& client,
   }
 }
 
+/// Minimum one-thread batches of the extraction control (fits_per_s of the
+/// serving workloads), spread evenly over the cold set-ups.
+constexpr int kFitControlBatches = 36;
+
 int untraced(const Workload& w, const Options& options, Result& result) {
   const std::string path = socketPath();
   const std::size_t conns = static_cast<std::size_t>(w.connections);
   // Extraction throughput control (serving bypasses extract/): one-thread
-  // fit batches, half before the set-ups and half after the verify pass,
-  // so the median samples two windows of the run.
-  std::vector<double> fitRates = fitBatchRates(mixSeed(options.seed, 500), 16, 64);
+  // fit batches after every cold set-up, so the median samples both set-up
+  // windows of the run.
+  std::vector<double> fitRates;
+  const int fitsPerSetup = (kFitControlBatches + w.setups - 1) / w.setups;
 
   // Cold set-ups: fresh server to every warm topology primed, through one
   // priming connection (sequential, so the set-up does not depend on how
   // the scheduler overlaps connections).  Each key still gets exactly one
-  // session: the timed connections never share a key.
-  std::vector<double> setupS, coldTtfs;
+  // session: the timed connections never share a key.  Half the set-ups
+  // run before the timed phase (the last one serves it) and half after the
+  // verify pass, so setup_s and cold_ttfs sample two windows of the run.
+  std::vector<double> setupS, ttfsWarm, ttfsCold, requestMs;
   std::unique_ptr<Host> host;
-  for (int rep = 0; rep < w.setups; ++rep) {
+  int primeFailed = 0;
+  const auto coldSetup = [&] {
     host.reset();
     const Clock::time_point t0 = Clock::now();
     host = std::make_unique<Host>(path);
-    std::vector<std::vector<Outcome>> primed(conns);
+    std::vector<std::pair<const Req*, Outcome>> primed;
     {
       Client priming(path);
       for (std::size_t c = 0; c < conns; ++c)
         for (const Req& r : w.prime[c])
-          primed[c].push_back(priming.request(r.line, false));
+          primed.emplace_back(&r, priming.request(r.line, r.id, false));
     }
     setupS.push_back(msSince(t0) / 1000.0);
-    for (std::size_t c = 0; c < conns; ++c) {
-      for (const Outcome& o : primed[c])
-        result.operation(o.ok(), "prime: " + o.errorFrame);
-      // One population: each connection's first priming request (the
-      // same deck kind and mode on every connection).
-      coldTtfs.push_back(primed[c].front().ttfsMs);
+    for (const auto& [r, o] : primed) {
+      result.operation(o.ok(), "prime " + r->deckName + "/" +
+                                   modeName(r->mode) + ": " + o.why());
+      if (!o.ok()) ++primeFailed;
+      if (o.ok() && r->pop == Pop::cold) ttfsCold.push_back(o.ttfsMs);
     }
-  }
+    for (const double rate :
+         fitBatchRates(mixSeed(options.seed, 500),
+                       static_cast<int>(fitRates.size()), fitsPerSetup, 64))
+      fitRates.push_back(rate);
+  };
+  const int setupsBefore = (w.setups + 1) / 2;
+  for (int rep = 0; rep < setupsBefore; ++rep) coldSetup();
   std::vector<std::unique_ptr<Client>> clients;
   for (std::size_t c = 0; c < conns; ++c)
     clients.push_back(std::make_unique<Client>(path));
@@ -804,29 +869,37 @@ int untraced(const Workload& w, const Options& options, Result& result) {
   }
   noteCache(result, host->server(), "after timed phase");
 
-  std::vector<double> ttfsWarm, ttfsCold, requestMs;
+  // Every timed request must have ended in one final frame with health OK
+  // after at least one progress frame.
   double samplesPerS = 0.0;
-  long samples = 0;
-  int rounds = 0;
+  long samples = 0, requests = 0;
+  int rounds = 0, failed = 0;
   std::vector<std::pair<const Req*, std::string>> finals;
   for (const ConnectionLog& log : logs) {
     for (const Sample& x : log.samples) {
-      result.operation(true, "");
-      requestMs.push_back(x.totalMs);
-      (x.cold ? ttfsCold : ttfsWarm).push_back(x.ttfsMs);
+      (x.pop == Pop::warm ? ttfsWarm : ttfsCold).push_back(x.ttfsMs);
+      if (x.pop == w.requestPop) requestMs.push_back(x.totalMs);
     }
-    for (int i = 0; i < log.failed; ++i)
-      result.operation(false, w.name + " request " +
-                                  (i < static_cast<int>(log.failures.size())
-                                       ? log.failures[static_cast<std::size_t>(i)]
+    for (long i = log.failed; i < log.requests; ++i) result.operation(true, "");
+    for (int i = 0; i < log.failed; ++i) {
+      const std::size_t k = static_cast<std::size_t>(i);
+      result.operation(false, "timed request " +
+                                  (k < log.failures.size()
+                                       ? log.failures[k]
                                        : std::string("(reason not kept)")));
+    }
+    failed += log.failed;
     // Throughput of one connection: its median timed round.
     samplesPerS += median(log.roundRates);
     samples += log.sampleCount;
+    requests += log.requests;
     rounds += log.rounds;
     for (std::size_t i = 0; i < log.firstRound.size(); ++i)
       finals.emplace_back(&log.firstRound[i], log.firstFinals[i]);
   }
+  result.check(failed == 0, std::to_string(failed) + " of " +
+                                std::to_string(requests) +
+                                " timed requests failed");
 
   // Verify pass (outside the timed phase).
   verifyFinals(finals, result);
@@ -835,9 +908,11 @@ int untraced(const Workload& w, const Options& options, Result& result) {
     coveragePass(coverage, options.seed, result);
   }
   clients.clear();
+  for (int rep = setupsBefore; rep < w.setups; ++rep) coldSetup();
   host.reset();
+  result.check(primeFailed == 0,
+               std::to_string(primeFailed) + " priming requests failed");
 
-  const std::vector<double>& cold = w.coldTtfsFromPrime ? coldTtfs : ttfsCold;
   const auto quartiles = [](const std::vector<double>& v) {
     char buf[96];
     std::snprintf(buf, sizeof buf, "q1 %.4g, median %.4g, q3 %.4g",
@@ -845,28 +920,36 @@ int untraced(const Workload& w, const Options& options, Result& result) {
     return std::string(buf);
   };
   result.note("setup_s spread", quartiles(setupS));
-  result.note("cold_ttfs_ms spread", quartiles(cold));
+  result.note("cold_ttfs_ms spread", quartiles(ttfsCold));
+  result.note("request_ms spread", quartiles(requestMs) + ", p90 " +
+                                       std::to_string(quantile(requestMs, 0.9)) +
+                                       ", p99 " +
+                                       std::to_string(quantile(requestMs, 0.99)));
   result.metric("setup_s", median(setupS), "s");
   result.metric("samples_per_s", samplesPerS, "1/s");
   result.metric("ttfs_p50_ms", median(ttfsWarm), "ms");
-  result.metric("cold_ttfs_p50_ms", median(cold), "ms");
+  result.metric("cold_ttfs_p50_ms", median(ttfsCold), "ms");
   result.metric("request_p50_ms", median(requestMs), "ms");
   result.metric("request_p90_ms", quantile(requestMs, 0.9), "ms");
-  for (const double rate : fitBatchRates(mixSeed(options.seed, 501), 15, 64))
-    fitRates.push_back(rate);
   result.metric("fits_per_s", median(fitRates), "1/s");
   result.metric("peak_rss_mib", peakRssMiB(), "MiB");
   result.note("counts",
               std::to_string(rounds) + " timed rounds, " +
-                  std::to_string(requestMs.size()) + " requests (" +
-                  std::to_string(ttfsWarm.size()) + " warm, " +
-                  std::to_string(ttfsCold.size()) + " cold), " +
+                  std::to_string(requests) + " requests, " +
                   std::to_string(samples) +
                   " samples; samples_per_s: sum over connections of the "
-                  "median round rate; cold_ttfs over " +
-                  std::to_string(cold.size()) + " requests; setup_s over " +
+                  "median round rate; ttfs_p50 over " +
+                  std::to_string(ttfsWarm.size()) + " warm requests (" +
+                  w.warmPop + "); cold_ttfs over " +
+                  std::to_string(ttfsCold.size()) + " cold requests (" +
+                  w.coldPop + "); request_p50/p90 over " +
+                  std::to_string(requestMs.size()) + " " +
+                  (w.requestPop == Pop::warm ? "warm" : "cold") +
+                  " requests; setup_s over " +
                   std::to_string(setupS.size()) + " set-ups; fits_per_s: " +
-                  "control, median of 31 one-thread batches of 64 lanes");
+                  "control, median of " + std::to_string(fitRates.size()) +
+                  " one-thread batches of 64 lanes after the set-ups, "
+                  "rotated over the CPUs");
   return result.correct() ? 0 : 1;
 }
 
@@ -1027,13 +1110,16 @@ int traced(const Workload& w, const Options& options, Result& result) {
     const std::string path = socketPath();
     Host host(path);
     Client client(path);
+    int failed = 0;
     for (const Req* r : reqs) {
-      const Outcome o = client.request(r->line, true);
-      result.operation(o.ok(), "traced request " + r->deckName + ": " +
-                                   o.errorFrame.substr(0, 200));
+      const Outcome o = client.request(r->line, r->id, true);
+      result.operation(o.ok(), "traced request " + r->id + ": " + o.why());
+      failed += o.ok() ? 0 : 1;
       socketMs.push_back(o.totalMs);
       finals.emplace_back(r, o.finalFrame);
     }
+    result.check(failed == 0,
+                 std::to_string(failed) + " traced socket requests failed");
     noteCache(result, host.server(), "after socket replay");
   }
   verifyFinals(finals, result);
