@@ -1,12 +1,18 @@
 #include "bench.hpp"
 
+#include <dirent.h>
+#include <sched.h>
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <stdexcept>
+#include <thread>
 
 #include "serve/request.hpp"
 
@@ -40,6 +46,161 @@ double peakRssMiB() {
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
   return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux
+}
+
+double cpuMs(clockid_t clock) {
+  timespec ts{};
+  if (clock_gettime(clock, &ts) != 0)
+    throw std::runtime_error("clock_gettime on a CPU clock failed");
+  return static_cast<double>(ts.tv_sec) * 1e3 +
+         static_cast<double>(ts.tv_nsec) * 1e-6;
+}
+
+clockid_t threadCpuClock(pid_t tid) {
+  // Linux's encoding of a per-thread CPU clock (what glibc's
+  // pthread_getcpuclockid returns): ~tid << 3 | per-thread | sched.
+  return static_cast<clockid_t>((~static_cast<unsigned>(tid)) << 3) | 6;
+}
+
+std::vector<pid_t> threadIds() {
+  std::vector<pid_t> ids;
+  DIR* dir = opendir("/proc/self/task");
+  if (dir == nullptr) throw std::runtime_error("cannot list /proc/self/task");
+  while (const dirent* entry = readdir(dir))
+    if (entry->d_name[0] != '.')
+      ids.push_back(static_cast<pid_t>(std::atoi(entry->d_name)));
+  closedir(dir);
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+pid_t awaitNewThread(const std::vector<pid_t>& before) {
+  for (int attempt = 0; attempt < 5000; ++attempt) {
+    std::vector<pid_t> added;
+    for (const pid_t id : threadIds())
+      if (!std::binary_search(before.begin(), before.end(), id))
+        added.push_back(id);
+    if (added.size() == 1) return added.front();
+    if (added.size() > 1)
+      throw std::runtime_error("several threads started at once");
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  throw std::runtime_error("no new thread started");
+}
+
+ThreadCpu threadCpuNow() {
+  ThreadCpu out;
+  for (const pid_t id : threadIds()) {
+    timespec ts{};
+    // A thread that ended since the listing has no clock any more.
+    if (clock_gettime(threadCpuClock(id), &ts) == 0)
+      out.emplace_back(id, static_cast<double>(ts.tv_sec) * 1e3 +
+                               static_cast<double>(ts.tv_nsec) * 1e-6);
+  }
+  return out;
+}
+
+double threadCpuIn(const ThreadCpu& at, pid_t tid) {
+  for (const auto& [id, ms] : at)
+    if (id == tid) return ms;
+  return 0.0;
+}
+
+double cpuMsSince(const ThreadCpu& before) {
+  double total = 0.0;
+  for (const auto& [id, ms] : threadCpuNow())
+    total += ms - threadCpuIn(before, id);
+  return total;
+}
+
+const std::vector<int>& allowedCpus() {
+  static const std::vector<int> cpus = [] {
+    std::vector<int> out;
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof set, &set) == 0)
+      for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu)
+        if (CPU_ISSET(cpu, &set)) out.push_back(cpu);
+    if (out.empty()) throw std::runtime_error("no CPU in the affinity mask");
+    return out;
+  }();
+  return cpus;
+}
+
+void pinThread(pid_t tid, int cpu) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (cpu >= 0) {
+    CPU_SET(cpu, &set);
+  } else {
+    for (const int c : allowedCpus()) CPU_SET(c, &set);
+  }
+  if (sched_setaffinity(tid, sizeof set, &set) != 0)
+    throw std::runtime_error("sched_setaffinity failed");
+}
+
+namespace {
+
+/// Keeps the kernel's result alive; client threads probe concurrently.
+std::atomic<double> gKernelSink{0.0};
+
+/// The reference kernel: independent transcendental evaluations, as in
+/// device evaluation, on data in registers, so that its time depends on how
+/// much of the core's floating-point throughput the thread gets and not on
+/// what the caches hold.  About 0.1 ms at full speed.
+double referenceKernelMs() {
+  const double c0 = cpuMs(CLOCK_THREAD_CPUTIME_ID);
+  double acc = 0.0;
+  for (int i = 0; i < 4000; ++i) {
+    const double x = i * 1e-4;
+    acc += std::exp(-x) * std::log1p(x) + std::pow(1.0 + x, 0.7);
+  }
+  gKernelSink.store(acc, std::memory_order_relaxed);
+  return cpuMs(CLOCK_THREAD_CPUTIME_ID) - c0;
+}
+
+}  // namespace
+
+double SpeedProbe::run(int cpu, int home) {
+  pinThread(0, cpu);
+  const double ms = referenceKernelMs();
+  pinThread(0, home);
+  std::lock_guard<std::mutex> lock(mutex_);
+  probes_.push_back(ms);
+  return ms;
+}
+
+double SpeedProbe::runAll(const std::vector<int>& cpus, int home) {
+  double sum = 0.0;
+  for (const int cpu : cpus) sum += run(cpu, home);
+  return sum / static_cast<double>(cpus.size());
+}
+
+std::string SpeedProbe::summary() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  char buf[128];
+  std::snprintf(buf, sizeof buf,
+                "%zu probes, p5/p25/p50/p75 %.4f/%.4f/%.4f/%.4f ms",
+                probes_.size(), quantile(probes_, 0.05),
+                quantile(probes_, 0.25), quantile(probes_, 0.5),
+                quantile(probes_, 0.75));
+  return buf;
+}
+
+std::vector<double> scaledMs(const std::vector<Probed>& units) {
+  std::vector<double> out;
+  out.reserve(units.size());
+  for (const Probed& u : units)
+    if (u.steady())
+      out.push_back(u.ms * 2.0 * kReferenceProbeMs / (u.beforeMs + u.afterMs));
+  return out;
+}
+
+std::string steadyShare(const std::vector<Probed>& units) {
+  std::size_t steady = 0;
+  for (const Probed& u : units) steady += u.steady() ? 1 : 0;
+  return std::to_string(steady) + " of " + std::to_string(units.size()) +
+         " units";
 }
 
 std::string hex(std::uint64_t v) {

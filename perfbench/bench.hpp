@@ -4,9 +4,14 @@
 #ifndef VSSTAT_PERFBENCH_BENCH_HPP
 #define VSSTAT_PERFBENCH_BENCH_HPP
 
+#include <sys/types.h>
+
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <ctime>
 #include <map>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,6 +27,90 @@ using Clock = std::chrono::steady_clock;
 [[nodiscard]] inline double msSince(Clock::time_point a) {
   return msBetween(a, Clock::now());
 }
+
+// Timing on a shared host.  The end-to-end timings are CPU time of the
+// threads doing the work: a thread's CPU clock does not advance while the
+// thread waits in a run queue, nor (with the kernel's steal accounting)
+// while the hypervisor runs another guest on its virtual CPU.  CPU time
+// still stretches when another guest runs on the sibling hardware thread of
+// the same core.  On the 4-vCPU VMs this benchmark was written on, each
+// virtual CPU flips between full speed and about two thirds of it within
+// seconds, independently of the others, and a run can spend anywhere from
+// none to all of its time at the slower speed.  So the benchmark pins the
+// threads that do timed work, probes the speed of their CPUs with a short
+// reference kernel right before and after each timed unit, and scales the
+// unit's CPU time by kReferenceProbeMs / (mean of those probes): the time
+// the unit would take on a CPU that runs the probe in kReferenceProbeMs.
+// A unit whose two probes disagree by more than kProbeAgreement ran while
+// its CPU changed speed and cannot be scaled; it is left out.  Report lines
+// give the probe quantiles, the units left out and wall times.
+
+/// Reading of a CPU clock [ms]: CLOCK_THREAD_CPUTIME_ID or a clock from
+/// threadCpuClock.
+[[nodiscard]] double cpuMs(clockid_t clock);
+/// The CPU clock of thread `tid` of this process.  Unlike the process
+/// clock, which can lag a running thread by a scheduler tick, a thread's
+/// clock includes its current time slice.
+[[nodiscard]] clockid_t threadCpuClock(pid_t tid);
+/// Ids of this process's live threads (/proc/self/task).
+[[nodiscard]] std::vector<pid_t> threadIds();
+/// The thread of this process that is not in `before`, once exactly one
+/// such thread exists (throws after a few seconds without one).
+[[nodiscard]] pid_t awaitNewThread(const std::vector<pid_t>& before);
+
+/// CPU time of every live thread, keyed by thread id.
+using ThreadCpu = std::vector<std::pair<pid_t, double>>;
+[[nodiscard]] ThreadCpu threadCpuNow();
+/// A thread's reading in `at` [ms] (0 for a thread started after it).
+[[nodiscard]] double threadCpuIn(const ThreadCpu& at, pid_t tid);
+/// CPU time every live thread spent since `before` [ms].
+[[nodiscard]] double cpuMsSince(const ThreadCpu& before);
+
+/// CPUs this process may run on (its affinity mask when first asked).
+[[nodiscard]] const std::vector<int>& allowedCpus();
+/// Pins thread `tid` (0: the calling thread) to `cpu`; cpu < 0 lets it run
+/// on every allowed CPU again.
+void pinThread(pid_t tid, int cpu);
+
+/// The reference speed: the probe's time [ms] (about what it takes at full
+/// speed on the machines this benchmark was written on).
+inline constexpr double kReferenceProbeMs = 0.1;
+/// Largest ratio of a unit's two probes for which the unit is kept.
+inline constexpr double kProbeAgreement = 1.2;
+
+/// The speed probes of one run.  Thread-safe.
+class SpeedProbe {
+ public:
+  /// Runs the reference kernel on `cpu`, moving the calling thread there
+  /// and then back to `home` (home < 0: every allowed CPU), and returns the
+  /// kernel's CPU time [ms].  The CPU should have nothing else to run.
+  double run(int cpu, int home);
+  /// The mean probe of `cpus`, each run as above [ms].
+  double runAll(const std::vector<int>& cpus, int home);
+  /// "<count> probes, p5/p25/p50/p75 <ms>/<ms>/<ms>/<ms> ms".
+  [[nodiscard]] std::string summary() const;
+
+ private:
+  mutable std::mutex mutex_;
+  std::vector<double> probes_;
+};
+
+/// One timed unit: a CPU time and the probes right before and after it.
+struct Probed {
+  double ms = 0.0;
+  double beforeMs = 0.0;
+  double afterMs = 0.0;
+  [[nodiscard]] bool steady() const noexcept {
+    return std::max(beforeMs, afterMs) <=
+           kProbeAgreement * std::min(beforeMs, afterMs);
+  }
+};
+
+/// CPU times of the steady units at the reference speed [ms]:
+/// ms * kReferenceProbeMs / (mean of the two probes).
+[[nodiscard]] std::vector<double> scaledMs(const std::vector<Probed>& units);
+/// "<steady> of <all> units".
+[[nodiscard]] std::string steadyShare(const std::vector<Probed>& units);
 
 struct Options {
   std::string workload;

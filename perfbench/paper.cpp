@@ -12,9 +12,15 @@
 // reported.  The timed phase runs whole rounds (kRound: five small Fig. 9
 // anchor campaigns, one statistical-tier SNM campaign, the two delay
 // campaigns, then the fit campaign) until the time budget is spent.
+// Campaigns are timed on the CPU clocks of every thread (bench.hpp), so a
+// campaign's time is the CPU time its pool threads spent on it.
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <set>
@@ -90,8 +96,12 @@ double delayOf(sim::CampaignSession<circuits::GateFo3Bench>& s) {
 /// samples consumed, read from the sessions' telemetry.
 struct SampleWatch {
   Clock::time_point start = Clock::now();
+  ThreadCpu startCpu = threadCpuNow();
   std::atomic<bool> seen{false};
-  double firstMs = -1.0;  ///< written once, by the first finishing sample
+  /// Written once, by the first finishing sample: CPU time its thread spent
+  /// since the call (session build included), and wall time.
+  double firstMs = -1.0;
+  double firstWallMs = -1.0;
   bool countSolver = false;
   std::atomic<std::uint64_t> fullFactors{0};
   std::atomic<std::uint64_t> fastRefactors{0};
@@ -114,7 +124,11 @@ mc::CircuitSampleFn<Fixture> sampleFn(Measure<Fixture> measure,
       watch.fullFactors += after.fullFactors - before.fullFactors;
       watch.fastRefactors += after.fastRefactors - before.fastRefactors;
     }
-    if (!watch.seen.exchange(true)) watch.firstMs = msSince(watch.start);
+    if (!watch.seen.exchange(true)) {
+      watch.firstWallMs = msSince(watch.start);
+      watch.firstMs = cpuMs(CLOCK_THREAD_CPUTIME_ID) -
+                      threadCpuIn(watch.startCpu, ::gettid());
+    }
   };
 }
 
@@ -208,8 +222,10 @@ struct CampaignRun {
   int kind = 0;
   std::uint64_t seed = 0;
   mc::McResult result;
-  double ttfsMs = -1.0;  ///< call to the first finished sample
-  double totalMs = 0.0;
+  double ttfsMs = -1.0;  ///< call to the first finished sample, CPU time
+  double totalMs = 0.0;  ///< CPU time of every thread
+  double ttfsWallMs = -1.0;
+  double totalWallMs = 0.0;
   std::uint64_t fullFactors = 0;  ///< traced run only
   std::uint64_t fastRefactors = 0;
 };
@@ -243,26 +259,33 @@ CampaignRun runCampaign(int kind, std::uint64_t seed, bool countSolver,
           kind == 2 ? anchorMode() : fastMode());
       break;
   }
-  run.totalMs = msSince(watch.start);
+  run.totalMs = cpuMsSince(watch.startCpu);
+  run.totalWallMs = msSince(watch.start);
   run.ttfsMs = watch.firstMs;
+  run.ttfsWallMs = watch.firstWallMs;
   run.fullFactors = watch.fullFactors.load();
   run.fastRefactors = watch.fastRefactors.load();
   return run;
 }
 
 /// One round of campaigns; seeds are a function of (seed, round, slot).
+/// `between`, when set, runs after every campaign.
 std::vector<CampaignRun> runRound(std::uint64_t seed, int round,
-                                  Tracer* tracer) {
+                                  Tracer* tracer,
+                                  const std::function<void()>& between = {}) {
   std::vector<CampaignRun> runs;
   for (int slot = 0; slot < kRoundSlots; ++slot) {
     const int kind = kRound[slot];
     const std::uint64_t campaignSeed =
         mixSeed(seed, 1000u * static_cast<unsigned>(round) + slot);
-    std::optional<Tracer::Scope> span;
-    if (tracer != nullptr)
-      span.emplace(*tracer, std::string("mc.") + kCampaigns[kind].name,
-                   round * (kRoundSlots + 1) + slot);
-    runs.push_back(runCampaign(kind, campaignSeed, tracer != nullptr));
+    {
+      std::optional<Tracer::Scope> span;
+      if (tracer != nullptr)
+        span.emplace(*tracer, std::string("mc.") + kCampaigns[kind].name,
+                     round * (kRoundSlots + 1) + slot);
+      runs.push_back(runCampaign(kind, campaignSeed, tracer != nullptr));
+    }
+    if (between) between();
   }
   return runs;
 }
@@ -328,78 +351,179 @@ void countCampaign(const CampaignRun& r, Result& result) {
                        std::to_string(r.result.failures) + " failed samples");
 }
 
+/// Where the campaign threads run in round `round`: the calling thread on
+/// the first CPU, the pool's helper threads on the next ones, moving on by
+/// kThreads CPUs every round.
+std::vector<int> placement(int round) {
+  const std::vector<int>& cpus = allowedCpus();
+  std::vector<int> out;
+  for (unsigned t = 0; t < kThreads; ++t)
+    out.push_back(cpus[(static_cast<std::size_t>(round) * kThreads + t) %
+                       cpus.size()]);
+  return out;
+}
+
 int untraced(const Options& options, Result& result) {
   // Cold set-ups; after each, a one-sample-per-thread snm_anchor campaign's
   // first statistic (the cold population: right after fresh set-up work).
   // A set-up takes well under a millisecond, so set-ups run between every
   // two rounds (outside the timed intervals; the latest FitCampaign serves
-  // the next round) and both medians sample the whole run.
-  std::vector<double> setupS, coldTtfs;
+  // the next round) and both medians sample the whole run.  Every unit is
+  // bracketed by speed probes of all the CPUs the threads are pinned to.
+  SpeedProbe probe;
+  std::vector<int> place = placement(0);
+  std::vector<pid_t> helpers;
+  std::vector<Probed> setupS, coldTtfs;
+  std::vector<double> setupWallS;
   std::unique_ptr<extract::FitCampaign> fits;
   const auto coldSetup = [&] {
     fits.reset();
+    // The set-up runs on the calling thread alone.
+    const double before = probe.run(place[0], place[0]);
+    const ThreadCpu cpu0 = threadCpuNow();
     const Clock::time_point t0 = Clock::now();
     fits = makeSetup();
-    setupS.push_back(msSince(t0) / 1000.0);
-    coldTtfs.push_back(runCampaign(0, mixSeed(options.seed, 30u + setupS.size()),
-                                   false, static_cast<int>(kThreads))
-                           .ttfsMs);
+    const double setupMs = cpuMsSince(cpu0);
+    setupWallS.push_back(msSince(t0) / 1000.0);
+    const double after = probe.run(place[0], place[0]);
+    setupS.push_back(Probed{setupMs, before, after});
+    const double mid = probe.runAll(place, place[0]);
+    const double ttfs =
+        runCampaign(0, mixSeed(options.seed, 30u + setupS.size()), false,
+                    static_cast<int>(kThreads))
+            .ttfsMs;
+    coldTtfs.push_back(
+        Probed{ttfs, mid, probe.runAll(place, place[0])});
   };
-  coldSetup();
+  // The pool's helper threads start with the first campaign on kThreads
+  // threads; find them, so they can be pinned.
+  {
+    pinThread(0, place[0]);
+    const std::vector<pid_t> before = threadIds();
+    coldSetup();
+    for (const pid_t id : threadIds())
+      if (!std::binary_search(before.begin(), before.end(), id))
+        helpers.push_back(id);
+    result.check(helpers.size() == kThreads - 1,
+                 std::to_string(helpers.size()) +
+                     " threads started with the first campaign, expected " +
+                     std::to_string(kThreads - 1) + " pool helpers");
+  }
 
-  std::vector<double> requestMs, ttfsMs;
-  double mcMs = 0.0, fitMs = 0.0;
+  // Per timed round and slot (kRound's campaigns, then the fit campaign):
+  // CPU time of every thread.
+  std::vector<std::vector<Probed>> slotMs(kRoundSlots + 1);
+  std::vector<Probed> requestMs, ttfsMs;
+  std::vector<double> requestWallMs, ttfsWallMs;
+  double timedWallMs = 0.0, mcWallMs = 0.0;
   long samples = 0, lanes = 0;
   int rounds = 0;
   for (int round = 0;; ++round) {
-    const std::vector<CampaignRun> runs =
-        runRound(options.seed, round, nullptr);
-    const Clock::time_point f0 = Clock::now();
+    place = placement(round);
+    pinThread(0, place[0]);
+    for (std::size_t h = 0; h < helpers.size() && h + 1 < place.size(); ++h)
+      pinThread(helpers[h], place[h + 1]);
+    const Clock::time_point r0 = Clock::now();
+    std::vector<double> probes{probe.runAll(place, place[0])};
+    const std::vector<CampaignRun> runs = runRound(
+        options.seed, round, nullptr,
+        [&] { probes.push_back(probe.runAll(place, place[0])); });
+    const ThreadCpu f0 = threadCpuNow();
     const extract::FitCampaignResult fit = fits->run(
         kFitLanes, fitSeed(options.seed, round), fitPopulation(*fits));
-    const double fitRoundMs = msSince(f0);
+    const double fitCpuMs = cpuMsSince(f0);
+    probes.push_back(probe.runAll(place, place[0]));
+    const double roundWallMs = msSince(r0);
     if (round == 0) continue;  // warm-up round: untimed
     ++rounds;
-    for (const CampaignRun& r : runs) {
+    for (std::size_t slot = 0; slot < runs.size(); ++slot) {
+      const CampaignRun& r = runs[slot];
+      const Probed unit{r.totalMs, probes[slot], probes[slot + 1]};
       countCampaign(r, result);
-      mcMs += r.totalMs;
+      slotMs[slot].push_back(unit);
+      mcWallMs += r.totalWallMs;
       samples += kCampaigns[r.kind].samples;
       if (r.kind == 0) {
-        requestMs.push_back(r.totalMs);
-        ttfsMs.push_back(r.ttfsMs);
+        requestMs.push_back(unit);
+        ttfsMs.push_back(Probed{r.ttfsMs, unit.beforeMs, unit.afterMs});
+        requestWallMs.push_back(r.totalWallMs);
+        ttfsWallMs.push_back(r.ttfsWallMs);
       }
     }
+    slotMs[kRoundSlots].push_back(
+        Probed{fitCpuMs, probes[kRoundSlots], probes.back()});
     std::string why;
     const bool fitOk = fitCampaignOk(fit, fitSeed(options.seed, round), why);
     result.operation(fitOk, "fit campaign: " + why);
-    fitMs += fitRoundMs;
     lanes += static_cast<long>(kFitLanes);
     if (round == 1)
       verifyRound(runs, fit, fitSeed(options.seed, round), result);
-    if ((mcMs + fitMs) / 1000.0 >= options.seconds) break;
+    timedWallMs += roundWallMs;
+    if (timedWallMs / 1000.0 >= options.seconds) break;
     for (int k = 0; k < kSetupsPerGap; ++k) coldSetup();
   }
   while (setupS.size() < static_cast<std::size_t>(kMinSetups)) coldSetup();
+  pinThread(0, -1);
+  for (const pid_t h : helpers) pinThread(h, -1);
 
-  result.metric("setup_s", median(setupS), "s");
-  result.metric("samples_per_s",
-                static_cast<double>(samples) / (mcMs / 1000.0), "1/s");
-  result.metric("fits_per_s", static_cast<double>(lanes) / (fitMs / 1000.0),
-                "1/s");
-  result.metric("ttfs_p50_ms", median(ttfsMs), "ms");
-  result.metric("cold_ttfs_p50_ms", median(coldTtfs), "ms");
-  result.metric("request_p50_ms", median(requestMs), "ms");
-  result.metric("request_p90_ms", quantile(requestMs, 0.9), "ms");
+  // Times at the reference speed (bench.hpp).  Throughput: a round's MC
+  // samples over its campaign time, the sum over its campaign slots of each
+  // slot's median.
+  double roundMs = 0.0, roundSamples = 0.0;
+  for (int slot = 0; slot < kRoundSlots; ++slot) {
+    roundMs += median(scaledMs(slotMs[static_cast<std::size_t>(slot)]));
+    roundSamples += kCampaigns[kRound[slot]].samples;
+  }
+  const double fitMs = median(scaledMs(slotMs[kRoundSlots]));
+  const std::vector<double> totalMs = scaledMs(requestMs);
+
+  result.metric("setup_s", median(scaledMs(setupS)) / 1000.0, "s");
+  result.metric("samples_per_cpu_s", roundSamples / (roundMs / 1000.0), "1/s");
+  result.metric("fits_per_cpu_s",
+                static_cast<double>(kFitLanes) / (fitMs / 1000.0), "1/s");
+  result.metric("ttfs_cpu_p50_ms", median(scaledMs(ttfsMs)), "ms");
+  result.metric("cold_ttfs_cpu_p50_ms", median(scaledMs(coldTtfs)), "ms");
+  result.metric("request_cpu_p50_ms", median(totalMs), "ms");
   result.metric("peak_rss_mib", peakRssMiB(), "MiB");
+  result.note("request_cpu_ms spread",
+              "q1 " + std::to_string(quantile(totalMs, 0.25)) + ", median " +
+                  std::to_string(median(totalMs)) + ", q3 " +
+                  std::to_string(quantile(totalMs, 0.75)) + ", p90 " +
+                  std::to_string(quantile(totalMs, 0.9)) + ", p99 " +
+                  std::to_string(quantile(totalMs, 0.99)));
+  result.note("speed probes",
+              probe.summary() + "; steady: snm_anchor campaigns " +
+                  steadyShare(requestMs) + ", fit campaigns " +
+                  steadyShare(slotMs[kRoundSlots]) + ", set-ups " +
+                  steadyShare(setupS) + ", cold campaigns " +
+                  steadyShare(coldTtfs));
+  result.note("wall time",
+              "setup median " + std::to_string(median(setupWallS)) +
+                  " s, ttfs p50 " + std::to_string(median(ttfsWallMs)) +
+                  " ms, request p50 " + std::to_string(median(requestWallMs)) +
+                  " ms, p90 " + std::to_string(quantile(requestWallMs, 0.9)) +
+                  " ms, " +
+                  std::to_string(static_cast<double>(samples) /
+                                 (mcWallMs / 1000.0)) +
+                  " samples/s over " + std::to_string(timedWallMs / 1000.0) +
+                  " s (speed probes included)");
   result.note("counts",
               std::to_string(rounds) + " timed rounds on " +
                   std::to_string(kThreads) + " threads; " +
                   std::to_string(samples) + " MC samples, " +
-                  std::to_string(lanes) + " fits; request and ttfs " +
-                  "percentiles over " + std::to_string(requestMs.size()) +
-                  " snm_anchor campaigns; cold_ttfs over " +
+                  std::to_string(lanes) +
+                  " fits; times are CPU time of every thread at the "
+                  "reference speed (ttfs: of the thread that finished the "
+                  "first sample); samples_per_cpu_s: a round's samples over "
+                  "the sum of its campaign slots' median CPU times; "
+                  "fits_per_cpu_s over the fit slot's median; request and "
+                  "ttfs percentiles over " +
+                  std::to_string(totalMs.size()) +
+                  " steady snm_anchor campaigns; cold_ttfs over the steady "
+                  "ones of " +
                   std::to_string(coldTtfs.size()) +
-                  " post-set-up snm_anchor campaigns; setup_s over " +
+                  " post-set-up snm_anchor campaigns; setup_s over the "
+                  "steady ones of " +
                   std::to_string(setupS.size()) + " set-ups");
   return result.correct() ? 0 : 1;
 }
@@ -510,7 +634,7 @@ int traced(const Options& options, Result& result) {
   // Tracing overhead: round 0 again, untraced and uncounted.
   double untracedUs = 0.0;
   for (const CampaignRun& r : runRound(options.seed, 0, nullptr))
-    untracedUs += r.totalMs * 1000.0;
+    untracedUs += r.totalWallMs * 1000.0;
   double tracedUs = 0.0;
   for (int slot = 0; slot < kRoundSlots; ++slot)
     tracedUs += campaignUs[static_cast<std::size_t>(slot)];

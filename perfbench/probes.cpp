@@ -1,7 +1,5 @@
 #include "probes.hpp"
 
-#include <sched.h>
-
 #include <algorithm>
 #include <memory>
 #include <typeinfo>
@@ -194,33 +192,25 @@ std::unique_ptr<extract::FitCampaign> fastFitCampaign(unsigned threads) {
       extract::vsMeasurementGrid(), options);
 }
 
-std::vector<double> fitBatchRates(std::uint64_t seed, int first,
-                                  int batches, std::size_t lanes) {
+std::vector<Probed> fitBatchMs(std::uint64_t seed, int first, int batches,
+                               std::size_t lanes, SpeedProbe& probe) {
   // The batches run inline on this thread and visit every CPU it may run
   // on in turn, so their median describes the machine rather than the one
   // CPU the thread happened to land on.
-  cpu_set_t allowed;
-  CPU_ZERO(&allowed);
-  const bool pin = sched_getaffinity(0, sizeof allowed, &allowed) == 0;
-  std::vector<int> cpus;
-  for (int cpu = 0; pin && cpu < CPU_SETSIZE; ++cpu)
-    if (CPU_ISSET(cpu, &allowed)) cpus.push_back(cpu);
+  const std::vector<int>& cpus = allowedCpus();
   const std::unique_ptr<extract::FitCampaign> fits = fastFitCampaign(1);
-  std::vector<double> rates;
+  std::vector<Probed> times;
   for (int batch = first; batch < first + batches; ++batch) {
-    if (!cpus.empty()) {
-      cpu_set_t one;
-      CPU_ZERO(&one);
-      CPU_SET(cpus[static_cast<std::size_t>(batch) % cpus.size()], &one);
-      (void)sched_setaffinity(0, sizeof one, &one);
-    }
-    const Clock::time_point t0 = Clock::now();
+    const int cpu = cpus[static_cast<std::size_t>(batch) % cpus.size()];
+    const double before = probe.run(cpu, cpu);
+    const double cpu0 = cpuMs(CLOCK_THREAD_CPUTIME_ID);
     (void)fits->run(lanes, mixSeed(seed, static_cast<std::uint64_t>(batch)),
                     fitPopulation(*fits));
-    rates.push_back(static_cast<double>(lanes) / (msSince(t0) / 1000.0));
+    const double ms = cpuMs(CLOCK_THREAD_CPUTIME_ID) - cpu0;
+    times.push_back(Probed{ms, before, probe.run(cpu, cpu)});
   }
-  if (pin) (void)sched_setaffinity(0, sizeof allowed, &allowed);
-  return rates;
+  pinThread(0, -1);
+  return times;
 }
 
 CircuitProbe weightedProbe(

@@ -86,13 +86,13 @@ inline constexpr double kFitNoiseRel = 0.004;
 [[nodiscard]] std::unique_ptr<vsstat::extract::FitCampaign> fastFitCampaign(
     unsigned threads);
 
-/// Fits per second of the one-thread batches [first, first + batches) of
-/// `lanes` lanes each [1/s], one entry per batch.  Batch b draws its
-/// population from (seed, b) and runs pinned to CPU b mod n of the n CPUs
-/// in the process's affinity mask.
-[[nodiscard]] std::vector<double> fitBatchRates(std::uint64_t seed, int first,
-                                                int batches,
-                                                std::size_t lanes);
+/// CPU times of the one-thread batches [first, first + batches) of `lanes`
+/// lanes each [ms], one probed entry per batch.  Batch b draws its
+/// population from (seed, b) and runs pinned to CPU b mod n of the n
+/// allowed CPUs; the calling thread ends unpinned.
+[[nodiscard]] std::vector<Probed> fitBatchMs(std::uint64_t seed, int first,
+                                             int batches, std::size_t lanes,
+                                             SpeedProbe& probe);
 
 /// Costs of the paper-flow layers, measured on the paper fixtures (the
 /// SRAM read butterfly and the INV FO3) and a small fast FitCampaign.

