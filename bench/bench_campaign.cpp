@@ -1,6 +1,6 @@
-// Campaign-engine benchmark: rebuild-per-sample vs build-once/rebind
-// sessions (sim::CampaignSession) on the paper's two statistical
-// workloads:
+// Campaign-engine benchmark: build-once/rebind sessions
+// (sim::CampaignSession, through mc::runCampaign<Fixture>) on the paper's
+// two statistical workloads and a grid-scale fixture ladder:
 //
 //   sram_snm -- READ SNM of the 6T butterfly via 45-point DC sweeps
 //               (the Fig. 9 Monte Carlo inner loop);
@@ -9,10 +9,7 @@
 //   grid_ir  -- worst-case IR drop of a 10x10 power-grid mesh (101 MNA
 //               unknowns, one statistically varied leakage FET per node)
 //               via supply sweeps: the post-layout-scale workload where
-//               per-solve LU costs rival device evaluation.  Session-only
-//               (the rebuild path would measure fixture construction, not
-//               the solver), so its rows carry the fresh-vs-reuse
-//               comparison.
+//               per-solve LU costs rival device evaluation.
 //   grid_ladder_{10,32,64} -- the grid-scale fixture ladder: one row per
 //               mesh rung combining session-campaign throughput with a
 //               direct factor probe (fresh-factor us, fill ratio, marginal
@@ -22,26 +19,25 @@
 //               instead records its isolated peak RSS, the near-linear-
 //               memory evidence at ~4k unknowns.
 //
-// Both paths run the identical statistical VS sampling (same seed, same
-// draws) single-threaded, so samples/sec compares per-sample cost and the
-// metrics can be checked bit-identical.  "allocs" counts heap allocations
-// per sample in steady state (rebuilding circuit + assembler per sample is
-// hundreds; a session rebind pass is near zero for the VS provider).
+// Every row runs the identical statistical VS sampling (same seed, same
+// draws), single-threaded by default, so samples/sec compares per-sample
+// cost.  "allocs" counts heap allocations per sample in steady state (a
+// session rebind pass is zero for the VS provider).  Rebind-vs-rebuild
+// bit-identity is a test contract (tests/sim/test_campaign_session.cpp),
+// not a bench row.
 //
-// A third row per workload measures SolverMode::reusePivot on the session
+// A second row per workload measures SolverMode::reusePivot on the session
 // path (reference numerics): one canonical LU pivot order amortized across
-// every solve instead of a dense re-pivot + symbolic pass per solve.
-// Reuse rows carry "speedup_vs_fresh" (vs the fresh session row),
-// "max_rel_delta" (largest per-sample metric deviation from the fresh run,
-// same seeds) and "within_tolerance" (the campaign tolerance contract's
-// 1e-8 per-sample bound) instead of rebuild bit-identity -- pivot reuse
-// changes the Newton trajectory, statistically equivalently (the fast-
-// numerics composition lives in bench_device_bank).
+// every solve instead of a re-pivot + symbolic pass per solve.  Reuse rows
+// carry "speedup_vs_fresh" (vs the fresh session row), "max_rel_delta"
+// (largest per-sample metric deviation from the fresh run, same seeds) and
+// "within_tolerance" (the campaign tolerance contract's 1e-8 per-sample
+// bound) -- pivot reuse changes the Newton trajectory, statistically
+// equivalently (the fast-numerics composition lives in bench_device_bank).
 //
 // Output is machine-readable JSON, one object per line on stdout:
 //   {"name": ..., "samples": N, "threads": T, "us_per_sample": ...,
 //    "samples_per_sec": ..., "allocs_per_sample": ...,
-//    "speedup_vs_rebuild": ..., "bit_identical": true,
 //    "metrics_fnv1a": "0x..."}
 // BENCH_campaign.json records a reference run; CI gates regressions
 // against it (scripts/check_bench_regression.py).
@@ -55,21 +51,20 @@
 //   --threads N   run the campaigns with N workers (default 1)
 //   --scaling     emit only session rows, one per session-mode combination
 //                 (NumericsMode x SolverMode: _session, _session_fast,
-//                 _session_reuse, _session_fast_reuse), skipping the
-//                 rebuild-path comparison: the mode the CI scaling smoke
+//                 _session_reuse, _session_fast_reuse, plus
+//                 _session_statistical): the mode the CI scaling smoke
 //                 and the scaling-audit job run across worker counts,
 //                 comparing metrics_fnv1a per row name across runs
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "circuits/benchmarks.hpp"
 #include "common.hpp"
 #include "linalg/dense_pivot_lu.hpp"
@@ -84,25 +79,6 @@
 #include "stats/descriptive.hpp"
 #include "util/fnv1a.hpp"
 #include "util/rusage.hpp"
-
-namespace {
-
-std::atomic<std::uint64_t> gAllocCount{0};
-
-}  // namespace
-
-// Global allocation hooks (same scheme as bench_newton_hotpath): count
-// every heap allocation so allocs/sample is exact.
-void* operator new(std::size_t size) {
-  gAllocCount.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace vsstat {
 namespace {
@@ -145,16 +121,16 @@ constexpr int kWarmSamples = 4;
 CampaignTiming timeCampaign(int samples,
                             const std::function<mc::McResult(int)>& run) {
   (void)run(kWarmSamples);  // warmup
-  const std::uint64_t base0 = gAllocCount.load(std::memory_order_relaxed);
+  const std::uint64_t base0 = bench::heapAllocations();
   (void)run(kWarmSamples);  // fixed campaign cost + kWarmSamples marginals
-  const std::uint64_t base1 = gAllocCount.load(std::memory_order_relaxed);
+  const std::uint64_t base1 = bench::heapAllocations();
 
-  const std::uint64_t allocs0 = gAllocCount.load(std::memory_order_relaxed);
+  const std::uint64_t allocs0 = bench::heapAllocations();
   const auto t0 = Clock::now();
   CampaignTiming t;
   t.result = run(samples);
   const auto t1 = Clock::now();
-  const std::uint64_t allocs1 = gAllocCount.load(std::memory_order_relaxed);
+  const std::uint64_t allocs1 = bench::heapAllocations();
 
   const double us = static_cast<double>(
       std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0).count());
@@ -191,19 +167,6 @@ std::uint64_t metricsHash(const mc::McResult& r) {
 unsigned gThreads = 1;
 bool gScalingOnly = false;
 
-void emit(const std::string& name, int samples, const CampaignTiming& t,
-          double rebuildUsPerSample, bool identical) {
-  std::printf(
-      "{\"name\": \"%s\", \"samples\": %d, \"threads\": %u, "
-      "\"us_per_sample\": %.1f, \"samples_per_sec\": %.1f, "
-      "\"allocs_per_sample\": %.1f, \"speedup_vs_rebuild\": %.2f, "
-      "\"bit_identical\": %s, \"metrics_fnv1a\": \"0x%016llx\"}\n",
-      name.c_str(), samples, gThreads, t.usPerSample, 1e6 / t.usPerSample,
-      t.allocsPerSample, rebuildUsPerSample / t.usPerSample,
-      identical ? "true" : "false",
-      static_cast<unsigned long long>(metricsHash(t.result)));
-}
-
 /// Pivot-reuse row: compared against the fresh session run (same seeds)
 /// through the tolerance contract, not bit-identity.
 void emitReuse(const std::string& name, int samples, const CampaignTiming& t,
@@ -222,10 +185,9 @@ void emitReuse(const std::string& name, int samples, const CampaignTiming& t,
       static_cast<unsigned long long>(metricsHash(t.result)));
 }
 
-/// --scaling row: no rebuild path ran, so the rebuild-comparison fields
-/// (speedup_vs_rebuild, bit_identical) are OMITTED rather than fabricated
-/// -- identity across thread counts is what metrics_fnv1a carries.
-void emitScaling(const std::string& name, int samples,
+/// Plain session row (also every --scaling row): throughput, allocations,
+/// and the metrics hash that cross-thread-count identity is checked on.
+void emitSession(const std::string& name, int samples,
                  const CampaignTiming& t) {
   std::printf(
       "{\"name\": \"%s\", \"samples\": %d, \"threads\": %u, "
@@ -348,45 +310,17 @@ void runScalingCombos(
   for (const auto& combo : combos) {
     const CampaignTiming s = timeCampaign(
         samples, [&](int n) { return session(n, combo.options); });
-    emitScaling(name + combo.suffix, samples, s);
+    emitSession(name + combo.suffix, samples, s);
   }
 }
 
-/// One workload: measures the rebuild path, the fresh session path, and
-/// the pivot-reuse session path; checks rebuild/session bit-identity and
-/// the reuse tolerance contract; emits one JSONL line each.  In --scaling
-/// mode every session-mode combination runs instead (cross-thread-count
-/// identity is checked by comparing metrics_fnv1a across whole runs, not
-/// in-process).
+/// One workload: measures the fresh session path, the pivot-reuse session
+/// path (reuse tolerance contract), and the statistical tier; emits one
+/// JSONL line each.  In --scaling mode every session-mode combination
+/// runs instead (cross-thread-count identity is checked by comparing
+/// metrics_fnv1a across whole runs, not in-process).
 void benchWorkload(
     const std::string& name, int samples,
-    const std::function<mc::McResult(int)>& rebuild,
-    const std::function<mc::McResult(int, spice::SessionOptions)>& session) {
-  if (gScalingOnly) {
-    runScalingCombos(name, samples, session);
-    return;
-  }
-  const CampaignTiming r = timeCampaign(samples, rebuild);
-  const CampaignTiming s = timeCampaign(
-      samples, [&](int n) { return session(n, spice::SessionOptions{}); });
-  const CampaignTiming u = timeCampaign(
-      samples, [&](int n) { return session(n, reusePivotOptions()); });
-  const bool identical = bitIdentical(r.result, s.result);
-  emit(name + "_rebuild", samples, r, r.usPerSample, identical);
-  emit(name + "_session", samples, s, r.usPerSample, identical);
-  emitReuse(name + "_session_reuse", samples, u, s.usPerSample,
-            bench::maxRelMetricDelta(u.result, s.result));
-  const CampaignTiming b = timeCampaign(
-      samples, [&](int n) { return session(n, fastReuseOptions()); });
-  const CampaignTiming st = timeCampaign(
-      samples, [&](int n) { return session(n, statisticalOptions()); });
-  emitStatisticalTier(name + "_statistical_tier", samples, st, b);
-}
-
-/// Session-only workload (grid_ir): fresh vs reuse-pivot sessions, no
-/// rebuild baseline.  Scaling mode emits the same four combos as above.
-void benchSessionWorkload(
-    const std::string& name, int samples,
     const std::function<mc::McResult(int, spice::SessionOptions)>& session) {
   if (gScalingOnly) {
     runScalingCombos(name, samples, session);
@@ -396,7 +330,7 @@ void benchSessionWorkload(
       samples, [&](int n) { return session(n, spice::SessionOptions{}); });
   const CampaignTiming u = timeCampaign(
       samples, [&](int n) { return session(n, reusePivotOptions()); });
-  emitScaling(name + "_session", samples, s);
+  emitSession(name + "_session", samples, s);
   emitReuse(name + "_session_reuse", samples, u, s.usPerSample,
             bench::maxRelMetricDelta(u.result, s.result));
   const CampaignTiming b = timeCampaign(
@@ -421,99 +355,64 @@ mc::McOptions options(int samples) {
   return opt;
 }
 
-int run(int snmSamples, int invSamples) {
-  benchWorkload(
-      "sram_snm", snmSamples,
-      [](int n) {
-        return mc::runCampaign(
-            options(n), 1,
-            [](std::size_t, stats::Rng& rng, std::vector<double>& out) {
-              auto provider = makeProvider(rng);
-              circuits::SramButterflyBench bench =
-                  circuits::buildSramButterfly(*provider, 0.9,
-                                               circuits::SramMode::Read,
-                                               circuits::SramSizing{});
-              out[0] = measure::measureSnm(bench, kSnmPoints).cellSnm();
-            });
+mc::McResult snmCampaign(int n, spice::SessionOptions sessionOptions,
+                         const sim::RescuePolicy& rescue = {}) {
+  return mc::runCampaign<circuits::SramButterflyBench>(
+      options(n), 1,
+      [](circuits::DeviceProvider& provider) {
+        return circuits::buildSramButterfly(provider, 0.9,
+                                            circuits::SramMode::Read,
+                                            circuits::SramSizing{});
       },
-      [](int n, spice::SessionOptions sessionOptions) {
-        return mc::runCampaign<circuits::SramButterflyBench>(
-            options(n), 1,
-            [](circuits::DeviceProvider& provider) {
-              return circuits::buildSramButterfly(provider, 0.9,
-                                                  circuits::SramMode::Read,
-                                                  circuits::SramSizing{});
-            },
-            [] { return makeProvider(stats::Rng(0)); },
-            [](std::size_t,
-               sim::CampaignSession<circuits::SramButterflyBench>& session,
-               stats::Rng&, std::vector<double>& out) {
-              out[0] = measure::measureSnm(session.fixture(), session.spice(),
-                                           kSnmPoints)
-                           .cellSnm();
-            },
-            sessionOptions);
-      });
+      [] { return makeProvider(stats::Rng(0)); },
+      [](std::size_t,
+         sim::CampaignSession<circuits::SramButterflyBench>& session,
+         stats::Rng&, std::vector<double>& out) {
+        out[0] = measure::measureSnm(session.fixture(), session.spice(),
+                                     kSnmPoints)
+                     .cellSnm();
+      },
+      sessionOptions, rescue);
+}
+
+mc::McResult invCampaign(int n, spice::SessionOptions sessionOptions) {
+  return mc::runCampaign<circuits::GateFo3Bench>(
+      options(n), 1,
+      [](circuits::DeviceProvider& provider) {
+        return circuits::buildInvFo3(provider, circuits::CellSizing{},
+                                     circuits::StimulusSpec{});
+      },
+      [] { return makeProvider(stats::Rng(0)); },
+      [](std::size_t, sim::CampaignSession<circuits::GateFo3Bench>& session,
+         stats::Rng&, std::vector<double>& out) {
+        out[0] =
+            measure::measureGateDelays(session.fixture(), session.spice())
+                .average();
+      },
+      sessionOptions);
+}
+
+int run(int snmSamples, int invSamples) {
+  benchWorkload("sram_snm", snmSamples,
+                [](int n, spice::SessionOptions sessionOptions) {
+                  return snmCampaign(n, sessionOptions);
+                });
 
   if (!gScalingOnly) {
-    const auto snmSession = [](int n, const sim::RescuePolicy& rescue) {
-      return mc::runCampaign<circuits::SramButterflyBench>(
-          options(n), 1,
-          [](circuits::DeviceProvider& provider) {
-            return circuits::buildSramButterfly(provider, 0.9,
-                                                circuits::SramMode::Read,
-                                                circuits::SramSizing{});
-          },
-          [] { return makeProvider(stats::Rng(0)); },
-          [](std::size_t,
-             sim::CampaignSession<circuits::SramButterflyBench>& session,
-             stats::Rng&, std::vector<double>& out) {
-            out[0] = measure::measureSnm(session.fixture(), session.spice(),
-                                         kSnmPoints)
-                         .cellSnm();
-          },
-          spice::SessionOptions{}, rescue);
-    };
     sim::RescuePolicy noRescue;
     noRescue.enabled = false;
-    const CampaignTiming off = timeCampaign(
-        snmSamples, [&](int n) { return snmSession(n, noRescue); });
-    const CampaignTiming on = timeCampaign(
-        snmSamples, [&](int n) { return snmSession(n, sim::RescuePolicy{}); });
+    const CampaignTiming off = timeCampaign(snmSamples, [&](int n) {
+      return snmCampaign(n, spice::SessionOptions{}, noRescue);
+    });
+    const CampaignTiming on = timeCampaign(snmSamples, [](int n) {
+      return snmCampaign(n, spice::SessionOptions{});
+    });
     emitRescueOverhead("sram_snm_rescue_overhead", snmSamples, on,
                        off.usPerSample,
                        bitIdentical(on.result, off.result));
   }
 
-  benchWorkload(
-      "inv_fo3", invSamples,
-      [](int n) {
-        return mc::runCampaign(
-            options(n), 1,
-            [](std::size_t, stats::Rng& rng, std::vector<double>& out) {
-              auto provider = makeProvider(rng);
-              circuits::GateFo3Bench bench = circuits::buildInvFo3(
-                  *provider, circuits::CellSizing{}, circuits::StimulusSpec{});
-              out[0] = measure::measureGateDelays(bench).average();
-            });
-      },
-      [](int n, spice::SessionOptions sessionOptions) {
-        return mc::runCampaign<circuits::GateFo3Bench>(
-            options(n), 1,
-            [](circuits::DeviceProvider& provider) {
-              return circuits::buildInvFo3(provider, circuits::CellSizing{},
-                                           circuits::StimulusSpec{});
-            },
-            [] { return makeProvider(stats::Rng(0)); },
-            [](std::size_t,
-               sim::CampaignSession<circuits::GateFo3Bench>& session,
-               stats::Rng&, std::vector<double>& out) {
-              out[0] = measure::measureGateDelays(session.fixture(),
-                                                  session.spice())
-                           .average();
-            },
-            sessionOptions);
-      });
+  benchWorkload("inv_fo3", invSamples, invCampaign);
   return 0;
 }
 
@@ -587,14 +486,14 @@ FactorProbe probeFactor(int edge, int factorReps, bool withDense) {
   lu.refactor(m);  // pays the one-time ordering; cached across reset()
   lu.reset();
   lu.refactor(m);  // warm: every work array at capacity
-  const std::uint64_t allocs0 = gAllocCount.load(std::memory_order_relaxed);
+  const std::uint64_t allocs0 = bench::heapAllocations();
   const auto t0 = Clock::now();
   for (int i = 0; i < factorReps; ++i) {
     lu.reset();
     lu.refactor(m);
   }
   const auto t1 = Clock::now();
-  const std::uint64_t allocs1 = gAllocCount.load(std::memory_order_relaxed);
+  const std::uint64_t allocs1 = bench::heapAllocations();
   p.freshFactorUs =
       static_cast<double>(
           std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0)
@@ -668,7 +567,7 @@ void emitLadder(const std::string& name, int samples, const CampaignTiming& t,
 }
 
 int runGrid(int gridSamples, bool quick) {
-  benchSessionWorkload("grid_ir", gridSamples, gridSession(10, kGridPoints));
+  benchWorkload("grid_ir", gridSamples, gridSession(10, kGridPoints));
 
   // Grid-scale fixture ladder.  Sweep points shrink as the rung grows (the
   // campaign row is a throughput smoke; the factor probe carries the

@@ -26,18 +26,16 @@
 // against it (scripts/check_bench_regression.py).
 //
 // Usage: bench_device_bank [--quick]
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <memory>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "circuits/benchmarks.hpp"
 #include "common.hpp"
 #include "mc/circuit_campaign.hpp"
@@ -47,25 +45,6 @@
 #include "measure/snm.hpp"
 #include "models/vs_model.hpp"
 #include "models/vs_params.hpp"
-
-namespace {
-
-std::atomic<std::uint64_t> gAllocCount{0};
-
-}  // namespace
-
-// Global allocation hooks (same scheme as bench_campaign): count every heap
-// allocation so allocs/sample is exact.
-void* operator new(std::size_t size) {
-  gAllocCount.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace vsstat {
 namespace {
@@ -131,7 +110,7 @@ void benchMicro(int sweeps) {
     }
   }
 
-  const std::uint64_t a0 = gAllocCount.load(std::memory_order_relaxed);
+  const std::uint64_t a0 = bench::heapAllocations();
   const auto t0 = Clock::now();
   for (int s = 0; s < sweeps; ++s) {
     biasAt(s);
@@ -147,14 +126,14 @@ void benchMicro(int sweeps) {
     for (std::size_t i = 0; i < n; ++i) checksum += batchOut[i].at.id;
   }
   const auto t2 = Clock::now();
-  const std::uint64_t a1 = gAllocCount.load(std::memory_order_relaxed);
+  const std::uint64_t a1 = bench::heapAllocations();
   for (int s = 0; s < sweeps; ++s) {
     biasAt(s);
     fastBank->evaluateLoadBatch(vgs, vds, kStep, fastOut);
     for (std::size_t i = 0; i < n; ++i) checksum += fastOut[i].at.id;
   }
   const auto t3 = Clock::now();
-  const std::uint64_t a2 = gAllocCount.load(std::memory_order_relaxed);
+  const std::uint64_t a2 = bench::heapAllocations();
 
   const double evals = static_cast<double>(sweeps) * static_cast<double>(n);
   const double nsScalar =
@@ -218,16 +197,16 @@ constexpr int kWarmSamples = 4;
 CampaignTiming timeCampaign(int samples,
                             const std::function<mc::McResult(int)>& run) {
   (void)run(kWarmSamples);  // warmup: sessions, thread pool, thread_locals
-  const std::uint64_t base0 = gAllocCount.load(std::memory_order_relaxed);
+  const std::uint64_t base0 = bench::heapAllocations();
   (void)run(kWarmSamples);  // fixed campaign cost + kWarmSamples marginals
-  const std::uint64_t base1 = gAllocCount.load(std::memory_order_relaxed);
+  const std::uint64_t base1 = bench::heapAllocations();
 
-  const std::uint64_t allocs0 = gAllocCount.load(std::memory_order_relaxed);
+  const std::uint64_t allocs0 = bench::heapAllocations();
   const auto t0 = Clock::now();
   CampaignTiming t;
   t.result = run(samples);
   const auto t1 = Clock::now();
-  const std::uint64_t allocs1 = gAllocCount.load(std::memory_order_relaxed);
+  const std::uint64_t allocs1 = bench::heapAllocations();
 
   const double us = static_cast<double>(
       std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0).count());

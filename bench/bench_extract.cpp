@@ -36,7 +36,6 @@
 //   --scaling     emit only extract_campaign{,_fast} rows at the given
 //                 worker count, skipping the scalar baseline
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -44,32 +43,13 @@
 #include <cstring>
 #include <functional>
 #include <limits>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "extract/fit_campaign.hpp"
 #include "models/vs_model.hpp"
 #include "util/error.hpp"
-
-namespace {
-
-std::atomic<std::uint64_t> gAllocCount{0};
-
-}  // namespace
-
-// Global allocation hooks (same scheme as bench_campaign): count every heap
-// allocation so the marginal allocs/fit metric is exact.
-void* operator new(std::size_t size) {
-  gAllocCount.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace vsstat {
 namespace {
@@ -123,16 +103,16 @@ constexpr int kWarmFits = 8;
 FitTiming timeFits(int fits,
                    const std::function<FitCampaignResult(int)>& run) {
   (void)run(kWarmFits);  // warmup: thread pool + allocator to steady state
-  const std::uint64_t base0 = gAllocCount.load(std::memory_order_relaxed);
+  const std::uint64_t base0 = bench::heapAllocations();
   (void)run(kWarmFits);
-  const std::uint64_t base1 = gAllocCount.load(std::memory_order_relaxed);
+  const std::uint64_t base1 = bench::heapAllocations();
 
-  const std::uint64_t allocs0 = gAllocCount.load(std::memory_order_relaxed);
+  const std::uint64_t allocs0 = bench::heapAllocations();
   const auto t0 = Clock::now();
   FitTiming t;
   t.result = run(fits);
   const auto t1 = Clock::now();
-  const std::uint64_t allocs1 = gAllocCount.load(std::memory_order_relaxed);
+  const std::uint64_t allocs1 = bench::heapAllocations();
 
   const double us = static_cast<double>(
       std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0).count());

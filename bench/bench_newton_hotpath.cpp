@@ -1,56 +1,30 @@
 // Micro-benchmark of the Newton hot path on the paper's benchmark circuits
 // (NAND2 Fo3 and the closed 6T SRAM cell), for DC and transient assembler
-// settings.  Two variants of one Newton iteration are timed at a converged
-// operating point:
-//
-//   *_legacy    -- the pre-refactor shape: scatter the Jacobian to a dense
-//                  matrix, construct a fresh LuFactorization (heap-allocating
-//                  copy + pivot array), allocate the step vector per solve.
-//   *_workspace -- the current hot path: assemble into the captured CSR
-//                  pattern and reuse the per-assembler NewtonWorkspace
-//                  (pattern-reusing SparseLu refactor + preallocated dx).
+// settings.  One Newton iteration is timed at a converged operating point
+// (*_workspace rows): assemble into the captured CSR pattern and reuse the
+// per-assembler NewtonWorkspace (pattern-reusing SparseLu refactor +
+// preallocated dx).  The pre-workspace origin of this number lives in
+// BENCH_newton_hotpath_baseline.json (bench/measure_seed_baseline.sh).
 //
 // Output is machine-readable JSON, one object per line on stdout:
 //   {"name": "...", "ns_per_iter": ..., "allocs": ...}
-// where "allocs" is heap allocations per iteration in steady state (the
-// workspace path must report 0).  Future PRs track these in BENCH_*.json.
+// where "allocs" is heap allocations per iteration in steady state (must
+// be 0).  BENCH_newton_hotpath.json records a reference run.
 //
 // Usage: bench_newton_hotpath [--quick]
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 #include <string>
 
+#include "alloc_counter.hpp"
 #include "circuits/benchmarks.hpp"
 #include "circuits/provider.hpp"
-#include "linalg/lu.hpp"
 #include "models/vs_model.hpp"
 #include "models/vs_params.hpp"
 #include "spice/analysis.hpp"
 #include "spice/assembler.hpp"
 #include "spice/elements.hpp"
-
-namespace {
-
-std::atomic<std::uint64_t> gAllocCount{0};
-
-}  // namespace
-
-// Global allocation hooks: count every heap allocation so the bench can
-// verify the steady-state Newton iteration allocates nothing.
-void* operator new(std::size_t size) {
-  gAllocCount.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace vsstat {
 namespace {
@@ -79,11 +53,11 @@ template <typename IterFn>
 IterResult timeIterations(IterFn&& iteration, int iters) {
   for (int i = 0; i < 16; ++i) iteration();  // warmup: reach steady state
 
-  const std::uint64_t allocs0 = gAllocCount.load(std::memory_order_relaxed);
+  const std::uint64_t allocs0 = bench::heapAllocations();
   const auto t0 = Clock::now();
   for (int i = 0; i < iters; ++i) iteration();
   const auto t1 = Clock::now();
-  const std::uint64_t allocs1 = gAllocCount.load(std::memory_order_relaxed);
+  const std::uint64_t allocs1 = bench::heapAllocations();
 
   IterResult r;
   r.nsPerIter =
@@ -100,35 +74,20 @@ void emit(const std::string& name, const IterResult& r) {
               name.c_str(), r.nsPerIter, r.allocsPerIter);
 }
 
-/// Runs the legacy and workspace iteration variants for one assembler
-/// configuration and emits both lines.
+/// Times one assembler configuration's Newton iteration (CSR assembly +
+/// pattern-reusing refactor, zero allocs) and emits its line.
 void benchConfiguration(const std::string& name,
                         spice::detail::Assembler& assembler,
                         const linalg::Vector& x, int iters) {
-  // Legacy shape: dense Jacobian + fresh factorization + fresh vectors.
-  {
-    linalg::Matrix dense;
-    const auto legacy = [&] {
-      assembler.assemble(x);
-      assembler.scatterJacobian(dense);
-      linalg::Vector dx =
-          linalg::LuFactorization(dense).solve(assembler.residual());
-      (void)dx;
-    };
-    emit(name + "_legacy", timeIterations(legacy, iters));
-  }
-  // Workspace shape: CSR assembly + pattern-reusing refactor, zero allocs.
-  {
-    spice::detail::NewtonWorkspace& ws = assembler.workspace();
-    const auto workspace = [&] {
-      assembler.assemble(x);
-      std::copy(assembler.residual().begin(), assembler.residual().end(),
-                ws.dx.begin());
-      ws.lu.refactor(assembler.jacobian());
-      ws.lu.solveInPlace(ws.dx);
-    };
-    emit(name + "_workspace", timeIterations(workspace, iters));
-  }
+  spice::detail::NewtonWorkspace& ws = assembler.workspace();
+  const auto workspace = [&] {
+    assembler.assemble(x);
+    std::copy(assembler.residual().begin(), assembler.residual().end(),
+              ws.dx.begin());
+    ws.lu.refactor(assembler.jacobian());
+    ws.lu.solveInPlace(ws.dx);
+  };
+  emit(name + "_workspace", timeIterations(workspace, iters));
 }
 
 /// DC + transient benches on one circuit, converged at `op`.

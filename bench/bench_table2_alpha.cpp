@@ -35,8 +35,9 @@ int main() {
   std::cout << "\nNotes: alpha2 == alpha3 by the LER tie (paper Sec. III);\n"
                "alpha5 is measured directly from the oxide, not BPV-solved.\n"
                "Absolute values depend on the synthetic golden kit's mismatch\n"
-               "truth (see DESIGN.md); the paper-shape checks are the same\n"
-               "order of magnitude and NMOS-vs-PMOS ordering.\n\n"
+               "truth (see ARCHITECTURE.md, \"Paper substitutions\", S2); the\n"
+               "paper-shape checks are the same order of magnitude and\n"
+               "NMOS-vs-PMOS ordering.\n\n"
             << kit.summary();
 
   util::CsvWriter csv(bench::outPath("table2_alpha.csv"),

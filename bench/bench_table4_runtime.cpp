@@ -2,11 +2,12 @@
 // BSIM-class model.  Each campaign runs in a forked child so peak RSS is
 // attributable per campaign.
 //
-// Substitution note (DESIGN.md): the paper compares a Verilog-A VS against
-// a C-coded BSIM4 inside Spectre and reports 4.2x runtime / 8.7x memory in
-// VS's favour, most of which is Verilog-A interpretation overhead.  Here
-// both models run compiled inside the same engine, so the expected shape
-// is "VS faster and lighter, by a smaller factor".
+// Substitution note (ARCHITECTURE.md, "Paper substitutions", S1): the
+// paper compares a Verilog-A VS against a C-coded BSIM4 inside Spectre and
+// reports 4.2x runtime / 8.7x memory in VS's favour, most of which is
+// Verilog-A interpretation overhead.  Here both models run compiled inside
+// the same engine, so the expected shape is "VS faster and lighter, by a
+// smaller factor".
 #include <iostream>
 
 #include "common.hpp"

@@ -37,11 +37,9 @@ ComplexVector operator*(const ComplexMatrix& a, const ComplexVector& x) {
   return y;
 }
 
-ComplexLuFactorization::ComplexLuFactorization(ComplexMatrix a,
-                                               double pivotTolerance)
+ComplexLu::ComplexLu(ComplexMatrix a, double pivotTolerance)
     : lu_(std::move(a)), pivots_(lu_.rows()) {
-  require(lu_.rows() == lu_.cols(),
-          "ComplexLuFactorization: matrix must be square");
+  require(lu_.rows() == lu_.cols(), "ComplexLu: matrix must be square");
   const std::size_t n = lu_.rows();
   std::iota(pivots_.begin(), pivots_.end(), std::size_t{0});
 
@@ -58,8 +56,7 @@ ComplexLuFactorization::ComplexLuFactorization(ComplexMatrix a,
     }
     if (best < pivotTolerance) {
       throw ConvergenceError(
-          "ComplexLuFactorization: singular matrix at column " +
-              std::to_string(k),
+          "ComplexLu: singular matrix at column " + std::to_string(k),
           static_cast<int>(k));
     }
     if (pivotRow != k) {
@@ -79,9 +76,9 @@ ComplexLuFactorization::ComplexLuFactorization(ComplexMatrix a,
   }
 }
 
-ComplexVector ComplexLuFactorization::solve(const ComplexVector& b) const {
+ComplexVector ComplexLu::solve(const ComplexVector& b) const {
   const std::size_t n = lu_.rows();
-  require(b.size() == n, "ComplexLuFactorization::solve: size mismatch");
+  require(b.size() == n, "ComplexLu::solve: size mismatch");
 
   // Apply row permutation, then forward/back substitution.
   ComplexVector x(n);
@@ -101,7 +98,7 @@ ComplexVector ComplexLuFactorization::solve(const ComplexVector& b) const {
 }
 
 ComplexVector complexLuSolve(const ComplexMatrix& a, const ComplexVector& b) {
-  return ComplexLuFactorization(a).solve(b);
+  return ComplexLu(a).solve(b);
 }
 
 }  // namespace vsstat::linalg

@@ -51,12 +51,11 @@ class ComplexMatrix {
                                       const ComplexVector& x);
 
 /// Complex LU factorization with partial pivoting (by modulus).
-class ComplexLuFactorization {
+class ComplexLu {
  public:
   /// Factors a square matrix.  Throws ConvergenceError on numerical
   /// singularity (pivot modulus below `pivotTolerance`).
-  explicit ComplexLuFactorization(ComplexMatrix a,
-                                  double pivotTolerance = 1e-14);
+  explicit ComplexLu(ComplexMatrix a, double pivotTolerance = 1e-14);
 
   /// Solves A x = b.
   [[nodiscard]] ComplexVector solve(const ComplexVector& b) const;

@@ -1,4 +1,5 @@
-// The pre-sparse factorization, retained as a measured baseline.
+// The pre-sparse factorization: the one dense LU in the tree, retained as
+// the reference and the measured baseline.
 //
 // This is the dense-pivot, dense-scratch LU that SparseLu replaced: a fresh
 // factor runs an O(n^3) dense partial-pivot sweep plus an O(n^3) boolean
@@ -10,7 +11,8 @@
 //     the >10x fresh-factor win is a number CI keeps honest rather than a
 //     claim in a doc;
 //   * equivalence tests -- sparse and dense factors of the same values must
-//     agree to residual <= 1e-12 on every fixture rung.
+//     agree to residual <= 1e-12 on every fixture rung, determinants match
+//     on random systems, and the complex LU reproduces it on real systems.
 //
 // Nothing on the simulation path links against this class.
 #ifndef VSSTAT_LINALG_DENSE_PIVOT_LU_HPP

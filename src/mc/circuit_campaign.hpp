@@ -12,7 +12,7 @@
 // NumericsMode::fast and/or SolverMode::reusePivot keep the
 // thread-count-independence guarantee (results never depend on which
 // worker served which sample) but replace rebuild bit-identity with the
-// documented tolerance contracts (README, "Session modes").
+// documented tolerance contracts (ARCHITECTURE.md, "Session modes").
 //
 // ToleranceTier::statistical adds the third axis: samples are dispatched
 // in fixed-size warm-chain blocks (kStatisticalSampleBlock unless
@@ -27,6 +27,11 @@
 // the provider's internal RNG with externally computed standardized
 // coordinates: the plan's generator is evaluated at each sample index and
 // armed on the session's circuits::FixedZProvider before the rebind.
+//
+// Two overloads, one driver: the builder overload builds a campaign-local
+// sim::SessionPool and hands it to the pool overload, which also serves
+// long-lived pools shared across campaigns (the campaign server's session
+// cache) and optional chunked progress callbacks.
 #ifndef VSSTAT_MC_CIRCUIT_CAMPAIGN_HPP
 #define VSSTAT_MC_CIRCUIT_CAMPAIGN_HPP
 
@@ -99,10 +104,14 @@ struct BlockHold {
 
 }  // namespace detail
 
-/// Runs a Monte Carlo campaign over one circuit topology.  `build` is
-/// invoked once per worker session (not per sample); `fn` measures the
-/// rebound fixture.  Call with the fixture type explicit, e.g.
-/// `mc::runCampaign<circuits::GateFo3Bench>(...)`.
+/// Runs a Monte Carlo campaign over one circuit topology on an existing
+/// session pool (possibly shared with other campaigns: results depend only
+/// on the pool's build/provider/options triple, never on which of its
+/// sessions served a sample).  Statistical-tier pools
+/// (pool.options().tier) dispatch in warm-chain blocks of
+/// kStatisticalSampleBlock unless McOptions::sampleBlock overrides it.
+/// `chunkSamples` / `onChunk` stream progress as in mc::runCampaignChunked
+/// (default: one chunk, no callback); chunking never changes results.
 ///
 /// Failure semantics: a sample whose solve or metric throws a SampleFailure
 /// first walks the deterministic rescue ladder (sim/rescue.hpp, disable via
@@ -114,19 +123,16 @@ struct BlockHold {
 template <class Fixture>
 [[nodiscard]] McResult runCampaign(
     const McOptions& options, std::size_t metricCount,
-    const typename sim::CampaignSession<Fixture>::Builder& build,
-    const ProviderFactory& providerFactory, const CircuitSampleFn<Fixture>& fn,
-    spice::SessionOptions sessionOptions = {},
-    const sim::RescuePolicy& rescue = {}, const SamplingPlan& plan = {}) {
+    sim::SessionPool<Fixture>& pool, const CircuitSampleFn<Fixture>& fn,
+    const sim::RescuePolicy& rescue = {}, const SamplingPlan& plan = {},
+    int chunkSamples = 0, const ChunkFn& onChunk = {}) {
   McOptions effective = options;
-  if (sessionOptions.tier == spice::ToleranceTier::statistical &&
+  if (pool.options().tier == spice::ToleranceTier::statistical &&
       effective.sampleBlock == 0)
     effective.sampleBlock = kStatisticalSampleBlock;
 
   const std::unique_ptr<SampleGenerator> generator = makeSampleGenerator(
       plan, static_cast<std::size_t>(effective.samples), effective.seed);
-
-  sim::SessionPool<Fixture> pool(build, providerFactory, sessionOptions);
 
   // Arms the plan's z-vector for this sample.  FixedZProvider::reseed only
   // rewinds the cursor, so rescue-ladder replays (bindSample per attempt)
@@ -142,6 +148,8 @@ template <class Fixture>
     fixed->setZ(generator->standardNormals(index));
   };
 
+  // Blocked dispatch holds one lease per warm-chain block via the
+  // thread-local slot; per-sample dispatch leases per sample.
   const auto runSample = [&](std::size_t index, stats::Rng& rng,
                              std::vector<double>& out, SampleContext& ctx) {
     if (sim::CampaignSession<Fixture>* block =
@@ -161,8 +169,25 @@ template <class Fixture>
       return std::make_shared<detail::BlockHold<Fixture>>(pool.acquire());
     };
 
-  return runCampaign(effective, metricCount, SampleFnEx(runSample),
-                     blockResource);
+  return runCampaignChunked(effective, metricCount, SampleFnEx(runSample),
+                            blockResource, chunkSamples, onChunk);
+}
+
+/// Runs a Monte Carlo campaign over one circuit topology on a campaign-
+/// local session pool.  `build` is invoked once per worker session (not
+/// per sample); `fn` measures the rebound fixture.  Call with the fixture
+/// type explicit, e.g. `mc::runCampaign<circuits::GateFo3Bench>(...)`.
+/// Failure semantics as in the pool overload above.
+template <class Fixture>
+[[nodiscard]] McResult runCampaign(
+    const McOptions& options, std::size_t metricCount,
+    const typename sim::CampaignSession<Fixture>::Builder& build,
+    const ProviderFactory& providerFactory, const CircuitSampleFn<Fixture>& fn,
+    spice::SessionOptions sessionOptions = {},
+    const sim::RescuePolicy& rescue = {}, const SamplingPlan& plan = {}) {
+  sim::SessionPool<Fixture> pool(build, providerFactory,
+                                 std::move(sessionOptions));
+  return runCampaign<Fixture>(options, metricCount, pool, fn, rescue, plan);
 }
 
 }  // namespace vsstat::mc

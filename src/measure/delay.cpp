@@ -16,13 +16,6 @@ GateDelays delaysFromWave(const circuits::GateFo3Bench& bench,
 
 }  // namespace
 
-GateDelays measureGateDelays(circuits::GateFo3Bench& bench, double dt) {
-  spice::TransientOptions options;
-  options.tStop = bench.tStop;
-  options.dt = dt;
-  return delaysFromWave(bench, spice::transient(bench.circuit, options));
-}
-
 GateDelays measureGateDelays(circuits::GateFo3Bench& bench,
                              spice::SimSession& session, double dt) {
   require(&session.circuit() == &bench.circuit,
@@ -37,6 +30,11 @@ GateDelays measureGateDelays(circuits::GateFo3Bench& bench,
   static thread_local spice::Waveform wave(1);
   session.transient(options, wave);
   return delaysFromWave(bench, wave);
+}
+
+GateDelays measureGateDelays(circuits::GateFo3Bench& bench, double dt) {
+  spice::SimSession session(bench.circuit);
+  return measureGateDelays(bench, session, dt);
 }
 
 namespace {
@@ -149,20 +147,6 @@ class WaveformRestorer {
 
 }  // namespace
 
-double measureLeakage(circuits::GateFo3Bench& bench) {
-  auto& input = bench.circuit.voltageSource(bench.inSource);
-  const WaveformRestorer restore(input);
-
-  double total = 0.0;
-  for (const double level : {0.0, bench.supply}) {
-    input.setDcLevel(level);
-    const spice::OperatingPoint op = spice::dcOperatingPoint(bench.circuit);
-    total += std::fabs(
-        spice::sourceCurrent(bench.circuit, bench.vddSource, op));
-  }
-  return 0.5 * total;
-}
-
 double measureLeakage(circuits::GateFo3Bench& bench,
                       spice::SimSession& session) {
   require(&session.circuit() == &bench.circuit,
@@ -178,6 +162,11 @@ double measureLeakage(circuits::GateFo3Bench& bench,
         spice::sourceCurrent(bench.circuit, bench.vddSource, op));
   }
   return 0.5 * total;
+}
+
+double measureLeakage(circuits::GateFo3Bench& bench) {
+  spice::SimSession session(bench.circuit);
+  return measureLeakage(bench, session);
 }
 
 }  // namespace vsstat::measure

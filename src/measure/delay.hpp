@@ -17,26 +17,26 @@ struct GateDelays {
   }
 };
 
-/// Runs a transient on the fixture and extracts both propagation delays.
-/// Throws ConvergenceError if an expected output edge never appears
-/// (a functional failure under extreme mismatch).
-[[nodiscard]] GateDelays measureGateDelays(circuits::GateFo3Bench& bench,
-                                           double dt = 0.25e-12);
-
-/// Session variant for build-once campaigns: runs the transient through a
-/// persistent spice::SimSession bound to the bench's circuit.
-/// Bit-identical to the overload above.
+/// Runs a transient on the fixture through `session`, a spice::SimSession
+/// bound to the bench's circuit (build-once campaigns keep one per
+/// worker), and extracts both propagation delays.  Throws
+/// MetricDomainError if an expected output edge never appears (a
+/// functional failure under extreme mismatch).
 [[nodiscard]] GateDelays measureGateDelays(circuits::GateFo3Bench& bench,
                                            spice::SimSession& session,
                                            double dt = 0.25e-12);
 
-/// Static supply leakage of the fixture, averaged over input low and
-/// input high states [A].
-[[nodiscard]] double measureLeakage(circuits::GateFo3Bench& bench);
+/// One-shot variant: the overload above on a fresh default session.
+[[nodiscard]] GateDelays measureGateDelays(circuits::GateFo3Bench& bench,
+                                           double dt = 0.25e-12);
 
-/// Session variant (build-once campaigns); bit-identical to the above.
+/// Static supply leakage of the fixture through `session`, averaged over
+/// input low and input high states [A].
 [[nodiscard]] double measureLeakage(circuits::GateFo3Bench& bench,
                                     spice::SimSession& session);
+
+/// One-shot variant: the overload above on a fresh default session.
+[[nodiscard]] double measureLeakage(circuits::GateFo3Bench& bench);
 
 struct OscillationResult {
   double frequency = 0.0;  ///< [Hz], averaged over the measured cycles

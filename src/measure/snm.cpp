@@ -4,7 +4,6 @@
 #include <cmath>
 #include <optional>
 
-#include "spice/analysis.hpp"
 #include "util/error.hpp"
 
 namespace vsstat::measure {
@@ -19,49 +18,6 @@ void sweepLevelsInto(double supply, int points, std::vector<double>& levels) {
         supply * static_cast<double>(i) / static_cast<double>(points - 1);
   }
 }
-
-std::vector<double> sweepLevels(double supply, int points) {
-  std::vector<double> levels;
-  sweepLevelsInto(supply, points, levels);
-  return levels;
-}
-
-VtcCurve curveFromSweep(const std::vector<double>& levels,
-                        const std::vector<spice::OperatingPoint>& ops,
-                        spice::NodeId out, bool mirrored) {
-  VtcCurve c;
-  c.x.reserve(levels.size());
-  c.y.reserve(levels.size());
-  for (std::size_t i = 0; i < levels.size(); ++i) {
-    const double in = levels[i];
-    const double response = ops[i].v(out);
-    if (mirrored) {
-      c.x.push_back(response);
-      c.y.push_back(in);
-    } else {
-      c.x.push_back(in);
-      c.y.push_back(response);
-    }
-  }
-  return c;
-}
-
-}  // namespace
-
-ButterflyCurves measureButterfly(circuits::SramButterflyBench& bench,
-                                 int points) {
-  const std::vector<double> levels = sweepLevels(bench.supply, points);
-  ButterflyCurves curves;
-  curves.curve1 =
-      curveFromSweep(levels, spice::dcSweep(bench.circuit, bench.sweep1, levels),
-                     bench.out1, /*mirrored=*/false);
-  curves.curve2 =
-      curveFromSweep(levels, spice::dcSweep(bench.circuit, bench.sweep2, levels),
-                     bench.out2, /*mirrored=*/true);
-  return curves;
-}
-
-namespace {
 
 /// Session butterfly into caller-owned storage: the campaign inner loop
 /// reuses one curve/level buffer set across samples (see measureSnm).
@@ -99,6 +55,12 @@ ButterflyCurves measureButterfly(circuits::SramButterflyBench& bench,
   ButterflyCurves curves;
   butterflyInto(bench, session, points, levels, curves);
   return curves;
+}
+
+ButterflyCurves measureButterfly(circuits::SramButterflyBench& bench,
+                                 int points) {
+  spice::SimSession session(bench.circuit);
+  return measureButterfly(bench, session, points);
 }
 
 namespace {
@@ -289,11 +251,6 @@ SnmResult staticNoiseMargin(const ButterflyCurves& curves, double vdd) {
   return r;
 }
 
-SnmResult measureSnm(circuits::SramButterflyBench& bench, int points) {
-  const ButterflyCurves curves = measureButterfly(bench, points);
-  return staticNoiseMargin(curves, bench.supply);
-}
-
 SnmResult measureSnm(circuits::SramButterflyBench& bench,
                      spice::SimSession& session, int points) {
   // Campaign inner loop: sweep into per-thread curve buffers whose
@@ -303,6 +260,11 @@ SnmResult measureSnm(circuits::SramButterflyBench& bench,
   static thread_local ButterflyCurves curves;
   butterflyInto(bench, session, points, levels, curves);
   return staticNoiseMargin(curves, bench.supply);
+}
+
+SnmResult measureSnm(circuits::SramButterflyBench& bench, int points) {
+  spice::SimSession session(bench.circuit);
+  return measureSnm(bench, session, points);
 }
 
 }  // namespace vsstat::measure

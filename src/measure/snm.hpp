@@ -31,15 +31,16 @@ struct ButterflyCurves {
   VtcCurve curve2;
 };
 
-[[nodiscard]] ButterflyCurves measureButterfly(
-    circuits::SramButterflyBench& bench, int points = 61);
-
-/// Session variant for build-once campaigns: sweeps through a persistent
-/// spice::SimSession bound to the bench's circuit instead of rebuilding
-/// solver state per sweep point.  Bit-identical to the overload above.
+/// Sweeps through `session`, a spice::SimSession bound to the bench's
+/// circuit (build-once campaigns keep one per worker).  Throws
+/// NonFiniteError when a swept response is NaN/Inf.
 [[nodiscard]] ButterflyCurves measureButterfly(
     circuits::SramButterflyBench& bench, spice::SimSession& session,
     int points = 61);
+
+/// One-shot variant: the overload above on a fresh default session.
+[[nodiscard]] ButterflyCurves measureButterfly(
+    circuits::SramButterflyBench& bench, int points = 61);
 
 /// Sides of the largest embedded squares of the two lobes and the cell
 /// SNM (their minimum).  A monostable (already-flipped) cell reports 0.
@@ -55,13 +56,13 @@ struct SnmResult {
 [[nodiscard]] SnmResult staticNoiseMargin(const ButterflyCurves& curves,
                                           double vdd);
 
-/// Convenience: butterfly sweep + SNM in one call.
-[[nodiscard]] SnmResult measureSnm(circuits::SramButterflyBench& bench,
-                                   int points = 61);
-
-/// Session variant (build-once campaigns); bit-identical to the above.
+/// Butterfly sweep through `session` + SNM in one call.
 [[nodiscard]] SnmResult measureSnm(circuits::SramButterflyBench& bench,
                                    spice::SimSession& session,
+                                   int points = 61);
+
+/// One-shot variant: the overload above on a fresh default session.
+[[nodiscard]] SnmResult measureSnm(circuits::SramButterflyBench& bench,
                                    int points = 61);
 
 /// True when two polylines intersect (exposed for tests).

@@ -1,10 +1,11 @@
 // BsimLite: drift-diffusion / velocity-saturation baseline model.
 //
-// Stands in for the paper's industrial BSIM4 kit (see DESIGN.md, S2).  It
-// is intentionally a *different physics family* from the VS model: velocity
-// is field-driven and saturates via Esat = 2 vsat / mueff, mobility degrades
-// with vertical field, and the output characteristic gains slope through
-// explicit channel-length modulation.  The cross-model BPV extraction in
+// Stands in for the paper's industrial BSIM4 kit (see ARCHITECTURE.md,
+// "Paper substitutions", S2).  It is intentionally a *different physics
+// family* from the VS model: velocity is field-driven and saturates via
+// Esat = 2 vsat / mueff, mobility degrades with vertical field, and the
+// output characteristic gains slope through explicit channel-length
+// modulation.  The cross-model BPV extraction in
 // the paper is only meaningful because of this mismatch in formulations.
 #ifndef VSSTAT_MODELS_BSIM_LITE_HPP
 #define VSSTAT_MODELS_BSIM_LITE_HPP

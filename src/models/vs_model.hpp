@@ -10,7 +10,7 @@
 // (drain end at the smoothed Vdseff) with a trapezoidal Ward-Dutton
 // partition plus overlap/fringe capacitance.  This is a documented
 // simplification of the MVS 1.0.1 ballistic charge partition -- see
-// DESIGN.md, system S1.
+// ARCHITECTURE.md, "Paper substitutions", S1.
 //
 // Series resistance: Rs/Rd produce internal-node IR drop, resolved by a
 // damped fixed-point loop inside evaluate() so the external terminal

@@ -31,6 +31,11 @@ const char* JsonValue::kindName() const noexcept {
 
 namespace {
 
+/// Nesting cap of the recursive descent.  The request schema nests three
+/// deep (request -> variability -> nmos); without a cap, one line of
+/// millions of '[' overflows the stack and takes the daemon down.
+constexpr int kMaxJsonDepth = 64;
+
 /// Recursive-descent JSON parser over a byte range.
 class JsonParser {
  public:
@@ -78,8 +83,15 @@ class JsonParser {
     const char c = peek();
     JsonValue v;
     switch (c) {
-      case '{': return object();
-      case '[': return array();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxJsonDepth)
+          fail("nesting deeper than " + std::to_string(kMaxJsonDepth));
+        ++depth_;
+        JsonValue nested = c == '{' ? object() : array();
+        --depth_;
+        return nested;
+      }
       case '"':
         v.kind = JsonValue::Kind::string;
         v.string = string();
@@ -236,6 +248,7 @@ class JsonParser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

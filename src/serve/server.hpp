@@ -11,10 +11,10 @@
 //
 // Concurrency model: one handler thread per connection; concurrent
 // campaigns share the process-wide util::ThreadPool, interleaving at chunk
-// granularity (mc::runCampaignChunked), and lease worker sessions from the
-// multi-tenant SessionCache -- a repeat topology+options request goes
-// warm.  The protocol core (handleLine) is socket-free so tests and
-// benches drive it in-process.
+// granularity (the stream_every chunks of mc::runCampaign), and lease
+// worker sessions from the multi-tenant SessionCache -- a repeat
+// topology+options request goes warm.  The protocol core (handleLine) is
+// socket-free so tests and benches drive it in-process.
 #ifndef VSSTAT_SERVE_SERVER_HPP
 #define VSSTAT_SERVE_SERVER_HPP
 

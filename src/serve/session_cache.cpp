@@ -5,8 +5,6 @@
 #include <chrono>
 
 #include "mc/providers.hpp"
-#include "mc/samplers.hpp"
-#include "sim/rescue.hpp"
 #include "spice/waveform.hpp"
 #include "util/fnv1a.hpp"
 
@@ -179,15 +177,10 @@ mc::McResult CampaignPlan::run(sim::SessionPool<DeckFixture>& pool,
   options.samples = request_.samples;
   options.seed = request_.seed;
   options.threads = request_.threads;
-  if (request_.mode.tier == spice::ToleranceTier::statistical)
-    options.sampleBlock = mc::kStatisticalSampleBlock;
 
   mc::SamplingPlan plan;
   plan.scheme = request_.scheme;
   plan.dimension = zDimension();
-  const std::unique_ptr<mc::SampleGenerator> generator =
-      mc::makeSampleGenerator(plan, static_cast<std::size_t>(options.samples),
-                              options.seed);
 
   // Per-sample measurement: the fixture arrives rebound for the sample.
   const std::optional<std::pair<double, double>> tran = deck_->tran;
@@ -208,47 +201,12 @@ mc::McResult CampaignPlan::run(sim::SessionPool<DeckFixture>& pool,
         spice::TransientOptions topt;
         topt.dt = tran->first;
         topt.tStop = tran->second;
-        static thread_local spice::Waveform wf(0);
+        // Per-worker record, reset to the deck's node count by the run.
+        static thread_local spice::Waveform wf(1);
         spice.transient(topt, wf);
         for (std::size_t m = 0; m < probes.size(); ++m)
           out[m] = wf.finalValue(probes[m]);
       };
-
-  const sim::RescuePolicy rescue;
-  const auto armGenerator = [&](sim::CampaignSession<DeckFixture>& session,
-                                std::size_t index) {
-    if (generator == nullptr) return;
-    auto* fixed =
-        dynamic_cast<circuits::FixedZProvider*>(&session.provider());
-    require(fixed != nullptr,
-            "CampaignPlan: generator schemes require FixedZProvider "
-            "sessions");
-    fixed->setZ(generator->standardNormals(index));
-  };
-
-  // Same shape as mc::runCampaign<Fixture>, but against the SHARED pool:
-  // blocked dispatch holds one lease per warm-chain block via the
-  // thread-local slot, per-sample dispatch leases per sample.
-  const mc::SampleFnEx runSample = [&](std::size_t index, stats::Rng& rng,
-                                       std::vector<double>& out,
-                                       mc::SampleContext& ctx) {
-    if (sim::CampaignSession<DeckFixture>* block =
-            mc::detail::blockSessionSlot<DeckFixture>()) {
-      armGenerator(*block, index);
-      sim::runSampleWithRescue(index, *block, rng, out, ctx, measure, rescue);
-      return;
-    }
-    sim::SessionPool<DeckFixture>::Lease lease = pool.acquire();
-    armGenerator(*lease, index);
-    sim::runSampleWithRescue(index, *lease, rng, out, ctx, measure, rescue);
-  };
-
-  mc::BlockResourceFn blockResource;
-  if (options.sampleBlock > 0)
-    blockResource = [&pool](std::size_t) -> std::shared_ptr<void> {
-      return std::make_shared<mc::detail::BlockHold<DeckFixture>>(
-          pool.acquire());
-    };
 
   StreamingEstimator estimator(metricCount(), request_.measure.spec);
   double ttfsMs = -1.0;
@@ -268,9 +226,9 @@ mc::McResult CampaignPlan::run(sim::SessionPool<DeckFixture>& pool,
     }
   };
 
-  mc::McResult result =
-      mc::runCampaignChunked(options, metricCount(), runSample, blockResource,
-                             request_.streamEvery, onChunk);
+  mc::McResult result = mc::runCampaign<DeckFixture>(
+      options, metricCount(), pool, measure, sim::RescuePolicy{}, plan,
+      request_.streamEvery, onChunk);
   if (ttfsMs < 0.0) ttfsMs = millisSince(start);
   if (emit)
     emit(finalFrame(request_.id, result,

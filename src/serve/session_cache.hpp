@@ -25,10 +25,9 @@
 //
 // Determinism: NodeIds are assigned in first-mention deck order, so the
 // validation parse and every worker's build resolve identical ids; the
-// campaign itself runs the same fork-per-sample RNG / index-order
-// reduction contract as mc::runCampaign (results are bit-identical across
-// 1/2/4/... workers and identical to an in-process campaign over the same
-// deck, seed, and axes).
+// campaign itself runs through mc::runCampaign on the cached pool (results
+// are bit-identical across 1/2/4/... workers and identical to an
+// in-process campaign over the same deck, seed, and axes).
 #ifndef VSSTAT_SERVE_SESSION_CACHE_HPP
 #define VSSTAT_SERVE_SESSION_CACHE_HPP
 

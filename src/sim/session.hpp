@@ -19,7 +19,7 @@
 //
 // Determinism: resample() consumes exactly the draws make() would, and
 // SimSession pins its solver numerics per solve, so a session campaign is
-// bit-identical to the legacy rebuild-per-sample path -- and independent
+// bit-identical to rebuilding the fixture per sample -- and independent
 // of which worker session evaluates which sample (SessionPool hands
 // sessions out lease-style to the persistent util::ThreadPool workers).
 //
@@ -193,6 +193,11 @@ class SessionPool {
     const std::lock_guard<std::mutex> lock(mutex_);
     sessions_.push_back(std::move(session));
     return Lease(*this, *raw);
+  }
+
+  /// Session-mode axes every session of this pool is built with.
+  [[nodiscard]] const spice::SessionOptions& options() const noexcept {
+    return spiceOptions_;
   }
 
   /// Sessions built so far (telemetry: bounded by peak worker concurrency).

@@ -80,7 +80,7 @@ linalg::ComplexVector SmallSignalSystem::solve(
       a(r, c) = linalg::Complex(g_(r, c), omega * c_(r, c));
     }
   }
-  return linalg::ComplexLuFactorization(a).solve(excitation);
+  return linalg::ComplexLu(a).solve(excitation);
 }
 
 linalg::ComplexVector SmallSignalSystem::voltageExcitation(

@@ -6,6 +6,7 @@
 #include "linalg/matrix.hpp"
 #include "spice/assembler.hpp"
 #include "spice/elements.hpp"
+#include "spice/session.hpp"
 #include "spice/solver_core.hpp"
 #include "util/error.hpp"
 
@@ -53,7 +54,7 @@ double LoadContext::chargeCurrent(int localSlot, double q) const noexcept {
 }
 double LoadContext::chargeGain() const noexcept { return assembler_->c0(); }
 
-// --- Newton core (shared with SimSession via solver_core.hpp) ------------------
+// --- Newton core (SimSession's solver, via solver_core.hpp) --------------------
 
 namespace detail {
 
@@ -413,34 +414,17 @@ void runTransient(Assembler& assembler, const TransientOptions& options,
   ws.report.pivotFallbacks = ws.lu.pivotFallbackCount() - fallbacksAtEntry;
 }
 
-Waveform runTransient(Assembler& assembler, const TransientOptions& options) {
-  Waveform wave(assembler.circuit().nodeCount());
-  runTransient(assembler, options, wave);
-  return wave;
-}
-
 }  // namespace detail
 
-OperatingPoint dcOperatingPoint(const Circuit& circuit,
-                                const DcOptions& options) {
-  OperatingPoint zeroGuess;
-  return dcOperatingPoint(circuit, zeroGuess, options);
+// --- Free analyses: one-shot sessions ------------------------------------------
+
+OperatingPoint dcOperatingPoint(Circuit& circuit, const DcOptions& options) {
+  return SimSession(circuit).dcOperatingPoint(options);
 }
 
-OperatingPoint dcOperatingPoint(const Circuit& circuit,
-                                const OperatingPoint& guess,
+OperatingPoint dcOperatingPoint(Circuit& circuit, const OperatingPoint& guess,
                                 const DcOptions& options) {
-  // One-shot assembler, a handful of assemblies: device-bank construction
-  // would cost more than its dispatch savings here, so the free DC entry
-  // points run the scalar element loop (bit-identical either way).
-  detail::Assembler assembler(circuit, /*useDeviceBank=*/false);
-  linalg::Vector x = detail::unpackGuess(circuit, guess);
-  if (!detail::dcSolveLadder(assembler, x, options)) {
-    detail::throwSolveFailure(assembler.workspace().report,
-                              "dcOperatingPoint: no convergence",
-                              options.newton.maxIterations);
-  }
-  return detail::packSolution(circuit, x);
+  return SimSession(circuit).dcOperatingPoint(guess, options);
 }
 
 double sourceCurrent(Circuit& circuit, const std::string& name,
@@ -453,27 +437,11 @@ std::vector<OperatingPoint> dcSweep(Circuit& circuit,
                                     const std::string& sourceName,
                                     const std::vector<double>& levels,
                                     const DcOptions& options) {
-  VoltageSourceElement& src = circuit.voltageSource(sourceName);
-  const SourceWaveform original = src.waveform();
-
-  std::vector<OperatingPoint> result;
-  result.reserve(levels.size());
-  OperatingPoint guess;
-  for (double level : levels) {
-    src.setDcLevel(level);
-    guess = result.empty() ? dcOperatingPoint(circuit, options)
-                           : dcOperatingPoint(circuit, guess, options);
-    result.push_back(guess);
-  }
-  src.setWaveform(original);
-  return result;
+  return SimSession(circuit).dcSweep(sourceName, levels, options);
 }
 
-Waveform transient(const Circuit& circuit, const TransientOptions& options) {
-  // Thousands of assemblies on one assembler: banking amortizes in the
-  // first few steps even for a one-shot run.
-  detail::Assembler assembler(circuit);
-  return detail::runTransient(assembler, options);
+Waveform transient(Circuit& circuit, const TransientOptions& options) {
+  return SimSession(circuit).transient(options);
 }
 
 }  // namespace vsstat::spice

@@ -2,6 +2,12 @@
 // stepping homotopies), DC sweeps, and charge-conserving transient
 // simulation (backward Euler startup, trapezoidal thereafter, with
 // step-halving recovery).
+//
+// The free functions below are one-shot sessions: each builds a
+// spice::SimSession with default options (reference numerics, fresh
+// pivoting, per-sample tier) and runs one analysis on it.  Callers that
+// solve the same topology repeatedly should keep a SimSession instead
+// (spice/session.hpp); the numbers are the same either way.
 #ifndef VSSTAT_SPICE_ANALYSIS_HPP
 #define VSSTAT_SPICE_ANALYSIS_HPP
 
@@ -38,11 +44,11 @@ struct OperatingPoint {
 
 /// Solves the DC operating point; throws ConvergenceError when every
 /// homotopy fails.
-[[nodiscard]] OperatingPoint dcOperatingPoint(const Circuit& circuit,
+[[nodiscard]] OperatingPoint dcOperatingPoint(Circuit& circuit,
                                               const DcOptions& options = {});
 
 /// Like dcOperatingPoint but warm-started from a previous solution.
-[[nodiscard]] OperatingPoint dcOperatingPoint(const Circuit& circuit,
+[[nodiscard]] OperatingPoint dcOperatingPoint(Circuit& circuit,
                                               const OperatingPoint& guess,
                                               const DcOptions& options);
 
@@ -98,7 +104,7 @@ struct TransientTrajectory {
 };
 
 /// Runs a transient analysis; returns node-voltage waveforms (all nodes).
-[[nodiscard]] Waveform transient(const Circuit& circuit,
+[[nodiscard]] Waveform transient(Circuit& circuit,
                                  const TransientOptions& options);
 
 }  // namespace vsstat::spice

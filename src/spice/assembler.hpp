@@ -1,9 +1,10 @@
 // Internal: Newton assembly state backing LoadContext.
 //
-// Shared by the DC/transient driver (analysis.cpp) and the small-signal AC
-// driver (ac.cpp).  Not part of the public API: element authors only ever
-// see LoadContext, and analysis users only see the free functions in
-// analysis.hpp / ac.hpp.
+// Owned by SimSession (the DC/transient driver, session.cpp -- the free
+// functions in analysis.hpp are one-shot sessions) and built one-shot by
+// the small-signal AC driver (ac.cpp).  Not part of the public API:
+// element authors only ever see LoadContext, and analysis users only see
+// SimSession and the functions in analysis.hpp / ac.hpp.
 //
 // Construction runs a one-time symbolic capture pass that records every
 // Jacobian position the circuit's elements can ever stamp (element sparsity

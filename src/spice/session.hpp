@@ -1,20 +1,22 @@
-// Persistent per-circuit solver session.
+// Persistent per-circuit solver session: the one place DC operating
+// points, DC sweeps, and transients run.
 //
-// The free functions in analysis.hpp construct a fresh Assembler -- pattern
-// capture, symbolic fill analysis, workspace allocation -- on every call,
-// which is wasteful when the same topology is solved thousands of times
-// (Monte Carlo campaigns, DC sweeps, yield indicators).  A SimSession
-// captures that state once and reuses it across every analysis it runs;
-// device cards may be rebound between runs (MosfetElement::rebind) because
-// the MNA stamp pattern is bias- and parameter-independent by contract.
+// A session captures the per-topology solver state -- MNA pattern capture,
+// symbolic fill analysis, workspace allocation -- once and reuses it
+// across every analysis it runs, which is what the same topology solved
+// thousands of times needs (Monte Carlo campaigns, DC sweeps, yield
+// indicators).  Device cards may be rebound between runs
+// (MosfetElement::rebind) because the MNA stamp pattern is bias- and
+// parameter-independent by contract.  The free functions in analysis.hpp
+// are one-shot sessions with default options.
 //
 // Numerics contract: each solve resets the workspace factorization's pivot
-// order first, so every analysis is bit-identical to the equivalent free
-// function on a freshly built circuit.  This is what lets the
-// build-once/rebind-per-sample campaign path (sim::CampaignSession) assert
-// bit-identical metrics against the legacy rebuild-per-sample path, and it
-// keeps campaign results independent of which worker session evaluated
-// which sample.
+// order first, so every analysis is bit-identical to the same analysis on
+// a session freshly built over a freshly built circuit.  This is what lets
+// the build-once/rebind-per-sample campaign path (sim::CampaignSession)
+// assert bit-identical metrics against rebuilding the fixture per sample,
+// and it keeps campaign results independent of which worker session
+// evaluated which sample.
 //
 // SessionOptions::numerics == NumericsMode::fast opts out of the
 // bit-identity half of that contract only: banked VS evaluation runs the
@@ -64,18 +66,22 @@ enum class ToleranceTier : std::uint8_t {
   /// Default: the per-sample contract.  Every analysis starts from the
   /// documented cold state (zero guess + homotopy ladder), so results are
   /// bit-identical (reference/fresh) or 1e-8-tolerance-contracted
-  /// (fast/reusePivot) against the free functions, sample by sample.
+  /// (fast/reusePivot) against a default-option session, sample by sample.
   perSample,
   /// Campaign-estimator contract: analyses may warm-start from previous
-  /// samples' converged states (SimSession warm slots), sweep levels seed
-  /// Newton from a linear extrapolation of earlier levels, transient steps
-  /// use a linear step predictor, and Newton tolerances relax 10x.  Every
-  /// per-sample value remains deterministic -- a fixed warm-start chain
-  /// produces the same bits on every run and every worker -- but is no
-  /// longer individually comparable to a cold solve; the accuracy contract
-  /// moves to the ESTIMATOR (mean/sigma/quantile/yield within N Monte
-  /// Carlo standard errors of a perSample run; see README "Session
-  /// modes").  Not for debugging or bit-identity comparisons.
+  /// samples' converged states (SimSession warm slots); sweep levels seed
+  /// Newton from a quadratic extrapolation of the last converged levels,
+  /// corrected by the previous sample's trajectory on the same level grid
+  /// (dcSweepNode); transient steps seed from the previous sample's
+  /// accepted waveform plus this sample's running offset (runTransient's
+  /// reference-plus-offset predictor); transient dt doubles; and Newton
+  /// tolerances relax 10x.  Every per-sample value remains deterministic
+  /// -- a fixed warm-start chain produces the same bits on every run and
+  /// every worker -- but is no longer individually comparable to a cold
+  /// solve; the accuracy contract moves to the ESTIMATOR
+  /// (mean/sigma/quantile/yield within N Monte Carlo standard errors of a
+  /// perSample run; see ARCHITECTURE.md "Session modes").  Not for
+  /// debugging or bit-identity comparisons.
   statistical,
 };
 
@@ -86,8 +92,8 @@ enum class ToleranceTier : std::uint8_t {
 struct SessionOptions {
   /// Batched struct-of-arrays MOSFET evaluation (spice/device_bank.hpp).
   /// Bit-identical to the scalar element loop by contract; turning it off
-  /// selects the scalar fallback (the comparison axis for benches/tests,
-  /// and an escape hatch for exotic element mixes).
+  /// selects the scalar fallback (the reference the bank is tested
+  /// against, and an escape hatch for exotic element mixes).
   bool useDeviceBank = true;
   /// Numerics contract of the banked model evaluation
   /// (models::NumericsMode).  `reference` (default) pins every analysis
@@ -130,7 +136,7 @@ class SimSession {
   [[nodiscard]] Circuit& circuit() noexcept { return *circuit_; }
 
   /// DC operating point from a zero guess; throws ConvergenceError when
-  /// every homotopy fails.  Bit-identical to spice::dcOperatingPoint.
+  /// every homotopy fails.
   [[nodiscard]] OperatingPoint dcOperatingPoint(const DcOptions& options = {});
 
   /// Warm-started DC operating point.
@@ -139,7 +145,6 @@ class SimSession {
 
   /// DC sweep of a named voltage source, warm-starting each point from the
   /// previous solution; the source's waveform is restored afterwards.
-  /// Bit-identical to spice::dcSweep.
   [[nodiscard]] std::vector<OperatingPoint> dcSweep(
       const std::string& sourceName, const std::vector<double>& levels,
       const DcOptions& options = {});
@@ -153,7 +158,7 @@ class SimSession {
                    const std::vector<double>& levels, NodeId probeNode,
                    std::vector<double>& out, const DcOptions& options = {});
 
-  /// Transient analysis; bit-identical to spice::transient.
+  /// Transient analysis (the t = 0 operating point included).
   [[nodiscard]] Waveform transient(const TransientOptions& options);
 
   /// Transient analysis into a caller-owned record (cleared first, capacity
@@ -271,8 +276,8 @@ class SimSession {
  private:
   /// Resets the workspace LU pivot state at a solve boundary.  Fresh mode
   /// forgets the pivot order so this solve re-derives it from its own
-  /// first iterate (the legacy fresh-assembler granularity: one full
-  /// pivoting pass per dcOperatingPoint / transient call); reuse-pivot
+  /// first iterate (one full pivoting pass per dcOperatingPoint /
+  /// transient call, exactly as on a freshly built session); reuse-pivot
   /// mode restores the canonical snapshot instead, so the solve runs on
   /// the primed order no matter what a breakdown in an earlier solve did.
   /// Buffers stay at capacity either way -- no steady-state allocation.

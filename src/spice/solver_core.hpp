@@ -1,6 +1,6 @@
-// Internal: the Newton/homotopy/transient solver core shared by the free
-// analysis functions (analysis.cpp) and the persistent SimSession
-// (session.cpp).  Not part of the public API.
+// Internal: the Newton/homotopy/transient solver core behind SimSession
+// (session.cpp), the one place an analysis runs -- the free functions in
+// analysis.hpp are one-shot sessions.  Not part of the public API.
 //
 // Determinism contract: given the same Assembler settings, circuit
 // parameters, and starting iterate, every function here produces
@@ -9,8 +9,8 @@
 // a solve-boundary state beforehand (the SparseLu pivot order is otherwise
 // frozen from whatever solve last ran full pivoting).  The boundary state
 // depends on the session's SolverMode: fresh sessions reset() so each
-// solve re-derives its own pivot order (bit-identical to the legacy
-// rebuild-per-sample path); reuse-pivot sessions restore the canonical
+// solve re-derives its own pivot order (bit-identical to a session built
+// fresh for every solve); reuse-pivot sessions restore the canonical
 // pivot snapshot so each solve runs on the same primed order (bit-identical
 // across solve orderings and thread counts, but on a different --
 // statistically equivalent -- Newton trajectory than fresh).  The solver
@@ -42,9 +42,8 @@ bool dcSolveLadder(Assembler& assembler, linalg::Vector& x,
                    const DcOptions& options);
 
 /// Throws the SampleFailure subclass matching `report.outcome`:
-/// NonFiniteError / SingularMatrixError / ConvergenceError.  Shared by the
-/// free analysis entry points and SimSession so campaign failure classes
-/// are consistent regardless of the solve surface used.
+/// NonFiniteError / SingularMatrixError / ConvergenceError, so campaign
+/// failure classes follow the solve outcome, not the call site.
 [[noreturn]] void throwSolveFailure(const SolveReport& report,
                                     const std::string& what, int iterations);
 
@@ -83,9 +82,6 @@ struct TransientControls {
 /// no per-run allocations beyond waveform growth past prior capacity.
 void runTransient(Assembler& assembler, const TransientOptions& options,
                   Waveform& out, const TransientControls& controls = {});
-
-/// By-value convenience wrapper around the overload above.
-Waveform runTransient(Assembler& assembler, const TransientOptions& options);
 
 }  // namespace vsstat::spice::detail
 

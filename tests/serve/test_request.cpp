@@ -56,6 +56,19 @@ TEST(Json, RejectsMalformedDocuments) {
   EXPECT_THROW((void)parseJson("{} trailing"), JsonParseError);
 }
 
+TEST(Json, RejectsNestingBeyondTheDepthCap) {
+  // One 2 MB line of '[' would overflow the recursive descent's stack
+  // without the cap; with it the parser throws its ordinary error (the
+  // server's bad_json frame).
+  EXPECT_THROW((void)parseJson(std::string(2'000'000, '[')), JsonParseError);
+  EXPECT_THROW((void)parseJson(std::string(65, '[') + std::string(65, ']')),
+               JsonParseError);
+  EXPECT_NO_THROW(
+      (void)parseJson(std::string(64, '[') + std::string(64, ']')));
+  EXPECT_NO_THROW(
+      (void)parseJson(R"({"a": {"b": {"c": [[{"d": 1}]]}}})"));
+}
+
 TEST(Json, NumberSerializationRoundTripsExactly) {
   for (const double v : {0.1, 1.0 / 3.0, -2.5e-300, 6.02214076e23, 0.0}) {
     std::string out;

@@ -1,8 +1,8 @@
 // Campaign-server integration (serve/server.hpp): the protocol core end to
 // end -- classified error frames, streamed campaigns whose final statistics
 // are BIT-equal to a same-seed in-process mc::runCampaign at 1/2/4
-// workers, warm session-cache reuse, and two campaigns interleaving
-// through the shared thread pool.
+// workers (DC and transient analyses), warm session-cache reuse, and two
+// campaigns interleaving through the shared thread pool.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
@@ -256,6 +256,67 @@ TEST(CampaignServer, InterleavedCampaignsMatchTheirSoloRuns) {
   // Concurrency must not leak into results: same bits as the solo runs.
   EXPECT_EQ(invFinal.find("metrics_fnv1a")->string, soloInvHash);
   EXPECT_EQ(divFinal.find("metrics_fnv1a")->string, soloDivHash);
+}
+
+// --- transient analysis over the wire --------------------------------------
+
+constexpr const char* kTranDeck =
+    "VDD vdd 0 0.9\n"
+    "VIN in 0 PULSE(0 0.9 10p 10p 10p 60p 160p)\n"
+    "MP out in vdd pch W=600n L=40n\n"
+    "MN out in 0 nch W=300n L=40n\n"
+    "C1 out 0 2f\n"
+    ".tran 1p 120p\n"
+    ".model nch vs_nmos\n"
+    ".model pch vs_pmos\n"
+    ".end\n";
+
+TEST(CampaignServer, ServedTransientBitEqualsInProcessCampaign) {
+  constexpr int kTranSamples = 8;
+  spice::ParsedNetlist parsed = spice::parseNetlist(kTranDeck);
+  const spice::NodeId out = parsed.circuit.node("out");
+  const models::VsParams nmos = *parsed.vsNmos;
+  const models::VsParams pmos = *parsed.vsPmos;
+  mc::McOptions opt;
+  opt.samples = kTranSamples;
+  opt.seed = 11;
+  opt.threads = 1;
+  const mc::McResult reference = mc::runCampaign<DeckFixture>(
+      opt, 1,
+      [](circuits::DeviceProvider& p) {
+        return DeckFixture{
+            std::move(spice::parseNetlist(kTranDeck, p).circuit)};
+      },
+      [nmos, pmos] {
+        return std::make_unique<mc::VsStatisticalProvider>(
+            nmos, pmos, defaultAlphas(), defaultAlphas(), stats::Rng(1));
+      },
+      [out](std::size_t, sim::CampaignSession<DeckFixture>& session,
+            stats::Rng&, std::vector<double>& metrics) {
+        spice::TransientOptions topt;
+        topt.dt = 1e-12;
+        topt.tStop = 120e-12;
+        metrics[0] = session.spice().transient(topt).finalValue(out);
+      });
+  ASSERT_EQ(reference.sampleCount(), static_cast<std::size_t>(kTranSamples));
+  char refHash[32];
+  std::snprintf(refHash, sizeof refHash, "0x%016" PRIx64,
+                metricsFingerprint(reference));
+
+  for (const unsigned threads : {1u, 2u}) {
+    std::string req = "{\"id\":\"tran\",\"deck\":";
+    appendJsonString(req, kTranDeck);
+    req += ",\"samples\":" + std::to_string(kTranSamples) +
+           ",\"seed\":11,\"threads\":" + std::to_string(threads) +
+           ",\"stream_every\":4"
+           ",\"measure\":{\"analysis\":\"tran\",\"probes\":[\"out\"]}}";
+    CampaignServer server;
+    const JsonValue frame = finalFrameOf(runLine(server, req));
+    ASSERT_EQ(frame.find("type")->string, "final")
+        << threads << " workers: " << frame.find("message")->string;
+    EXPECT_EQ(frame.find("metrics_fnv1a")->string, refHash)
+        << threads << " workers";
+  }
 }
 
 // --- statistical tier over the wire ----------------------------------------

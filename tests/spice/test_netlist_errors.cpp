@@ -121,7 +121,7 @@ TEST(NetlistProviderParse, CountsVsDevicesAndExposesCards) {
 }
 
 TEST(NetlistProviderParse, NominalProviderReproducesPlainParse) {
-  const ParsedNetlist plain = parseNetlist(kVsDeck);
+  ParsedNetlist plain = parseNetlist(kVsDeck);
   circuits::NominalProvider provider(models::VsModel(*plain.vsNmos),
                                      models::VsModel(*plain.vsPmos));
   ParsedNetlist routed = parseNetlist(kVsDeck, provider);
