@@ -20,7 +20,7 @@
 //
 // Cold rows run each request on a FRESH server (empty caches) and record
 // the median time-to-first-stat (ttfs_ms): request arrival to the first
-// streamed progress frame, including the validation parse, pool
+// streamed progress frame, including the deck hash and parse, pool
 // construction, and lazy per-worker session builds.  Warm rows replay the
 // identical request against a server whose deck-plan and session-pool
 // caches already hold the topology (no deck parse, no session build), and
@@ -163,7 +163,7 @@ bool runWorkload(const char* name, const std::string& deck,
   bool ok = true;
 
   // Cold: fresh server per repetition, so every request pays the
-  // validation parse, pool construction, and lazy session build.
+  // deck parse, pool construction, and lazy session build.
   std::vector<double> coldTtfs;
   std::string coldHash;
   double coldRequestMs = 0.0;

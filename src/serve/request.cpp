@@ -31,11 +31,6 @@ const char* JsonValue::kindName() const noexcept {
 
 namespace {
 
-/// Nesting cap of the recursive descent.  The request schema nests three
-/// deep (request -> variability -> nmos); without a cap, one line of
-/// millions of '[' overflows the stack and takes the daemon down.
-constexpr int kMaxJsonDepth = 64;
-
 /// Recursive-descent JSON parser over a byte range.
 class JsonParser {
  public:

@@ -35,6 +35,7 @@
 #ifndef VSSTAT_SERVE_REQUEST_HPP
 #define VSSTAT_SERVE_REQUEST_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -70,6 +71,19 @@ class JsonValue {
   [[nodiscard]] bool isNull() const noexcept { return kind == Kind::null; }
   [[nodiscard]] const char* kindName() const noexcept;
 };
+
+// --- input bounds ----------------------------------------------------------
+
+/// Nesting cap of parseJson's recursive descent.  The request schema nests
+/// three deep (request -> variability -> nmos); without a cap, one line of
+/// millions of '[' overflows the stack and takes the daemon down.
+inline constexpr int kMaxJsonDepth = 64;
+
+/// Longest request line the server reads: 16 MiB, far above the largest
+/// deck a request carries in practice.  A longer line gets a bad_request
+/// error frame and is discarded up to its newline; the connection stays
+/// open for the next line.
+inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{16} << 20;
 
 /// Thrown on malformed JSON text (wire-level, before schema validation).
 class JsonParseError : public Error {

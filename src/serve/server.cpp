@@ -58,9 +58,10 @@ void CampaignServer::handleLine(const std::string& line,
         idValue != nullptr && idValue->kind == JsonValue::Kind::string)
       id = idValue->string;
     CampaignRequest request = parseCampaignRequest(doc);
-    // Warm path: the deck-plan cache skips the validation parse, the pool
-    // cache skips the session builds -- a repeat topology goes straight
-    // to its first chunk.
+    // Warm path: the deck-plan cache skips the deck parse, the pool cache
+    // skips the session builds -- a repeat topology goes straight to its
+    // first chunk.  A cold one hashes and parses its deck text once here,
+    // and its workers instantiate the parsed Deck.
     std::shared_ptr<const DeckPlan> deck = cache_.deckPlan(request.deck);
     const CampaignPlan plan(std::move(request), std::move(deck));
     const SessionCache::Acquired acquired = cache_.acquire(plan);
@@ -158,18 +159,38 @@ void CampaignServer::handleConnection(int fd) {
     writeAll(fd, line.data(), line.size());
   };
 
-  std::string buffer;
-  char chunk[4096];
+  // Framing: each recv'd chunk is searched for newlines once, and the
+  // current line collects the bytes before them.  A line that outgrows
+  // kMaxRequestLineBytes is answered with one error frame at once; its
+  // remaining bytes are dropped up to its newline.
+  std::string line;
+  bool overLong = false;
+  std::vector<char> chunk(std::size_t{64} << 10);
   while (true) {
-    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+    const ssize_t n = ::recv(fd, chunk.data(), chunk.size(), 0);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t newline;
-    while ((newline = buffer.find('\n')) != std::string::npos) {
-      const std::string line = buffer.substr(0, newline);
-      buffer.erase(0, newline + 1);
-      handleLine(line, emit);
+    const char* p = chunk.data();
+    const char* const end = p + n;
+    while (p != end) {
+      const auto* newline = static_cast<const char*>(
+          std::memchr(p, '\n', static_cast<std::size_t>(end - p)));
+      const char* const stop = newline != nullptr ? newline : end;
+      const auto bytes = static_cast<std::size_t>(stop - p);
+      if (!overLong && bytes > kMaxRequestLineBytes - line.size()) {
+        overLong = true;
+        std::string().swap(line);
+        emit(errorFrame("", RequestError::badRequest,
+                        "request line longer than " +
+                            std::to_string(kMaxRequestLineBytes) +
+                            " bytes"));
+      }
+      if (!overLong) line.append(p, bytes);
+      if (newline == nullptr) break;
+      if (!overLong) handleLine(line, emit);
+      line.clear();
+      overLong = false;
+      p = newline + 1;
     }
   }
   ::close(fd);

@@ -19,10 +19,27 @@ std::string lowercase(std::string s) {
   return s;
 }
 
-void mixString(util::Fnv1a& hash, const std::string& s) {
-  hash.mix(s.size());
-  for (const char c : s)
-    hash.mix(static_cast<std::uint64_t>(static_cast<unsigned char>(c)));
+/// FNV-1a over the deck text's bytes: one multiply per byte.  (Fnv1a::mix
+/// spends eight per 64-bit word; it stays as it is because it defines the
+/// metrics_fnv1a fingerprints.)
+std::uint64_t hashText(const std::string& text) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+std::shared_ptr<const DeckPlan> makeDeckPlan(const std::string& deck,
+                                             std::uint64_t textHash) {
+  // Classified deck rejects surface here with their 1-based line
+  // (spice::NetlistParseError propagates to the server's deck_error
+  // frame), before any pool or session is touched.
+  auto plan = std::make_shared<DeckPlan>();
+  plan->deck = std::make_shared<const spice::Deck>(spice::parseDeck(deck));
+  plan->textHash = textHash;
+  return plan;
 }
 
 void mixAlphas(util::Fnv1a& hash, const models::PelgromAlphas& a) {
@@ -33,13 +50,13 @@ void mixAlphas(util::Fnv1a& hash, const models::PelgromAlphas& a) {
   hash.mixDouble(a.aCinv);
 }
 
-/// Hashes everything that determines a pool's identity: deck text, the
-/// three session-mode axes, the variability spec, and the sampling scheme
-/// (generator schemes need FixedZProvider sessions, so they cannot share a
-/// pool with provider-RNG requests).
-std::string cacheKeyOf(const CampaignRequest& req) {
+/// Hashes everything that determines a pool's identity: the deck (by its
+/// text hash), the three session-mode axes, the variability spec, and the
+/// sampling scheme (generator schemes need FixedZProvider sessions, so
+/// they cannot share a pool with provider-RNG requests).
+std::string cacheKeyOf(const CampaignRequest& req, const DeckPlan& deck) {
   util::Fnv1a hash;
-  mixString(hash, req.deck);
+  hash.mix(deck.textHash);
   hash.mix(static_cast<std::uint64_t>(req.mode.numerics));
   hash.mix(static_cast<std::uint64_t>(req.mode.solver));
   hash.mix(static_cast<std::uint64_t>(req.mode.tier));
@@ -47,21 +64,9 @@ std::string cacheKeyOf(const CampaignRequest& req) {
   hash.mix(static_cast<std::uint64_t>(req.scheme));
   mixAlphas(hash, req.nmosAlphas);
   mixAlphas(hash, req.pmosAlphas);
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%016llx-%zu",
-                static_cast<unsigned long long>(hash.value()),
-                req.deck.size());
-  return buf;
-}
-
-/// Deck-plan cache key: content hash of the deck text alone (the DeckPlan
-/// depends on nothing else).
-std::string deckKeyOf(const std::string& deck) {
-  util::Fnv1a hash;
-  mixString(hash, deck);
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%016llx-%zu",
-                static_cast<unsigned long long>(hash.value()), deck.size());
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(hash.value()));
   return buf;
 }
 
@@ -74,82 +79,59 @@ double millisSince(std::chrono::steady_clock::time_point start) {
 }  // namespace
 
 std::shared_ptr<const DeckPlan> parseDeckPlan(const std::string& deck) {
-  // Validation parse: classified deck rejects surface here with their
-  // 1-based line (spice::NetlistParseError propagates to the server's
-  // deck_error frame), before any pool or session is touched.
-  const spice::ParsedNetlist parsed = spice::parseNetlist(deck);
-  auto plan = std::make_shared<DeckPlan>();
-  plan->vsMosfets = parsed.vsMosfets;
-  if (parsed.vsNmos) plan->nmos = *parsed.vsNmos;
-  if (parsed.vsPmos) plan->pmos = *parsed.vsPmos;
-  plan->tran = parsed.tran;
-  plan->ground = parsed.circuit.ground();
-  // Snapshot the node table: NodeIds are contiguous and first-mention-
-  // ordered, so every worker's parse of this deck assigns the same ids.
-  const std::size_t nodes = parsed.circuit.nodeCount();
-  plan->nodeByName.reserve(nodes);
-  for (std::size_t id = 0; id < nodes; ++id)
-    plan->nodeByName.emplace(
-        parsed.circuit.nodeName(static_cast<spice::NodeId>(id)),
-        static_cast<spice::NodeId>(id));
-  return plan;
+  return makeDeckPlan(deck, hashText(deck));
 }
 
 CampaignPlan::CampaignPlan(CampaignRequest request)
-    : request_(std::move(request)),
-      key_(cacheKeyOf(request_)),
-      deck_(parseDeckPlan(request_.deck)) {
+    : request_(std::move(request)), deck_(parseDeckPlan(request_.deck)) {
+  key_ = cacheKeyOf(request_, *deck_);
   resolveMeasure();
 }
 
 CampaignPlan::CampaignPlan(CampaignRequest request,
                            std::shared_ptr<const DeckPlan> deck)
-    : request_(std::move(request)),
-      key_(cacheKeyOf(request_)),
-      deck_(std::move(deck)) {
+    : request_(std::move(request)), deck_(std::move(deck)) {
   require(deck_ != nullptr, "CampaignPlan: null deck plan");
+  key_ = cacheKeyOf(request_, *deck_);
   resolveMeasure();
 }
 
 void CampaignPlan::resolveMeasure() {
+  const spice::Deck& deck = *deck_->deck;
   if (request_.measure.analysis == MeasureSpec::Analysis::tran &&
-      !deck_->tran)
+      !deck.tran())
     throw RequestValidationError(
         RequestError::badRequest,
         "measure.analysis is 'tran' but the deck has no .tran card");
 
-  // Resolve probe names against the deck plan's node-table snapshot (no
-  // Circuit mutation: the DeckPlan is shared across concurrent requests).
+  // Resolve probe names against the Deck's node table (shared across
+  // concurrent requests, never mutated).
   probeNodes_.reserve(request_.measure.probes.size());
   for (const std::string& probe : request_.measure.probes) {
-    const std::string name = lowercase(probe);
-    if (name == "0" || name == "gnd") {
-      probeNodes_.push_back(deck_->ground);
-      continue;
-    }
-    const auto it = deck_->nodeByName.find(name);
-    if (it == deck_->nodeByName.end())
+    const std::optional<spice::NodeId> node = deck.findNode(lowercase(probe));
+    if (!node)
       throw RequestValidationError(
           RequestError::badRequest,
           "measure.probes: unknown node '" + probe + "'");
-    probeNodes_.push_back(it->second);
+    probeNodes_.push_back(*node);
   }
 }
 
 std::size_t CampaignPlan::zDimension() const noexcept {
-  return deck_->vsMosfets * mc::VsFixedZProvider::kDimsPerDevice;
+  return deck_->deck->vsMosfets() * mc::VsFixedZProvider::kDimsPerDevice;
 }
 
 std::shared_ptr<sim::SessionPool<DeckFixture>> CampaignPlan::makePool() const {
-  const std::string deck = request_.deck;
+  const std::shared_ptr<const spice::Deck> deck = deck_->deck;
   const sim::SessionPool<DeckFixture>::Builder build =
       [deck](circuits::DeviceProvider& provider) {
-        spice::ParsedNetlist parsed = spice::parseNetlist(deck, provider);
-        return DeckFixture{std::move(parsed.circuit)};
+        return DeckFixture{spice::instantiate(*deck, &provider)};
       };
 
-  const models::VsParams nmos = deck_->nmos;
-  const models::VsParams pmos = deck_->pmos;
+  const models::VsParams nmos =
+      deck->vsNmos().value_or(models::defaultVsNmos());
+  const models::VsParams pmos =
+      deck->vsPmos().value_or(models::defaultVsPmos());
   const models::PelgromAlphas nmosAlphas = request_.nmosAlphas;
   const models::PelgromAlphas pmosAlphas = request_.pmosAlphas;
   mc::ProviderFactory providerFactory;
@@ -183,7 +165,7 @@ mc::McResult CampaignPlan::run(sim::SessionPool<DeckFixture>& pool,
   plan.dimension = zDimension();
 
   // Per-sample measurement: the fixture arrives rebound for the sample.
-  const std::optional<std::pair<double, double>> tran = deck_->tran;
+  const std::optional<std::pair<double, double>> tran = deck_->deck->tran();
   const std::vector<spice::NodeId> probes = probeNodes_;
   const MeasureSpec::Analysis analysis = request_.measure.analysis;
   const mc::CircuitSampleFn<DeckFixture> measure =
@@ -239,29 +221,29 @@ mc::McResult CampaignPlan::run(sim::SessionPool<DeckFixture>& pool,
 
 std::shared_ptr<const DeckPlan> SessionCache::deckPlan(
     const std::string& deck) {
-  const std::string key = deckKeyOf(deck);
+  const std::uint64_t hash = hashText(deck);
   {
     const std::lock_guard<std::mutex> lock(planMutex_);
-    const auto it = planByKey_.find(key);
-    if (it != planByKey_.end()) {
+    const auto it = planByHash_.find(hash);
+    if (it != planByHash_.end()) {
       planLru_.splice(planLru_.begin(), planLru_, it->second);
-      return it->second->second;
+      return *it->second;
     }
   }
   // Parse outside the lock: a slow (or throwing) parse must not serialize
   // concurrent requests.  A racing duplicate parse is harmless -- both
   // produce equivalent immutable plans and the second insert wins nothing.
-  std::shared_ptr<const DeckPlan> plan = parseDeckPlan(deck);
+  std::shared_ptr<const DeckPlan> plan = makeDeckPlan(deck, hash);
   const std::lock_guard<std::mutex> lock(planMutex_);
-  const auto it = planByKey_.find(key);
-  if (it != planByKey_.end()) {
+  const auto it = planByHash_.find(hash);
+  if (it != planByHash_.end()) {
     planLru_.splice(planLru_.begin(), planLru_, it->second);
-    return it->second->second;
+    return *it->second;
   }
-  planLru_.emplace_front(key, plan);
-  planByKey_.emplace(key, planLru_.begin());
+  planLru_.push_front(plan);
+  planByHash_.emplace(hash, planLru_.begin());
   while (planLru_.size() > planCapacity_) {
-    planByKey_.erase(planLru_.back().first);
+    planByHash_.erase(planLru_.back()->textHash);
     planLru_.pop_back();
   }
   return plan;

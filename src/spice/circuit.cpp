@@ -29,12 +29,13 @@ const std::string& Circuit::nodeName(NodeId id) const {
 }
 
 void Circuit::registerElement(std::unique_ptr<Element> e) {
-  require(elementByName_.find(e->name()) == elementByName_.end(),
-          "duplicate element name: " + e->name());
+  // The message is built only on failure: this runs once per element of
+  // every build.
+  if (!elementByName_.emplace(e->name(), e.get()).second)
+    throw InvalidArgumentError("duplicate element name: " + e->name());
   e->setBases(branchTotal_, chargeTotal_);
   branchTotal_ += e->branchCount();
   chargeTotal_ += e->chargeSlots();
-  elementByName_.emplace(e->name(), e.get());
   elements_.push_back(std::move(e));
 }
 

@@ -1,14 +1,22 @@
 // Campaign-server integration (serve/server.hpp): the protocol core end to
 // end -- classified error frames, streamed campaigns whose final statistics
 // are BIT-equal to a same-seed in-process mc::runCampaign at 1/2/4
-// workers (DC and transient analyses), warm session-cache reuse, and two
-// campaigns interleaving through the shared thread pool.
+// workers (DC and transient analyses), warm session-cache reuse, two
+// campaigns interleaving through the shared thread pool, pools outliving
+// their deck-plan cache entry, and request-line framing on a real socket.
 #include "serve/server.hpp"
+
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -98,16 +106,33 @@ TEST(CampaignServer, SchemaViolationGetsBadRequestWithIdEcho) {
 }
 
 TEST(CampaignServer, MalformedDeckGetsLineClassifiedDeckError) {
-  CampaignServer server;
-  std::string req = R"({"deck": )";
-  appendJsonString(req, "V1 a 0 1.0\nR1 a 0 bogus\n");
-  req += R"(, "measure": {"probes": ["a"]}})";
-  const std::vector<std::string> frames = runLine(server, req);
-  ASSERT_EQ(frames.size(), 1u);
-  const JsonValue frame = finalFrameOf(frames);
-  EXPECT_EQ(frame.find("code")->string, "deck_error");
-  EXPECT_DOUBLE_EQ(frame.find("line")->number, 2.0);
-  EXPECT_NE(frame.find("message")->string.find("bogus"), std::string::npos);
+  // The last three are element checks (R <= 0, C < 0, duplicate name): the
+  // deck parse must reject them itself, before any pool is built.
+  const struct {
+    const char* deck;
+    int line;
+    const char* fragment;
+  } cases[] = {
+      {"V1 a 0 1.0\nR1 a 0 bogus\n", 2, "bogus"},
+      {"V1 a 0 1.0\nR1 a 0 1k\nR2 a 0 0\n", 3, "positive resistance"},
+      {"V1 a 0 1.0\nR1 a 0 1k\nC1 a 0 -1f\n", 3, "non-negative"},
+      {"V1 a 0 1.0\nR1 a 0 1k\n* note\nR1 a 0 2k\n", 4, "duplicate"},
+  };
+  for (const auto& c : cases) {
+    CampaignServer server;
+    std::string req = R"({"deck": )";
+    appendJsonString(req, c.deck);
+    req += R"(, "measure": {"probes": ["a"]}})";
+    const std::vector<std::string> frames = runLine(server, req);
+    ASSERT_EQ(frames.size(), 1u) << c.deck;
+    const JsonValue frame = finalFrameOf(frames);
+    EXPECT_EQ(frame.find("code")->string, "deck_error") << c.deck;
+    EXPECT_DOUBLE_EQ(frame.find("line")->number, c.line) << c.deck;
+    EXPECT_NE(frame.find("message")->string.find(c.fragment),
+              std::string::npos)
+        << frame.find("message")->string;
+    EXPECT_EQ(server.cache().stats().misses, 0u) << c.deck;
+  }
 }
 
 TEST(CampaignServer, UnknownProbeGetsBadRequest) {
@@ -258,6 +283,29 @@ TEST(CampaignServer, InterleavedCampaignsMatchTheirSoloRuns) {
   EXPECT_EQ(divFinal.find("metrics_fnv1a")->string, soloDivHash);
 }
 
+TEST(SessionCache, PoolBuildsSessionsAfterItsDeckPlanIsEvicted) {
+  SessionCache cache(2);
+  const CampaignRequest request = parseCampaignRequest(
+      parseJson(makeRequest("evicted", kInverterDeck, kSamples, 1, 16)));
+  std::shared_ptr<sim::SessionPool<DeckFixture>> pool;
+  std::weak_ptr<const DeckPlan> cached;
+  {
+    const std::shared_ptr<const DeckPlan> deck = cache.deckPlan(request.deck);
+    cached = deck;
+    pool = CampaignPlan(request, deck).makePool();
+  }
+  // Churn the plan cache past its capacity: the inverter's plan leaves it,
+  // and the pool's builder holds the only reference to its Deck.
+  for (int i = 1; i <= 3; ++i)
+    (void)cache.deckPlan("V1 a 0 " + std::to_string(i) + "\nR1 a 0 1k\n");
+  EXPECT_TRUE(cached.expired());
+  ASSERT_EQ(pool->sessionCount(), 0u);
+
+  const mc::McResult served = CampaignPlan(request).run(*pool, nullptr, false);
+  EXPECT_EQ(pool->sessionCount(), 1u);
+  EXPECT_EQ(served.metrics[0], inProcessCampaign(1).metrics[0]);
+}
+
 // --- transient analysis over the wire --------------------------------------
 
 constexpr const char* kTranDeck =
@@ -343,6 +391,131 @@ TEST(CampaignServer, StatisticalTierStreamsBlockedChunks) {
   EXPECT_EQ(frame.find("health")->string, "OK");
   ASSERT_NE(frame.find("yield"), nullptr);
   EXPECT_FALSE(frame.find("yield")->isNull());
+}
+
+// --- request-line framing on a real socket ---------------------------------
+
+/// A server listening on a private unix socket, served from a thread.
+class SocketServer {
+ public:
+  SocketServer()
+      : path_((std::filesystem::temp_directory_path() /
+               ("vsstat_test_server_" + std::to_string(::getpid()) + ".sock"))
+                  .string()) {
+    server_.listenUnix(path_);
+    thread_ = std::thread([this] { server_.serve(); });
+  }
+  ~SocketServer() {
+    server_.stop();
+    thread_.join();
+    ::unlink(path_.c_str());
+  }
+  SocketServer(const SocketServer&) = delete;
+  SocketServer& operator=(const SocketServer&) = delete;
+
+  /// Connects a client; returns its socket.
+  [[nodiscard]] int connect() const {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path_.c_str(), sizeof(addr.sun_path) - 1);
+    EXPECT_GE(fd, 0);
+    EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof addr),
+              0);
+    return fd;
+  }
+
+ private:
+  std::string path_;
+  CampaignServer server_;
+  std::thread thread_;
+};
+
+void sendAll(int fd, const std::string& bytes) {
+  std::size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent, 0);
+    ASSERT_GT(n, 0);
+    sent += static_cast<std::size_t>(n);
+  }
+}
+
+/// Reads frames until `count` terminal (final or error) frames arrived;
+/// returns the terminal frames in order.
+std::vector<JsonValue> readTerminalFrames(int fd, std::size_t count) {
+  std::vector<JsonValue> terminal;
+  std::string buffer;
+  char chunk[4096];
+  while (terminal.size() < count) {
+    const std::size_t newline = buffer.find('\n');
+    if (newline == std::string::npos) {
+      const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+      if (n <= 0) break;
+      buffer.append(chunk, static_cast<std::size_t>(n));
+      continue;
+    }
+    JsonValue frame = parseJson(buffer.substr(0, newline));
+    buffer.erase(0, newline + 1);
+    const std::string type = frame.find("type")->string;
+    if (type == "final" || type == "error")
+      terminal.push_back(std::move(frame));
+  }
+  return terminal;
+}
+
+constexpr int kSocketSamples = 8;
+
+TEST(CampaignServerSocket, OverLongLineGetsAnErrorAndTheConnectionServesOn) {
+  SocketServer host;
+  const int fd = host.connect();
+  std::thread writer([fd] {
+    sendAll(fd, std::string(kMaxRequestLineBytes + 1, 'x') + "\n");
+    sendAll(fd,
+            makeRequest("next", kInverterDeck, kSocketSamples, 1, 8) + "\n");
+  });
+  const std::vector<JsonValue> frames = readTerminalFrames(fd, 2);
+  writer.join();
+  ::close(fd);
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(frames[0].find("type")->string, "error");
+  EXPECT_EQ(frames[0].find("code")->string, "bad_request");
+  EXPECT_EQ(frames[1].find("type")->string, "final");
+  EXPECT_EQ(frames[1].find("id")->string, "next");
+}
+
+TEST(CampaignServerSocket, LineSentInManySmallWritesIsServedOnce) {
+  SocketServer host;
+  const int fd = host.connect();
+  const std::string split =
+      makeRequest("split", kInverterDeck, kSocketSamples, 1, 8) + "\n";
+  for (std::size_t at = 0; at < split.size(); at += 7) {
+    sendAll(fd, split.substr(at, 7));
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  sendAll(fd, makeRequest("after", kInverterDeck, kSocketSamples, 1, 8) + "\n");
+  const std::vector<JsonValue> frames = readTerminalFrames(fd, 2);
+  ::close(fd);
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(frames[0].find("type")->string, "final");
+  EXPECT_EQ(frames[0].find("id")->string, "split");
+  EXPECT_EQ(frames[1].find("type")->string, "final");
+  EXPECT_EQ(frames[1].find("id")->string, "after");
+}
+
+TEST(CampaignServerSocket, TwoLinesInOneWriteAreBothServed) {
+  SocketServer host;
+  const int fd = host.connect();
+  sendAll(fd, makeRequest("one", kInverterDeck, kSocketSamples, 1, 8) + "\n" +
+                  makeRequest("two", kDividerDeck, kSocketSamples, 1, 8) +
+                  "\n");
+  const std::vector<JsonValue> frames = readTerminalFrames(fd, 2);
+  ::close(fd);
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(frames[0].find("id")->string, "one");
+  EXPECT_EQ(frames[0].find("type")->string, "final");
+  EXPECT_EQ(frames[1].find("id")->string, "two");
+  EXPECT_EQ(frames[1].find("type")->string, "final");
 }
 
 }  // namespace

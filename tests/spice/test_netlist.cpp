@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "models/vs_model.hpp"
 #include "spice/analysis.hpp"
@@ -160,6 +163,101 @@ TEST(Netlist, DiagnosticsCarryLineNumbers) {
 
   // Line numbers point at the offending source line.
   expectError("* line 1\nR1 a b 1k\nC1 x y\n", "line 3");
+}
+
+TEST(Netlist, NodeIdsFollowFirstMentionLastTerminalFirst) {
+  // Within one element line the last terminal is registered first; MNA
+  // unknown order (and so every result bit) follows these ids.
+  const ParsedNetlist net = parseNetlist(
+      "R1 a b 1k\n"
+      "M1 d g s nch W=1u L=40n\n"
+      "V1 p a 0.9\n"
+      "C1 q 0 1f\n"
+      ".model nch vs_nmos\n");
+  const std::vector<std::string> expected = {"0", "b", "a", "s", "g",
+                                             "d", "p", "q"};
+  ASSERT_EQ(net.circuit.nodeCount(), expected.size());
+  for (std::size_t id = 0; id < expected.size(); ++id)
+    EXPECT_EQ(net.circuit.nodeName(static_cast<NodeId>(id)), expected[id])
+        << "node " << id;
+}
+
+TEST(Netlist, TokenizerHandlesCrlfTabsParenthesesAndEquals) {
+  ParsedNetlist net = parseNetlist(
+      "VIN\tin 0\tPULSE(0 0.9 10p 12p 12p 80p)\r\n"
+      "R1 in\tout 1k\r\n"
+      "C1 out 0 2F\r\n"
+      "MN out in 0 nch W=300n L=40n\r\n"
+      "MP out in vdd pch w =600n l= 40n\r\n"
+      "VDD vdd 0 PWL(0,0.9,1n,0.9)\r\n"
+      ".model nch vs_nmos vt0=0.41\r\n"
+      ".model pch vs_pmos\r\n");
+  const MosfetElement& mn = net.circuit.mosfet("mn");
+  EXPECT_DOUBLE_EQ(mn.geometry().width, 300e-9);
+  EXPECT_DOUBLE_EQ(mn.geometry().length, 40e-9);
+  const MosfetElement& mp = net.circuit.mosfet("mp");
+  EXPECT_DOUBLE_EQ(mp.geometry().width, 600e-9);
+  EXPECT_DOUBLE_EQ(mp.geometry().length, 40e-9);
+  EXPECT_DOUBLE_EQ(net.vsNmos->vt0, 0.41);
+  const SourceWaveform& pulse = net.circuit.voltageSource("vin").waveform();
+  EXPECT_NEAR(pulse.valueAt(30e-12), 0.9, 1e-12);
+  EXPECT_DOUBLE_EQ(net.circuit.voltageSource("vdd").waveform().valueAt(2e-9),
+                   0.9);
+  // No node picked up a '\r' or a parenthesis.
+  for (std::size_t id = 0; id < net.circuit.nodeCount(); ++id) {
+    const std::string& name = net.circuit.nodeName(static_cast<NodeId>(id));
+    EXPECT_EQ(name.find_first_of("\r\t()"), std::string::npos) << name;
+  }
+  EXPECT_EQ(net.circuit.nodeCount(), 4u);  // 0, in, out, vdd
+}
+
+TEST(Netlist, EmbeddedNulStaysPartOfItsToken) {
+  // Node names are byte strings: "a\0b" is one node, distinct from "a".
+  const std::string deck = std::string("V1 a 0 1\nR1 a a") + '\0' +
+                           "b 1k\nR2 a" + '\0' + "b 0 1k\n";
+  const Deck parsed = parseDeck(deck);
+  ASSERT_EQ(parsed.nodeCount(), 3u);
+  const std::optional<NodeId> nul = parsed.findNode(std::string("a\0b", 3));
+  ASSERT_TRUE(nul.has_value());
+  EXPECT_EQ(parsed.nodeName(*nul).size(), 3u);
+  EXPECT_NE(*nul, *parsed.findNode("a"));
+  ParsedNetlist net = parseNetlist(deck);
+  EXPECT_NEAR(dcOperatingPoint(net.circuit).v(*nul), 0.5, 1e-12);
+  // A NUL inside a value ends the number, and what follows is a bad suffix.
+  EXPECT_THROW((void)parseDeck(std::string("R1 a 0 1") + '\0' + "k\n"),
+               NetlistParseError);
+}
+
+TEST(Netlist, ContinuationAsTheFirstStatementIsRejected) {
+  try {
+    (void)parseDeck("* comment\n\n  + R1 a 0 1k\n");
+    FAIL() << "expected a parse failure";
+  } catch (const NetlistParseError& e) {
+    EXPECT_EQ(e.line(), 3);
+    EXPECT_EQ(e.message(), "continuation without a line");
+  }
+}
+
+TEST(Netlist, DeckIsInstantiatedAsOftenAsNeeded) {
+  const Deck deck = parseDeck(R"(
+.title two builds
+V1 in 0 1
+R1 in mid 1k
+R2 mid 0 1k
+.tran 1p 10p
+)");
+  EXPECT_EQ(deck.title(), "two builds");
+  ASSERT_TRUE(deck.tran().has_value());
+  EXPECT_EQ(deck.nodeCount(), 3u);
+  EXPECT_EQ(deck.findNode("0"), std::optional<NodeId>(kGround));
+  EXPECT_EQ(deck.findNode("gnd"), std::optional<NodeId>(kGround));
+  EXPECT_FALSE(deck.findNode("nowhere").has_value());
+  for (int build = 0; build < 2; ++build) {
+    Circuit c = instantiate(deck);
+    ASSERT_EQ(c.nodeCount(), deck.nodeCount());
+    EXPECT_EQ(c.node("mid"), *deck.findNode("mid"));
+    EXPECT_NEAR(dcOperatingPoint(c).v(c.node("mid")), 0.5, 1e-12);
+  }
 }
 
 TEST(Netlist, RejectsEmptyAndMissingFile) {
