@@ -26,14 +26,22 @@
 // bit-identity is a test contract (tests/sim/test_campaign_session.cpp),
 // not a bench row.
 //
-// A second row per workload measures SolverMode::reusePivot on the session
-// path (reference numerics): one canonical LU pivot order amortized across
-// every solve instead of a re-pivot + symbolic pass per solve.  Reuse rows
-// carry "speedup_vs_fresh" (vs the fresh session row), "max_rel_delta"
-// (largest per-sample metric deviation from the fresh run, same seeds) and
+// Each workload measures every session configuration once, against the
+// reference-numerics fresh-pivot `_session` row of the same run:
+//   _session_reuse      -- SolverMode::reusePivot: one canonical LU pivot
+//                          order amortized across every solve instead of a
+//                          re-pivot + symbolic pass per solve
+//                          ("speedup_vs_fresh");
+//   _session_fast       -- NumericsMode::fast: the SIMD device kernels
+//                          ("speedup_vs_session");
+//   _session_fast_reuse -- both axes composed ("speedup_vs_session"), the
+//                          per-sample baseline of the statistical tier;
+//   _statistical_tier   -- ToleranceTier::statistical on fast+reuse.
+// The reuse and fast rows change the Newton trajectory or its last ulps,
+// statistically equivalently: they carry "max_rel_delta" (largest
+// per-sample metric deviation from the `_session` run, same seeds) and
 // "within_tolerance" (the campaign tolerance contract's 1e-8 per-sample
-// bound) -- pivot reuse changes the Newton trajectory, statistically
-// equivalently (the fast-numerics composition lives in bench_device_bank).
+// bound).
 //
 // Output is machine-readable JSON, one object per line on stdout:
 //   {"name": ..., "samples": N, "threads": T, "us_per_sample": ...,
@@ -167,20 +175,25 @@ std::uint64_t metricsHash(const mc::McResult& r) {
 unsigned gThreads = 1;
 bool gScalingOnly = false;
 
-/// Pivot-reuse row: compared against the fresh session run (same seeds)
-/// through the tolerance contract, not bit-identity.
-void emitReuse(const std::string& name, int samples, const CampaignTiming& t,
-               double freshUsPerSample, double relDelta) {
+/// Tolerance-contract row (pivot reuse, fast numerics, or both): compared
+/// against the reference/fresh `_session` run (same seeds) through the
+/// tolerance contract, not bit-identity.  `speedupField` names the ratio.
+void emitTolerance(const std::string& name, int samples,
+                   const CampaignTiming& t, const char* speedupField,
+                   const CampaignTiming& session) {
+  const double relDelta = bench::maxRelMetricDelta(t.result, session.result);
   std::printf(
       "{\"name\": \"%s\", \"samples\": %d, \"threads\": %u, "
       "\"us_per_sample\": %.1f, \"samples_per_sec\": %.1f, "
-      "\"allocs_per_sample\": %.1f, \"speedup_vs_fresh\": %.2f, "
+      "\"allocs_per_sample\": %.1f, \"%s\": %.2f, "
       "\"max_rel_delta\": %.2e, \"within_tolerance\": %s, "
       "\"metrics_fnv1a\": \"0x%016llx\"}\n",
       name.c_str(), samples, gThreads, t.usPerSample, 1e6 / t.usPerSample,
-      t.allocsPerSample, freshUsPerSample / t.usPerSample, relDelta,
+      t.allocsPerSample, speedupField, session.usPerSample / t.usPerSample,
+      relDelta,
       // Same per-sample bound the campaign tolerance tests assert
-      // (tests/sim/test_reuse_pivot_campaign.cpp).
+      // (tests/sim/test_reuse_pivot_campaign.cpp,
+      // tests/sim/test_fast_campaign.cpp).
       relDelta <= 1e-8 ? "true" : "false",
       static_cast<unsigned long long>(metricsHash(t.result)));
 }
@@ -225,12 +238,17 @@ spice::SessionOptions reusePivotOptions() {
   return o;
 }
 
+spice::SessionOptions fastOptions() {
+  spice::SessionOptions o;
+  o.numerics = models::NumericsMode::fast;
+  return o;
+}
+
 /// The "current best" per-sample throughput configuration: SIMD device
 /// kernels + amortized pivot order.  The statistical tier is benchmarked on
 /// top of exactly this baseline.
 spice::SessionOptions fastReuseOptions() {
-  spice::SessionOptions o;
-  o.numerics = models::NumericsMode::fast;
+  spice::SessionOptions o = fastOptions();
   o.solver = linalg::SolverMode::reusePivot;
   return o;
 }
@@ -291,17 +309,13 @@ void emitStatisticalTier(const std::string& name, int samples,
 void runScalingCombos(
     const std::string& name, int samples,
     const std::function<mc::McResult(int, spice::SessionOptions)>& session) {
-  spice::SessionOptions fastOpt;
-  fastOpt.numerics = models::NumericsMode::fast;
-  spice::SessionOptions fastReuseOpt = fastOpt;
-  fastReuseOpt.solver = linalg::SolverMode::reusePivot;
   const struct {
     const char* suffix;
     spice::SessionOptions options;
   } combos[] = {{"_session", spice::SessionOptions{}},
-                {"_session_fast", fastOpt},
+                {"_session_fast", fastOptions()},
                 {"_session_reuse", reusePivotOptions()},
-                {"_session_fast_reuse", fastReuseOpt},
+                {"_session_fast_reuse", fastReuseOptions()},
                 // Statistical tier on the fast+reuse baseline: block
                 // geometry depends only on McOptions::sampleBlock, so the
                 // warm-chain results must hash identically across 1/2/4
@@ -314,11 +328,11 @@ void runScalingCombos(
   }
 }
 
-/// One workload: measures the fresh session path, the pivot-reuse session
-/// path (reuse tolerance contract), and the statistical tier; emits one
-/// JSONL line each.  In --scaling mode every session-mode combination
-/// runs instead (cross-thread-count identity is checked by comparing
-/// metrics_fnv1a across whole runs, not in-process).
+/// One workload: measures the fresh session path, the pivot-reuse,
+/// fast-numerics and composed session paths (tolerance contract), and the
+/// statistical tier; emits one JSONL line each.  In --scaling mode every
+/// session-mode combination runs instead (cross-thread-count identity is
+/// checked by comparing metrics_fnv1a across whole runs, not in-process).
 void benchWorkload(
     const std::string& name, int samples,
     const std::function<mc::McResult(int, spice::SessionOptions)>& session) {
@@ -331,10 +345,14 @@ void benchWorkload(
   const CampaignTiming u = timeCampaign(
       samples, [&](int n) { return session(n, reusePivotOptions()); });
   emitSession(name + "_session", samples, s);
-  emitReuse(name + "_session_reuse", samples, u, s.usPerSample,
-            bench::maxRelMetricDelta(u.result, s.result));
+  emitTolerance(name + "_session_reuse", samples, u, "speedup_vs_fresh", s);
+  const CampaignTiming f = timeCampaign(
+      samples, [&](int n) { return session(n, fastOptions()); });
   const CampaignTiming b = timeCampaign(
       samples, [&](int n) { return session(n, fastReuseOptions()); });
+  emitTolerance(name + "_session_fast", samples, f, "speedup_vs_session", s);
+  emitTolerance(name + "_session_fast_reuse", samples, b,
+                "speedup_vs_session", s);
   const CampaignTiming st = timeCampaign(
       samples, [&](int n) { return session(n, statisticalOptions()); });
   emitStatisticalTier(name + "_statistical_tier", samples, st, b);

@@ -1,48 +1,31 @@
-// Device-bank benchmark: scalar per-element MOSFET evaluation vs the
-// struct-of-arrays banked path (spice/device_bank.hpp) vs the banked path
-// in NumericsMode::fast (SIMD transcendental kernels), at two levels:
+// Device-bank micro benchmark: raw Newton-load evaluation of a 6-lane VS
+// bank (the 6T SRAM device population) -- per-device virtual evaluateLoad
+// vs one evaluateLoadBatch with per-lane cached derived parameters, in
+// both numerics modes (NumericsMode::fast = the SIMD transcendental
+// kernels).
 //
-//   micro    -- raw Newton-load evaluation of a 6-lane VS bank (the 6T SRAM
-//               device population): per-device virtual evaluateLoad vs one
-//               evaluateLoadBatch with per-lane cached derived parameters,
-//               in both numerics modes;
-//   campaign -- the paper's two statistical inner loops (SRAM SNM DC
-//               sweeps, INV FO3 transient delay) through scalar-session,
-//               reference-banked-session, and fast-banked-session Monte
-//               Carlo campaigns, identical seeds.
-//
-// Reference rows verify bit-identity between the compared paths in-run;
-// fast rows verify the tolerance contract instead (max relative metric
-// deviation from the reference run, reported as "max_rel_delta" and
+// The banked row verifies bit-identity with the per-device calls in-run;
+// the fast row verifies the tolerance contract instead (max relative
+// deviation from the per-device calls, reported as "max_rel_delta" and
 // asserted under "within_tolerance").  "allocs" counts heap allocations
-// per sample/evaluation in steady state.  A fourth campaign row composes
-// the two session-mode axes -- NumericsMode::fast + SolverMode::reusePivot
-// -- with "speedup_vs_fresh" against the fast/fresh run and the same
-// tolerance accounting (the reference-numerics reuse rows live in
-// bench_campaign).
+// per evaluation in steady state.  Campaign throughput of every session
+// configuration (reference, fast, reusePivot, their composition, the
+// statistical tier) is measured once, in bench_campaign.
 //
 // Output is machine-readable JSON, one object per line on stdout;
 // BENCH_device_bank.json records a reference run and CI gates regressions
 // against it (scripts/check_bench_regression.py).
 //
 // Usage: bench_device_bank [--quick]
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "alloc_counter.hpp"
-#include "circuits/benchmarks.hpp"
-#include "common.hpp"
-#include "mc/circuit_campaign.hpp"
-#include "mc/providers.hpp"
-#include "mc/runner.hpp"
-#include "measure/delay.hpp"
-#include "measure/snm.hpp"
 #include "models/vs_model.hpp"
 #include "models/vs_params.hpp"
 
@@ -164,206 +147,17 @@ void benchMicro(int sweeps) {
   if (checksum == 12345.0) std::printf("# impossible\n");  // defeat DCE
 }
 
-// --- campaigns: scalar vs banked sessions -----------------------------------
-
-models::PelgromAlphas benchAlphas() {
-  models::PelgromAlphas a;
-  a.aVt0 = 2.3;
-  a.aLeff = 3.7;
-  a.aWeff = 3.7;
-  a.aMu = 900.0;
-  a.aCinv = 0.3;
-  return a;
-}
-
-std::unique_ptr<circuits::DeviceProvider> makeProvider(stats::Rng rng) {
-  return std::make_unique<mc::VsStatisticalProvider>(
-      models::defaultVsNmos(), models::defaultVsPmos(), benchAlphas(),
-      benchAlphas(), rng);
-}
-
-struct CampaignTiming {
-  mc::McResult result;
-  double usPerSample = 0.0;
-  double allocsPerSample = 0.0;
-};
-
-/// allocs_per_sample is MARGINAL: the fixed campaign-construction cost
-/// (sessions, pattern capture, bank SoA state) is measured on a small
-/// reference campaign and differenced out, leaving the steady-state
-/// allocation cost of one more sample -- zero, per the engine contract.
-constexpr int kWarmSamples = 4;
-
-CampaignTiming timeCampaign(int samples,
-                            const std::function<mc::McResult(int)>& run) {
-  (void)run(kWarmSamples);  // warmup: sessions, thread pool, thread_locals
-  const std::uint64_t base0 = bench::heapAllocations();
-  (void)run(kWarmSamples);  // fixed campaign cost + kWarmSamples marginals
-  const std::uint64_t base1 = bench::heapAllocations();
-
-  const std::uint64_t allocs0 = bench::heapAllocations();
-  const auto t0 = Clock::now();
-  CampaignTiming t;
-  t.result = run(samples);
-  const auto t1 = Clock::now();
-  const std::uint64_t allocs1 = bench::heapAllocations();
-
-  const double us = static_cast<double>(
-      std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0).count());
-  t.usPerSample = us / samples;
-  t.allocsPerSample =
-      (static_cast<double>(allocs1 - allocs0) -
-       static_cast<double>(base1 - base0)) /
-      static_cast<double>(samples - kWarmSamples);
-  return t;
-}
-
-bool bitIdentical(const mc::McResult& a, const mc::McResult& b) {
-  if (a.failures != b.failures || a.metrics.size() != b.metrics.size())
-    return false;
-  for (std::size_t m = 0; m < a.metrics.size(); ++m)
-    if (a.metrics[m] != b.metrics[m]) return false;
-  return true;
-}
-
-constexpr int kSnmPoints = 45;
-constexpr std::uint64_t kSeed = 901;
-
-mc::McOptions options(int samples) {
-  mc::McOptions opt;
-  opt.samples = samples;
-  opt.seed = kSeed;
-  opt.threads = 1;  // per-sample cost comparison, not parallel throughput
-  return opt;
-}
-
-mc::McResult snmCampaign(int n, spice::SessionOptions sessionOptions) {
-  return mc::runCampaign<circuits::SramButterflyBench>(
-      options(n), 1,
-      [](circuits::DeviceProvider& provider) {
-        return circuits::buildSramButterfly(provider, 0.9,
-                                            circuits::SramMode::Read,
-                                            circuits::SramSizing{});
-      },
-      [] { return makeProvider(stats::Rng(0)); },
-      [](std::size_t,
-         sim::CampaignSession<circuits::SramButterflyBench>& session,
-         stats::Rng&, std::vector<double>& out) {
-        out[0] =
-            measure::measureSnm(session.fixture(), session.spice(), kSnmPoints)
-                .cellSnm();
-      },
-      sessionOptions);
-}
-
-mc::McResult invCampaign(int n, spice::SessionOptions sessionOptions) {
-  return mc::runCampaign<circuits::GateFo3Bench>(
-      options(n), 1,
-      [](circuits::DeviceProvider& provider) {
-        return circuits::buildInvFo3(provider, circuits::CellSizing{},
-                                     circuits::StimulusSpec{});
-      },
-      [] { return makeProvider(stats::Rng(0)); },
-      [](std::size_t, sim::CampaignSession<circuits::GateFo3Bench>& session,
-         stats::Rng&, std::vector<double>& out) {
-        out[0] =
-            measure::measureGateDelays(session.fixture(), session.spice())
-                .average();
-      },
-      sessionOptions);
-}
-
-void benchWorkload(
-    const std::string& name, int samples,
-    const std::function<mc::McResult(int, spice::SessionOptions)>& campaign) {
-  spice::SessionOptions scalarOpt;
-  scalarOpt.useDeviceBank = false;
-  spice::SessionOptions bankedOpt;
-  spice::SessionOptions fastOpt;
-  fastOpt.numerics = models::NumericsMode::fast;
-  spice::SessionOptions fastReuseOpt = fastOpt;
-  fastReuseOpt.solver = linalg::SolverMode::reusePivot;
-
-  const CampaignTiming scalar =
-      timeCampaign(samples, [&](int n) { return campaign(n, scalarOpt); });
-  const CampaignTiming banked =
-      timeCampaign(samples, [&](int n) { return campaign(n, bankedOpt); });
-  const CampaignTiming fast =
-      timeCampaign(samples, [&](int n) { return campaign(n, fastOpt); });
-  const CampaignTiming fastReuse =
-      timeCampaign(samples, [&](int n) { return campaign(n, fastReuseOpt); });
-  const bool identical = bitIdentical(scalar.result, banked.result);
-  const double fastDelta = bench::maxRelMetricDelta(fast.result, banked.result);
-  // The composed modes' tolerance is accounted against the fast/fresh run:
-  // that isolates what SolverMode::reusePivot adds on top of the already-
-  // tolerance-checked fast numerics.
-  const double fastReuseDelta =
-      bench::maxRelMetricDelta(fastReuse.result, fast.result);
-  std::printf("{\"name\": \"%s_scalar_session\", \"samples\": %d, "
-              "\"us_per_sample\": %.1f, \"samples_per_sec\": %.1f, "
-              "\"allocs_per_sample\": %.1f}\n",
-              name.c_str(), samples, scalar.usPerSample,
-              1e6 / scalar.usPerSample, scalar.allocsPerSample);
-  std::printf("{\"name\": \"%s_banked_session\", \"samples\": %d, "
-              "\"us_per_sample\": %.1f, \"samples_per_sec\": %.1f, "
-              "\"allocs_per_sample\": %.1f, \"speedup_vs_scalar\": %.2f, "
-              "\"bit_identical\": %s}\n",
-              name.c_str(), samples, banked.usPerSample,
-              1e6 / banked.usPerSample, banked.allocsPerSample,
-              scalar.usPerSample / banked.usPerSample,
-              identical ? "true" : "false");
-  std::printf("{\"name\": \"%s_fast_session\", \"samples\": %d, "
-              "\"us_per_sample\": %.1f, \"samples_per_sec\": %.1f, "
-              "\"allocs_per_sample\": %.1f, \"speedup_vs_scalar\": %.2f, "
-              "\"speedup_vs_banked\": %.2f, \"max_rel_delta\": %.2e, "
-              "\"within_tolerance\": %s}\n",
-              name.c_str(), samples, fast.usPerSample, 1e6 / fast.usPerSample,
-              fast.allocsPerSample, scalar.usPerSample / fast.usPerSample,
-              banked.usPerSample / fast.usPerSample, fastDelta,
-              // Same per-sample bound the campaign tolerance tests assert
-              // (tests/sim/test_fast_campaign.cpp); measured ~1e-14.
-              fastDelta <= 1e-8 ? "true" : "false");
-  std::printf("{\"name\": \"%s_fast_reuse_session\", \"samples\": %d, "
-              "\"us_per_sample\": %.1f, \"samples_per_sec\": %.1f, "
-              "\"allocs_per_sample\": %.1f, \"speedup_vs_fresh\": %.2f, "
-              "\"speedup_vs_banked\": %.2f, \"max_rel_delta\": %.2e, "
-              "\"within_tolerance\": %s}\n",
-              name.c_str(), samples, fastReuse.usPerSample,
-              1e6 / fastReuse.usPerSample, fastReuse.allocsPerSample,
-              fast.usPerSample / fastReuse.usPerSample,
-              banked.usPerSample / fastReuse.usPerSample, fastReuseDelta,
-              // tests/sim/test_reuse_pivot_campaign.cpp asserts the same
-              // 1e-8 per-sample bound for the composed modes.
-              fastReuseDelta <= 1e-8 ? "true" : "false");
-}
-
-int run(int micro, int snmSamples, int invSamples) {
-  benchMicro(micro);
-  benchWorkload("sram_snm", snmSamples, [](int n, spice::SessionOptions o) {
-    return snmCampaign(n, o);
-  });
-  benchWorkload("inv_fo3", invSamples, [](int n, spice::SessionOptions o) {
-    return invCampaign(n, o);
-  });
-  return 0;
-}
-
 }  // namespace
 }  // namespace vsstat
 
 int main(int argc, char** argv) {
   int micro = 200000;
-  int snmSamples = 160;
-  int invSamples = 48;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      micro = 20000;
-      snmSamples = 32;
-      invSamples = 12;
-    }
+    if (std::strcmp(argv[i], "--quick") == 0) micro = 20000;
   }
   try {
-    return vsstat::run(micro, snmSamples, invSamples);
+    vsstat::benchMicro(micro);
+    return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bench_device_bank: %s\n", e.what());
     return 1;

@@ -44,6 +44,7 @@ HIGHER_BETTER = (
     "speedup_vs_scalar",
     "speedup_vs_scalar_fit",
     "speedup_vs_banked",
+    "speedup_vs_session",
     "speedup_vs_fresh",
     "speedup_vs_norescue",
     "speedup_vs_dense_lu",

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 namespace vsstat::serve {
 
@@ -333,12 +334,25 @@ double asNumber(const JsonValue& v, const char* what) {
   return v.number;
 }
 
-long asInteger(const JsonValue& v, const char* what) {
+/// An integer field inside [lo, hi].  The range is checked on the double,
+/// before any cast: converting a double outside the target type's range
+/// is undefined behaviour, and narrowing after a cast would wrap.
+std::int64_t asInteger(const JsonValue& v, const char* what, std::int64_t lo,
+                       std::int64_t hi) {
   const double d = asNumber(v, what);
-  const double r = std::nearbyint(d);
-  if (d != r) badRequest(std::string(what) + " must be an integer");
-  return static_cast<long>(r);
+  if (d != std::nearbyint(d))
+    badRequest(std::string(what) + " must be an integer");
+  if (!(d >= static_cast<double>(lo) && d <= static_cast<double>(hi)))
+    badRequest(std::string(what) + " must be in [" + std::to_string(lo) +
+               ", " + std::to_string(hi) + "]");
+  return static_cast<std::int64_t>(d);
 }
+
+// Integer field ranges (request.hpp's schema comment documents them).
+constexpr std::int64_t kMaxSamples = 100'000'000;
+constexpr std::int64_t kMaxSeed = std::int64_t{1} << 53;  // exact in double
+constexpr std::int64_t kMaxThreads = 1024;
+constexpr std::int64_t kMaxCadence = std::numeric_limits<int>::max();
 
 void rejectUnknownKeys(const JsonValue& obj, const char* what,
                        std::initializer_list<const char*> allowed) {
@@ -470,21 +484,15 @@ CampaignRequest parseCampaignRequest(const JsonValue& root) {
   req.deck = asString(member(root, "deck"), "deck");
   if (req.deck.empty()) badRequest("deck must not be empty");
 
-  if (const JsonValue* samples = root.find("samples")) {
-    const long n = asInteger(*samples, "samples");
-    if (n <= 0 || n > 100'000'000) badRequest("samples out of range");
-    req.samples = static_cast<int>(n);
-  }
-  if (const JsonValue* seed = root.find("seed")) {
-    const long s = asInteger(*seed, "seed");
-    if (s < 0) badRequest("seed must be >= 0");
-    req.seed = static_cast<std::uint64_t>(s);
-  }
-  if (const JsonValue* threads = root.find("threads")) {
-    const long t = asInteger(*threads, "threads");
-    if (t < 0 || t > 1024) badRequest("threads out of range");
-    req.threads = static_cast<unsigned>(t);
-  }
+  if (const JsonValue* samples = root.find("samples"))
+    req.samples = static_cast<int>(asInteger(*samples, "samples", 1,
+                                             kMaxSamples));
+  if (const JsonValue* seed = root.find("seed"))
+    req.seed = static_cast<std::uint64_t>(asInteger(*seed, "seed", 0,
+                                                    kMaxSeed));
+  if (const JsonValue* threads = root.find("threads"))
+    req.threads = static_cast<unsigned>(asInteger(*threads, "threads", 0,
+                                                  kMaxThreads));
   if (const JsonValue* mode = root.find("mode")) parseMode(*mode, req.mode);
   if (const JsonValue* scheme = root.find("scheme")) {
     try {
@@ -497,21 +505,15 @@ CampaignRequest parseCampaignRequest(const JsonValue& root) {
     parseVariability(*variability, req);
   parseMeasure(member(root, "measure"), req.measure);
 
-  if (const JsonValue* every = root.find("stream_every")) {
-    const long k = asInteger(*every, "stream_every");
-    if (k <= 0) badRequest("stream_every must be > 0");
-    req.streamEvery = static_cast<int>(k);
-  }
-  if (const JsonValue* every = root.find("kde_every")) {
-    const long k = asInteger(*every, "kde_every");
-    if (k < 0) badRequest("kde_every must be >= 0");
-    req.kdeEvery = static_cast<int>(k);
-  }
-  if (const JsonValue* points = root.find("kde_points")) {
-    const long k = asInteger(*points, "kde_points");
-    if (k < 2 || k > 4096) badRequest("kde_points out of range");
-    req.kdePoints = static_cast<int>(k);
-  }
+  if (const JsonValue* every = root.find("stream_every"))
+    req.streamEvery = static_cast<int>(asInteger(*every, "stream_every", 1,
+                                                 kMaxCadence));
+  if (const JsonValue* every = root.find("kde_every"))
+    req.kdeEvery = static_cast<int>(asInteger(*every, "kde_every", 0,
+                                              kMaxCadence));
+  if (const JsonValue* points = root.find("kde_points"))
+    req.kdePoints = static_cast<int>(asInteger(*points, "kde_points", 2,
+                                               4096));
   return req;
 }
 

@@ -15,9 +15,10 @@
 //
 //   {"id": "r1",                      optional echo tag (default "")
 //    "deck": "...\n...",              REQUIRED SPICE netlist text
-//    "samples": 1000,                 sample budget           (default 1000)
-//    "seed": 42,                      campaign seed           (default 42)
-//    "threads": 1,                    worker threads, 0=all   (default 1)
+//    "samples": 1000,                 sample budget, 1..1e8   (default 1000)
+//    "seed": 42,                      campaign seed, 0..2^53  (default 42)
+//    "threads": 1,                    worker threads, 0..1024, 0=all
+//                                                             (default 1)
 //    "mode": {"numerics": "reference"|"fast",
 //             "solver":   "fresh"|"reusePivot",
 //             "tier":     "perSample"|"statistical"},
@@ -29,9 +30,14 @@
 //    "measure": {"analysis": "op"|"tran",           (default "op")
 //                "probes": ["out", ...],            REQUIRED, >= 1 node
 //                "spec": {"min": 0.1, "max": 0.5}}, (optional yield window)
-//    "stream_every": 256,             progress-frame cadence in samples
-//    "kde_every": 0,                  KDE-frame cadence (0 = off)
-//    "kde_points": 32}                KDE grid resolution
+//    "stream_every": 256,             progress-frame cadence in samples,
+//                                     1..2^31-1
+//    "kde_every": 0,                  KDE-frame cadence, 0..2^31-1 (0 = off)
+//    "kde_points": 32}                KDE grid resolution, 2..4096
+//
+// Integer fields must be exact integers inside their ranges; the range is
+// checked on the JSON number before any conversion, so an out-of-range
+// value is rejected, never wrapped.
 #ifndef VSSTAT_SERVE_REQUEST_HPP
 #define VSSTAT_SERVE_REQUEST_HPP
 

@@ -122,15 +122,21 @@ int CampaignServer::listenTcp(int port) {
 
 void CampaignServer::serve() {
   require(listenFd_ >= 0, "CampaignServer: listen before serve");
-  running_.store(true);
-  while (running_.load()) {
+  // stop() is sticky: one that landed before this call returns it at once.
+  // A later stop() shuts the listening socket down, which fails the
+  // blocked accept().
+  while (true) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (stopped_) break;
+    }
     const int fd = ::accept(listenFd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
       break;  // listening socket shut down by stop()
     }
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (!running_.load()) {
+    if (stopped_) {
       ::close(fd);
       break;
     }
@@ -147,9 +153,9 @@ void CampaignServer::serve() {
 }
 
 void CampaignServer::stop() {
-  if (!running_.exchange(false)) return;
-  if (listenFd_ >= 0) ::shutdown(listenFd_, SHUT_RDWR);
   const std::lock_guard<std::mutex> lock(mutex_);
+  stopped_ = true;
+  if (listenFd_ >= 0) ::shutdown(listenFd_, SHUT_RDWR);
   for (const int fd : connections_) ::shutdown(fd, SHUT_RDWR);
 }
 
@@ -193,11 +199,15 @@ void CampaignServer::handleConnection(int fd) {
       p = newline + 1;
     }
   }
+  // Unregister before closing: once closed, accept() may hand the same fd
+  // number to a new client, whose entry the erase would then remove too.
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    connections_.erase(
+        std::remove(connections_.begin(), connections_.end(), fd),
+        connections_.end());
+  }
   ::close(fd);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  connections_.erase(
-      std::remove(connections_.begin(), connections_.end(), fd),
-      connections_.end());
 }
 
 }  // namespace vsstat::serve

@@ -18,7 +18,6 @@
 #ifndef VSSTAT_SERVE_SERVER_HPP
 #define VSSTAT_SERVE_SERVER_HPP
 
-#include <atomic>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -62,7 +61,8 @@ class CampaignServer {
   void serve();
 
   /// Stops the accept loop and shuts down every live connection; serve()
-  /// returns and joins its handler threads.  Idempotent.
+  /// returns and joins its handler threads.  Idempotent and sticky: a
+  /// stop() before serve() makes serve() return at once.
   void stop();
 
   [[nodiscard]] SessionCache& cache() noexcept { return cache_; }
@@ -72,8 +72,8 @@ class CampaignServer {
 
   SessionCache cache_;
   int listenFd_ = -1;
-  std::atomic<bool> running_{false};
-  std::mutex mutex_;  ///< guards connections_ and threads_
+  std::mutex mutex_;  ///< guards stopped_, connections_ and threads_
+  bool stopped_ = false;  ///< set by stop(), never cleared
   std::vector<int> connections_;
   std::vector<std::thread> threads_;
 };

@@ -9,8 +9,8 @@
 
 namespace vsstat::spice::detail {
 
-Assembler::Assembler(const Circuit& circuit, bool useDeviceBank,
-                     models::NumericsMode numerics, linalg::SolverMode solver)
+Assembler::Assembler(const Circuit& circuit, models::NumericsMode numerics,
+                     linalg::SolverMode solver)
     : circuit_(circuit),
       numNodes_(circuit.nodeCount() - 1),
       numUnknowns_(circuit.unknownCount()),
@@ -18,27 +18,10 @@ Assembler::Assembler(const Circuit& circuit, bool useDeviceBank,
       chargeNow_(static_cast<std::size_t>(circuit.chargeSlotTotal()), 0.0),
       chargePrev_(chargeNow_.size(), 0.0),
       histTerm_(chargeNow_.size(), 0.0) {
-  require(useDeviceBank || numerics == models::NumericsMode::reference,
-          "Assembler: fast numerics requires the device bank (the scalar "
-          "element loop is reference-only)");
   capturePattern();
   workspace_.dx.assign(numUnknowns_, 0.0);
   workspace_.lu.setSolverMode(solver);
-  if (useDeviceBank) {
-    auto bank = std::make_unique<DeviceBankSet>(circuit_, pattern_, numerics);
-    if (bank->laneCount() > 0) bankSet_ = std::move(bank);
-  }
-}
-
-void Assembler::syncDeviceBank() {
-  if (bankSet_ != nullptr && !bankSet_->sync()) bankSet_->rebuild();
-}
-
-void Assembler::setNumericsMode(models::NumericsMode numerics) {
-  require(bankSet_ != nullptr || numerics == models::NumericsMode::reference,
-          "Assembler: fast numerics requires the device bank (the scalar "
-          "element loop is reference-only)");
-  if (bankSet_ != nullptr) bankSet_->setNumerics(numerics);
+  bankSet_ = std::make_unique<DeviceBankSet>(circuit_, pattern_, numerics);
 }
 
 void Assembler::checkBankLanesFinite() const {
@@ -68,7 +51,8 @@ void Assembler::capturePattern() {
   // Element sparsity structure is bias-independent by contract, so one pass
   // at the zero iterate sees every position.  Transient mode (c0 != 0) is
   // forced so charge-derivative stamps are captured too; node diagonals are
-  // added explicitly for the gmin homotopy shunts.
+  // added explicitly for the gmin homotopy shunts.  A MOSFET's load()
+  // only declares its 3x3 terminal footprint here: no device is evaluated.
   capturing_ = true;
   const linalg::Vector zero(numUnknowns_, 0.0);
   x_ = &zero;
@@ -103,39 +87,34 @@ void Assembler::assemble(const linalg::Vector& x) {
   std::fill(residual_.begin(), residual_.end(), 0.0);
   std::fill(chargeNow_.begin(), chargeNow_.end(), 0.0);
 
-  // Banked path: refresh any lanes invalidated by a rebind, then gather
-  // every device's canonical bias and batch-evaluate all model groups up
-  // front.  The element loop below scatters the precomputed lane results
-  // in circuit element order, so residual/Jacobian accumulation order --
-  // and therefore every floating-point sum -- matches the scalar loop.
-  if (bankSet_ != nullptr) {
-    if (!bankSet_->sync()) bankSet_->rebuild();
-    bankSet_->evaluate(x);
-    // The NaN-lane fault models a FAST kernel lane gone bad, so it only
-    // fires while the bank runs fast numerics: the rescue ladder's
-    // reference-numerics rung then genuinely heals it (and the rescued
-    // metric is bit-identical to a reference-mode campaign's).
-    if (faultArmed_ &&
-        bankSet_->numerics() == models::NumericsMode::fast &&
-        injector_->nanLaneAt(faultSample_, faultAttempt_))
-      bankSet_->poisonLaneForTest(0, 0);
-    // Seam guard: garbage must not scatter into the matrix silently.  A
-    // bad lane (fast-chain overflow, injected fault) becomes a classified
-    // NonFiniteError that the Newton driver and rescue ladder understand.
-    checkBankLanesFinite();
-  }
+  // Refresh any lanes invalidated by a rebind, then gather every device's
+  // canonical bias and batch-evaluate all model groups up front.  The
+  // element loop below scatters each lane at its MOSFET's place in circuit
+  // element order, so the accumulation order of every residual/Jacobian
+  // sum is fixed by the circuit alone.
+  syncDeviceBank();
+  bankSet_->evaluate(x);
+  // The NaN-lane fault models a FAST kernel lane gone bad, so it only
+  // fires while the bank runs fast numerics: the rescue ladder's
+  // reference-numerics rung then genuinely heals it (and the rescued
+  // metric is bit-identical to a reference-mode campaign's).
+  if (faultArmed_ && bankSet_->numerics() == models::NumericsMode::fast &&
+      injector_->nanLaneAt(faultSample_, faultAttempt_))
+    bankSet_->poisonLaneForTest(0, 0);
+  // Seam guard: garbage must not scatter into the matrix silently.  A bad
+  // lane (fast-chain overflow, injected fault) becomes a classified
+  // NonFiniteError that the Newton driver and rescue ladder understand.
+  checkBankLanesFinite();
 
   LoadContext ctx;
   ctx.assembler_ = this;
   const auto& elements = circuit_.elements();
+  const auto& lanes = bankSet_->elementLanes();
   for (std::size_t idx = 0; idx < elements.size(); ++idx) {
-    if (bankSet_ != nullptr) {
-      const BankLaneRef ref = bankSet_->elementLanes()[idx];
-      if (ref.group >= 0) {
-        scatterBankedLane(bankSet_->group(ref.group),
-                          static_cast<std::size_t>(ref.lane));
-        continue;
-      }
+    if (const BankLaneRef ref = lanes[idx]; ref.group >= 0) {
+      scatterBankedLane(bankSet_->group(ref.group),
+                        static_cast<std::size_t>(ref.lane));
+      continue;
     }
     const auto& element = elements[idx];
     ctx.branchBase_ = element->branchBase();
@@ -166,11 +145,12 @@ void Assembler::assemble(const linalg::Vector& x) {
 
 void Assembler::scatterBankedLane(const DeviceBankGroup& grp,
                                   std::size_t lane) noexcept {
-  // Mirror of MosfetElement::scatterLoad with the LoadContext indirection
-  // and per-stamp slot lookups replaced by the lane's captured rows/slots.
-  // Stamp order and per-stamp arithmetic are identical, which keeps banked
-  // assemblies bit-identical to scalar ones (pinned by tests/spice/
-  // test_device_bank.cpp and the campaign bit-identity suite).
+  // The one MOSFET stamp.  Canonical (N-convention) current and charges
+  // map back to the terminals with the polarity sign; the derivatives need
+  // none, because the sign enters twice (sign * di/dvgs * sign).  Rows and
+  // slots are the lane's captured ones, -1 where a terminal is ground.
+  // Pinned against MosfetModel::evaluateLoad by
+  // tests/spice/test_device_bank.cpp.
   const models::MosfetLoadEvaluation& ev = grp.out[lane];
   const double sign = grp.sign[lane];
   const std::int32_t rowD = grp.rowD[lane];

@@ -1,4 +1,5 @@
-// Internal: struct-of-arrays device bank behind the Newton assembler.
+// Internal: struct-of-arrays device bank behind the Newton assembler -- the
+// only way a MOSFET enters the Newton system.
 //
 // At Assembler construction every MosfetElement is gathered into a
 // homogeneous group per concrete model type; each group carries a
@@ -15,11 +16,13 @@
 //             entries straight into the captured CSR slots, in circuit
 //             element order (Assembler::scatterBankedLane).
 //
-// Bit-identity contract: the gather reproduces LoadContext::v's voltage
-// lookup, the bank reproduces evaluateLoad (models::MosfetLoadBank
-// contract), and the scatter replays MosfetElement::scatterLoad's stamp
-// sequence value-for-value in the same element order -- so a banked
-// assembly accumulates exactly the doubles the scalar element loop would.
+// Reference contract: the gather reproduces LoadContext::v's voltage
+// lookup, and under NumericsMode::reference the bank reproduces
+// MosfetModel::evaluateLoad lane for lane (models::MosfetLoadBank
+// contract, pinned by test_model_contract).  The scatter stamps exactly
+// the values built from that evaluation (pinned by test_device_bank), at
+// each MOSFET's place in circuit element order -- so the accumulation
+// order of every sum is fixed by the circuit alone.
 //
 // Rebinds: lanes cache bias-independent state, so the bank tracks each
 // element's cardVersion().  sync() re-derives stale lanes through
@@ -80,7 +83,8 @@ class DeviceBankSet {
   /// is the assembler's captured MNA sparsity (must outlive the bank set,
   /// as must the circuit).  `numerics` selects each group bank's evaluation
   /// contract (models::NumericsMode): reference = bit-identical to the
-  /// scalar element loop, fast = vectorized kernels within tolerance.
+  /// model's evaluateLoad, fast = vectorized kernels within tolerance.
+  /// A MOSFET-free circuit yields an empty set.
   DeviceBankSet(const Circuit& circuit, const linalg::SparsePattern& pattern,
                 models::NumericsMode numerics = models::NumericsMode::reference);
 

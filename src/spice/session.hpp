@@ -8,7 +8,8 @@
 // indicators).  Device cards may be rebound between runs
 // (MosfetElement::rebind) because the MNA stamp pattern is bias- and
 // parameter-independent by contract.  The free functions in analysis.hpp
-// are one-shot sessions with default options.
+// are one-shot sessions with default options.  Every MOSFET is evaluated
+// and stamped by the assembler's device bank (spice/device_bank.hpp).
 //
 // Numerics contract: each solve resets the workspace factorization's pivot
 // order first, so every analysis is bit-identical to the same analysis on
@@ -90,17 +91,12 @@ enum class ToleranceTier : std::uint8_t {
 }
 
 struct SessionOptions {
-  /// Batched struct-of-arrays MOSFET evaluation (spice/device_bank.hpp).
-  /// Bit-identical to the scalar element loop by contract; turning it off
-  /// selects the scalar fallback (the reference the bank is tested
-  /// against, and an escape hatch for exotic element mixes).
-  bool useDeviceBank = true;
-  /// Numerics contract of the banked model evaluation
-  /// (models::NumericsMode).  `reference` (default) pins every analysis
-  /// bit-identical to the free functions; `fast` batches the VS chain's
-  /// transcendentals through the vectorized kernels of util/simd_math.hpp
-  /// -- deterministic and tolerance-checked against reference, but NOT
-  /// bit-identical to it.  Fast requires `useDeviceBank` (enforced).
+  /// Numerics contract of the device bank's MOSFET evaluation
+  /// (models::NumericsMode, spice/device_bank.hpp).  `reference` (default)
+  /// pins every analysis bit-identical to the free functions; `fast`
+  /// batches the VS chain's transcendentals through the vectorized kernels
+  /// of util/simd_math.hpp -- deterministic and tolerance-checked against
+  /// reference, but NOT bit-identical to it.
   models::NumericsMode numerics = models::NumericsMode::reference;
   /// Pivot policy of the workspace factorization (linalg::SolverMode).
   /// `fresh` (default) re-pivots per solve, pinning every analysis
@@ -172,8 +168,8 @@ class SimSession {
   /// optimization, not a correctness requirement.
   void syncDeviceBank();
 
-  /// Banked MOSFET lanes (0 = scalar fallback / no MOSFETs): telemetry for
-  /// tests and benches that assert banking is actually engaged.
+  /// Banked MOSFET lanes (0 for a MOSFET-free circuit): telemetry for
+  /// tests and benches that assert every device is banked.
   [[nodiscard]] std::size_t deviceBankLaneCount() const noexcept;
 
   /// Workspace-factorization counters: proof that a solver mode is actually
@@ -213,7 +209,6 @@ class SimSession {
   }
 
   /// Switches the banked evaluation contract in place (fast <-> reference).
-  /// Throws when asked for fast numerics on a bank-less session.
   void setNumericsMode(models::NumericsMode numerics);
   [[nodiscard]] models::NumericsMode numericsMode() const noexcept;
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <string>
 
 namespace vsstat::serve {
@@ -184,6 +185,48 @@ TEST(CampaignRequestSchema, RejectsSchemaViolations) {
       R"({"deck": "x", "variability": {"nmos": {"avtO": 1}},
           "measure": {"probes": ["a"]}})",
       "avtO");
+}
+
+TEST(Request, RejectsIntegersOutsideTheirRange) {
+  const auto with = [](const std::string& fields) {
+    return R"({"deck": "x", "measure": {"probes": ["a"]}, )" + fields + "}";
+  };
+  // Beyond the casts a parser could make: converting 1e19 to a 64-bit
+  // integer is undefined, and narrowing 2^32 to int wraps it to 0.
+  expectBadRequest(with(R"("seed": 1e19)"), "seed must be in [0, ");
+  expectBadRequest(with(R"("seed": 9007199254740994)"), "seed");  // 2^53 + 2
+  expectBadRequest(with(R"("seed": -1)"), "seed");
+  expectBadRequest(with(R"("samples": 1e19)"), "samples");
+  expectBadRequest(with(R"("samples": 100000001)"), "samples");
+  expectBadRequest(with(R"("threads": 1025)"), "threads");
+  expectBadRequest(with(R"("threads": -1e300)"), "threads");
+  expectBadRequest(with(R"("stream_every": 4294967296)"), "stream_every");
+  expectBadRequest(with(R"("stream_every": 0)"), "stream_every");
+  expectBadRequest(with(R"("kde_every": 4294967297)"), "kde_every");
+  expectBadRequest(with(R"("kde_every": 2147483648)"), "kde_every");
+  expectBadRequest(with(R"("kde_every": -1)"), "kde_every");
+  expectBadRequest(with(R"("kde_points": 4097)"), "kde_points");
+
+  // The ends of every range are accepted exactly.
+  const CampaignRequest high = parseCampaignRequest(parseJson(
+      with(R"("samples": 100000000, "seed": 9007199254740992,
+              "threads": 1024, "stream_every": 2147483647,
+              "kde_every": 2147483647, "kde_points": 4096)")));
+  EXPECT_EQ(high.samples, 100'000'000);
+  EXPECT_EQ(high.seed, std::uint64_t{1} << 53);
+  EXPECT_EQ(high.threads, 1024u);
+  EXPECT_EQ(high.streamEvery, 2147483647);
+  EXPECT_EQ(high.kdeEvery, 2147483647);
+  EXPECT_EQ(high.kdePoints, 4096);
+  const CampaignRequest low = parseCampaignRequest(parseJson(
+      with(R"("samples": 1, "seed": 0, "threads": 0, "stream_every": 1,
+              "kde_every": 0, "kde_points": 2)")));
+  EXPECT_EQ(low.samples, 1);
+  EXPECT_EQ(low.seed, 0u);
+  EXPECT_EQ(low.threads, 0u);
+  EXPECT_EQ(low.streamEvery, 1);
+  EXPECT_EQ(low.kdeEvery, 0);
+  EXPECT_EQ(low.kdePoints, 2);
 }
 
 TEST(CampaignRequestSchema, WireNamesOfErrorCodes) {

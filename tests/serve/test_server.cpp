@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -516,6 +517,30 @@ TEST(CampaignServerSocket, TwoLinesInOneWriteAreBothServed) {
   EXPECT_EQ(frames[0].find("type")->string, "final");
   EXPECT_EQ(frames[1].find("id")->string, "two");
   EXPECT_EQ(frames[1].find("type")->string, "final");
+}
+
+TEST(CampaignServerSocket, StopBeforeServeReturns) {
+  // A stop() that lands before serve() starts must not be lost: serve()
+  // returns at once instead of blocking in accept() for a second stop().
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("vsstat_test_server_stop_" + std::to_string(::getpid()) + ".sock"))
+          .string();
+  CampaignServer server;
+  server.listenUnix(path);
+  server.stop();
+  std::promise<void> returned;
+  std::future<void> served = returned.get_future();
+  std::thread loop([&] {
+    server.serve();
+    returned.set_value();
+  });
+  const bool returnedAtOnce =
+      served.wait_for(std::chrono::seconds(2)) == std::future_status::ready;
+  if (!returnedAtOnce) server.stop();  // fail instead of hanging
+  loop.join();
+  ::unlink(path.c_str());
+  EXPECT_TRUE(returnedAtOnce);
 }
 
 }  // namespace

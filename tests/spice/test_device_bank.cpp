@@ -1,21 +1,22 @@
-// The device bank's core contract (spice/device_bank.hpp): a banked
-// assembly -- gather, one batch evaluation per model group, direct-slot
-// scatter -- must reproduce the scalar per-element Newton path BIT-for-bit
-// on every analysis: DC operating points, sweeps, and transients; on
-// homogeneous and mixed-model circuits; and across in-place and
-// cross-family rebinds (which force a lane refresh resp. a bank rebuild).
+// The device bank is the only way a MOSFET enters the Newton system
+// (spice/device_bank.hpp).  Its references: the model's own scalar
+// evaluateLoad, which every banked stamp must reproduce exactly (the
+// batch evaluation itself is pinned lane for lane by test_model_contract),
+// and sessions on freshly built circuits, which in-place and cross-family
+// rebinds (a lane refresh resp. a bank rebuild) must reproduce bit for bit.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
-#include "circuits/benchmarks.hpp"
-#include "circuits/provider.hpp"
-#include "measure/snm.hpp"
+#include "linalg/matrix.hpp"
 #include "models/alpha_power.hpp"
 #include "models/bsim_lite.hpp"
 #include "models/vs_model.hpp"
 #include "spice/analysis.hpp"
+#include "spice/assembler.hpp"
 #include "spice/circuit.hpp"
 #include "spice/elements.hpp"
 #include "spice/session.hpp"
@@ -27,8 +28,13 @@ models::VsParams nmosCard() { return models::defaultVsNmos(); }
 models::VsParams pmosCard() { return models::defaultVsPmos(); }
 
 /// Inverter driving a capacitive load, with a pulse input: exercises DC
-/// (homotopies off the zero guess) and transient (charge stamps).
-Circuit makeInverter() {
+/// (homotopies off the zero guess) and transient (charge stamps).  The
+/// pull-down's card and geometry are parameters, so a rebind test can
+/// build the circuit a rebind should be indistinguishable from.
+Circuit makeInverter(std::unique_ptr<models::MosfetModel> pullDown =
+                         std::make_unique<models::VsModel>(nmosCard()),
+                     const models::DeviceGeometry& pullDownGeometry =
+                         models::geometryNm(300, 40)) {
   Circuit c;
   const NodeId vdd = c.node("vdd");
   const NodeId in = c.node("in");
@@ -40,38 +46,9 @@ Circuit makeInverter() {
   c.addMosfet("MP", out, in, vdd,
               std::make_unique<models::VsModel>(pmosCard()),
               models::geometryNm(600, 40));
-  c.addMosfet("MN", out, in, c.ground(),
-              std::make_unique<models::VsModel>(nmosCard()),
-              models::geometryNm(300, 40));
+  c.addMosfet("MN", out, in, c.ground(), std::move(pullDown),
+              pullDownGeometry);
   c.addCapacitor("CL", out, c.ground(), 2e-15);
-  return c;
-}
-
-/// Mixed model families in one circuit: a VS inverter loaded by a BsimLite
-/// pass transistor and an AlphaPower pull-down.  Groups one VsLoadBank and
-/// two generic banks in a single banked assembly.
-Circuit makeMixedFamilies() {
-  Circuit c;
-  const NodeId vdd = c.node("vdd");
-  const NodeId in = c.node("in");
-  const NodeId out = c.node("out");
-  const NodeId tail = c.node("tail");
-  c.addVoltageSource("VDD", vdd, c.ground(), SourceWaveform::dc(0.9));
-  c.addVoltageSource("VIN", in, c.ground(), SourceWaveform::dc(0.35));
-  c.addMosfet("MP", out, in, vdd,
-              std::make_unique<models::VsModel>(pmosCard()),
-              models::geometryNm(600, 40));
-  c.addMosfet("MN", out, in, c.ground(),
-              std::make_unique<models::VsModel>(nmosCard()),
-              models::geometryNm(300, 40));
-  c.addMosfet("MPASS", tail, vdd, out,
-              std::make_unique<models::BsimLite>(models::defaultBsimNmos()),
-              models::geometryNm(200, 40));
-  c.addMosfet("MA", tail, in, c.ground(),
-              std::make_unique<models::AlphaPowerModel>(
-                  models::defaultAlphaNmos()),
-              models::geometryNm(150, 40));
-  c.addResistor("RL", tail, c.ground(), 5e5);
   return c;
 }
 
@@ -96,123 +73,173 @@ void expectSameWave(const Waveform& a, const Waveform& b) {
   }
 }
 
-TEST(DeviceBank, DcOperatingPointBitIdenticalToScalar) {
-  Circuit banked = makeInverter();
-  Circuit scalar = makeInverter();
-  SimSession bankedSession(banked, SessionOptions{.useDeviceBank = true});
-  SimSession scalarSession(scalar, SessionOptions{.useDeviceBank = false});
-  ASSERT_EQ(bankedSession.deviceBankLaneCount(), 2u);
-  ASSERT_EQ(scalarSession.deviceBankLaneCount(), 0u);
+/// One MOSFET whose drain, gate and source sit on their own
+/// voltage-source driven nodes, biased at (vd, vg, vs).
+struct DrivenDevice {
+  const MosfetElement* m;
+  NodeId d, g, s;
+  double vd, vg, vs;
+};
 
-  expectSameOp(bankedSession.dcOperatingPoint(),
-               scalarSession.dcOperatingPoint());
+DrivenDevice addDrivenDevice(Circuit& c, const std::string& name,
+                             std::unique_ptr<models::MosfetModel> model,
+                             double vd, double vg, double vs) {
+  const NodeId d = c.node(name + "_d");
+  const NodeId g = c.node(name + "_g");
+  const NodeId s = c.node(name + "_s");
+  c.addVoltageSource("VD_" + name, d, c.ground(), SourceWaveform::dc(vd));
+  c.addVoltageSource("VG_" + name, g, c.ground(), SourceWaveform::dc(vg));
+  c.addVoltageSource("VS_" + name, s, c.ground(), SourceWaveform::dc(vs));
+  const MosfetElement& m = c.addMosfet("M_" + name, d, g, s, std::move(model),
+                                       models::geometryNm(300, 40));
+  return DrivenDevice{&m, d, g, s, vd, vg, vs};
 }
 
-TEST(DeviceBank, TransientBitIdenticalToScalar) {
-  Circuit banked = makeInverter();
-  Circuit scalar = makeInverter();
-  SimSession bankedSession(banked, SessionOptions{.useDeviceBank = true});
-  SimSession scalarSession(scalar, SessionOptions{.useDeviceBank = false});
+/// The device's node residuals and 3x3 Jacobian block equal the values
+/// built from the model's own evaluateLoad at the integrator gain c0.
+void expectStampMatchesEvaluateLoad(const detail::Assembler& assembler,
+                                    const DrivenDevice& dev, double c0) {
+  const models::MosfetModel& model = dev.m->model();
+  const double sign =
+      model.deviceType() == models::DeviceType::Nmos ? 1.0 : -1.0;
+  const models::MosfetLoadEvaluation ev =
+      model.evaluateLoad(dev.m->geometry(), sign * (dev.vg - dev.vs),
+                         sign * (dev.vd - dev.vs), kMosfetFdStep);
 
-  TransientOptions opt;
-  opt.tStop = 200e-12;
-  opt.dt = 1e-12;
-  expectSameWave(bankedSession.transient(opt), scalarSession.transient(opt));
+  // Canonical current and charges map back with the polarity sign; the
+  // derivatives need none.  The charge terms vanish in DC.
+  const double id = sign * ev.at.id;
+  const double didvgs = ev.didVgs;
+  const double didvds = ev.didVds;
+  const auto r = [&](NodeId node) {
+    return assembler.residual()[static_cast<std::size_t>(node - 1)];
+  };
+  EXPECT_EQ(r(dev.d), id + c0 * (sign * ev.at.qd));
+  EXPECT_EQ(r(dev.g), c0 * (sign * ev.at.qg));
+  EXPECT_EQ(r(dev.s), -id + c0 * (sign * ev.at.qs));
+
+  const auto j = [&](NodeId row, NodeId col) {
+    return assembler.jacobian()(static_cast<std::size_t>(row - 1),
+                                static_cast<std::size_t>(col - 1));
+  };
+  const auto chargeRow = [&](double dqdvgs, double dqdvds) {
+    return std::vector<double>{c0 * dqdvgs, c0 * dqdvds,
+                               -c0 * (dqdvgs + dqdvds)};
+  };
+  const std::vector<double> qd = chargeRow(ev.dqdVgs, ev.dqdVds);
+  const std::vector<double> qg = chargeRow(ev.dqgVgs, ev.dqgVds);
+  const std::vector<double> qs = chargeRow(ev.dqsVgs, ev.dqsVds);
+  EXPECT_EQ(j(dev.d, dev.g), didvgs + qd[0]);
+  EXPECT_EQ(j(dev.d, dev.d), didvds + qd[1]);
+  EXPECT_EQ(j(dev.d, dev.s), -(didvgs + didvds) + qd[2]);
+  EXPECT_EQ(j(dev.g, dev.g), qg[0]);
+  EXPECT_EQ(j(dev.g, dev.d), qg[1]);
+  EXPECT_EQ(j(dev.g, dev.s), qg[2]);
+  EXPECT_EQ(j(dev.s, dev.g), -didvgs + qs[0]);
+  EXPECT_EQ(j(dev.s, dev.d), -didvds + qs[1]);
+  EXPECT_EQ(j(dev.s, dev.s), (didvgs + didvds) + qs[2]);
 }
 
-TEST(DeviceBank, MixedModelFamiliesBitIdenticalToScalar) {
-  Circuit banked = makeMixedFamilies();
-  Circuit scalar = makeMixedFamilies();
-  SimSession bankedSession(banked, SessionOptions{.useDeviceBank = true});
-  SimSession scalarSession(scalar, SessionOptions{.useDeviceBank = false});
-  // VS group (MP, MN) + BsimLite group + AlphaPower group.
-  ASSERT_EQ(bankedSession.deviceBankLaneCount(), 4u);
+TEST(DeviceBank, StampMatchesModelEvaluateLoad) {
+  // VS NMOS, BsimLite, VS PMOS and AlphaPower devices in one circuit:
+  // three model groups, the VS group's two lanes on non-adjacent
+  // elements.  With zero branch currents each device's node rows carry
+  // its stamp alone.  Assembled in DC and under backward Euler with
+  // h = 1/1024, so that c0 = 1024 is exact.
+  Circuit c;
+  const std::vector<DrivenDevice> devices = {
+      addDrivenDevice(c, "vsn", std::make_unique<models::VsModel>(nmosCard()),
+                      0.6, 0.7, 0.1),
+      addDrivenDevice(
+          c, "bsim",
+          std::make_unique<models::BsimLite>(models::defaultBsimNmos()), 0.6,
+          0.7, 0.1),
+      addDrivenDevice(c, "vsp", std::make_unique<models::VsModel>(pmosCard()),
+                      0.3, 0.2, 0.9),
+      addDrivenDevice(c, "alpha",
+                      std::make_unique<models::AlphaPowerModel>(
+                          models::defaultAlphaNmos()),
+                      0.6, 0.7, 0.1)};
 
-  expectSameOp(bankedSession.dcOperatingPoint(),
-               scalarSession.dcOperatingPoint());
+  detail::Assembler assembler(c);
+  ASSERT_EQ(assembler.deviceBankLaneCount(), 4u);
+  ASSERT_EQ(assembler.deviceBankGroupCount(), 3u);
+  linalg::Vector x(c.unknownCount(), 0.0);
+  for (const DrivenDevice& dev : devices) {
+    x[static_cast<std::size_t>(dev.d - 1)] = dev.vd;
+    x[static_cast<std::size_t>(dev.g - 1)] = dev.vg;
+    x[static_cast<std::size_t>(dev.s - 1)] = dev.vs;
+  }
 
-  // Sweep the input: warm-started trajectories must stay locked too.
-  std::vector<double> levels;
-  for (int i = 0; i <= 30; ++i) levels.push_back(0.9 * i / 30.0);
-  const auto bankedSweep = bankedSession.dcSweep("VIN", levels);
-  const auto scalarSweep = scalarSession.dcSweep("VIN", levels);
-  ASSERT_EQ(bankedSweep.size(), scalarSweep.size());
-  for (std::size_t i = 0; i < bankedSweep.size(); ++i)
-    expectSameOp(bankedSweep[i], scalarSweep[i]);
+  for (const double c0 : {0.0, 1024.0}) {
+    SCOPED_TRACE(c0 == 0.0 ? "dc" : "backward Euler, c0 = 1024");
+    if (c0 == 0.0) {
+      assembler.setDcMode();
+    } else {
+      assembler.setBackwardEuler(1.0 / 1024.0);
+    }
+    ASSERT_EQ(assembler.c0(), c0);
+    assembler.assemble(x);
+    for (const DrivenDevice& dev : devices) {
+      SCOPED_TRACE(dev.m->name());
+      expectStampMatchesEvaluateLoad(assembler, dev, c0);
+    }
+  }
 }
 
 TEST(DeviceBank, InPlaceRebindRefreshesLanes) {
-  Circuit banked = makeInverter();
-  Circuit scalar = makeInverter();
-  SimSession bankedSession(banked, SessionOptions{.useDeviceBank = true});
-  SimSession scalarSession(scalar, SessionOptions{.useDeviceBank = false});
-  (void)bankedSession.dcOperatingPoint();  // lanes derived from the old card
+  Circuit rebound = makeInverter();
+  SimSession reboundSession(rebound);
+  ASSERT_EQ(reboundSession.deviceBankLaneCount(), 2u);
+  (void)reboundSession.dcOperatingPoint();  // lanes derived from the old card
 
   // Same-type rebind overwrites the card in place; the bank must re-derive
-  // its cached per-lane state before the next solve.
+  // its cached per-lane state before the next solve, or the solve would
+  // not match a circuit built with the new card.
   models::VsParams shifted = nmosCard();
   shifted.vt0 += 0.07;
   const models::VsModel card(shifted);
-  banked.mosfet("MN").rebind(card, models::geometryNm(320, 42));
-  scalar.mosfet("MN").rebind(card, models::geometryNm(320, 42));
+  rebound.mosfet("MN").rebind(card, models::geometryNm(320, 42));
 
-  expectSameOp(bankedSession.dcOperatingPoint(),
-               scalarSession.dcOperatingPoint());
+  Circuit fresh = makeInverter(std::make_unique<models::VsModel>(shifted),
+                               models::geometryNm(320, 42));
+  SimSession freshSession(fresh);
+  expectSameOp(reboundSession.dcOperatingPoint(),
+               freshSession.dcOperatingPoint());
 }
 
 TEST(DeviceBank, CrossFamilyRebindRebuildsBank) {
-  Circuit banked = makeInverter();
-  Circuit scalar = makeInverter();
-  SimSession bankedSession(banked, SessionOptions{.useDeviceBank = true});
-  SimSession scalarSession(scalar, SessionOptions{.useDeviceBank = false});
-  (void)bankedSession.dcOperatingPoint();
+  Circuit rebound = makeInverter();
+  SimSession reboundSession(rebound);
+  (void)reboundSession.dcOperatingPoint();
 
   // Cross-family rebind clones a BsimLite card into the VS lane: the VS
   // bank reports the incompatible type and the set regroups.
   const models::BsimLite golden(models::defaultBsimNmos());
-  banked.mosfet("MN").rebind(golden, models::geometryNm(300, 40));
-  scalar.mosfet("MN").rebind(golden, models::geometryNm(300, 40));
+  rebound.mosfet("MN").rebind(golden, models::geometryNm(300, 40));
 
-  expectSameOp(bankedSession.dcOperatingPoint(),
-               scalarSession.dcOperatingPoint());
+  Circuit fresh = makeInverter(
+      std::make_unique<models::BsimLite>(models::defaultBsimNmos()),
+      models::geometryNm(300, 40));
+  SimSession freshSession(fresh);
+  expectSameOp(reboundSession.dcOperatingPoint(),
+               freshSession.dcOperatingPoint());
 }
 
-TEST(DeviceBank, SramSnmFixtureBitIdenticalToScalar) {
-  // The paper's Fig. 9 inner loop on the real 6T READ fixture: butterfly
-  // sweeps + SNM through banked and scalar sessions.
-  const models::VsModel nmos(nmosCard());
-  const models::VsModel pmos(pmosCard());
-  circuits::NominalProvider p1(nmos, pmos);
-  circuits::NominalProvider p2(nmos, pmos);
-  circuits::SramButterflyBench banked = circuits::buildSramButterfly(
-      p1, 0.9, circuits::SramMode::Read, circuits::SramSizing{});
-  circuits::SramButterflyBench scalar = circuits::buildSramButterfly(
-      p2, 0.9, circuits::SramMode::Read, circuits::SramSizing{});
-  SimSession bankedSession(banked.circuit,
-                           SessionOptions{.useDeviceBank = true});
-  SimSession scalarSession(scalar.circuit,
-                           SessionOptions{.useDeviceBank = false});
-  ASSERT_EQ(bankedSession.deviceBankLaneCount(), 6u);
-
-  const measure::SnmResult a = measure::measureSnm(banked, bankedSession, 45);
-  const measure::SnmResult b = measure::measureSnm(scalar, scalarSession, 45);
-  EXPECT_EQ(a.lobe1, b.lobe1);
-  EXPECT_EQ(a.lobe2, b.lobe2);
-}
-
-TEST(DeviceBank, FreeFunctionsMatchScalarSessions) {
-  // The free-analysis entry points default to banked assemblers; they must
-  // agree with an explicitly scalar session on the same topology.
+TEST(DeviceBank, FreeFunctionsMatchAReusedSession) {
+  // The free analyses are one-shot sessions; a persistent session that has
+  // already run other analyses must still reproduce them bit for bit.
   Circuit freePath = makeInverter();
-  Circuit scalar = makeInverter();
-  SimSession scalarSession(scalar, SessionOptions{.useDeviceBank = false});
-
-  expectSameOp(dcOperatingPoint(freePath), scalarSession.dcOperatingPoint());
+  Circuit reused = makeInverter();
+  SimSession session(reused);
 
   TransientOptions opt;
   opt.tStop = 100e-12;
   opt.dt = 1e-12;
-  expectSameWave(transient(freePath, opt), scalarSession.transient(opt));
+  const Waveform first = session.transient(opt);
+  expectSameOp(dcOperatingPoint(freePath), session.dcOperatingPoint());
+  expectSameWave(transient(freePath, opt), session.transient(opt));
+  expectSameWave(first, session.transient(opt));
 }
 
 }  // namespace
