@@ -10,14 +10,16 @@
 //               unknowns, one statistically varied leakage FET per node)
 //               via supply sweeps: the post-layout-scale workload where
 //               per-solve LU costs rival device evaluation.
-//   grid_ladder_{10,32,64} -- the grid-scale fixture ladder: one row per
-//               mesh rung combining session-campaign throughput with a
-//               direct factor probe (fresh-factor us, fill ratio, marginal
-//               allocs per factor, factor memory).  Rungs up to 32x32 also
-//               time the retained dense-pivot baseline (DensePivotLu) and
-//               carry the CI-gated "speedup_vs_dense_lu"; the 64x64 rung
-//               instead records its isolated peak RSS, the near-linear-
-//               memory evidence at ~4k unknowns.
+//   grid_ladder_{10,32,64,128} -- the grid-scale fixture ladder: one row
+//               per mesh rung combining session-campaign throughput with a
+//               direct factor probe (ordering us, fresh-factor us, their
+//               ratio "ordering_vs_factor", fill ratio, marginal allocs per
+//               factor, factor memory).  Rungs up to 32x32 also time the
+//               retained dense-pivot baseline (DensePivotLu) and carry the
+//               CI-gated "speedup_vs_dense_lu"; the 64x64 rung instead
+//               records its isolated peak RSS, the near-linear-memory
+//               evidence at ~4k unknowns; the 128x128 rung (16385 unknowns)
+//               is a factor probe only, with no campaign.
 //
 // Every row runs the identical statistical VS sampling (same seed, same
 // draws), single-threaded by default, so samples/sec compares per-sample
@@ -69,6 +71,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -545,29 +548,37 @@ FactorProbe probeFactor(int edge, int factorReps, bool withDense) {
   return p;
 }
 
-/// Ladder row: session-campaign throughput + the factor probe, one JSONL
-/// object.  speedup_vs_dense_lu (CI-gated, higher-better) appears only
-/// where the dense baseline actually ran -- at 64x64 it would be ~5e10
-/// flops per factor, so that rung records the sparse side alone plus its
-/// isolated peak RSS (the near-linear-memory evidence).
-void emitLadder(const std::string& name, int samples, const CampaignTiming& t,
+/// Ladder row: session-campaign throughput (absent on a probe-only rung,
+/// `t` null) + the factor probe, one JSONL object.  speedup_vs_dense_lu
+/// (CI-gated, higher-better) appears only where the dense baseline actually
+/// ran -- at 64x64 it would be ~5e10 flops per factor, so that rung records
+/// the sparse side alone plus its isolated peak RSS (the near-linear-memory
+/// evidence).  ordering_vs_factor puts the once-per-pattern ordering in
+/// units of the fresh factor it prepares.
+void emitLadder(const std::string& name, int samples, const CampaignTiming* t,
                 const FactorProbe& p, double peakRssMiB) {
-  std::string row;
+  std::string row = "{\"name\": \"" + name + "\"";
   char buf[512];
+  if (t != nullptr) {
+    std::snprintf(buf, sizeof buf,
+                  ", \"samples\": %d, \"threads\": %u, "
+                  "\"us_per_sample\": %.1f, \"samples_per_sec\": %.1f, "
+                  "\"allocs_per_sample\": %.1f, "
+                  "\"metrics_fnv1a\": \"0x%016llx\"",
+                  samples, gThreads, t->usPerSample, 1e6 / t->usPerSample,
+                  t->allocsPerSample,
+                  static_cast<unsigned long long>(metricsHash(t->result)));
+    row += buf;
+  }
   std::snprintf(
       buf, sizeof buf,
-      "{\"name\": \"%s\", \"samples\": %d, \"threads\": %u, "
-      "\"us_per_sample\": %.1f, \"samples_per_sec\": %.1f, "
-      "\"allocs_per_sample\": %.1f, \"metrics_fnv1a\": \"0x%016llx\", "
-      "\"unknowns\": %zu, \"pattern_nnz\": %zu, \"factor_nnz\": %zu, "
+      ", \"unknowns\": %zu, \"pattern_nnz\": %zu, \"factor_nnz\": %zu, "
       "\"fill_ratio\": %.2f, \"ordering_us\": %.0f, "
-      "\"fresh_factor_us\": %.1f, \"allocs_per_factor\": %.1f, "
-      "\"factor_mem_mib\": %.3f",
-      name.c_str(), samples, gThreads, t.usPerSample, 1e6 / t.usPerSample,
-      t.allocsPerSample,
-      static_cast<unsigned long long>(metricsHash(t.result)), p.unknowns,
-      p.patternNnz, p.factorNnz, p.fillRatio, p.orderingUs, p.freshFactorUs,
-      p.allocsPerFactor, p.factorMemMiB);
+      "\"fresh_factor_us\": %.1f, \"ordering_vs_factor\": %.2f, "
+      "\"allocs_per_factor\": %.1f, \"factor_mem_mib\": %.3f",
+      p.unknowns, p.patternNnz, p.factorNnz, p.fillRatio, p.orderingUs,
+      p.freshFactorUs, p.orderingUs / p.freshFactorUs, p.allocsPerFactor,
+      p.factorMemMiB);
   row += buf;
   if (p.denseFactorUs >= 0.0) {
     std::snprintf(buf, sizeof buf,
@@ -590,7 +601,8 @@ int runGrid(int gridSamples, bool quick) {
   // Grid-scale fixture ladder.  Sweep points shrink as the rung grows (the
   // campaign row is a throughput smoke; the factor probe carries the
   // rung's precise factor cost), and the dense baseline runs only where
-  // O(n^3) is affordable.
+  // O(n^3) is affordable.  The 128x128 rung runs no campaign (samples 0):
+  // its row is the factor probe alone.
   struct Rung {
     int edge;
     int points;
@@ -600,7 +612,8 @@ int runGrid(int gridSamples, bool quick) {
   };
   const Rung rungs[] = {{10, kGridPoints, gridSamples, 256, true},
                         {32, 21, quick ? 6 : 10, 48, true},
-                        {64, 11, quick ? 5 : 8, 12, false}};
+                        {64, 11, quick ? 5 : 8, 12, false},
+                        {128, 0, 0, quick ? 3 : 8, false}};
   if (gScalingOnly) {
     // The scaling smoke/audit covers one beyond-paper-scale rung across
     // every session-mode combination; the 10x10 grid_ir combos above
@@ -609,10 +622,13 @@ int runGrid(int gridSamples, bool quick) {
     return 0;
   }
   for (const Rung& rung : rungs) {
-    const auto session = gridSession(rung.edge, rung.points);
-    const CampaignTiming t = timeCampaign(rung.samples, [&](int n) {
-      return session(n, spice::SessionOptions{});
-    });
+    std::optional<CampaignTiming> t;
+    if (rung.samples > 0) {
+      const auto session = gridSession(rung.edge, rung.points);
+      t = timeCampaign(rung.samples, [&](int n) {
+        return session(n, spice::SessionOptions{});
+      });
+    }
     const FactorProbe p = probeFactor(rung.edge, rung.factorReps, rung.dense);
     double peakRssMiB = -1.0;
     if (rung.edge == 64) {
@@ -625,8 +641,8 @@ int runGrid(int gridSamples, bool quick) {
       });
       if (usage.exitCode == 0) peakRssMiB = usage.maxRssMiB;
     }
-    emitLadder("grid_ladder_" + std::to_string(rung.edge), rung.samples, t, p,
-               peakRssMiB);
+    emitLadder("grid_ladder_" + std::to_string(rung.edge), rung.samples,
+               t ? &*t : nullptr, p, peakRssMiB);
   }
   return 0;
 }

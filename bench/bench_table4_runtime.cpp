@@ -117,13 +117,14 @@ int main() {
   table.print(std::cout);
 
   std::cout
-      << "\nInterpretation (see EXPERIMENTS.md): the paper's 4.2x/8.7x VS win\n"
-         "is against the ~900-parameter BSIM4 plus Verilog-A interpretation\n"
-         "overhead.  This reproduction's golden baseline is a deliberately\n"
-         "slim ~10-parameter mini-BSIM (~0.11 us/eval), so the compiled VS\n"
-         "model (~0.66 us/eval incl. its series-resistance solve) lands\n"
-         "SLOWER here -- a property of the substituted baseline, not of the\n"
-         "VS method.  The absolute numbers still support the paper's claim\n"
-         "that compact-model MC campaigns of this size are routine.\n";
+      << "\nInterpretation (see ARCHITECTURE.md, paper substitution S1): the\n"
+         "paper's 4.2x/8.7x VS win is mostly Verilog-A interpretation\n"
+         "overhead.  Here both models run compiled in one engine, so the\n"
+         "expected shape is \"VS faster and lighter, by a smaller factor\".\n"
+         "VS measures slower than the golden model today because every VS\n"
+         "load runs its own series-resistance Newton solve (ROADMAP item 4\n"
+         "takes it out of the inner loop).  The absolute numbers still\n"
+         "support the paper's claim that compact-model MC campaigns of this\n"
+         "size are routine.\n";
   return 0;
 }

@@ -9,17 +9,20 @@ is matched by "name" against the committed reference and judged per metric:
     when they regress by more than the tolerance band (default 25%,
     --tolerance).  Reference rows may widen a band for a specific metric
     with "ci_tol_<metric>": 0.6 (used for absolute-time metrics, which
-    carry machine-to-machine variance that ratio metrics do not).
+    carry machine-to-machine variance that ratio metrics do not) or narrow
+    it ("ci_tol_fill_ratio": 0.05 -- fill is deterministic, so a tight
+    band is a real bound).
   * correctness booleans -- bit_identical, within_tolerance -- must stay
     true wherever the reference says true, tolerance-free.
   * allocation metrics -- allocs, allocs_per_sample -- must not exceed the
     reference by more than --alloc-slack (default 0.5/sample; campaign
     bookkeeping amortizes differently at --quick sample counts, so
     reference rows may override the ceiling with "ci_max_<metric>": N).
-  * contract ceilings -- estimator_max_sigma_delta -- must stay below a
-    fixed bound (3 sigma by default; "ci_max_<metric>" overrides), so the
-    statistical tier's accuracy contract gates independently of the
-    throughput bands.
+  * contract ceilings -- estimator_max_sigma_delta, ordering_vs_factor --
+    must stay below a fixed bound (3 sigma, 1.0; "ci_max_<metric>"
+    overrides), so the statistical tier's accuracy contract and the
+    ordering's cost relative to the factor it prepares gate independently
+    of the throughput bands.
   * "ci_skip": ["metric", ...] in a reference row skips named metrics.
 
 Every reference row must be present in the current output (a vanished row
@@ -37,7 +40,8 @@ import sys
 
 LOWER_BETTER = ("us_per_sample", "ns_per_iter", "ns_per_device_eval",
                 "fresh_factor_us", "mean_iters_per_sample", "us_per_fit",
-                "mean_lm_iters_per_fit", "ttfs_ms", "p99_ttfs_ms")
+                "mean_lm_iters_per_fit", "ttfs_ms", "p99_ttfs_ms",
+                "fill_ratio")
 HIGHER_BETTER = (
     "samples_per_sec",
     "fits_per_sec",
@@ -64,10 +68,14 @@ ALLOC_METRICS = ("allocs", "allocs_per_sample", "allocs_per_factor",
 # in units of its Monte Carlo standard error must stay within 3 sigma
 # regardless of how the throughput rows move.  The card-parameter error
 # caps are the extraction tier's recovery contract: fitted cards must land
-# near their per-lane truth regardless of fit throughput.
+# near their per-lane truth regardless of fit throughput.  ordering_vs_factor
+# (fill-reducing ordering time / fresh factor time on a grid-ladder rung)
+# keeps the once-per-pattern ordering cheaper than the factor it prepares;
+# reference rows opt in by recording it.
 BOUNDED_METRICS = {"estimator_max_sigma_delta": 3.0,
                    "mean_card_param_rel_error": 0.05,
-                   "max_card_param_rel_error": 0.25}
+                   "max_card_param_rel_error": 0.25,
+                   "ordering_vs_factor": 1.0}
 
 
 def load_reference(path):

@@ -26,12 +26,19 @@ struct FillOrder {
   int sign = 1;
 };
 
-/// Greedy minimum-degree ordering on the symmetrized graph of A + A^T
-/// (self-loops ignored).  Each step eliminates the lowest-index vertex of
-/// minimum current degree and connects its neighbors into a clique (the
-/// structural fill of that elimination step), exactly mirroring what the
-/// numeric factorization will do.  Deterministic by construction: ties
-/// always break toward the lowest original index.
+/// Approximate minimum degree ordering (Amestoy, Davis & Duff 1996) of the
+/// symmetrized graph of A + A^T (self-loops ignored).  Eliminations are
+/// tracked on a quotient graph -- each elimination becomes an element
+/// instead of an explicit clique -- so the cost stays near-linear in the
+/// pattern nonzeros, and each step pivots on a variable of minimum
+/// *approximate* external degree, an upper bound on the true one.
+/// Indistinguishable variables merge into supervariables and are
+/// eliminated together; rows denser than max(16, 10 sqrt(n)) are set aside
+/// and ordered last; the result is a postorder of the assembly tree.
+///
+/// Deterministic by construction: the order depends only on the pattern's
+/// structure -- no values, addresses or unordered containers -- and ties
+/// break by degree-list insertion order, itself a function of the pattern.
 ///
 /// Row pivoting composes freely with this column order: the factorization
 /// pivots PAQ = LU with Q from here and P chosen numerically per column.

@@ -2,10 +2,11 @@
 //
 // KLU-style "order once, factor sparse, refactor numeric" pipeline:
 //
-//   1. ordering   -- a minimum-degree column order (linalg/ordering.hpp) is
-//                    computed once per captured MNA pattern and cached; it is
-//                    a pure function of the pattern, so it never perturbs any
-//                    bit-identity contract.
+//   1. ordering   -- an approximate-minimum-degree column order
+//                    (linalg/ordering.hpp, near-linear in the pattern
+//                    nonzeros) is computed once per captured MNA pattern and
+//                    cached; it is a pure function of the pattern, so it
+//                    never perturbs any bit-identity contract.
 //   2. symbolic   -- the first numeric factorization is a Gilbert-Peierls
 //                    left-looking sweep: per column, a DFS reach over the
 //                    graph of L materializes exactly the fill-in pattern,
@@ -172,7 +173,8 @@ class SparseLu {
                                   static_cast<double>(patternNnz_);
   }
   /// Cumulative wall time spent computing fill-reducing orderings (runs
-  /// once per distinct pattern) and full factorizations.
+  /// once per distinct pattern) and full factorizations.  The two are
+  /// disjoint: a full factorization's clock starts after its ordering.
   [[nodiscard]] std::uint64_t orderingMicros() const noexcept {
     return orderingMicros_;
   }

@@ -184,7 +184,8 @@ class SimSession {
     // Sparse-factor shape and cost: how much fill the fill-reducing order
     // admitted on this topology, and where the full-path time went.  The
     // micros are cumulative wall time over the session (ordering runs once
-    // per pattern; full factors once per fresh solve plus breakdowns).
+    // per pattern; full factors once per fresh solve plus breakdowns), and
+    // the two timers are disjoint: fullFactorMicros excludes the ordering.
     std::size_t patternNnz = 0;        ///< structural nonzeros of A
     std::size_t factorNnz = 0;         ///< structural nonzeros of L+U
     double fillRatio = 0.0;            ///< factorNnz / patternNnz
