@@ -1,9 +1,10 @@
 #include "extract/fit.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <vector>
+#include <string>
 
-#include "linalg/levmar.hpp"
+#include "extract/fit_campaign.hpp"
 #include "measure/device_metrics.hpp"
 #include "models/vs_model.hpp"
 #include "util/error.hpp"
@@ -12,26 +13,75 @@ namespace vsstat::extract {
 
 namespace {
 
-struct BiasPoint {
-  double vgs = 0.0;
-  double vds = 0.0;
-  bool logSpace = false;  // subthreshold/transfer points compare in log space
+// Anchor targets: the BPV electrical targets e_i = {Idsat, log10(Ioff),
+// Cgg} must be matched tightly at the reference geometry, since the
+// extraction sensitivities are evaluated on this card.  The model and
+// golden transport formulations cannot agree everywhere, so the anchors get
+// heavy weights and the curve-shape residuals moderate ones; the single Cgg
+// point counts like a few I-V points rather than being drowned out.
+constexpr double kCggWeight = 4.0;
+constexpr double kIdsatWeight = 8.0;
+constexpr double kIoffWeight = 5.0;
+
+struct NominalRun {
+  FitCampaignResult result;
+  bool converged = false;
 };
 
-std::vector<BiasPoint> buildGrid(const FitOptions& opt) {
-  std::vector<BiasPoint> grid;
-  // Id-Vg at linear and saturation drain bias: log-space residuals.
-  for (double vgs = 0.10; vgs <= opt.vdd + 1e-9; vgs += opt.vgsStep) {
-    grid.push_back({vgs, opt.vdsLin, true});
-    grid.push_back({vgs, opt.vdd, true});
+/// Runs `campaign` as one lane on the golden model's data, measured through
+/// the campaign's own grid; a failed lane rethrows as the solver's error.
+NominalRun runNominal(const FitCampaign& campaign,
+                      const models::MosfetModel& golden, const char* who) {
+  FitDataset data;
+  stats::Rng noiseless(0);  // noiseRel = 0 draws nothing
+  campaign.synthesizeDataset(golden, 0.0, noiseless, data);
+  for (const double v : data.values) {
+    if (!(v > 0.0))
+      throw InvalidArgumentError(std::string(who) +
+                                 ": golden data must be > 0");
   }
-  // Id-Vd family at three gate biases: relative residuals.
-  for (const double vgs : {0.5, 0.7, 0.9}) {
-    for (double vds = opt.vdsStep; vds <= opt.vdd + 1e-9; vds += opt.vdsStep) {
-      grid.push_back({vgs, vds, false});
-    }
+  NominalRun run;
+  run.result = campaign.run(
+      1, 0, [&data](std::size_t, stats::Rng&, FitDataset& d) {
+        d.values = data.values;
+      });
+
+  const FitCampaignResult& r = run.result;
+  if (r.firstFailure.valid) {
+    if (r.firstFailure.outcome == FitOutcome::singularJtJ)
+      throw SingularMatrixError(
+          std::string(who) + ": singular normal equations", r.iterations[0]);
+    throw NonFiniteError(std::string(who) + ": " + r.firstFailure.message);
   }
-  return grid;
+  // LM stops inside its budget only on a convergence test (gradient, step
+  // or stall).  Cross-family fits approach their floor asymptotically and
+  // can exhaust the budget before those fire; a large cost reduction with
+  // intact anchors is still a converged fit.
+  run.converged = r.iterations[0] < campaign.options().maxIterations ||
+                  r.cost[0] < 0.2 * r.initialCost[0];
+  return run;
+}
+
+/// RMS drain-current error of the fitted card against the golden one over
+/// grid points [begin, end): ln(Id_fit / Id_golden) on log points,
+/// relative error otherwise.
+double rmsIdError(const models::MosfetModel& fitted,
+                  const models::MosfetModel& golden,
+                  const models::DeviceGeometry& geom,
+                  const MeasurementGrid& grid, std::size_t begin,
+                  std::size_t end) {
+  double sum = 0.0;
+  for (std::size_t i = begin; i < end; ++i) {
+    const IvPoint& p = grid.points[i];
+    const double id = fitted.drainCurrent(geom, p.vgs, p.vds);
+    const double ref = golden.drainCurrent(geom, p.vgs, p.vds);
+    const double e = p.quantity == Quantity::logId
+                         ? std::log(std::max(id, 1e-18) / ref)
+                         : id / ref - 1.0;
+    sum += e * e;
+  }
+  return std::sqrt(sum / static_cast<double>(std::max<std::size_t>(
+                             end - begin, 1)));
 }
 
 }  // namespace
@@ -41,106 +91,48 @@ IvFitResult fitVsToGolden(const models::VsParams& seed,
                           const models::DeviceGeometry& geom,
                           const FitOptions& options) {
   require(options.vdd > 0.0, "fitVsToGolden: vdd must be positive");
-  const std::vector<BiasPoint> grid = buildGrid(options);
-
-  // Golden reference data (the "measurements" of Fig. 1).
-  std::vector<double> goldenId(grid.size());
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    goldenId[i] = golden.drainCurrent(geom, grid[i].vgs, grid[i].vds);
-    require(goldenId[i] > 0.0, "fitVsToGolden: golden current must be > 0");
-  }
-  const double goldenCgg = measure::cggAtVdd(golden, geom, options.vdd);
-
-  // Parameter vector: [vt0, delta0, n0, vxo, mu, beta, cinv].
-  const linalg::Vector x0 = {seed.vt0, seed.delta0, seed.n0, seed.vxo,
-                             seed.mu,  seed.beta,   seed.cinv};
-  linalg::LevMarOptions lmOptions;
-  lmOptions.maxIterations = options.maxIterations;
-  lmOptions.lowerBounds = {0.15, 0.04, 1.22, 0.4e5, 0.6e-2, 1.2, 1.0e-2};
-  lmOptions.upperBounds = {0.65, 0.25, 1.90, 2.5e5, 5.0e-2, 2.8, 2.6e-2};
-
-  const auto makeCard = [&](const linalg::Vector& x) {
-    models::VsParams p = seed;
-    p.vt0 = x[0];
-    p.delta0 = x[1];
-    p.n0 = x[2];
-    p.vxo = x[3];
-    p.mu = x[4];
-    p.beta = x[5];
-    p.cinv = x[6];
-    return p;
-  };
-
-  // Anchor targets: the BPV electrical targets e_i = {Idsat, log10(Ioff),
-  // Cgg} must be matched tightly at the reference geometry, since the
-  // extraction sensitivities are evaluated on this card.  The VS and golden
-  // transport formulations cannot agree everywhere, so the anchors get
-  // heavy weights and the curve-shape residuals moderate ones.
+  const double vdd = options.vdd;
   constexpr double kLogWeight = 0.55;
   constexpr double kRelWeight = 1.5;
-  constexpr double kIdsatAnchorWeight = 8.0;
-  constexpr double kIoffAnchorWeight = 5.0;
-  const double goldenIdsat = golden.drainCurrent(geom, options.vdd, options.vdd);
-  const double goldenIoffLog =
-      std::log(golden.drainCurrent(geom, 0.0, options.vdd));
 
-  const std::size_t residualSize = grid.size() + 3;  // + Cgg/Idsat/Ioff
-  const auto residualFn = [&](const linalg::Vector& x, linalg::Vector& r) {
-    const models::VsModel model(makeCard(x));
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      const double id = model.drainCurrent(geom, grid[i].vgs, grid[i].vds);
-      if (grid[i].logSpace) {
-        r[i] = kLogWeight * std::log(std::max(id, 1e-18) / goldenId[i]);
-      } else {
-        r[i] = kRelWeight * (id / goldenId[i] - 1.0);
-      }
-    }
-    const double cgg = measure::cggAtVdd(model, geom, options.vdd);
-    // Weight the single C-V point so capacitance counts like a few I-V
-    // points rather than being drowned out.
-    r[grid.size()] = 4.0 * (cgg / goldenCgg - 1.0);
-    r[grid.size() + 1] =
-        kIdsatAnchorWeight *
-        (model.drainCurrent(geom, options.vdd, options.vdd) / goldenIdsat - 1.0);
-    r[grid.size() + 2] =
-        kIoffAnchorWeight *
-        (std::log(std::max(model.drainCurrent(geom, 0.0, options.vdd), 1e-18)) -
-         goldenIoffLog);
-  };
+  MeasurementGrid grid;
+  // Id-Vg at linear and saturation drain bias: log-space residuals.
+  for (double vgs = 0.10; vgs <= vdd + 1e-9; vgs += options.vgsStep) {
+    grid.points.push_back({vgs, options.vdsLin, Quantity::logId, kLogWeight});
+    grid.points.push_back({vgs, vdd, Quantity::logId, kLogWeight});
+  }
+  const std::size_t idVgEnd = grid.points.size();
+  // Id-Vd family at three gate biases: relative residuals.
+  for (const double vgs : {0.5, 0.7, 0.9}) {
+    for (double vds = options.vdsStep; vds <= vdd + 1e-9;
+         vds += options.vdsStep)
+      grid.points.push_back({vgs, vds, Quantity::relId, kRelWeight});
+  }
+  const std::size_t idVdEnd = grid.points.size();
+  // The BPV anchors: Cgg at measure::cggAtVdd's bias, Idsat, log Ioff.
+  grid.points.push_back({vdd, 0.0, Quantity::cgg, kCggWeight});
+  grid.points.push_back({vdd, vdd, Quantity::relId, kIdsatWeight});
+  grid.points.push_back({0.0, vdd, Quantity::logId, kIoffWeight});
 
-  const linalg::LevMarResult lm =
-      linalg::levenbergMarquardt(residualFn, x0, residualSize, lmOptions);
+  FitCampaignOptions campaignOptions;
+  campaignOptions.maxIterations = options.maxIterations;
+  const FitCampaign campaign(seed, geom, std::move(grid), campaignOptions);
+  const NominalRun run = runNominal(campaign, golden, "fitVsToGolden");
 
   IvFitResult result;
-  result.card = makeCard(lm.x);
-  result.iterations = lm.iterations;
-  // Cross-family fits approach their floor asymptotically and can exhaust
-  // the iteration budget before the formal step/gradient criteria fire;
-  // a large cost reduction with intact anchors is still a converged fit.
-  result.converged = lm.converged || lm.cost < 0.2 * lm.initialCost;
+  result.card = campaign.vsCard(run.result, 0);
+  result.iterations = run.result.iterations[0];
+  result.converged = run.converged;
 
   // Report region-wise errors on the final card.
   const models::VsModel fitted(result.card);
-  double sumLog = 0.0;
-  int nLog = 0;
-  double sumRel = 0.0;
-  int nRel = 0;
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    const double id = fitted.drainCurrent(geom, grid[i].vgs, grid[i].vds);
-    if (grid[i].logSpace) {
-      const double e = std::log(std::max(id, 1e-18) / goldenId[i]);
-      sumLog += e * e;
-      ++nLog;
-    } else {
-      const double e = id / goldenId[i] - 1.0;
-      sumRel += e * e;
-      ++nRel;
-    }
-  }
-  result.rmsLogIdVg = std::sqrt(sumLog / std::max(nLog, 1));
-  result.rmsRelIdVd = std::sqrt(sumRel / std::max(nRel, 1));
-  result.relCggError =
-      measure::cggAtVdd(fitted, geom, options.vdd) / goldenCgg - 1.0;
+  result.rmsLogIdVg =
+      rmsIdError(fitted, golden, geom, campaign.grid(), 0, idVgEnd);
+  result.rmsRelIdVd =
+      rmsIdError(fitted, golden, geom, campaign.grid(), idVgEnd, idVdEnd);
+  result.relCggError = measure::cggAtVdd(fitted, geom, vdd) /
+                           measure::cggAtVdd(golden, geom, vdd) -
+                       1.0;
   return result;
 }
 
@@ -149,99 +141,43 @@ AlphaFitResult fitAlphaPowerToGolden(const models::AlphaPowerParams& seed,
                                      const models::DeviceGeometry& geom,
                                      const FitOptions& options) {
   require(options.vdd > 0.0, "fitAlphaPowerToGolden: vdd must be positive");
+  const double vdd = options.vdd;
 
-  // Strong-inversion grid only: Id-Vg from ~threshold-plus up to Vdd at
-  // two drain biases, plus the Id-Vd family.  No subthreshold points --
-  // the model has nothing to fit there.
-  std::vector<BiasPoint> grid;
-  for (double vgs = 0.45 * options.vdd; vgs <= options.vdd + 1e-9;
-       vgs += options.vgsStep) {
-    grid.push_back({vgs, options.vdsLin, false});
-    grid.push_back({vgs, options.vdd, false});
-  }
-  for (const double vgsFrac : {0.6, 0.8, 1.0}) {
-    const double vgs = vgsFrac * options.vdd;
-    for (double vds = options.vdsStep; vds <= options.vdd + 1e-9;
-         vds += options.vdsStep) {
-      grid.push_back({vgs, vds, false});
-    }
-  }
+  // Strong-inversion grid only: Id-Vg from ~threshold-plus up to Vdd at two
+  // drain biases, plus the Id-Vd family.  No subthreshold points -- the
+  // model has nothing to fit there.  Every Id point weighs 1; the grid's
+  // closing Cgg point moves to the BPV target's bias (Vdd, 0), and the
+  // Idsat anchor follows it.
+  MeasurementGrid grid = strongInversionGrid(vdd, options.vgsStep,
+                                             options.vdsStep, options.vdsLin);
+  for (IvPoint& p : grid.points) p.weight = 1.0;
+  grid.points.back() = {vdd, 0.0, Quantity::cgg, kCggWeight};
+  const std::size_t idVdEnd = grid.points.size() - 1;
+  grid.points.push_back({vdd, vdd, Quantity::relId, kIdsatWeight});
+  // strongInversionGrid opens with its Id-Vg scan: two drain biases per
+  // gate bias, gate biases from 0.45 Vdd in vgsStep steps.
+  std::size_t idVgEnd = 0;
+  for (double vgs = 0.45 * vdd; vgs <= vdd + 1e-9; vgs += options.vgsStep)
+    idVgEnd += 2;
 
-  std::vector<double> goldenId(grid.size());
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    goldenId[i] = golden.drainCurrent(geom, grid[i].vgs, grid[i].vds);
-    require(goldenId[i] > 0.0,
-            "fitAlphaPowerToGolden: golden current must be > 0");
-  }
-  const double goldenCgg = measure::cggAtVdd(golden, geom, options.vdd);
-
-  // Parameter vector: [vth0, delta0, alphaSat, kSat, kV, cg].
-  const linalg::Vector x0 = {seed.vth0, seed.delta0, seed.alphaSat,
-                             seed.kSat, seed.kV,     seed.cg};
-  linalg::LevMarOptions lmOptions;
-  lmOptions.maxIterations = options.maxIterations;
-  lmOptions.lowerBounds = {0.10, 0.00, 1.0, 1e2, 0.3, 0.5e-2};
-  lmOptions.upperBounds = {0.55, 0.30, 2.0, 5e3, 2.5, 3.0e-2};
-
-  const auto makeCard = [&](const linalg::Vector& x) {
-    models::AlphaPowerParams p = seed;
-    p.vth0 = x[0];
-    p.delta0 = x[1];
-    p.alphaSat = x[2];
-    p.kSat = x[3];
-    p.kV = x[4];
-    p.cg = x[5];
-    return p;
-  };
-
-  const std::size_t residualSize = grid.size() + 2;  // + Cgg + Idsat anchor
-  const double goldenIdsat =
-      golden.drainCurrent(geom, options.vdd, options.vdd);
-  const auto residualFn = [&](const linalg::Vector& x, linalg::Vector& r) {
-    const models::AlphaPowerModel model(makeCard(x));
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      const double id = model.drainCurrent(geom, grid[i].vgs, grid[i].vds);
-      r[i] = id / goldenId[i] - 1.0;
-    }
-    r[grid.size()] =
-        4.0 * (measure::cggAtVdd(model, geom, options.vdd) / goldenCgg - 1.0);
-    r[grid.size() + 1] =
-        8.0 *
-        (model.drainCurrent(geom, options.vdd, options.vdd) / goldenIdsat -
-         1.0);
-  };
-
-  const linalg::LevMarResult lm =
-      linalg::levenbergMarquardt(residualFn, x0, residualSize, lmOptions);
+  FitCampaignOptions campaignOptions;
+  campaignOptions.maxIterations = options.maxIterations;
+  const FitCampaign campaign(seed, geom, std::move(grid), campaignOptions);
+  const NominalRun run = runNominal(campaign, golden, "fitAlphaPowerToGolden");
 
   AlphaFitResult result;
-  result.card = makeCard(lm.x);
-  result.iterations = lm.iterations;
-  result.converged = lm.converged || lm.cost < 0.2 * lm.initialCost;
+  result.card = campaign.alphaCard(run.result, 0);
+  result.iterations = run.result.iterations[0];
+  result.converged = run.converged;
 
   const models::AlphaPowerModel fitted(result.card);
-  double sumVg = 0.0;
-  int nVg = 0;
-  double sumVd = 0.0;
-  int nVd = 0;
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    const double id = fitted.drainCurrent(geom, grid[i].vgs, grid[i].vds);
-    const double e = id / goldenId[i] - 1.0;
-    // The first block of the grid is the two-bias Id-Vg scan.
-    if (i < 2 * static_cast<std::size_t>((options.vdd - 0.45 * options.vdd) /
-                                             options.vgsStep +
-                                         1.5)) {
-      sumVg += e * e;
-      ++nVg;
-    } else {
-      sumVd += e * e;
-      ++nVd;
-    }
-  }
-  result.rmsRelIdVg = std::sqrt(sumVg / std::max(nVg, 1));
-  result.rmsRelIdVd = std::sqrt(sumVd / std::max(nVd, 1));
-  result.relCggError =
-      measure::cggAtVdd(fitted, geom, options.vdd) / goldenCgg - 1.0;
+  result.rmsRelIdVg =
+      rmsIdError(fitted, golden, geom, campaign.grid(), 0, idVgEnd);
+  result.rmsRelIdVd =
+      rmsIdError(fitted, golden, geom, campaign.grid(), idVgEnd, idVdEnd);
+  result.relCggError = measure::cggAtVdd(fitted, geom, vdd) /
+                           measure::cggAtVdd(golden, geom, vdd) -
+                       1.0;
   return result;
 }
 

@@ -25,6 +25,11 @@ constexpr double kLoadFdStep = 1e-3;
 /// below threshold produces a large finite residual, not -inf.
 constexpr double kIdFloor = 1e-18;
 
+/// Residual weights of the stock grids: log Id, relative Id, Cgg.
+constexpr double kLogIdWeight = 0.55;
+constexpr double kRelIdWeight = 1.5;
+constexpr double kCggWeight = 4.0;
+
 /// Family adapter: the bijection between a card's fitted fields and the
 /// optimizer's parameter vector, plus the family's physical box.
 struct FamilySpec {
@@ -32,7 +37,7 @@ struct FamilySpec {
   const double* lo = nullptr;
   const double* hi = nullptr;
   void (*read)(const models::MosfetModel&, linalg::Vector&) = nullptr;
-  void (*write)(const linalg::Vector&, models::MosfetModel&) = nullptr;
+  void (*write)(std::span<const double>, models::MosfetModel&) = nullptr;
 };
 
 // --- VS family: [vt0, delta0, n0, vxo, mu, beta, cinv] ----------------------
@@ -51,7 +56,7 @@ void vsRead(const models::MosfetModel& m, linalg::Vector& x) {
   x[6] = p.cinv;
 }
 
-void vsWrite(const linalg::Vector& x, models::MosfetModel& m) {
+void vsWrite(std::span<const double> x, models::MosfetModel& m) {
   models::VsParams& p = static_cast<models::VsModel&>(m).mutableParams();
   p.vt0 = x[0];
   p.delta0 = x[1];
@@ -78,7 +83,7 @@ void alphaRead(const models::MosfetModel& m, linalg::Vector& x) {
   x[5] = p.cg;
 }
 
-void alphaWrite(const linalg::Vector& x, models::MosfetModel& m) {
+void alphaWrite(std::span<const double> x, models::MosfetModel& m) {
   models::AlphaPowerParams& p =
       static_cast<models::AlphaPowerModel&>(m).mutableParams();
   p.vth0 = x[0];
@@ -105,7 +110,7 @@ void bsimRead(const models::MosfetModel& m, linalg::Vector& x) {
   x[5] = p.cox;
 }
 
-void bsimWrite(const linalg::Vector& x, models::MosfetModel& m) {
+void bsimWrite(std::span<const double> x, models::MosfetModel& m) {
   models::BsimParams& p = static_cast<models::BsimLite&>(m).mutableParams();
   p.vth0 = x[0];
   p.dibl0 = x[1];
@@ -154,35 +159,35 @@ const char* toString(FitOutcome o) noexcept {
 MeasurementGrid vsMeasurementGrid(double vdd, double vgsStep, double vdsStep,
                                   double vdsLin) {
   MeasurementGrid g;
-  g.vdd = vdd;
   // Id-Vg transfer scan at linear and saturation drain bias, log space so
   // subthreshold decades carry weight (the paper fits Ioff AND Ion).
   for (double vgs = 0.10; vgs <= vdd + 1e-9; vgs += vgsStep) {
-    g.points.push_back({vgs, vdsLin, true});
-    g.points.push_back({vgs, vdd, true});
+    g.points.push_back({vgs, vdsLin, Quantity::logId, kLogIdWeight});
+    g.points.push_back({vgs, vdd, Quantity::logId, kLogIdWeight});
   }
   // Id-Vd output family at three gate overdrives, relative space.
   for (const double frac : {0.56, 0.78, 1.0}) {
     const double vgs = frac * vdd;
     for (double vds = vdsStep; vds <= vdd + 1e-9; vds += vdsStep)
-      g.points.push_back({vgs, vds, false});
+      g.points.push_back({vgs, vds, Quantity::relId, kRelIdWeight});
   }
+  g.points.push_back({vdd, vdd, Quantity::cgg, kCggWeight});
   return g;
 }
 
 MeasurementGrid strongInversionGrid(double vdd, double vgsStep, double vdsStep,
                                     double vdsLin) {
   MeasurementGrid g;
-  g.vdd = vdd;
   for (double vgs = 0.45 * vdd; vgs <= vdd + 1e-9; vgs += vgsStep) {
-    g.points.push_back({vgs, vdsLin, false});
-    g.points.push_back({vgs, vdd, false});
+    g.points.push_back({vgs, vdsLin, Quantity::relId, kRelIdWeight});
+    g.points.push_back({vgs, vdd, Quantity::relId, kRelIdWeight});
   }
   for (const double frac : {0.6, 0.8, 1.0}) {
     const double vgs = frac * vdd;
     for (double vds = vdsStep; vds <= vdd + 1e-9; vds += vdsStep)
-      g.points.push_back({vgs, vds, false});
+      g.points.push_back({vgs, vds, Quantity::relId, kRelIdWeight});
   }
+  g.points.push_back({vdd, vdd, Quantity::cgg, kCggWeight});
   return g;
 }
 
@@ -214,67 +219,63 @@ std::uint64_t FitCampaignResult::paramsFnv1a() const noexcept {
   return h.value();
 }
 
-/// Per-worker fit state: the worker-owned card, the bias-point device bank
-/// over it, the solver workspace and the lane dataset.  One engine is
-/// materialized lazily per (worker thread, run) and reused for every lane
-/// that worker executes, so a steady-state fit allocates nothing.
+/// Per-worker fit state: the worker-owned card, the measurement-point
+/// device bank over it, the solver workspace and the lane dataset.  One
+/// engine is materialized lazily per (worker thread, run) and reused for
+/// every lane that worker executes, so a steady-state fit allocates nothing.
 struct LaneEngine {
   explicit LaneEngine(const FitCampaign& campaign)
       : owner(&campaign),
         spec(specFor(campaign.family_)),
         model(campaign.seed_->clone()),
         pointCount(campaign.grid_.points.size()) {
-    const std::size_t lanes = pointCount + 1;  // + the Cgg anchor lane
-    vgs.resize(lanes);
-    vds.resize(lanes);
-    evals.resize(lanes);
+    vgs.resize(pointCount);
+    vds.resize(pointCount);
+    evals.resize(pointCount);
     for (std::size_t i = 0; i < pointCount; ++i) {
       vgs[i] = campaign.grid_.points[i].vgs;
       vds[i] = campaign.grid_.points[i].vds;
     }
-    vgs[pointCount] = campaign.grid_.vdd;
-    vds[pointCount] = campaign.grid_.vdd;
-    if (campaign.options_.useBank) {
-      bank = models::makeUniformLoadBank(*model, campaign.geometry_, lanes,
-                                         campaign.options_.numerics);
-    }
-    dataset.id.resize(pointCount);
+    bank = models::makeUniformLoadBank(*model, campaign.geometry_, pointCount,
+                                       campaign.options_.numerics);
+    dataset.values.resize(pointCount);
     residual = [this](const linalg::Vector& x, linalg::Vector& r) {
       response(x, r);
     };
   }
 
   /// The campaign residual: write the trial parameters into the worker
-  /// card, re-derive the bank ONCE for all bias lanes (rebindUniform), then
-  /// evaluate the whole I-V grid plus the Cgg anchor in one batched call.
+  /// card, re-derive the bank ONCE for all point lanes (rebindUniform),
+  /// evaluate the whole grid in one batched call, then weigh each point's
+  /// measured quantity against the dataset.
   void response(const linalg::Vector& x, linalg::Vector& r) {
     spec.write(x, *model);
-    if (bank) {
-      require(bank->rebindUniform(*model, owner->geometry_),
-              "FitCampaign: bank rejected its own card type");
-      bank->evaluateLoadBatch(vgs, vds, kLoadFdStep, evals);
-    } else {
-      for (std::size_t i = 0; i < evals.size(); ++i)
-        evals[i] = model->evaluateLoad(owner->geometry_, vgs[i], vds[i],
-                                       kLoadFdStep);
-    }
-    const MeasurementGrid& g = owner->grid_;
+    require(bank->rebindUniform(*model, owner->geometry_),
+            "FitCampaign: bank rejected its own card type");
+    bank->evaluateLoadBatch(vgs, vds, kLoadFdStep, evals);
+    const std::vector<IvPoint>& points = owner->grid_.points;
     for (std::size_t i = 0; i < pointCount; ++i) {
-      const double id = evals[i].at.id;
-      const double d = dataset.id[i];
-      r[i] = g.points[i].logSpace
-                 ? g.logWeight * std::log(std::max(id, kIdFloor) / d)
-                 : g.relWeight * (id / d - 1.0);
+      const IvPoint& p = points[i];
+      const double d = dataset.values[i];
+      switch (p.quantity) {
+        case Quantity::logId:
+          r[i] = p.weight * std::log(std::max(evals[i].at.id, kIdFloor) / d);
+          break;
+        case Quantity::relId:
+          r[i] = p.weight * (evals[i].at.id / d - 1.0);
+          break;
+        case Quantity::cgg:
+          r[i] = p.weight * (evals[i].dqgVgs / d - 1.0);
+          break;
+      }
     }
-    r[pointCount] =
-        g.cggWeight * (evals[pointCount].dqgVgs / dataset.cgg - 1.0);
   }
 
   const FitCampaign* owner;
   const FamilySpec& spec;
   std::unique_ptr<models::MosfetModel> model;
   std::size_t pointCount;
-  std::unique_ptr<models::MosfetLoadBank> bank;  ///< null when useBank=false
+  std::unique_ptr<models::MosfetLoadBank> bank;
   std::vector<double> vgs, vds;
   std::vector<models::MosfetLoadEvaluation> evals;
   FitDataset dataset;
@@ -345,27 +346,18 @@ FitCampaign::~FitCampaign() = default;
 void FitCampaign::finishInit() {
   id_ = gCampaignCounter.fetch_add(1, std::memory_order_relaxed) + 1;
   require(!grid_.points.empty(), "FitCampaign: measurement grid is empty");
-  require(grid_.vdd > 0.0, "FitCampaign: vdd must be positive");
   require(geometry_.width > 0.0 && geometry_.length > 0.0,
           "FitCampaign: geometry must be positive");
   require(options_.maxIterations > 0,
           "FitCampaign: maxIterations must be positive");
   const FamilySpec& spec = specFor(family_);
-  lmOptions_ = options_.levmar;
   lmOptions_.maxIterations = options_.maxIterations;
-  if (lmOptions_.lowerBounds.empty())
-    lmOptions_.lowerBounds.assign(spec.lo, spec.lo + spec.n);
-  if (lmOptions_.upperBounds.empty())
-    lmOptions_.upperBounds.assign(spec.hi, spec.hi + spec.n);
-  require(lmOptions_.lowerBounds.size() == spec.n &&
-              lmOptions_.upperBounds.size() == spec.n,
-          "FitCampaign: bounds size mismatch for card family");
+  lmOptions_.lowerBounds.assign(spec.lo, spec.lo + spec.n);
+  lmOptions_.upperBounds.assign(spec.hi, spec.hi + spec.n);
   x0_.resize(spec.n);
   spec.read(*seed_, x0_);
-  for (std::size_t j = 0; j < spec.n; ++j) {
-    x0_[j] = std::min(std::max(x0_[j], lmOptions_.lowerBounds[j]),
-                      lmOptions_.upperBounds[j]);
-  }
+  for (std::size_t j = 0; j < spec.n; ++j)
+    x0_[j] = std::min(std::max(x0_[j], spec.lo[j]), spec.hi[j]);
 }
 
 std::size_t FitCampaign::paramCount() const noexcept {
@@ -384,6 +376,7 @@ FitCampaignResult FitCampaign::run(std::size_t laneCount, std::uint64_t seed,
   res.params.resize(laneCount * n);
   res.outcomes.assign(laneCount, FitOutcome::converged);
   res.cost.assign(laneCount, 0.0);
+  res.initialCost.assign(laneCount, 0.0);
   res.iterations.assign(laneCount, 0);
   res.boundMask.assign(laneCount, 0);
   // SSO keeps the empty-message common case allocation-free.
@@ -402,9 +395,8 @@ FitCampaignResult FitCampaign::run(std::size_t laneCount, std::uint64_t seed,
         LaneEngine& e = *slot.engine;
 
         stats::Rng rng = root.fork(lane);
-        e.dataset.cgg = 0.0;
         makeDataset(lane, rng, e.dataset);
-        require(e.dataset.id.size() == e.pointCount,
+        require(e.dataset.values.size() == e.pointCount,
                 "FitCampaign: dataset resized away from the grid");
 
         double* out = res.params.data() + lane * n;
@@ -413,13 +405,14 @@ FitCampaignResult FitCampaign::run(std::size_t laneCount, std::uint64_t seed,
           res.outcomes[lane] = outcome;
           res.iterations[lane] = iterations;
           res.cost[lane] = std::numeric_limits<double>::quiet_NaN();
+          res.initialCost[lane] = std::numeric_limits<double>::quiet_NaN();
           res.boundMask[lane] = 0;
           std::copy(x0_.begin(), x0_.end(), out);
           messages[lane] = what;
         };
 
         try {
-          linalg::levenbergMarquardt(e.residual, x0_, e.pointCount + 1,
+          linalg::levenbergMarquardt(e.residual, x0_, e.pointCount,
                                      lmOptions_, e.ws, e.lm);
         } catch (const SingularMatrixError& err) {
           fail(FitOutcome::singularJtJ, err.iterations(), err.what());
@@ -436,6 +429,7 @@ FitCampaignResult FitCampaign::run(std::size_t laneCount, std::uint64_t seed,
 
         std::copy(e.lm.x.begin(), e.lm.x.end(), out);
         res.cost[lane] = e.lm.cost;
+        res.initialCost[lane] = e.lm.initialCost;
         res.iterations[lane] = e.lm.iterations;
         res.boundMask[lane] = e.lm.activeBounds;
         if (e.lm.activeBounds != 0) {
@@ -474,66 +468,48 @@ void FitCampaign::synthesizeDataset(const models::MosfetModel& truth,
                                     double noiseRel, stats::Rng& rng,
                                     FitDataset& out) const {
   const std::size_t count = grid_.points.size();
-  out.id.resize(count);
+  out.values.resize(count);
   for (std::size_t i = 0; i < count; ++i) {
-    const models::MosfetLoadEvaluation ev = truth.evaluateLoad(
-        geometry_, grid_.points[i].vgs, grid_.points[i].vds, kLoadFdStep);
-    double id = ev.at.id;
-    if (noiseRel > 0.0) id *= std::exp(noiseRel * rng.normal());
-    out.id[i] = id;
+    const IvPoint& p = grid_.points[i];
+    const models::MosfetLoadEvaluation ev =
+        truth.evaluateLoad(geometry_, p.vgs, p.vds, kLoadFdStep);
+    double v = p.quantity == Quantity::cgg ? ev.dqgVgs : ev.at.id;
+    if (noiseRel > 0.0) v *= std::exp(noiseRel * rng.normal());
+    out.values[i] = v;
   }
-  const models::MosfetLoadEvaluation anchor =
-      truth.evaluateLoad(geometry_, grid_.vdd, grid_.vdd, kLoadFdStep);
-  double cgg = anchor.dqgVgs;
-  if (noiseRel > 0.0) cgg *= std::exp(noiseRel * rng.normal());
-  out.cgg = cgg;
 }
+
+namespace {
+
+/// Lane `lane`'s fitted model: the family's write over a copy of the seed.
+template <class Model>
+Model laneModel(const models::MosfetModel& seed, CardFamily family,
+                const FitCampaignResult& r, std::size_t lane) {
+  Model m = static_cast<const Model&>(seed);
+  specFor(family).write(r.lane(lane), m);
+  return m;
+}
+
+}  // namespace
 
 models::VsParams FitCampaign::vsCard(const FitCampaignResult& r,
                                      std::size_t lane) const {
   require(family_ == CardFamily::vs, "FitCampaign: not a VS-family campaign");
-  models::VsParams p = static_cast<const models::VsModel&>(*seed_).params();
-  const std::span<const double> x = r.lane(lane);
-  p.vt0 = x[0];
-  p.delta0 = x[1];
-  p.n0 = x[2];
-  p.vxo = x[3];
-  p.mu = x[4];
-  p.beta = x[5];
-  p.cinv = x[6];
-  return p;
+  return laneModel<models::VsModel>(*seed_, family_, r, lane).params();
 }
 
 models::AlphaPowerParams FitCampaign::alphaCard(const FitCampaignResult& r,
                                                 std::size_t lane) const {
   require(family_ == CardFamily::alphaPower,
           "FitCampaign: not an alpha-power campaign");
-  models::AlphaPowerParams p =
-      static_cast<const models::AlphaPowerModel&>(*seed_).params();
-  const std::span<const double> x = r.lane(lane);
-  p.vth0 = x[0];
-  p.delta0 = x[1];
-  p.alphaSat = x[2];
-  p.kSat = x[3];
-  p.kV = x[4];
-  p.cg = x[5];
-  return p;
+  return laneModel<models::AlphaPowerModel>(*seed_, family_, r, lane).params();
 }
 
 models::BsimParams FitCampaign::bsimCard(const FitCampaignResult& r,
                                          std::size_t lane) const {
   require(family_ == CardFamily::bsim,
           "FitCampaign: not a bsim-lite campaign");
-  models::BsimParams p =
-      static_cast<const models::BsimLite&>(*seed_).params();
-  const std::span<const double> x = r.lane(lane);
-  p.vth0 = x[0];
-  p.dibl0 = x[1];
-  p.nfactor = x[2];
-  p.u0 = x[3];
-  p.vsat = x[4];
-  p.cox = x[5];
-  return p;
+  return laneModel<models::BsimLite>(*seed_, family_, r, lane).params();
 }
 
 }  // namespace vsstat::extract

@@ -1,5 +1,6 @@
-// Banked multi-fit extraction engine: thousands of independent VS-card
-// extractions run as one campaign.
+// Multi-fit extraction engine: every compact-model card fit in the library
+// runs here, from the one-lane nominal Fig. 1 fits (extract/fit.hpp) to
+// thousands of per-die re-extractions in one campaign.
 //
 // The paper's actual pipeline is measure -> extract VS cards -> statistical
 // model -> yield.  Production-volume extraction (per-die, per-corner) means
@@ -7,14 +8,17 @@
 // dozen I-V/C-V points -- the exact shape of FEBioVFM's ConstrainedLevmar
 // driver and Gpufit's LMFitCPP.  Here each fit is an independent *lane*:
 //
+//   * the measurement plan is a list of weighted points; each names the
+//     quantity it measures at its own bias -- log Id, relative Id, or Cgg
+//     -- and contributes one residual, weight * (model vs measured).
 //   * residual/Jacobian evaluation routes through models::MosfetLoadBank --
-//     one bank per worker whose bank-lanes are the BIAS POINTS of the
-//     device under fit, all referencing one worker-owned card that the
-//     optimizer rewrites (and lane-rebinds) between iterations.  Under
-//     NumericsMode::fast the VS bank batches the whole I-V grid through
-//     the SIMD chain; under reference (the default) banked evaluation is
-//     bit-identical to the scalar path, which is what the banked-vs-scalar
-//     agreement tests pin.
+//     one bank per worker whose bank-lanes are the measurement points of
+//     the device under fit, all referencing one worker-owned card that the
+//     optimizer rewrites (and rebindUniform re-derives) between
+//     iterations.  Under NumericsMode::fast the VS bank batches the whole
+//     grid through the SIMD chain; under reference (the default) the bank
+//     is bit-identical to scalar evaluateLoad, a contract the
+//     ModelContract tests pin (tests/models/test_model_contract.cpp).
 //   * linalg::levenbergMarquardt runs in its allocation-free workspace form
 //     with per-family box bounds, so extracted cards stay physical.
 //   * lanes are scheduled over the persistent util::ThreadPool with
@@ -27,8 +31,7 @@
 // Numerics contract: extraction carries a FIT TOLERANCE, not a bit-identity
 // contract -- the acceptance question is "does the fitted card reproduce
 // the data within the fit residual", so NumericsMode::fast is a legitimate
-// throughput mode here.  Reference numerics stays the default and the
-// baseline the agreement tests compare against.
+// throughput mode here.  Reference numerics stays the default.
 #ifndef VSSTAT_EXTRACT_FIT_CAMPAIGN_HPP
 #define VSSTAT_EXTRACT_FIT_CAMPAIGN_HPP
 
@@ -69,54 +72,57 @@ inline constexpr int kFitOutcomeCount = 5;
 
 [[nodiscard]] const char* toString(FitOutcome o) noexcept;
 
-/// One bias point of the campaign's shared measurement plan.
+/// What a measurement point observes, and how its residual compares the
+/// model value m with the measured value d.
+enum class Quantity {
+  logId,  ///< drain current, weight * ln(max(m, 1e-18) / d): subthreshold
+          ///< decades count
+  relId,  ///< drain current, weight * (m / d - 1)
+  cgg,    ///< gate capacitance dQg/dVgs, weight * (m / d - 1)
+};
+
+/// One measurement point: a bias, the quantity measured there, and the
+/// weight of its residual.
 struct IvPoint {
   double vgs = 0.0;
   double vds = 0.0;
-  bool logSpace = false;  ///< subthreshold/transfer points compare in log space
+  Quantity quantity = Quantity::relId;
+  double weight = 1.0;
 };
 
-/// The measurement plan every lane shares: bias points, the Cgg anchor at
-/// (vdd, vdd), and the residual weights (same scheme as extract::fit).
+/// The measurement plan every lane shares: one residual per point, in
+/// point order.
 struct MeasurementGrid {
   std::vector<IvPoint> points;
-  double vdd = 0.9;
-  double logWeight = 0.55;  ///< weight of log-space Id residuals
-  double relWeight = 1.5;   ///< weight of relative-space Id residuals
-  double cggWeight = 4.0;   ///< weight of the single Cgg point
 };
 
-/// The full-pipeline VS plan: two-bias Id-Vg scan (log space, subthreshold
-/// decades count) plus a three-gate-bias Id-Vd family (relative space).
+/// The full-pipeline VS plan: a two-bias Id-Vg scan (log Id, weight 0.55),
+/// a three-gate-bias Id-Vd family (relative Id, weight 1.5), and a closing
+/// Cgg point at (vdd, vdd), weight 4.
 [[nodiscard]] MeasurementGrid vsMeasurementGrid(double vdd = 0.9,
                                                 double vgsStep = 0.1,
                                                 double vdsStep = 0.1,
                                                 double vdsLin = 0.05);
 
-/// Strong-inversion-only plan (all relative space) for families with no
-/// subthreshold conduction to fit (alpha-power law).
+/// Strong-inversion-only plan for families with no subthreshold conduction
+/// to fit (alpha-power law): the same two scans from 0.45 vdd up, all
+/// relative Id at weight 1.5, and the closing Cgg point at (vdd, vdd),
+/// weight 4.
 [[nodiscard]] MeasurementGrid strongInversionGrid(double vdd = 0.9,
                                                   double vgsStep = 0.1,
                                                   double vdsStep = 0.1,
                                                   double vdsLin = 0.05);
 
-/// One lane's measurements on the campaign grid.
+/// One lane's measurements: values[i] is the measured quantity of grid
+/// point i (drain current [A] or Cgg [F]).
 struct FitDataset {
-  std::vector<double> id;  ///< drain current per grid point [A]
-  double cgg = 0.0;        ///< gate capacitance at (vdd, vdd) [F]
+  std::vector<double> values;
 };
 
 struct FitCampaignOptions {
-  int maxIterations = 60;
+  int maxIterations = 60;  ///< LM budget per lane
   unsigned threads = 0;  ///< parallelFor workers; 0 = hardware concurrency
-  /// Route lane evaluation through the device bank (the point of the
-  /// engine).  false = per-point scalar evaluateLoad, the agreement
-  /// baseline; bit-identical to banked reference by the bank contract.
-  bool useBank = true;
   models::NumericsMode numerics = models::NumericsMode::reference;
-  /// Solver options; empty bounds are filled with the family's physical
-  /// box, and maxIterations above overrides the solver default.
-  linalg::LevMarOptions levmar;
 };
 
 /// Campaign output: a bank of fitted cards (lane-major parameter storage)
@@ -128,6 +134,7 @@ struct FitCampaignResult {
   std::vector<double> params;  ///< laneCount x paramCount, lane-major
   std::vector<FitOutcome> outcomes;
   std::vector<double> cost;        ///< final 0.5||r||^2 (NaN on failed lanes)
+  std::vector<double> initialCost; ///< 0.5||r||^2 at the seed (NaN if failed)
   std::vector<std::int32_t> iterations;
   std::vector<std::uint32_t> boundMask;  ///< bit j: param j pinned at a bound
   std::array<int, kFitOutcomeCount> outcomeCounts{};
@@ -181,8 +188,8 @@ class FitCampaign {
 
   /// Produces lane `lane`'s measurements.  Called once per lane with a
   /// decorrelated child RNG (root.fork(lane)), so datasets -- and therefore
-  /// results -- are bit-identical across worker counts.  `dataset.id` is
-  /// pre-sized to the grid.
+  /// results -- are bit-identical across worker counts.  `dataset.values`
+  /// is pre-sized to the grid.
   using DatasetFn =
       std::function<void(std::size_t lane, stats::Rng& rng, FitDataset& dataset)>;
 
@@ -191,9 +198,10 @@ class FitCampaign {
                                       const DatasetFn& makeDataset) const;
 
   /// Synthesizes one lane's dataset from a truth card: evaluates the truth
-  /// model on the campaign grid (same evaluation path the fit uses) and
+  /// model at every grid point (evaluateLoad's at.id for current points,
+  /// its dqgVgs for Cgg points -- the values the fit compares against) and
   /// applies multiplicative log-normal measurement noise of relative sigma
-  /// `noiseRel` (0 = noiseless).
+  /// `noiseRel` (0 = noiseless, no draws), one draw per point in order.
   void synthesizeDataset(const models::MosfetModel& truth, double noiseRel,
                          stats::Rng& rng, FitDataset& out) const;
 
@@ -215,7 +223,7 @@ class FitCampaign {
   models::DeviceGeometry geometry_;
   MeasurementGrid grid_;
   FitCampaignOptions options_;
-  linalg::LevMarOptions lmOptions_;  ///< bounds resolved at construction
+  linalg::LevMarOptions lmOptions_;  ///< family box + maxIterations
   std::unique_ptr<models::MosfetModel> seed_;  ///< prototype card
   linalg::Vector x0_;                          ///< clamped seed parameters
 };

@@ -1,13 +1,14 @@
 // Levenberg–Marquardt nonlinear least squares with numeric Jacobian and
 // box constraints (projected/clamped trial steps).
 //
-// Used to fit the nominal VS model card to the golden kit's I-V data (the
-// step the paper shows in Fig. 1) and, at campaign volume, by the banked
-// multi-fit extraction engine (extract::FitCampaign), which runs thousands
-// of small independent fits.  For that workload the solver exposes a
+// Every compact-model card fit runs in the multi-fit extraction engine
+// (extract::FitCampaign) -- from the one-lane nominal fits of the paper's
+// Fig. 1 to thousands of small independent per-die fits -- through the
 // reusable workspace form: all scratch (residuals, Jacobian, normal
 // equations, pivot array) lives in a caller-owned LevMarWorkspace, so a
-// steady-state fit performs zero heap allocations.
+// steady-state fit performs zero heap allocations.  The allocating
+// overload serves one-off problems such as BPV-2's joint
+// variance/correlation solve (extract/bpv2.cpp).
 //
 // Failure discipline (PR-6 taxonomy): a residual/gradient/normal-matrix
 // that goes non-finite throws NonFiniteError; a damped normal matrix that

@@ -39,6 +39,41 @@ TEST(VsFit, CrossModelFitReachesFigureOneQuality) {
   EXPECT_LT(std::fabs(r.relCggError), 0.05);
 }
 
+TEST(VsFit, Fig1CardsMatchRecorded) {
+  // The nominal Fig. 1 cards, recorded to nine digits; every fitted field
+  // must stay within 1e-3 of them.  The Cgg anchor is the BPV target's
+  // bias (Vdd, 0): measuring it at (Vdd, Vdd) instead moves cinv, vxo and
+  // mu by ~3 % and fails here.
+  struct Recorded {
+    models::VsParams seed;
+    models::BsimParams golden;
+    double vt0, delta0, n0, vxo, mu, beta, cinv;
+  };
+  const Recorded cases[] = {
+      {models::defaultVsNmos(), models::defaultBsimNmos(), 0.458165171,
+       0.116006231, 1.22, 64654.5622, 0.0271866631, 1.86279190,
+       0.0183755325},
+      {models::defaultVsPmos(), models::defaultBsimPmos(), 0.478771636,
+       0.135956630, 1.22, 48778.4668, 0.0178685214, 1.92827999,
+       0.0176880160},
+  };
+  for (const Recorded& c : cases) {
+    const BsimLite golden(c.golden);
+    const IvFitResult r = fitVsToGolden(c.seed, golden, geometryNm(300, 40));
+    const auto expectNear = [](double got, double want, const char* name) {
+      EXPECT_NEAR(got, want, 1e-3 * std::fabs(want)) << name;
+    };
+    expectNear(r.card.vt0, c.vt0, "vt0");
+    expectNear(r.card.delta0, c.delta0, "delta0");
+    expectNear(r.card.n0, c.n0, "n0");
+    expectNear(r.card.vxo, c.vxo, "vxo");
+    expectNear(r.card.mu, c.mu, "mu");
+    expectNear(r.card.beta, c.beta, "beta");
+    expectNear(r.card.cinv, c.cinv, "cinv");
+    EXPECT_TRUE(r.converged);
+  }
+}
+
 TEST(VsFit, AnchorsPinIdsatAndIoff) {
   const BsimLite golden(models::defaultBsimNmos());
   const auto geom = geometryNm(300, 40);

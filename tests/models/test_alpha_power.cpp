@@ -157,5 +157,47 @@ TEST(AlphaPowerFit, PmosAlsoFits) {
   EXPECT_LT(fit.rmsRelIdVd, 0.15);
 }
 
+TEST(AlphaPowerFit, RmsReportsSplitAtTheScanBoundary) {
+  // rmsRelIdVg covers exactly the two-bias Id-Vg scan from 0.45 Vdd and
+  // rmsRelIdVd exactly the three-gate-bias Id-Vd family, recomputed here
+  // from the fitted and golden cards' drain currents.
+  const extract::FitOptions opt;
+  const struct {
+    AlphaPowerParams seed;
+    BsimParams golden;
+  } cases[] = {{defaultAlphaNmos(), defaultBsimNmos()},
+               {defaultAlphaPmos(), defaultBsimPmos()}};
+  for (const auto& c : cases) {
+    const BsimLite golden(c.golden);
+    const extract::AlphaFitResult fit =
+        extract::fitAlphaPowerToGolden(c.seed, golden, kGeom, opt);
+    const AlphaPowerModel fitted(fit.card);
+    const auto relErrSq = [&](double vgs, double vds) {
+      const double e = fitted.drainCurrent(kGeom, vgs, vds) /
+                           golden.drainCurrent(kGeom, vgs, vds) -
+                       1.0;
+      return e * e;
+    };
+    double sumVg = 0.0;
+    int nVg = 0;
+    for (double vgs = 0.45 * opt.vdd; vgs <= opt.vdd + 1e-9;
+         vgs += opt.vgsStep) {
+      sumVg += relErrSq(vgs, opt.vdsLin) + relErrSq(vgs, opt.vdd);
+      nVg += 2;
+    }
+    double sumVd = 0.0;
+    int nVd = 0;
+    for (const double frac : {0.6, 0.8, 1.0}) {
+      for (double vds = opt.vdsStep; vds <= opt.vdd + 1e-9;
+           vds += opt.vdsStep) {
+        sumVd += relErrSq(frac * opt.vdd, vds);
+        ++nVd;
+      }
+    }
+    EXPECT_NEAR(fit.rmsRelIdVg, std::sqrt(sumVg / nVg), 1e-12);
+    EXPECT_NEAR(fit.rmsRelIdVd, std::sqrt(sumVd / nVd), 1e-12);
+  }
+}
+
 }  // namespace
 }  // namespace vsstat::models

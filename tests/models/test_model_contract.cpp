@@ -8,6 +8,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "models/alpha_power.hpp"
 #include "models/bsim_lite.hpp"
@@ -31,6 +32,39 @@ class ModelContract : public ::testing::TestWithParam<ContractCase> {
     return GetParam().make();
   }
 };
+
+/// Every field of two Newton loads, compared bit for bit.
+void expectLoadBitEqual(const MosfetLoadEvaluation& got,
+                        const MosfetLoadEvaluation& want, std::size_t lane) {
+  EXPECT_EQ(got.at.id, want.at.id) << "lane " << lane;
+  EXPECT_EQ(got.at.qg, want.at.qg) << "lane " << lane;
+  EXPECT_EQ(got.at.qd, want.at.qd) << "lane " << lane;
+  EXPECT_EQ(got.at.qs, want.at.qs) << "lane " << lane;
+  EXPECT_EQ(got.didVgs, want.didVgs) << "lane " << lane;
+  EXPECT_EQ(got.didVds, want.didVds) << "lane " << lane;
+  EXPECT_EQ(got.dqgVgs, want.dqgVgs) << "lane " << lane;
+  EXPECT_EQ(got.dqgVds, want.dqgVds) << "lane " << lane;
+  EXPECT_EQ(got.dqdVgs, want.dqdVgs) << "lane " << lane;
+  EXPECT_EQ(got.dqdVds, want.dqdVds) << "lane " << lane;
+  EXPECT_EQ(got.dqsVgs, want.dqsVgs) << "lane " << lane;
+  EXPECT_EQ(got.dqsVds, want.dqsVds) << "lane " << lane;
+}
+
+/// A card of the same family with two fitted parameters moved.
+std::unique_ptr<MosfetModel> perturbedCard(const MosfetModel& m) {
+  std::unique_ptr<MosfetModel> p = m.clone();
+  if (auto* vs = dynamic_cast<VsModel*>(p.get())) {
+    vs->mutableParams().vt0 += 0.03;
+    vs->mutableParams().vxo *= 1.1;
+  } else if (auto* bsim = dynamic_cast<BsimLite*>(p.get())) {
+    bsim->mutableParams().vth0 += 0.03;
+    bsim->mutableParams().u0 *= 1.1;
+  } else if (auto* alpha = dynamic_cast<AlphaPowerModel*>(p.get())) {
+    alpha->mutableParams().vth0 += 0.03;
+    alpha->mutableParams().kSat *= 1.1;
+  }
+  return p;
+}
 
 TEST_P(ModelContract, ZeroVdsCarriesZeroCurrent) {
   const auto m = model();
@@ -154,20 +188,9 @@ TEST_P(ModelContract, BatchLoadBitIdenticalToScalar) {
       }
       bank->evaluateLoadBatch(vgs, vds, kStep, out);
       for (std::size_t i = 0; i < geoms.size(); ++i) {
-        const MosfetLoadEvaluation ref =
-            m->evaluateLoad(geoms[i], vgs[i], vds[i], kStep);
-        EXPECT_EQ(out[i].at.id, ref.at.id) << "lane " << i;
-        EXPECT_EQ(out[i].at.qg, ref.at.qg) << "lane " << i;
-        EXPECT_EQ(out[i].at.qd, ref.at.qd) << "lane " << i;
-        EXPECT_EQ(out[i].at.qs, ref.at.qs) << "lane " << i;
-        EXPECT_EQ(out[i].didVgs, ref.didVgs) << "lane " << i;
-        EXPECT_EQ(out[i].didVds, ref.didVds) << "lane " << i;
-        EXPECT_EQ(out[i].dqgVgs, ref.dqgVgs) << "lane " << i;
-        EXPECT_EQ(out[i].dqgVds, ref.dqgVds) << "lane " << i;
-        EXPECT_EQ(out[i].dqdVgs, ref.dqdVgs) << "lane " << i;
-        EXPECT_EQ(out[i].dqdVds, ref.dqdVds) << "lane " << i;
-        EXPECT_EQ(out[i].dqsVgs, ref.dqsVgs) << "lane " << i;
-        EXPECT_EQ(out[i].dqsVds, ref.dqsVds) << "lane " << i;
+        expectLoadBitEqual(out[i],
+                           m->evaluateLoad(geoms[i], vgs[i], vds[i], kStep),
+                           i);
       }
     }
   }
@@ -192,6 +215,47 @@ TEST_P(ModelContract, BankRebindLaneTracksNewCard) {
   EXPECT_EQ(out[0].at.id, ref.at.id);
   EXPECT_EQ(out[0].didVgs, ref.didVgs);
   EXPECT_EQ(out[0].dqgVds, ref.dqgVds);
+}
+
+TEST_P(ModelContract, BankRebindUniformTracksMutatedCard) {
+  // The extraction engine's between-iterations pass: every lane of a
+  // uniform bank shares one card that is mutated in place (assignFrom here,
+  // the family's parameter write in FitCampaign), then rebindUniform
+  // re-derives the lanes -- here at a new geometry too.  Reference numerics
+  // must then equal scalar evaluateLoad on the mutated card bit for bit;
+  // fast numerics must equal the same bank rebound lane by lane.
+  const auto perturbed = perturbedCard(*model());
+  const DeviceGeometry g0 = geom();
+  const DeviceGeometry g1 = geometryNm(1.4 * GetParam().widthNm, 48);
+  const std::vector<double> vgs = {0.0, 0.3, 0.6, 0.9, 0.9, 0.45};
+  const std::vector<double> vds = {0.9, 0.05, 0.45, 0.9, 0.0, -0.3};
+  constexpr double kStep = 1e-3;
+  for (const NumericsMode mode :
+       {NumericsMode::reference, NumericsMode::fast}) {
+    const auto card = model();
+    const auto bank = makeUniformLoadBank(*card, g0, vgs.size(), mode);
+    std::vector<MosfetLoadEvaluation> before(vgs.size());
+    bank->evaluateLoadBatch(vgs, vds, kStep, before);
+
+    ASSERT_TRUE(card->assignFrom(*perturbed));
+    ASSERT_TRUE(bank->rebindUniform(*card, g1));
+    std::vector<MosfetLoadEvaluation> out(vgs.size());
+    bank->evaluateLoadBatch(vgs, vds, kStep, out);
+    EXPECT_NE(out[3].at.id, before[3].at.id) << toString(mode);
+
+    std::vector<MosfetLoadEvaluation> want(vgs.size());
+    if (mode == NumericsMode::reference) {
+      for (std::size_t i = 0; i < vgs.size(); ++i)
+        want[i] = card->evaluateLoad(g1, vgs[i], vds[i], kStep);
+    } else {
+      for (std::size_t i = 0; i < vgs.size(); ++i)
+        ASSERT_TRUE(bank->rebindLane(i, *card, g1));
+      bank->evaluateLoadBatch(vgs, vds, kStep, want);
+    }
+    SCOPED_TRACE(toString(mode));
+    for (std::size_t i = 0; i < vgs.size(); ++i)
+      expectLoadBitEqual(out[i], want[i], i);
+  }
 }
 
 TEST_P(ModelContract, CloneBehavesIdentically) {
