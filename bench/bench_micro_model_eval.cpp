@@ -1,7 +1,9 @@
 // Microbenchmark (google-benchmark): raw compact-model evaluation cost,
 // VS vs BsimLite, plus the Newton DC solve of an inverter.  Supports the
 // Table IV interpretation: how much of the campaign speedup is intrinsic
-// model cost.
+// model cost.  evaluate() is each family's one value entry point
+// (drainCurrent is its .id); the banked Newton-load lanes are timed by
+// bench_device_bank's gated micro_vs_load_* rows.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -18,31 +20,11 @@ namespace {
 
 const models::DeviceGeometry kGeom = models::geometryNm(600, 40);
 
-void BM_VsDrainCurrent(benchmark::State& state) {
-  const models::VsModel model(models::defaultVsNmos());
-  double vgs = 0.0;
-  for (auto _ : state) {
-    vgs = vgs < 0.9 ? vgs + 0.01 : 0.0;  // sweep bias to defeat caching
-    benchmark::DoNotOptimize(model.drainCurrent(kGeom, vgs, 0.9));
-  }
-}
-BENCHMARK(BM_VsDrainCurrent);
-
-void BM_BsimDrainCurrent(benchmark::State& state) {
-  const models::BsimLite model(models::defaultBsimNmos());
-  double vgs = 0.0;
-  for (auto _ : state) {
-    vgs = vgs < 0.9 ? vgs + 0.01 : 0.0;
-    benchmark::DoNotOptimize(model.drainCurrent(kGeom, vgs, 0.9));
-  }
-}
-BENCHMARK(BM_BsimDrainCurrent);
-
 void BM_VsFullEvaluate(benchmark::State& state) {
   const models::VsModel model(models::defaultVsNmos());
   double vgs = 0.0;
   for (auto _ : state) {
-    vgs = vgs < 0.9 ? vgs + 0.01 : 0.0;
+    vgs = vgs < 0.9 ? vgs + 0.01 : 0.0;  // sweep bias to defeat caching
     benchmark::DoNotOptimize(model.evaluate(kGeom, vgs, 0.45));
   }
 }
@@ -57,76 +39,6 @@ void BM_BsimFullEvaluate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BsimFullEvaluate);
-
-// --- Newton-load lanes: scalar evaluateLoad vs the banked batch --------------
-//
-// Six mismatched VS lanes (the 6T SRAM device population): the scalar lane
-// pays one virtual evaluateLoad (incl. per-call derive()) per device, the
-// banked lane one evaluateLoadBatch over per-lane cached cards.  Outputs
-// are bit-identical (models::MosfetLoadBank contract); the delta is pure
-// dispatch/derive overhead, which bounds what circuit-level banking can
-// save per evaluation.
-
-struct VsLaneFixture {
-  std::vector<std::unique_ptr<models::VsModel>> cards;
-  std::vector<models::DeviceGeometry> geoms;
-  std::unique_ptr<models::MosfetLoadBank> bank;
-  std::vector<double> vgs, vds;
-  std::vector<models::MosfetLoadEvaluation> out;
-
-  VsLaneFixture() {
-    for (int i = 0; i < 6; ++i) {
-      models::VsParams p =
-          (i % 2 == 0) ? models::defaultVsNmos() : models::defaultVsPmos();
-      p.vt0 += 0.004 * i;
-      cards.push_back(std::make_unique<models::VsModel>(p));
-      geoms.push_back(models::geometryNm(150.0 + 50.0 * i, 40));
-    }
-    std::vector<models::BankLane> lanes;
-    for (std::size_t i = 0; i < cards.size(); ++i)
-      lanes.push_back(models::BankLane{cards[i].get(), &geoms[i]});
-    bank = static_cast<const models::MosfetModel&>(*cards.front())
-               .makeLoadBank(lanes);
-    vgs.resize(cards.size());
-    vds.resize(cards.size());
-    out.resize(cards.size());
-  }
-
-  void bias(int s) {
-    for (std::size_t i = 0; i < cards.size(); ++i) {
-      vgs[i] = 0.05 + 0.85 * ((s + static_cast<int>(i) * 7) % 97) / 96.0;
-      vds[i] = 0.9 * ((s + static_cast<int>(i) * 13) % 89) / 88.0;
-    }
-  }
-};
-
-void BM_VsLoadScalarLanes(benchmark::State& state) {
-  VsLaneFixture f;
-  int s = 0;
-  for (auto _ : state) {
-    f.bias(s++);
-    for (std::size_t i = 0; i < f.cards.size(); ++i) {
-      f.out[i] = f.cards[i]->evaluateLoad(f.geoms[i], f.vgs[i], f.vds[i], 1e-3);
-    }
-    benchmark::DoNotOptimize(f.out.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(f.cards.size()));
-}
-BENCHMARK(BM_VsLoadScalarLanes);
-
-void BM_VsLoadBankedLanes(benchmark::State& state) {
-  VsLaneFixture f;
-  int s = 0;
-  for (auto _ : state) {
-    f.bias(s++);
-    f.bank->evaluateLoadBatch(f.vgs, f.vds, 1e-3, f.out);
-    benchmark::DoNotOptimize(f.out.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(f.cards.size()));
-}
-BENCHMARK(BM_VsLoadBankedLanes);
 
 template <typename Model, typename Params>
 spice::Circuit makeInverter(Params nmos, Params pmos) {

@@ -43,12 +43,6 @@ double AlphaPowerModel::idPerWidth(double vgs, double vds) const {
   return idsat * (2.0 - v) * v;
 }
 
-double AlphaPowerModel::drainCurrent(const DeviceGeometry& geom, double vgs,
-                                     double vds) const {
-  if (vds < 0.0) return -geom.width * idPerWidth(vgs - vds, -vds);
-  return geom.width * idPerWidth(vgs, vds);
-}
-
 MosfetEvaluation AlphaPowerModel::evaluate(const DeviceGeometry& geom,
                                            double vgs, double vds) const {
   const bool reversed = vds < 0.0;

@@ -57,9 +57,6 @@ class AlphaPowerModel final : public MosfetModel {
                                           double vgs,
                                           double vds) const override;
 
-  [[nodiscard]] double drainCurrent(const DeviceGeometry& geom, double vgs,
-                                    double vds) const override;
-
   [[nodiscard]] std::unique_ptr<MosfetModel> clone() const override;
   [[nodiscard]] bool assignFrom(const MosfetModel& other) override;
 

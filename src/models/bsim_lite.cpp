@@ -84,12 +84,6 @@ BsimLite::Operating BsimLite::operatingPoint(const DeviceGeometry& geom,
   return op;
 }
 
-double BsimLite::drainCurrent(const DeviceGeometry& geom, double vgs,
-                              double vds) const {
-  if (vds < 0.0) return -operatingPoint(geom, vgs - vds, -vds).id;
-  return operatingPoint(geom, vgs, vds).id;
-}
-
 MosfetEvaluation BsimLite::evaluate(const DeviceGeometry& geom, double vgs,
                                     double vds) const {
   const bool reversed = vds < 0.0;

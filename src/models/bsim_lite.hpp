@@ -28,9 +28,6 @@ class BsimLite final : public MosfetModel {
                                           double vgs,
                                           double vds) const override;
 
-  [[nodiscard]] double drainCurrent(const DeviceGeometry& geom, double vgs,
-                                    double vds) const override;
-
   [[nodiscard]] std::unique_ptr<MosfetModel> clone() const override;
   [[nodiscard]] bool assignFrom(const MosfetModel& other) override;
 

@@ -56,35 +56,22 @@ std::unique_ptr<MosfetLoadBank> makeUniformLoadBank(
   return card.makeLoadBank(std::move(lanes), mode);
 }
 
-double MosfetModel::drainCurrent(const DeviceGeometry& geom, double vgs,
-                                 double vds) const {
-  return evaluate(geom, vgs, vds).id;
-}
-
-MosfetDerivEvaluation MosfetModel::evaluateForNewton(const DeviceGeometry& geom,
-                                                     double vgs, double vds,
-                                                     double step) const {
-  MosfetDerivEvaluation out;
-  out.base = evaluate(geom, vgs, vds);
-  out.gateStep = evaluate(geom, vgs + step, vds);
-  out.drainStep = evaluate(geom, vgs, vds + step);
-  return out;
-}
-
 MosfetLoadEvaluation MosfetModel::evaluateLoad(const DeviceGeometry& geom,
                                                double vgs, double vds,
                                                double fdStep) const {
-  const MosfetDerivEvaluation t = evaluateForNewton(geom, vgs, vds, fdStep);
+  const MosfetEvaluation base = evaluate(geom, vgs, vds);
+  const MosfetEvaluation gate = evaluate(geom, vgs + fdStep, vds);
+  const MosfetEvaluation drain = evaluate(geom, vgs, vds + fdStep);
   MosfetLoadEvaluation out;
-  out.at = t.base;
-  out.didVgs = (t.gateStep.id - t.base.id) / fdStep;
-  out.didVds = (t.drainStep.id - t.base.id) / fdStep;
-  out.dqgVgs = (t.gateStep.qg - t.base.qg) / fdStep;
-  out.dqgVds = (t.drainStep.qg - t.base.qg) / fdStep;
-  out.dqdVgs = (t.gateStep.qd - t.base.qd) / fdStep;
-  out.dqdVds = (t.drainStep.qd - t.base.qd) / fdStep;
-  out.dqsVgs = (t.gateStep.qs - t.base.qs) / fdStep;
-  out.dqsVds = (t.drainStep.qs - t.base.qs) / fdStep;
+  out.at = base;
+  out.didVgs = (gate.id - base.id) / fdStep;
+  out.didVds = (drain.id - base.id) / fdStep;
+  out.dqgVgs = (gate.qg - base.qg) / fdStep;
+  out.dqgVds = (drain.qg - base.qg) / fdStep;
+  out.dqdVgs = (gate.qd - base.qd) / fdStep;
+  out.dqdVds = (drain.qd - base.qd) / fdStep;
+  out.dqsVgs = (gate.qs - base.qs) / fdStep;
+  out.dqsVds = (drain.qs - base.qs) / fdStep;
   return out;
 }
 
@@ -99,12 +86,6 @@ double softplus(double x) noexcept {
   if (x > 34.0) return x;           // exp(-x) below double epsilon
   if (x < -34.0) return std::exp(x);
   return std::log1p(std::exp(x));
-}
-
-double logistic(double x) noexcept {
-  if (x > 34.0) return 0.0;
-  if (x < -34.0) return 1.0;
-  return 1.0 / (1.0 + std::exp(x));
 }
 
 }  // namespace vsstat::models

@@ -57,14 +57,6 @@ struct MosfetEvaluation {
   double qs = 0.0;  ///< source terminal charge [C]
 };
 
-/// The three evaluations one Newton load needs: the bias point itself plus
-/// the forward-difference points for the gate and drain derivatives.
-struct MosfetDerivEvaluation {
-  MosfetEvaluation base;
-  MosfetEvaluation gateStep;   ///< at (vgs + step, vds)
-  MosfetEvaluation drainStep;  ///< at (vgs, vds + step)
-};
-
 /// Everything one Newton load consumes: the evaluation at the bias point
 /// plus the current/charge derivatives w.r.t. the call's (vgs, vds) inputs.
 struct MosfetLoadEvaluation {
@@ -155,9 +147,15 @@ class MosfetLoadBank {
   std::vector<BankLane> lanes_;
 };
 
-/// Pure-abstract compact model.  Implementations must be smooth (C1) in the
-/// bias voltages across all operating regions; the circuit engine
-/// differentiates them numerically inside Newton iterations.
+/// Compact-model interface: one value entry point (evaluate) and one Newton
+/// load entry point (evaluateLoad), plus the batched bank built from them.
+/// Each family has exactly one arithmetic chain behind both: evaluate() ==
+/// evaluateLoad().at and drainCurrent() == evaluate().id, bit for bit, so a
+/// device metric (Idsat, Ioff, Cgg) and a circuit's Newton load of the same
+/// card at the same bias see the same numbers.  Implementations must be
+/// smooth (C1) in the bias voltages across all operating regions; families
+/// without analytic derivatives are differentiated numerically inside
+/// Newton iterations.
 class MosfetModel {
  public:
   virtual ~MosfetModel() = default;
@@ -176,24 +174,21 @@ class MosfetModel {
                                                   double vgs,
                                                   double vds) const = 0;
 
-  /// Drain current only (hot path for DC analyses); default goes through
-  /// evaluate().
-  [[nodiscard]] virtual double drainCurrent(const DeviceGeometry& geom,
-                                            double vgs, double vds) const;
-
-  /// Batched evaluation for one Newton load: the bias point plus the two
-  /// forward-difference points.  The default simply calls evaluate() three
-  /// times; models with internal iterations (series-resistance loops)
-  /// override it to share work between the three nearby points.
-  [[nodiscard]] virtual MosfetDerivEvaluation evaluateForNewton(
-      const DeviceGeometry& geom, double vgs, double vds, double step) const;
+  /// Drain current only: evaluate(geom, vgs, vds).id.  Device metrics and
+  /// fit reports use it; circuit analyses load through evaluateLoad.
+  [[nodiscard]] double drainCurrent(const DeviceGeometry& geom, double vgs,
+                                    double vds) const {
+    return evaluate(geom, vgs, vds).id;
+  }
 
   /// The Newton-load entry point: evaluation plus current/charge
-  /// derivatives.  The default forms forward differences (step `fdStep`)
-  /// from evaluateForNewton(); models with cheap analytic derivatives (the
-  /// VS model) override it, which is the single biggest win on the circuit
-  /// hot path.  Derivatives must stay consistent with evaluate() to the
-  /// accuracy the Newton iteration needs (a few percent), not bit-exactly.
+  /// derivatives.  The default calls evaluate() at the bias point and at
+  /// the two forward-difference points (step `fdStep`); models with cheap
+  /// analytic derivatives (the VS model) override it, which is the single
+  /// biggest win on the circuit hot path.  Either way `at` equals
+  /// evaluate() bit for bit.  Derivatives must stay consistent with
+  /// evaluate() to the accuracy the Newton iteration needs (a few percent),
+  /// not bit-exactly.
   [[nodiscard]] virtual MosfetLoadEvaluation evaluateLoad(
       const DeviceGeometry& geom, double vgs, double vds,
       double fdStep) const;
@@ -242,9 +237,6 @@ class MosfetModel {
 
 /// Numerically-stable softplus ln(1 + exp(x)); linear tail for large x.
 [[nodiscard]] double softplus(double x) noexcept;
-
-/// Logistic function 1 / (1 + exp(x)) with overflow guards.
-[[nodiscard]] double logistic(double x) noexcept;
 
 }  // namespace vsstat::models
 

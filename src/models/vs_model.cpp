@@ -1,6 +1,5 @@
 #include "models/vs_model.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 
@@ -12,8 +11,8 @@ namespace vsstat::models {
 
 namespace {
 
-/// logistic(x) = 1/(1+e^x) with its x-derivative, consistent with the
-/// clamped tails of models::logistic (derivative 0 where the value clamps).
+/// The logistic 1/(1+e^x) with its x-derivative; the value clamps to 0/1
+/// beyond |x| > 34 (derivative 0 where it clamps).
 inline void logisticVD(double x, double& v, double& dv) noexcept {
   if (x > 34.0) {
     v = 0.0;
@@ -50,13 +49,17 @@ inline void softplusVD(double x, double& v, double& dv) noexcept {
 
 // --- model equations ---------------------------------------------------------
 //
-// Free functions of (params, geometry, bias): one arithmetic chain serves
-// the card-owning VsModel adapter, the scalar Newton-load entry point, and
-// the banked lane loop.
+// Free functions of (params, geometry, bias).  One analytic chain -- the
+// card (makeLoadCard), the intrinsic current and source-end charge
+// (currentPart), the drain-end charge (chargePart), the series-resistance
+// Newton (evaluateLoadCard) and the partition (finishLoad) -- serves every
+// VsModel entry point (evaluate, evaluateLoad, drainCurrent) and the
+// reference lanes of the device bank.  The fast bank pipeline below shares
+// the card and finishLoad and runs the rest through SIMD kernels.
 
 /// Bias-independent values derived from (params, geometry).  Computed once
-/// per evaluation chain and shared across every intrinsic call of the
-/// series-resistance loop and the Newton finite-difference points.
+/// per load card and shared by every currentPart call of the
+/// series-resistance loop.
 struct Derived {
   double phit = 0.0;          ///< thermal voltage
   double delta = 0.0;         ///< DIBL coefficient at Leff
@@ -79,169 +82,7 @@ Derived derive(const VsParams& p, const DeviceGeometry& geom) noexcept {
   return d;
 }
 
-/// Core intrinsic solution at internal (post-Rs/Rd) voltages.
-struct Intrinsic {
-  double idPerWidth = 0.0;  ///< A/m, positive for canonical vds >= 0
-  double qSrcAreal = 0.0;   ///< source-end channel charge [C/m^2]
-  double qDrnAreal = 0.0;   ///< drain-end channel charge [C/m^2]
-};
-
-/// Intrinsic model at internal (post-Rs/Rd) voltages.  The drain-end
-/// charge block is only computed when `withCharges` is set: the
-/// series-resistance secant needs the current alone.
-Intrinsic intrinsic(const VsParams& p, const Derived& d, double vgs,
-                    double vds, bool withCharges) {
-  // Threshold with DIBL (paper Eq. 4).
-  const double vt = p.vt0 - d.delta * vds;
-
-  // Weak/strong inversion transition function FF and the blended Vt shift
-  // (MVS formulation): in weak inversion the effective threshold lowers by
-  // alpha*phit.
-  const double ff = logistic((vgs - (vt - d.alphaPhit / 2.0)) / d.alphaPhit);
-  const double eta = (vgs - (vt - d.alphaPhit * ff)) / d.nphit;
-
-  // Virtual-source inversion charge (paper's Qixo).
-  const double qix = d.qref * softplus(eta);
-
-  // Saturation voltage: strong-inversion value vxo*L/mu blended toward phit
-  // in weak inversion.
-  const double vdsat = d.vdsatStrong * (1.0 - ff) + d.phit * ff;
-
-  // Fsat (paper Eq. 3).
-  const double ratio = vds / vdsat;
-  const double fsat = ratio / std::pow(1.0 + std::pow(ratio, p.beta),
-                                       1.0 / p.beta);
-
-  Intrinsic out;
-  out.idPerWidth = qix * d.vxo * fsat;
-  out.qSrcAreal = qix;
-  if (!withCharges) return out;
-
-  // Drain-end charge at the smoothed internal drain voltage
-  // Vdseff = Vdsat * Fsat (equals Vds in the linear region, clamps to ~Vdsat
-  // in saturation), keeping the charge model continuous everywhere.
-  const double vdseff = vdsat * fsat;
-  const double ffd = logistic((vgs - vdseff - (vt - d.alphaPhit / 2.0)) /
-                              d.alphaPhit);
-  const double etaD = (vgs - vdseff - (vt - d.alphaPhit * ffd)) / d.nphit;
-  out.qDrnAreal = d.qref * softplus(etaD);
-  return out;
-}
-
-double solveSeriesCurrent(const VsParams& p, const DeviceGeometry& geom,
-                          const Derived& d, double vgs, double vds,
-                          const double* warmStart) {
-  // Per-instance resistances: cards carry R*W [Ohm m].
-  const double rsOhm = p.rs / geom.width;
-  const double rdOhm = p.rd / geom.width;
-
-  // Solve h(i) = f(i) - i = 0, where f maps a trial current to the model
-  // current at the post-IR internal voltages.  The IR drop is a small
-  // fraction of the bias (|f'| ~ gm*Rs ~ 0.1), so a secant iteration
-  // converges in two or three evaluations -- this is the evaluation hot
-  // path for every Newton load in circuit simulation.  Only the current is
-  // evaluated here; charges are filled in once at the solution.
-  const auto evalCurrent = [&](double i) {
-    const double vgsInt = vgs - i * rsOhm;
-    const double vdsInt = vds - i * (rsOhm + rdOhm);
-    return intrinsic(p, d, std::max(vgsInt, -1.0), std::max(vdsInt, 0.0),
-                     /*withCharges=*/false)
-               .idPerWidth *
-           geom.width;
-  };
-
-  double i0, h0, i1;
-  if (warmStart != nullptr) {
-    // A nearby bias was just solved (Newton finite-difference point): start
-    // the secant from its current, which lands within one or two updates.
-    i0 = *warmStart;
-    h0 = evalCurrent(i0) - i0;
-    i1 = i0 + h0;
-  } else {
-    i0 = 0.0;
-    h0 = evalCurrent(0.0);  // = f(0)
-    i1 = h0;                // start at f(0)
-  }
-  for (int it = 0; it < 6; ++it) {
-    const double h1 = evalCurrent(i1) - i1;
-    if (std::fabs(h1) < 1e-13 + 1e-6 * std::fabs(i1)) break;
-    const double denom = h1 - h0;
-    double iNext;
-    if (std::fabs(denom) > 1e-300) {
-      iNext = i1 - h1 * (i1 - i0) / denom;
-    } else {
-      iNext = i1 + h1;  // degenerate secant: plain fixed-point step
-    }
-    i0 = i1;
-    h0 = h1;
-    i1 = iNext;
-  }
-  return i1;
-}
-
-/// Full intrinsic solution with the IR drop resolved.
-Intrinsic solveWithSeriesR(const VsParams& p, const DeviceGeometry& geom,
-                           const Derived& d, double vgs, double vds,
-                           const double* warmStart) {
-  if (p.rs <= 0.0 && p.rd <= 0.0)
-    return intrinsic(p, d, vgs, vds, /*withCharges=*/true);
-
-  const double i1 = solveSeriesCurrent(p, geom, d, vgs, vds, warmStart);
-  const double rsOhm = p.rs / geom.width;
-  const double rdOhm = p.rd / geom.width;
-  const double vgsInt = vgs - i1 * rsOhm;
-  const double vdsInt = vds - i1 * (rsOhm + rdOhm);
-  Intrinsic result = intrinsic(p, d, std::max(vgsInt, -1.0),
-                               std::max(vdsInt, 0.0), /*withCharges=*/true);
-  result.idPerWidth = i1 / geom.width;
-  return result;
-}
-
-/// Canonicalization + Ward-Dutton partition shared by evaluate() and
-/// evaluateForNewton().  `warmCurrent` (if non-null) carries the previous
-/// nearby solve's canonical current in, and the present one out.
-MosfetEvaluation evaluateImpl(const VsParams& p, const DeviceGeometry& geom,
-                              const Derived& d, double vgs, double vds,
-                              double* warmCurrent, bool useWarm) {
-  const bool reversed = vds < 0.0;
-  const double cvgs = reversed ? vgs - vds : vgs;
-  const double cvds = reversed ? -vds : vds;
-
-  const double* warm = useWarm ? warmCurrent : nullptr;
-  const Intrinsic in = solveWithSeriesR(p, geom, d, cvgs, cvds, warm);
-  if (warmCurrent != nullptr) *warmCurrent = in.idPerWidth * geom.width;
-
-  const double w = geom.width;
-  const double l = geom.length;
-
-  // Ward-Dutton partition of a linear charge profile between the source-end
-  // and drain-end densities.  Channel charge is electrons (negative) mirrored
-  // by positive gate charge.
-  const double qChanSrc = w * l * (2.0 * in.qSrcAreal + in.qDrnAreal) / 6.0;
-  const double qChanDrn = w * l * (in.qSrcAreal + 2.0 * in.qDrnAreal) / 6.0;
-
-  // Overlap/fringe parasitics (linear, per gate edge).
-  const double cov = p.cof * w;
-  const double vgd = cvgs - cvds;
-  const double qOvS = cov * cvgs;
-  const double qOvD = cov * vgd;
-
-  MosfetEvaluation eval;
-  eval.id = in.idPerWidth * w;
-  eval.qg = qChanSrc + qChanDrn + qOvS + qOvD;
-  eval.qs = -qChanSrc - qOvS;
-  eval.qd = -qChanDrn - qOvD;
-
-  if (reversed) {
-    eval.id = -eval.id;
-    std::swap(eval.qs, eval.qd);
-  }
-  return eval;
-}
-
-// --- Newton-load chain (scalar entry point + banked lane loop) ---------------
-
-/// Everything the analytic Newton-load chain reads, hoisted out of the
+/// Everything the analytic chain reads, hoisted out of the
 /// bias-dependent arithmetic: parameter-card scalars, the per-geometry
 /// Derived block, pre-divided series resistances, and the charge
 /// prefactors.  Built per call on the scalar path; cached per lane (and
@@ -294,18 +135,23 @@ struct CurrentState {
 CurrentState currentPart(const LoadCard& c, double vgs, double vds) {
   const Derived& d = c.d;
 
-  // Same expressions as intrinsic(), with every chain-rule factor closed in
-  // plain arithmetic: the logistic/softplus derivatives reuse the already
-  // computed exponentials, and dFsat/dr = 1/((1+r^beta) * (1+r^beta)^(1/beta))
-  // reuses the powers, so derivatives cost no extra transcendentals.
+  // Every chain-rule factor closes in plain arithmetic: the
+  // logistic/softplus derivatives reuse the already computed exponentials,
+  // and dFsat/dr = 1/((1+r^beta) * (1+r^beta)^(1/beta)) reuses the powers,
+  // so derivatives cost no extra transcendentals.
   CurrentState s;
+  // Threshold with DIBL (paper Eq. 4).
   s.vt = c.vt0 - d.delta * vds;
 
+  // Weak/strong inversion transition function FF and the blended Vt shift
+  // (MVS formulation): in weak inversion the effective threshold lowers by
+  // alpha*phit.
   double ff, dffdu;
   logisticVD((vgs - (s.vt - d.alphaPhit / 2.0)) / d.alphaPhit, ff, dffdu);
   const double dffg = dffdu / d.alphaPhit;            // dff/dvgs
   const double dffd = dffdu * d.delta / d.alphaPhit;  // dff/dvds
 
+  // Virtual-source inversion charge (paper's Qixo).
   double sp, dsp;
   softplusVD((vgs - (s.vt - d.alphaPhit * ff)) / d.nphit, sp, dsp);
   const double qix = d.qref * sp;
@@ -314,6 +160,8 @@ CurrentState currentPart(const LoadCard& c, double vgs, double vds) {
   const double dqixg = d.qref * dsp * detag;
   const double dqixd = d.qref * dsp * detad;
 
+  // Saturation voltage: strong-inversion value vxo*L/mu blended toward phit
+  // in weak inversion.
   s.vdsat = d.vdsatStrong * (1.0 - ff) + d.phit * ff;
   s.dvdsatg = (d.phit - d.vdsatStrong) * dffg;
   s.dvdsatd = (d.phit - d.vdsatStrong) * dffd;
@@ -322,6 +170,7 @@ CurrentState currentPart(const LoadCard& c, double vgs, double vds) {
   s.drg = -(ratio / s.vdsat) * s.dvdsatg;
   s.drd = 1.0 / s.vdsat - (ratio / s.vdsat) * s.dvdsatd;
 
+  // Fsat (paper Eq. 3).
   const double t = std::pow(ratio, c.beta);
   const double sPow = std::pow(1.0 + t, 1.0 / c.beta);
   s.fsat = ratio / sPow;
@@ -341,6 +190,9 @@ struct ChargeState {
   double dqDvg = 0.0, dqDvd = 0.0;
 };
 
+/// Drain-end charge at the smoothed internal drain voltage
+/// Vdseff = Vdsat * Fsat (equals Vds in the linear region, clamps to ~Vdsat
+/// in saturation), which keeps the charge model continuous everywhere.
 ChargeState chargePart(const LoadCard& c, double vgs, const CurrentState& s) {
   const Derived& d = c.d;
 
@@ -424,7 +276,9 @@ MosfetLoadEvaluation finishLoad(const LoadCard& c, const SolveFrame& f,
   const double dqDg = chg.dqDvg * svgG + chg.dqDvd * svdG;
   const double dqDd = chg.dqDvg * svgD + chg.dqDvd * svdD;
 
-  // Ward-Dutton partition + overlap, as in evaluateImpl.
+  // Ward-Dutton partition of a linear charge profile between the source-end
+  // and drain-end densities (channel electrons mirrored by positive gate
+  // charge), plus linear overlap/fringe charge per gate edge.
   const double wl6 = c.wl6;
   const double qChanSrc = wl6 * (2.0 * cur.qS + chg.qD);
   const double qChanDrn = wl6 * (cur.qS + 2.0 * chg.qD);
@@ -539,7 +393,10 @@ MosfetLoadEvaluation evaluateLoadCard(const LoadCard& c, double vgs,
 
   // Charges (and their derivatives) at the internal solution.
   const ChargeState chg = chargePart(c, vgsInt, cur);
-  f.i = c.hasSeriesR ? i : cur.idW;
+  // A lane whose current is below the absolute tolerance accepts its
+  // initial guess i = 0 without a step; it reports the current evaluated
+  // there (whose IR drop is negligible), matching its nonzero slope.
+  f.i = c.hasSeriesR && i != 0.0 ? i : cur.idW;
   return finishLoad(c, f, cur, chg);
 }
 
@@ -777,8 +634,11 @@ void evaluateLoadBatchFast(const std::vector<LoadCard>& cards, FastState& s,
     fastchain::currentBatch(curIo);
   }
 
+  // Same acceptance as the scalar chain: lanes without series resistance,
+  // and lanes accepted at their initial guess i = 0, report the evaluated
+  // current.
   for (std::size_t i = 0; i < n; ++i)
-    if (!cards[i].hasSeriesR) s.frame[i].i = s.idW[i];
+    if (!cards[i].hasSeriesR || s.frame[i].i == 0.0) s.frame[i].i = s.idW[i];
 
   fastchain::chargeBatch(s.chargeIo());
   for (std::size_t i = 0; i < n; ++i) {
@@ -894,60 +754,15 @@ std::unique_ptr<MosfetLoadBank> VsModel::makeLoadBank(
   return std::make_unique<VsLoadBank>(std::move(lanes), mode);
 }
 
-double VsModel::inversionCharge(const DeviceGeometry& geom, double vgs,
-                                double vds) const {
-  const Derived d = derive(params_, geom);
-  if (vds < 0.0) return intrinsic(params_, d, vgs - vds, -vds, true).qSrcAreal;
-  return intrinsic(params_, d, vgs, vds, true).qSrcAreal;
-}
-
-double VsModel::drainCurrent(const DeviceGeometry& geom, double vgs,
-                             double vds) const {
-  const Derived d = derive(params_, geom);
-  if (params_.rs <= 0.0 && params_.rd <= 0.0) {
-    if (vds < 0.0)
-      return -intrinsic(params_, d, vgs - vds, -vds, false).idPerWidth *
-             geom.width;
-    return intrinsic(params_, d, vgs, vds, false).idPerWidth * geom.width;
-  }
-  if (vds < 0.0) {
-    // Source/drain role reversal (device is symmetric).
-    return -solveSeriesCurrent(params_, geom, d, vgs - vds, -vds, nullptr);
-  }
-  return solveSeriesCurrent(params_, geom, d, vgs, vds, nullptr);
-}
-
 MosfetEvaluation VsModel::evaluate(const DeviceGeometry& geom, double vgs,
                                    double vds) const {
-  return evaluateImpl(params_, geom, derive(params_, geom), vgs, vds, nullptr,
-                      false);
+  return evaluateLoadCard(makeLoadCard(params_, geom), vgs, vds).at;
 }
 
 MosfetLoadEvaluation VsModel::evaluateLoad(const DeviceGeometry& geom,
                                            double vgs, double vds,
                                            double /*fdStep*/) const {
   return evaluateLoadCard(makeLoadCard(params_, geom), vgs, vds);
-}
-
-MosfetDerivEvaluation VsModel::evaluateForNewton(const DeviceGeometry& geom,
-                                                 double vgs, double vds,
-                                                 double step) const {
-  const Derived d = derive(params_, geom);
-  const bool baseReversed = vds < 0.0;
-
-  MosfetDerivEvaluation out;
-  double warm = 0.0;
-  out.base = evaluateImpl(params_, geom, d, vgs, vds, &warm, false);
-  // The finite-difference points sit 1 mV from the base bias, so the base
-  // current is an excellent secant seed -- as long as the polarity
-  // canonicalization did not flip between the two points.
-  out.gateStep = evaluateImpl(params_, geom, d, vgs + step, vds, &warm,
-                              /*useWarm=*/true);
-  const bool drainReversed = (vds + step) < 0.0;
-  double warmDrain = warm;
-  out.drainStep = evaluateImpl(params_, geom, d, vgs, vds + step, &warmDrain,
-                               /*useWarm=*/drainReversed == baseReversed);
-  return out;
 }
 
 }  // namespace vsstat::models

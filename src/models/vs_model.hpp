@@ -12,15 +12,19 @@
 // simplification of the MVS 1.0.1 ballistic charge partition -- see
 // ARCHITECTURE.md, "Paper substitutions", S1.
 //
-// Series resistance: Rs/Rd produce internal-node IR drop, resolved by a
-// damped fixed-point loop inside evaluate() so the external terminal
-// behaviour stays smooth for the Newton solver.
+// Series resistance: Rs/Rd (cards carry R*W) produce an internal-node IR
+// drop.  Each evaluation solves the terminal current i = f(vgs - i*Rs,
+// vds - i*(Rs+Rd)) with a derivative-aware Newton started from i = 0, and
+// closes the external derivatives through the implicit function theorem,
+// so the terminal behaviour stays smooth for the circuit solver.
 //
 // The model equations themselves live in vs_model.cpp as free functions of
-// (params, geometry, bias); the class is a thin card-owning adapter.  That
-// lets the scalar Newton-load entry point (evaluateLoad) and the batched
-// device-bank lane loop (makeLoadBank) share one arithmetic chain, which
-// is what makes banked evaluation bit-identical to the scalar path.
+// (params, geometry, bias); the class is a thin card-owning adapter.  Every
+// entry point -- evaluate, drainCurrent, evaluateLoad -- and the batched
+// device-bank lane loop (makeLoadBank) run that one arithmetic chain, so
+// evaluate() == evaluateLoad().at and banked == scalar, both bit for bit:
+// the device targets BPV calibrates on (Idsat, Ioff, Cgg) come from the
+// same arithmetic the circuit simulator runs.
 #ifndef VSSTAT_MODELS_VS_MODEL_HPP
 #define VSSTAT_MODELS_VS_MODEL_HPP
 
@@ -38,25 +42,18 @@ class VsModel final : public MosfetModel {
   }
   [[nodiscard]] std::string name() const override { return "VS"; }
 
+  /// The value part of evaluateLoad(): the same chain, derivatives
+  /// discarded.
   [[nodiscard]] MosfetEvaluation evaluate(const DeviceGeometry& geom,
                                           double vgs,
                                           double vds) const override;
-
-  [[nodiscard]] double drainCurrent(const DeviceGeometry& geom, double vgs,
-                                    double vds) const override;
-
-  /// Newton-load hot path: shares the per-geometry derived parameters
-  /// between the three bias points and warm-starts the series-resistance
-  /// secant of the two forward-difference points from the base solution.
-  [[nodiscard]] MosfetDerivEvaluation evaluateForNewton(
-      const DeviceGeometry& geom, double vgs, double vds,
-      double step) const override;
 
   /// Analytic Newton-load evaluation: the full derivative chain of the VS
   /// equations closes in a handful of multiplies with no extra
   /// transcendentals, and the series-resistance fixed point is solved with
   /// a derivative-aware Newton instead of finite-difference re-solves.
-  /// One load costs ~3 intrinsic evaluations instead of ~12.
+  /// One load costs ~3 intrinsic evaluations instead of ~12.  `fdStep` is
+  /// unused.
   [[nodiscard]] MosfetLoadEvaluation evaluateLoad(const DeviceGeometry& geom,
                                                   double vgs, double vds,
                                                   double fdStep) const override;
@@ -80,11 +77,6 @@ class VsModel final : public MosfetModel {
 
   [[nodiscard]] const VsParams& params() const noexcept { return params_; }
   [[nodiscard]] VsParams& mutableParams() noexcept { return params_; }
-
-  /// Virtual-source inversion charge density [C/m^2] at the given internal
-  /// bias (exposed for tests and for the extraction sensitivities).
-  [[nodiscard]] double inversionCharge(const DeviceGeometry& geom, double vgs,
-                                       double vds) const;
 
  private:
   VsParams params_;

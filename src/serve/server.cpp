@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <iterator>
 
 #include "spice/netlist.hpp"
 
@@ -135,21 +136,39 @@ void CampaignServer::serve() {
       if (errno == EINTR) continue;
       break;  // listening socket shut down by stop()
     }
+    joinFinishedHandlers();
     const std::lock_guard<std::mutex> lock(mutex_);
     if (stopped_) {
       ::close(fd);
       break;
     }
     connections_.push_back(fd);
-    threads_.emplace_back([this, fd] { handleConnection(fd); });
+    Handler& handler = handlers_.emplace_back();
+    handler.thread =
+        std::thread([this, fd, &handler] { handleConnection(fd, handler); });
   }
   // Drain handler threads so serve() returns with everything quiesced.
-  std::vector<std::thread> threads;
+  std::list<Handler> handlers;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    threads.swap(threads_);
+    handlers.swap(handlers_);
   }
-  for (std::thread& t : threads) t.join();
+  for (Handler& h : handlers) h.thread.join();
+}
+
+void CampaignServer::joinFinishedHandlers() {
+  // A finished handler has made its last access to its node, so the node
+  // can leave the list (splice relocates nothing) and be joined unlocked.
+  std::list<Handler> finished;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    for (auto it = handlers_.begin(); it != handlers_.end();) {
+      const auto next = std::next(it);
+      if (it->finished) finished.splice(finished.end(), handlers_, it);
+      it = next;
+    }
+  }
+  for (Handler& h : finished) h.thread.join();
 }
 
 void CampaignServer::stop() {
@@ -159,7 +178,7 @@ void CampaignServer::stop() {
   for (const int fd : connections_) ::shutdown(fd, SHUT_RDWR);
 }
 
-void CampaignServer::handleConnection(int fd) {
+void CampaignServer::handleConnection(int fd, Handler& self) {
   const FrameSink emit = [fd](const std::string& frame) {
     const std::string line = frame + "\n";
     writeAll(fd, line.data(), line.size());
@@ -201,11 +220,14 @@ void CampaignServer::handleConnection(int fd) {
   }
   // Unregister before closing: once closed, accept() may hand the same fd
   // number to a new client, whose entry the erase would then remove too.
+  // Marking the handler finished here, before the peer can see the close,
+  // lets the next accepted connection join it.
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     connections_.erase(
         std::remove(connections_.begin(), connections_.end(), fd),
         connections_.end());
+    self.finished = true;
   }
   ::close(fd);
 }

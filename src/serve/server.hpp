@@ -18,6 +18,7 @@
 #ifndef VSSTAT_SERVE_SERVER_HPP
 #define VSSTAT_SERVE_SERVER_HPP
 
+#include <list>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -57,7 +58,9 @@ class CampaignServer {
   int listenTcp(int port);
 
   /// Accept loop: serves connections until stop() is called from another
-  /// thread.  One thread per connection.
+  /// thread.  One thread per connection; each accepted connection first
+  /// joins the handlers that have finished, so a daemon serving one request
+  /// per connection keeps only its live handlers.
   void serve();
 
   /// Stops the accept loop and shuts down every live connection; serve()
@@ -67,15 +70,28 @@ class CampaignServer {
 
   [[nodiscard]] SessionCache& cache() noexcept { return cache_; }
 
+  /// Handler threads not yet joined: the live ones plus those finished
+  /// since the last accepted connection.
+  [[nodiscard]] std::size_t handlerCount() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return handlers_.size();
+  }
+
  private:
-  void handleConnection(int fd);
+  struct Handler {
+    std::thread thread;
+    bool finished = false;  ///< set by the thread as its last locked step
+  };
+
+  void handleConnection(int fd, Handler& self);
+  void joinFinishedHandlers();
 
   SessionCache cache_;
   int listenFd_ = -1;
-  std::mutex mutex_;  ///< guards stopped_, connections_ and threads_
+  mutable std::mutex mutex_;  ///< guards stopped_, connections_, handlers_
   bool stopped_ = false;  ///< set by stop(), never cleared
   std::vector<int> connections_;
-  std::vector<std::thread> threads_;
+  std::list<Handler> handlers_;  ///< list: a handler's node never moves
 };
 
 }  // namespace vsstat::serve

@@ -48,6 +48,29 @@ TEST_F(StatisticalVsKitTest, AlphasLandInPaperBallpark) {
   EXPECT_GT(p.aVt0, n.aVt0 * 0.8);  // PMOS mismatch >= NMOS (RDF heavier)
 }
 
+TEST_F(StatisticalVsKitTest, AlphasMatchRecorded) {
+  // Pins the Table II path end to end: golden targets, VS sensitivities on
+  // the simulator's own load chain, and the BPV solve.  Any change to the
+  // VS equations, the targets or the solve moves these.
+  const auto expectAlphas = [](const models::PelgromAlphas& got,
+                               const models::PelgromAlphas& want,
+                               const char* type) {
+    const auto near = [&](double g, double w, const char* name) {
+      EXPECT_NEAR(g, w, 1e-4 * std::fabs(w)) << type << " " << name;
+    };
+    near(got.aVt0, want.aVt0, "a1(VT0)");
+    near(got.aLeff, want.aLeff, "a2(Leff)");
+    near(got.aWeff, want.aWeff, "a3(Weff)");
+    near(got.aMu, want.aMu, "a4(mu)");
+    near(got.aCinv, want.aCinv, "a5(Cinv)");
+  };
+  expectAlphas(kit().alphas(DeviceType::Nmos),
+               {2.22037643, 3.74057952, 3.74057952, 413.864844, 0.3}, "NMOS");
+  expectAlphas(kit().alphas(DeviceType::Pmos),
+               {2.57129397, 3.72823467, 3.72823467, 826.823089, 0.82},
+               "PMOS");
+}
+
 TEST_F(StatisticalVsKitTest, SigmasFollowPelgrom) {
   const auto s1 = kit().sigmas(DeviceType::Nmos, geometryNm(600, 40));
   const auto s2 = kit().sigmas(DeviceType::Nmos, geometryNm(2400, 160));

@@ -1,11 +1,15 @@
-// evaluateLoad contract tests: the analytic derivative chain of the VS
-// model must agree with central finite differences of evaluate() across all
-// operating regions (weak/strong inversion, linear/saturation, reversed
-// vds), and the generic finite-difference fallback must match the element's
-// historic forward-difference numerics exactly.
+// evaluateLoad contract tests.  The VS model's evaluate() is the value part
+// of its analytic load chain, so a load's values equal evaluate() bit for
+// bit, and its analytic derivatives must agree with central finite
+// differences of evaluate() across all operating regions (weak/strong
+// inversion, linear/saturation, reversed vds, and sub-picoampere leakage
+// through the series-resistance solve).  The generic finite-difference
+// fallback must match the element's historic forward-difference numerics
+// exactly.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "models/bsim_lite.hpp"
 #include "models/device.hpp"
@@ -57,12 +61,11 @@ TEST(VsLoadDerivatives, MatchCentralDifferencesEverywhere) {
       const MosfetLoadEvaluation ev = nmos.evaluateLoad(geom, vgs, vds, kStep);
       const MosfetLoadEvaluation ref = centralReference(nmos, geom, vgs, vds);
 
-      // Values must agree with evaluate() to solver tolerance.
-      const double iScale = std::max(std::fabs(ref.at.id), 1e-9);
-      EXPECT_NEAR(ev.at.id, ref.at.id, 1e-5 * iScale + 1e-15);
-      EXPECT_NEAR(ev.at.qg, ref.at.qg, 1e-5 * std::fabs(ref.at.qg) + 1e-22);
-      EXPECT_NEAR(ev.at.qd, ref.at.qd, 1e-5 * std::fabs(ref.at.qd) + 1e-22);
-      EXPECT_NEAR(ev.at.qs, ref.at.qs, 1e-5 * std::fabs(ref.at.qs) + 1e-22);
+      // Values are evaluate()'s own: one chain, bit for bit.
+      EXPECT_EQ(ev.at.id, ref.at.id) << "vgs=" << vgs << " vds=" << vds;
+      EXPECT_EQ(ev.at.qg, ref.at.qg) << "vgs=" << vgs << " vds=" << vds;
+      EXPECT_EQ(ev.at.qd, ref.at.qd) << "vgs=" << vgs << " vds=" << vds;
+      EXPECT_EQ(ev.at.qs, ref.at.qs) << "vgs=" << vgs << " vds=" << vds;
 
       const double gScale =
           std::max({std::fabs(ref.didVgs), std::fabs(ref.didVds), 1e-9});
@@ -94,6 +97,30 @@ TEST(VsLoadDerivatives, PmosMatchesToo) {
           std::max({std::fabs(ref.didVgs), std::fabs(ref.didVds), 1e-9});
       expectClose(ev.didVgs, ref.didVgs, gScale, "didVgs", vgs, vds);
       expectClose(ev.didVds, ref.didVds, gScale, "didVds", vgs, vds);
+    }
+  }
+}
+
+TEST(VsLoadDerivatives, SubPicoampLoadFollowsItsConductance) {
+  // Deep off-state at tiny vds the intrinsic current is below the
+  // series-resistance solve's absolute tolerance (1e-13 A), so the solve
+  // accepts its initial guess i = 0.  The load must still report the
+  // current evaluated there -- linear in vds, Id ~ gds * vds -- not 0 A
+  // beside a nonzero conductance.  Scalar chain and fast bank alike.
+  const VsModel nmos(defaultVsNmos());
+  const DeviceGeometry geom = geometryNm(300, 40);
+  const std::vector<double> vgs = {-0.2, -0.2};
+  const std::vector<double> vds = {1e-5, 1e-4};
+  const auto bank =
+      makeUniformLoadBank(nmos, geom, vgs.size(), NumericsMode::fast);
+  std::vector<MosfetLoadEvaluation> fast(vgs.size());
+  bank->evaluateLoadBatch(vgs, vds, kStep, fast);
+  for (std::size_t i = 0; i < vgs.size(); ++i) {
+    for (const MosfetLoadEvaluation& ev :
+         {nmos.evaluateLoad(geom, vgs[i], vds[i], kStep), fast[i]}) {
+      EXPECT_GT(ev.at.id, 0.0) << "vds=" << vds[i];
+      EXPECT_NEAR(ev.at.id, ev.didVds * vds[i], 0.01 * ev.at.id)
+          << "vds=" << vds[i];
     }
   }
 }

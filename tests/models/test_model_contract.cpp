@@ -160,6 +160,28 @@ TEST_P(ModelContract, CurrentScalesRoughlyWithWidth) {
   EXPECT_NEAR(i2 / i1, 2.0, 0.25);
 }
 
+TEST_P(ModelContract, EvaluateIsTheLoadValue) {
+  // One arithmetic chain per family: a Newton load's values are
+  // evaluate()'s own and drainCurrent is evaluate().id, bit for bit, over
+  // the bias plane including source/drain reversal and the sub-picoampere
+  // leakage corner.
+  const auto m = model();
+  constexpr double kStep = 1e-3;
+  for (double vgs : {-0.2, 0.0, 0.2, 0.45, 0.7, 0.9}) {
+    for (double vds : {-0.9, -0.3, -1e-4, 0.0, 1e-5, 0.05, 0.45, 0.9}) {
+      const MosfetEvaluation e = m->evaluate(geom(), vgs, vds);
+      const MosfetLoadEvaluation load =
+          m->evaluateLoad(geom(), vgs, vds, kStep);
+      EXPECT_EQ(load.at.id, e.id) << "vgs=" << vgs << " vds=" << vds;
+      EXPECT_EQ(load.at.qg, e.qg) << "vgs=" << vgs << " vds=" << vds;
+      EXPECT_EQ(load.at.qd, e.qd) << "vgs=" << vgs << " vds=" << vds;
+      EXPECT_EQ(load.at.qs, e.qs) << "vgs=" << vgs << " vds=" << vds;
+      EXPECT_EQ(m->drainCurrent(geom(), vgs, vds), e.id)
+          << "vgs=" << vgs << " vds=" << vds;
+    }
+  }
+}
+
 TEST_P(ModelContract, BatchLoadBitIdenticalToScalar) {
   // Device-bank contract: makeLoadBank's batched evaluation must equal the
   // scalar evaluateLoad lane-for-lane and BIT-for-bit, across the full

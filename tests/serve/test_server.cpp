@@ -414,6 +414,8 @@ class SocketServer {
   SocketServer(const SocketServer&) = delete;
   SocketServer& operator=(const SocketServer&) = delete;
 
+  [[nodiscard]] const CampaignServer& server() const { return server_; }
+
   /// Connects a client; returns its socket.
   [[nodiscard]] int connect() const {
     const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
@@ -517,6 +519,24 @@ TEST(CampaignServerSocket, TwoLinesInOneWriteAreBothServed) {
   EXPECT_EQ(frames[0].find("type")->string, "final");
   EXPECT_EQ(frames[1].find("id")->string, "two");
   EXPECT_EQ(frames[1].find("type")->string, "final");
+}
+
+TEST(CampaignServerSocket, FinishedHandlersAreJoinedWhileServing) {
+  // A daemon fed one request per connection (`echo ... | nc -U`) must not
+  // keep a thread per connection it ever accepted: each accept joins the
+  // handlers that finished before it, so after any number of sequential
+  // connections at most the last one's handler is still unjoined.
+  SocketServer host;
+  for (int i = 0; i < 64; ++i) {
+    const int fd = host.connect();
+    sendAll(fd, "\n");  // a blank line: served as a no-op
+    ::shutdown(fd, SHUT_WR);
+    char byte = 0;
+    // End of stream: the handler saw ours, finished and closed its end.
+    EXPECT_EQ(::recv(fd, &byte, 1, 0), 0) << "connection " << i;
+    ::close(fd);
+  }
+  EXPECT_LE(host.server().handlerCount(), 1u);
 }
 
 TEST(CampaignServerSocket, StopBeforeServeReturns) {
