@@ -17,7 +17,7 @@
 //               factor, factor memory).  Rungs up to 32x32 also time the
 //               retained dense-pivot baseline (DensePivotLu) and carry the
 //               CI-gated "speedup_vs_dense_lu"; the 64x64 rung instead
-//               records its isolated peak RSS, the near-linear-memory
+//               records its factor probe's heap peak, the near-linear-memory
 //               evidence at ~4k unknowns; the 128x128 rung (16385 unknowns)
 //               is a factor probe only, with no campaign.
 //
@@ -89,7 +89,6 @@
 #include "spice/assembler.hpp"
 #include "stats/descriptive.hpp"
 #include "util/fnv1a.hpp"
-#include "util/rusage.hpp"
 
 namespace vsstat {
 namespace {
@@ -552,11 +551,11 @@ FactorProbe probeFactor(int edge, int factorReps, bool withDense) {
 /// `t` null) + the factor probe, one JSONL object.  speedup_vs_dense_lu
 /// (CI-gated, higher-better) appears only where the dense baseline actually
 /// ran -- at 64x64 it would be ~5e10 flops per factor, so that rung records
-/// the sparse side alone plus its isolated peak RSS (the near-linear-memory
+/// the sparse side alone plus its probe's heap peak (the near-linear-memory
 /// evidence).  ordering_vs_factor puts the once-per-pattern ordering in
 /// units of the fresh factor it prepares.
 void emitLadder(const std::string& name, int samples, const CampaignTiming* t,
-                const FactorProbe& p, double peakRssMiB) {
+                const FactorProbe& p, double peakHeapMiB) {
   std::string row = "{\"name\": \"" + name + "\"";
   char buf[512];
   if (t != nullptr) {
@@ -587,8 +586,8 @@ void emitLadder(const std::string& name, int samples, const CampaignTiming* t,
                   p.denseFactorUs, p.denseFactorUs / p.freshFactorUs);
     row += buf;
   }
-  if (peakRssMiB >= 0.0) {
-    std::snprintf(buf, sizeof buf, ", \"peak_rss_mib\": %.1f", peakRssMiB);
+  if (peakHeapMiB >= 0.0) {
+    std::snprintf(buf, sizeof buf, ", \"peak_heap_mib\": %.1f", peakHeapMiB);
     row += buf;
   }
   row += "}\n";
@@ -629,20 +628,17 @@ int runGrid(int gridSamples, bool quick) {
         return session(n, spice::SessionOptions{});
       });
     }
+    // Heap high-water of building + factoring the rung: on 64x64 the
+    // committed proof that factor memory stays near-linear (a dense
+    // 4k x 4k scratch alone would be ~128 MiB).
+    bench::resetHeapPeak();
     const FactorProbe p = probeFactor(rung.edge, rung.factorReps, rung.dense);
-    double peakRssMiB = -1.0;
-    if (rung.edge == 64) {
-      // Isolated peak RSS of building + factoring the biggest rung: the
-      // committed proof that factor memory stays near-linear (a dense
-      // 4k x 4k scratch alone would be ~128 MiB on top of the baseline).
-      const util::CampaignUsage usage = util::runIsolated([&] {
-        const FactorProbe child = probeFactor(rung.edge, 2, false);
-        if (child.factorNnz == 0) std::exit(9);
-      });
-      if (usage.exitCode == 0) peakRssMiB = usage.maxRssMiB;
-    }
+    const double peakHeapMiB =
+        rung.edge == 64
+            ? static_cast<double>(bench::heapPeakBytes()) / (1024.0 * 1024.0)
+            : -1.0;
     emitLadder("grid_ladder_" + std::to_string(rung.edge), rung.samples,
-               t ? &*t : nullptr, p, peakRssMiB);
+               t ? &*t : nullptr, p, peakHeapMiB);
   }
   return 0;
 }

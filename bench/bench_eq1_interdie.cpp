@@ -40,13 +40,8 @@ int main() {
   spec.global.sVt0 = 0.012;                 // 12 mV die-to-die
   spec.global.sMu = 0.02 * card.mu;         // 2% die-to-die mobility
 
-  // 24 devices per die on a coarse grid (locations only matter when the
-  // spatial component is enabled; kept for the workflow's generality).
-  std::vector<stats::DiePoint> locations;
-  for (int i = 0; i < 6; ++i)
-    for (int j = 0; j < 4; ++j)
-      locations.push_back({i * 30e-6, j * 30e-6});
-  models::DieSampler sampler(spec, locations);
+  // 24 devices per die.
+  models::DieSampler sampler(spec, 24);
 
   const int dies = bench::scaledSamples(600, 120);
   stats::Rng rng(20130318);  // DATE 2013 :-)
@@ -55,9 +50,9 @@ int main() {
   for (int d = 0; d < dies; ++d) {
     sampler.newDie(rng);
     std::vector<double> die;
-    die.reserve(locations.size());
-    for (std::size_t loc = 0; loc < locations.size(); ++loc) {
-      const models::VariationDelta delta = sampler.deltaFor(loc, geom, rng);
+    die.reserve(sampler.deviceCount());
+    for (std::size_t dev = 0; dev < sampler.deviceCount(); ++dev) {
+      const models::VariationDelta delta = sampler.deltaFor(dev, geom, rng);
       const models::VsModel m(models::applyToVs(card, delta));
       die.push_back(
           m.drainCurrent(models::applyGeometry(geom, delta), kVdd, kVdd));
@@ -115,6 +110,6 @@ int main() {
                "their references (ratios ~1), demonstrating the Eq. (1)\n"
                "workflow the paper sketches for extending BPV beyond the\n"
                "within-die component.  (" << dies << " dies x "
-            << locations.size() << " devices)\n";
+            << sampler.deviceCount() << " devices)\n";
   return 0;
 }

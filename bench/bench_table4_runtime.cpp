@@ -1,6 +1,8 @@
 // Table IV: runtime & memory of Monte Carlo campaigns, VS vs the golden
-// BSIM-class model.  Each campaign runs in a forked child so peak RSS is
-// attributable per campaign.
+// BSIM-class model.  Each campaign is measured in process: wall time, the
+// process CPU time across every pool worker (the speedup is a CPU-time
+// ratio), and the campaign's heap high-water above the live heap at its
+// start (bench/alloc_counter).
 //
 // Substitution note (ARCHITECTURE.md, "Paper substitutions", S1): the
 // paper compares a Verilog-A VS against a C-coded BSIM4 inside Spectre and
@@ -10,6 +12,7 @@
 // smaller factor".
 #include <iostream>
 
+#include "alloc_counter.hpp"
 #include "common.hpp"
 #include "measure/delay.hpp"
 #include "measure/setup_hold.hpp"
@@ -89,29 +92,44 @@ int main() {
       {"SRAM", "AC (supply gain)", 2000, runSramCampaign},
   };
 
-  // Touch the cached kits BEFORE forking so characterization cost is not
+  // Touch the cached kits BEFORE measuring so characterization cost is not
   // attributed to the campaigns.
   (void)bench::calibratedKit();
 
-  util::Table table({"Cell", "Analysis", "Samples", "VS time [s]",
-                     "golden time [s]", "speedup", "VS RSS [MiB]",
-                     "golden RSS [MiB]"});
+  struct Measured {
+    util::CampaignUsage usage;
+    double heapPeakMiB = 0.0;
+  };
+  const auto measure = [](const Workload& w, bool useVs, int samples) {
+    Measured m;
+    bench::resetHeapPeak();
+    m.usage = util::runInProcess([&] { w.run(useVs, samples); });
+    m.heapPeakMiB =
+        static_cast<double>(bench::heapPeakBytes()) / (1024.0 * 1024.0);
+    return m;
+  };
+
+  util::Table table({"Cell", "Analysis", "Samples", "VS CPU [s]",
+                     "golden CPU [s]", "speedup", "VS wall [s]",
+                     "golden wall [s]", "VS heap [MiB]", "golden heap [MiB]"});
   for (const auto& w : workloads) {
     const int samples = bench::scaledSamples(w.paperSamples, 40);
-    const util::CampaignUsage vs =
-        util::runIsolated([&] { w.run(true, samples); });
-    const util::CampaignUsage golden =
-        util::runIsolated([&] { w.run(false, samples); });
+    const Measured vs = measure(w, true, samples);
+    const Measured golden = measure(w, false, samples);
     table.addRow({w.cell, w.analysis, std::to_string(samples),
-                  util::formatValue(vs.wallSeconds, 2),
-                  util::formatValue(golden.wallSeconds, 2),
-                  util::formatValue(golden.wallSeconds /
-                                        std::max(vs.wallSeconds, 1e-9), 2) + "x",
-                  util::formatValue(vs.maxRssMiB, 1),
-                  util::formatValue(golden.maxRssMiB, 1)});
-    if (vs.exitCode != 0 || golden.exitCode != 0) {
-      std::cout << "WARNING: campaign child exited nonzero ("
-                << vs.exitCode << "/" << golden.exitCode << ")\n";
+                  util::formatValue(vs.usage.cpuSeconds, 2),
+                  util::formatValue(golden.usage.cpuSeconds, 2),
+                  util::formatValue(golden.usage.cpuSeconds /
+                                        std::max(vs.usage.cpuSeconds, 1e-9),
+                                    2) +
+                      "x",
+                  util::formatValue(vs.usage.wallSeconds, 2),
+                  util::formatValue(golden.usage.wallSeconds, 2),
+                  util::formatValue(vs.heapPeakMiB, 2),
+                  util::formatValue(golden.heapPeakMiB, 2)});
+    if (vs.usage.exitCode != 0 || golden.usage.exitCode != 0) {
+      std::cout << "WARNING: campaign threw (" << vs.usage.exitCode << "/"
+                << golden.usage.exitCode << ")\n";
     }
   }
   table.print(std::cout);

@@ -116,7 +116,8 @@ int main(int argc, char** argv) {
       total += timing::measureInverterPoint(
                    pmos, models::applyGeometry(pGeom, dP), nmos,
                    models::applyGeometry(nGeom, dN), kit.vdd(),
-                   sopt.inputSlew, sopt.loadFarads, sopt.dt)
+                   timing::kStageInputSlew, timing::kStageLoadFarads,
+                   timing::kStageDt)
                    .averageDelay();
     }
     mcPath.push_back(total);

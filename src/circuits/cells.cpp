@@ -55,64 +55,6 @@ void addNand2(Circuit& circuit, DeviceProvider& provider,
   }
 }
 
-void addNor2(Circuit& circuit, DeviceProvider& provider,
-             const std::string& prefix, NodeId a, NodeId b, NodeId out,
-             NodeId vdd, const CellSizing& sizing) {
-  const NodeId mid = circuit.node(prefix + ".mid");
-
-  {
-    DeviceInstance pa = provider.make(DeviceType::Pmos, prefix + ".MPA",
-                                      geometryNm(sizing.wPmosNm, sizing.lengthNm));
-    circuit.addMosfet(prefix + ".MPA", mid, a, vdd, std::move(pa.model),
-                      pa.geometry);
-  }
-  {
-    DeviceInstance pb = provider.make(DeviceType::Pmos, prefix + ".MPB",
-                                      geometryNm(sizing.wPmosNm, sizing.lengthNm));
-    circuit.addMosfet(prefix + ".MPB", out, b, mid, std::move(pb.model),
-                      pb.geometry);
-  }
-  {
-    DeviceInstance na = provider.make(DeviceType::Nmos, prefix + ".MNA",
-                                      geometryNm(sizing.wNmosNm, sizing.lengthNm));
-    circuit.addMosfet(prefix + ".MNA", out, a, circuit.ground(),
-                      std::move(na.model), na.geometry);
-  }
-  {
-    DeviceInstance nb = provider.make(DeviceType::Nmos, prefix + ".MNB",
-                                      geometryNm(sizing.wNmosNm, sizing.lengthNm));
-    circuit.addMosfet(prefix + ".MNB", out, b, circuit.ground(),
-                      std::move(nb.model), nb.geometry);
-  }
-}
-
-void addNand3(Circuit& circuit, DeviceProvider& provider,
-              const std::string& prefix, NodeId a, NodeId b, NodeId c,
-              NodeId out, NodeId vdd, const CellSizing& sizing) {
-  const NodeId mid1 = circuit.node(prefix + ".mid1");
-  const NodeId mid2 = circuit.node(prefix + ".mid2");
-
-  for (const auto& [suffix, input] :
-       {std::pair{"A", a}, {"B", b}, {"C", c}}) {
-    DeviceInstance p =
-        provider.make(DeviceType::Pmos, prefix + ".MP" + suffix,
-                      geometryNm(sizing.wPmosNm, sizing.lengthNm));
-    circuit.addMosfet(prefix + ".MP" + suffix, out, input, vdd,
-                      std::move(p.model), p.geometry);
-  }
-  const auto addN = [&](const std::string& suffix, NodeId gate, NodeId d,
-                        NodeId s) {
-    DeviceInstance n =
-        provider.make(DeviceType::Nmos, prefix + ".MN" + suffix,
-                      geometryNm(sizing.wNmosNm, sizing.lengthNm));
-    circuit.addMosfet(prefix + ".MN" + suffix, d, gate, s,
-                      std::move(n.model), n.geometry);
-  };
-  addN("A", a, out, mid1);
-  addN("B", b, mid1, mid2);
-  addN("C", c, mid2, circuit.ground());
-}
-
 void addNmosPass(Circuit& circuit, DeviceProvider& provider,
                  const std::string& name, NodeId x, NodeId y, NodeId ctl,
                  double widthNm, double lengthNm) {

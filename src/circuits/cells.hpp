@@ -34,19 +34,6 @@ void addNand2(spice::Circuit& circuit, DeviceProvider& provider,
               const std::string& prefix, spice::NodeId a, spice::NodeId b,
               spice::NodeId out, spice::NodeId vdd, const CellSizing& sizing);
 
-/// Two-input static CMOS NOR.  Series PMOS stack a(top, at the supply) /
-/// b(nearer the output), parallel NMOS pull-downs.
-void addNor2(spice::Circuit& circuit, DeviceProvider& provider,
-             const std::string& prefix, spice::NodeId a, spice::NodeId b,
-             spice::NodeId out, spice::NodeId vdd, const CellSizing& sizing);
-
-/// Three-input static CMOS NAND: three series NMOS (a nearest the output),
-/// three parallel PMOS pull-ups.
-void addNand3(spice::Circuit& circuit, DeviceProvider& provider,
-              const std::string& prefix, spice::NodeId a, spice::NodeId b,
-              spice::NodeId c, spice::NodeId out, spice::NodeId vdd,
-              const CellSizing& sizing);
-
 /// NMOS pass transistor (gate `ctl`) between `x` and `y`.
 void addNmosPass(spice::Circuit& circuit, DeviceProvider& provider,
                  const std::string& name, spice::NodeId x, spice::NodeId y,

@@ -61,7 +61,7 @@ StatisticalCorners::StatisticalCorners(const StatisticalVsKit& kit,
 StatisticalCorners::PolarityCorner StatisticalCorners::derive(
     const models::VsParams& card, const models::PelgromAlphas& a,
     const CornerOptions& options) {
-  const models::DeviceGeometry geom = options.referenceGeometry;
+  const models::DeviceGeometry geom = kCornerReferenceGeometry;
   const linalg::Matrix sens =
       extract::targetSensitivities(card, geom, options.vdd);
   const models::ParameterSigmas s = models::sigmasFor(a, geom);
@@ -153,8 +153,8 @@ std::unique_ptr<circuits::DeviceProvider> StatisticalCorners::makeProvider(
 std::string StatisticalCorners::summary() const {
   std::ostringstream os;
   os << "Statistical corners at " << options_.nSigma << " sigma (W/L = "
-     << options_.referenceGeometry.widthNm() << "/"
-     << options_.referenceGeometry.lengthNm() << " nm)\n";
+     << kCornerReferenceGeometry.widthNm() << "/"
+     << kCornerReferenceGeometry.lengthNm() << " nm)\n";
   for (const Corner c : kAllCorners) {
     os << "  " << toString(c) << ":";
     for (const auto type :

@@ -33,9 +33,12 @@ inline constexpr std::array<Corner, 5> kAllCorners = {
 
 [[nodiscard]] const char* toString(Corner c) noexcept;
 
+/// Geometry the corner deltas are derived at: W/L = 300/40 nm.
+inline constexpr models::DeviceGeometry kCornerReferenceGeometry{300e-9,
+                                                                 40e-9};
+
 struct CornerOptions {
   double nSigma = 3.0;  ///< corner distance in Idsat sigmas
-  models::DeviceGeometry referenceGeometry{300e-9, 40e-9};
   double vdd = 0.9;
 };
 

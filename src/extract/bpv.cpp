@@ -77,11 +77,8 @@ StackedSystem buildSystem(const models::VsParams& card,
         rhs -= cinvTerm * cinvTerm;
       }
       if (rhs <= 0.0) {
-        if (opt.dropDegenerateRows) {
-          ++dropped;
-          continue;
-        }
-        rhs = 0.0;
+        ++dropped;  // degenerate: no variance left to explain
+        continue;
       }
 
       std::array<double, 8> row{};

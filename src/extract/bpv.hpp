@@ -43,8 +43,6 @@ struct BpvOptions {
   /// directly (the paper argues BPV overestimates tightly-controlled
   /// parameters; bench_ablation_bpv quantifies that).
   bool solveCinvByBpv = false;
-  /// Drop rows whose LHS goes non-positive after the Cinv subtraction.
-  bool dropDegenerateRows = true;
 };
 
 struct BpvResult {

@@ -161,18 +161,19 @@ std::array<SecondOrderVariance, kTargetCount> propagateVarianceSecondOrder(
 CorrelatedBpvResult solveBpvCorrelated(
     const models::VsParams& card,
     const std::vector<GeometryMeasurement>& meas,
-    const linalg::Matrix& correlation, const CorrelatedBpvOptions& options) {
+    const linalg::Matrix& correlation) {
   require(!meas.empty(), "solveBpvCorrelated: no measurements");
   validateCorrelation(correlation);
+  const BpvOptions base;  // alpha2 == alpha3, Cinv measured directly
 
   // Sensitivities are alpha-independent: compute once per geometry.
   std::vector<linalg::Matrix> sens;
   sens.reserve(meas.size());
   for (const GeometryMeasurement& m : meas)
-    sens.push_back(targetSensitivities(card, m.geom, options.base.vdd));
+    sens.push_back(targetSensitivities(card, m.geom, base.vdd));
 
   // Init from the independence assumption.
-  const BpvResult inner = solveBpv(card, meas, options.base);
+  const BpvResult inner = solveBpv(card, meas, base);
 
   // A naive fixed-point iteration (subtract the cross terms evaluated at
   // the current alpha estimate, re-solve, repeat) is unstable here: with a
@@ -182,24 +183,13 @@ CorrelatedBpvResult solveBpvCorrelated(
   // full Eq. (8) forward model -- diagonal plus bilinear cross terms -- is
   // fitted directly in alpha space with bounded Levenberg-Marquardt.
   //
-  // Unknown layout mirrors bpv.cpp: [aVt0, aLeff, (aWeff), aMu, (aCinv)].
-  std::vector<std::size_t> unknownOf;  // parameter index per unknown
-  std::array<std::size_t, kParameterCount> columnOf{};
-  columnOf.fill(static_cast<std::size_t>(-1));
-  const auto addUnknown = [&](Parameter p) {
-    columnOf[static_cast<std::size_t>(p)] = unknownOf.size();
-    unknownOf.push_back(static_cast<std::size_t>(p));
-  };
-  addUnknown(Parameter::Vt0);
-  addUnknown(Parameter::Leff);
-  if (options.base.tieLengthWidth) {
-    columnOf[static_cast<std::size_t>(Parameter::Weff)] =
-        columnOf[static_cast<std::size_t>(Parameter::Leff)];
-  } else {
-    addUnknown(Parameter::Weff);
-  }
-  addUnknown(Parameter::Mu);
-  if (options.base.solveCinvByBpv) addUnknown(Parameter::Cinv);
+  // Unknown layout mirrors bpv.cpp: [aVt0, aLeff == aWeff, aMu]; Cinv is
+  // not an unknown.
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  constexpr std::array<std::size_t, kParameterCount> kColumnOf = {0, 1, 1, 2,
+                                                                  kNone};
+  constexpr std::size_t kUnknowns = 3;
+  constexpr int kMaxIterations = 60;
 
   // Per-geometry conversion factors k_j with sigma_j = k_j * alpha_j.
   std::vector<std::array<double, kParameterCount>> unitSigma(meas.size());
@@ -209,10 +199,10 @@ CorrelatedBpvResult solveBpvCorrelated(
     unitSigma[g] = sigmaArray(unit, meas[g].geom);
 
   const auto alphaAt = [&](const linalg::Vector& x, std::size_t param) {
-    const std::size_t col = columnOf[param];
-    if (col != static_cast<std::size_t>(-1)) return x[col];
+    const std::size_t col = kColumnOf[param];
+    if (col != kNone) return x[col];
     // Cinv in the direct-measurement flow.
-    return options.base.aCinvDirect;
+    return base.aCinvDirect;
   };
 
   const std::size_t residualSize = meas.size() * kTargetCount;
@@ -252,23 +242,19 @@ CorrelatedBpvResult solveBpvCorrelated(
                      static_cast<double>(kParameterCount));
   };
 
-  linalg::Vector x0(unknownOf.size(), 0.0);
+  linalg::Vector x0(kUnknowns, 0.0);
   const auto initial = [&](Parameter p, double fromIndependent) {
     const std::size_t param = static_cast<std::size_t>(p);
-    const std::size_t col = columnOf[param];
-    if (col == static_cast<std::size_t>(-1)) return;
-    x0[col] = fromIndependent > 0.0 ? fromIndependent
-                                    : singleParameterSeed(param);
+    x0[kColumnOf[param]] = fromIndependent > 0.0 ? fromIndependent
+                                                 : singleParameterSeed(param);
   };
   initial(Parameter::Vt0, inner.alphas.aVt0);
   initial(Parameter::Leff, inner.alphas.aLeff);
-  if (!options.base.tieLengthWidth) initial(Parameter::Weff, inner.alphas.aWeff);
   initial(Parameter::Mu, inner.alphas.aMu);
-  if (options.base.solveCinvByBpv) initial(Parameter::Cinv, inner.alphas.aCinv);
 
   linalg::LevMarOptions lm;
-  lm.maxIterations = options.maxOuterIterations;
-  lm.lowerBounds.assign(unknownOf.size(), 0.0);
+  lm.maxIterations = kMaxIterations;
+  lm.lowerBounds.assign(kUnknowns, 0.0);
   const linalg::LevMarResult fit =
       linalg::levenbergMarquardt(residualFn, x0, residualSize, lm);
 

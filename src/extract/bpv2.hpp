@@ -62,12 +62,6 @@ propagateVarianceSecondOrder(const models::VsParams& card,
                              const models::PelgromAlphas& alphas,
                              const linalg::Matrix& correlation, double vdd);
 
-struct CorrelatedBpvOptions {
-  BpvOptions base;
-  int maxOuterIterations = 60;
-  double relTolerance = 1e-4;  ///< outer-loop alpha convergence
-};
-
 struct CorrelatedBpvResult {
   models::PelgromAlphas alphas;
   int outerIterations = 0;
@@ -75,18 +69,18 @@ struct CorrelatedBpvResult {
   double residualNorm = 0.0;  ///< NNLS residual of the final inner solve
 };
 
-/// BPV with the Eq. (8) correlation cross terms retained.  The full
-/// forward model -- diagonal plus bilinear r_jk cross terms -- is fitted
-/// directly in alpha space with bounded Levenberg-Marquardt, initialized
-/// from the independent solve (zero-pinned coefficients are re-seeded at
-/// their single-parameter variance-budget scale).  With r = I the
-/// independent solution is already a zero-residual point and is returned
-/// unchanged.
+/// BPV with the Eq. (8) correlation cross terms retained, in the paper's
+/// default flow (BpvOptions{}: alpha2 == alpha3, Cinv measured directly).
+/// The full forward model -- diagonal plus bilinear r_jk cross terms -- is
+/// fitted directly in alpha space with bounded Levenberg-Marquardt (60
+/// iterations at most), initialized from the independent solve
+/// (zero-pinned coefficients are re-seeded at their single-parameter
+/// variance-budget scale).  With r = I the independent solution is already
+/// a zero-residual point and is returned unchanged.
 [[nodiscard]] CorrelatedBpvResult solveBpvCorrelated(
     const models::VsParams& card,
     const std::vector<GeometryMeasurement>& meas,
-    const linalg::Matrix& correlation,
-    const CorrelatedBpvOptions& options = {});
+    const linalg::Matrix& correlation);
 
 }  // namespace vsstat::extract
 

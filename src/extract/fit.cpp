@@ -23,6 +23,11 @@ constexpr double kCggWeight = 4.0;
 constexpr double kIdsatWeight = 8.0;
 constexpr double kIoffWeight = 5.0;
 
+// Measurement grid: Id-Vg and Id-Vd pitches, linear-region drain bias [V].
+constexpr double kVgsStep = 0.05;
+constexpr double kVdsStep = 0.05;
+constexpr double kVdsLin = 0.05;
+
 struct NominalRun {
   FitCampaignResult result;
   bool converged = false;
@@ -97,15 +102,14 @@ IvFitResult fitVsToGolden(const models::VsParams& seed,
 
   MeasurementGrid grid;
   // Id-Vg at linear and saturation drain bias: log-space residuals.
-  for (double vgs = 0.10; vgs <= vdd + 1e-9; vgs += options.vgsStep) {
-    grid.points.push_back({vgs, options.vdsLin, Quantity::logId, kLogWeight});
+  for (double vgs = 0.10; vgs <= vdd + 1e-9; vgs += kVgsStep) {
+    grid.points.push_back({vgs, kVdsLin, Quantity::logId, kLogWeight});
     grid.points.push_back({vgs, vdd, Quantity::logId, kLogWeight});
   }
   const std::size_t idVgEnd = grid.points.size();
   // Id-Vd family at three gate biases: relative residuals.
   for (const double vgs : {0.5, 0.7, 0.9}) {
-    for (double vds = options.vdsStep; vds <= vdd + 1e-9;
-         vds += options.vdsStep)
+    for (double vds = kVdsStep; vds <= vdd + 1e-9; vds += kVdsStep)
       grid.points.push_back({vgs, vds, Quantity::relId, kRelWeight});
   }
   const std::size_t idVdEnd = grid.points.size();
@@ -148,16 +152,16 @@ AlphaFitResult fitAlphaPowerToGolden(const models::AlphaPowerParams& seed,
   // model has nothing to fit there.  Every Id point weighs 1; the grid's
   // closing Cgg point moves to the BPV target's bias (Vdd, 0), and the
   // Idsat anchor follows it.
-  MeasurementGrid grid = strongInversionGrid(vdd, options.vgsStep,
-                                             options.vdsStep, options.vdsLin);
+  MeasurementGrid grid =
+      strongInversionGrid(vdd, kVgsStep, kVdsStep, kVdsLin);
   for (IvPoint& p : grid.points) p.weight = 1.0;
   grid.points.back() = {vdd, 0.0, Quantity::cgg, kCggWeight};
   const std::size_t idVdEnd = grid.points.size() - 1;
   grid.points.push_back({vdd, vdd, Quantity::relId, kIdsatWeight});
   // strongInversionGrid opens with its Id-Vg scan: two drain biases per
-  // gate bias, gate biases from 0.45 Vdd in vgsStep steps.
+  // gate bias, gate biases from 0.45 Vdd in kVgsStep steps.
   std::size_t idVgEnd = 0;
-  for (double vgs = 0.45 * vdd; vgs <= vdd + 1e-9; vgs += options.vgsStep)
+  for (double vgs = 0.45 * vdd; vgs <= vdd + 1e-9; vgs += kVgsStep)
     idVgEnd += 2;
 
   FitCampaignOptions campaignOptions;

@@ -20,11 +20,10 @@
 
 namespace vsstat::extract {
 
+/// Supply and LM budget of a nominal fit; the measurement grid's pitches
+/// are constants of fit.cpp.
 struct FitOptions {
   double vdd = 0.9;
-  double vgsStep = 0.05;     ///< Id-Vg grid pitch [V]
-  double vdsStep = 0.05;     ///< Id-Vd grid pitch [V]
-  double vdsLin = 0.05;      ///< linear-region drain bias [V]
   int maxIterations = 300;
 };
 

@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "models/alpha_power.hpp"
-#include "models/bsim_lite.hpp"
 #include "models/vs_model.hpp"
 #include "util/error.hpp"
 #include "util/fnv1a.hpp"
@@ -94,56 +93,18 @@ void alphaWrite(std::span<const double> x, models::MosfetModel& m) {
   p.cg = x[5];
 }
 
-// --- bsim-lite family: [vth0, dibl0, nfactor, u0, vsat, cox] ----------------
-constexpr std::size_t kBsimN = 6;
-constexpr double kBsimLo[kBsimN] = {0.2, 0.04, 1.1, 1.0e-2, 0.5e5, 1.0e-2};
-constexpr double kBsimHi[kBsimN] = {0.7, 0.25, 1.9, 6.0e-2, 2.0e5, 2.6e-2};
-
-void bsimRead(const models::MosfetModel& m, linalg::Vector& x) {
-  const models::BsimParams& p =
-      static_cast<const models::BsimLite&>(m).params();
-  x[0] = p.vth0;
-  x[1] = p.dibl0;
-  x[2] = p.nfactor;
-  x[3] = p.u0;
-  x[4] = p.vsat;
-  x[5] = p.cox;
-}
-
-void bsimWrite(std::span<const double> x, models::MosfetModel& m) {
-  models::BsimParams& p = static_cast<models::BsimLite&>(m).mutableParams();
-  p.vth0 = x[0];
-  p.dibl0 = x[1];
-  p.nfactor = x[2];
-  p.u0 = x[3];
-  p.vsat = x[4];
-  p.cox = x[5];
-}
-
 const FamilySpec& specFor(CardFamily family) noexcept {
   static const FamilySpec vs{kVsN, kVsLo, kVsHi, &vsRead, &vsWrite};
   static const FamilySpec alpha{kAlphaN, kAlphaLo, kAlphaHi, &alphaRead,
                                 &alphaWrite};
-  static const FamilySpec bsim{kBsimN, kBsimLo, kBsimHi, &bsimRead,
-                               &bsimWrite};
   switch (family) {
     case CardFamily::vs: return vs;
     case CardFamily::alphaPower: return alpha;
-    case CardFamily::bsim: return bsim;
   }
   return vs;
 }
 
 }  // namespace
-
-const char* toString(CardFamily f) noexcept {
-  switch (f) {
-    case CardFamily::vs: return "vs";
-    case CardFamily::alphaPower: return "alpha-power";
-    case CardFamily::bsim: return "bsim-lite";
-  }
-  return "unknown";
-}
 
 const char* toString(FitOutcome o) noexcept {
   switch (o) {
@@ -330,17 +291,6 @@ FitCampaign::FitCampaign(const models::AlphaPowerParams& seed,
   finishInit();
 }
 
-FitCampaign::FitCampaign(const models::BsimParams& seed,
-                         models::DeviceGeometry geometry, MeasurementGrid grid,
-                         FitCampaignOptions options)
-    : family_(CardFamily::bsim),
-      geometry_(geometry),
-      grid_(std::move(grid)),
-      options_(std::move(options)),
-      seed_(std::make_unique<models::BsimLite>(seed)) {
-  finishInit();
-}
-
 FitCampaign::~FitCampaign() = default;
 
 void FitCampaign::finishInit() {
@@ -358,10 +308,6 @@ void FitCampaign::finishInit() {
   spec.read(*seed_, x0_);
   for (std::size_t j = 0; j < spec.n; ++j)
     x0_[j] = std::min(std::max(x0_[j], spec.lo[j]), spec.hi[j]);
-}
-
-std::size_t FitCampaign::paramCount() const noexcept {
-  return specFor(family_).n;
 }
 
 FitCampaignResult FitCampaign::run(std::size_t laneCount, std::uint64_t seed,
@@ -503,13 +449,6 @@ models::AlphaPowerParams FitCampaign::alphaCard(const FitCampaignResult& r,
   require(family_ == CardFamily::alphaPower,
           "FitCampaign: not an alpha-power campaign");
   return laneModel<models::AlphaPowerModel>(*seed_, family_, r, lane).params();
-}
-
-models::BsimParams FitCampaign::bsimCard(const FitCampaignResult& r,
-                                         std::size_t lane) const {
-  require(family_ == CardFamily::bsim,
-          "FitCampaign: not a bsim-lite campaign");
-  return laneModel<models::BsimLite>(*seed_, family_, r, lane).params();
 }
 
 }  // namespace vsstat::extract

@@ -45,7 +45,6 @@
 
 #include "linalg/levmar.hpp"
 #include "models/alpha_power.hpp"
-#include "models/bsim_params.hpp"
 #include "models/device.hpp"
 #include "models/vs_params.hpp"
 #include "stats/rng.hpp"
@@ -53,9 +52,7 @@
 namespace vsstat::extract {
 
 /// Which compact-model card family a campaign extracts.
-enum class CardFamily { vs, alphaPower, bsim };
-
-[[nodiscard]] const char* toString(CardFamily f) noexcept;
+enum class CardFamily { vs, alphaPower };
 
 /// Per-lane fit classification.  The first two are successful extractions
 /// (boundPinned means the optimum pressed against the physical box -- the
@@ -127,7 +124,7 @@ struct FitCampaignOptions {
 
 /// Campaign output: a bank of fitted cards (lane-major parameter storage)
 /// plus the per-lane outcome taxonomy and telemetry.  Lane i's card is
-/// reconstructed with FitCampaign::{vs,alpha,bsim}Card(result, i).
+/// reconstructed with FitCampaign::{vs,alpha}Card(result, i).
 struct FitCampaignResult {
   std::size_t laneCount = 0;
   std::size_t paramCount = 0;
@@ -172,15 +169,11 @@ class FitCampaign {
   FitCampaign(const models::AlphaPowerParams& seed,
               models::DeviceGeometry geometry, MeasurementGrid grid,
               FitCampaignOptions options = {});
-  FitCampaign(const models::BsimParams& seed, models::DeviceGeometry geometry,
-              MeasurementGrid grid, FitCampaignOptions options = {});
   ~FitCampaign();
 
   FitCampaign(const FitCampaign&) = delete;
   FitCampaign& operator=(const FitCampaign&) = delete;
 
-  [[nodiscard]] CardFamily family() const noexcept { return family_; }
-  [[nodiscard]] std::size_t paramCount() const noexcept;
   [[nodiscard]] const MeasurementGrid& grid() const noexcept { return grid_; }
   [[nodiscard]] const FitCampaignOptions& options() const noexcept {
     return options_;
@@ -210,8 +203,6 @@ class FitCampaign {
                                         std::size_t lane) const;
   [[nodiscard]] models::AlphaPowerParams alphaCard(const FitCampaignResult& r,
                                                    std::size_t lane) const;
-  [[nodiscard]] models::BsimParams bsimCard(const FitCampaignResult& r,
-                                            std::size_t lane) const;
 
  private:
   friend struct LaneEngine;

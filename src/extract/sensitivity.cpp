@@ -18,22 +18,6 @@ const char* toString(Target t) noexcept {
   return "?";
 }
 
-const char* toString(Parameter p) noexcept {
-  switch (p) {
-    case Parameter::Vt0:
-      return "VT0";
-    case Parameter::Leff:
-      return "Leff";
-    case Parameter::Weff:
-      return "Weff";
-    case Parameter::Mu:
-      return "mu";
-    case Parameter::Cinv:
-      return "Cinv";
-  }
-  return "?";
-}
-
 std::array<double, kParameterCount> sensitivitySteps(
     const models::VsParams& card, const models::DeviceGeometry& geom) {
   std::array<double, kParameterCount> h{};

@@ -33,7 +33,6 @@ enum class Parameter : std::size_t {
 inline constexpr std::size_t kParameterCount = 5;
 
 [[nodiscard]] const char* toString(Target t) noexcept;
-[[nodiscard]] const char* toString(Parameter p) noexcept;
 
 /// d(e_i)/d(p_j) in SI units at the nominal card and geometry.
 /// Rows follow Target, columns follow Parameter.

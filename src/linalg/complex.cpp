@@ -10,22 +10,6 @@ namespace vsstat::linalg {
 ComplexMatrix::ComplexMatrix(std::size_t rows, std::size_t cols, Complex fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
-ComplexMatrix ComplexMatrix::fromRealImag(const Matrix& re, const Matrix& im) {
-  require(im.empty() || (im.rows() == re.rows() && im.cols() == re.cols()),
-          "ComplexMatrix::fromRealImag: shape mismatch");
-  ComplexMatrix m(re.rows(), re.cols());
-  for (std::size_t r = 0; r < re.rows(); ++r) {
-    for (std::size_t c = 0; c < re.cols(); ++c) {
-      m(r, c) = Complex(re(r, c), im.empty() ? 0.0 : im(r, c));
-    }
-  }
-  return m;
-}
-
-void ComplexMatrix::fill(Complex value) noexcept {
-  std::fill(data_.begin(), data_.end(), value);
-}
-
 ComplexVector operator*(const ComplexMatrix& a, const ComplexVector& x) {
   require(a.cols() == x.size(), "ComplexMatrix * vector: shape mismatch");
   ComplexVector y(a.rows(), Complex{});
@@ -95,10 +79,6 @@ ComplexVector ComplexLu::solve(const ComplexVector& b) const {
     x[ri] = acc / lu_(ri, ri);
   }
   return x;
-}
-
-ComplexVector complexLuSolve(const ComplexMatrix& a, const ComplexVector& b) {
-  return ComplexLu(a).solve(b);
 }
 
 }  // namespace vsstat::linalg

@@ -24,10 +24,6 @@ class ComplexMatrix {
   ComplexMatrix() = default;
   ComplexMatrix(std::size_t rows, std::size_t cols, Complex fill = {});
 
-  /// Builds `re + j*im`; shapes must match (im may be empty for a real
-  /// matrix promoted to complex).
-  static ComplexMatrix fromRealImag(const Matrix& re, const Matrix& im);
-
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
   [[nodiscard]] bool empty() const noexcept { return data_.empty(); }
@@ -38,8 +34,6 @@ class ComplexMatrix {
   [[nodiscard]] Complex operator()(std::size_t r, std::size_t c) const noexcept {
     return data_[r * cols_ + c];
   }
-
-  void fill(Complex value) noexcept;
 
  private:
   std::size_t rows_ = 0;
@@ -66,10 +60,6 @@ class ComplexLu {
   ComplexMatrix lu_;
   std::vector<std::size_t> pivots_;
 };
-
-/// One-shot convenience solve of A x = b.
-[[nodiscard]] ComplexVector complexLuSolve(const ComplexMatrix& a,
-                                           const ComplexVector& b);
 
 }  // namespace vsstat::linalg
 

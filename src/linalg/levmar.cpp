@@ -10,6 +10,11 @@ namespace vsstat::linalg {
 
 namespace {
 
+constexpr double kLambdaDown = 0.3;  ///< damping shrink on an accepted step
+constexpr double kGradientTolerance = 1e-10;  ///< projected ||J^T r||_inf
+constexpr double kStepTolerance = 1e-12;  ///< relative accepted-step size
+constexpr double kFdRelStep = 1e-6;  ///< relative finite-difference step
+
 void clampToBounds(Vector& x, const Vector& lo, const Vector& hi) {
   if (!lo.empty()) {
     for (std::size_t i = 0; i < x.size(); ++i) x[i] = std::max(x[i], lo[i]);
@@ -127,7 +132,7 @@ void levenbergMarquardt(const ResidualFn& fn, const Vector& x0,
   for (; iter < options.maxIterations; ++iter) {
     // Numeric Jacobian (forward differences, bound-aware direction).
     for (std::size_t j = 0; j < n; ++j) {
-      double h = options.fdRelStep * std::max(std::fabs(x[j]), 1e-12);
+      double h = kFdRelStep * std::max(std::fabs(x[j]), 1e-12);
       std::copy(x.begin(), x.end(), ws.xPerturbed.begin());
       ws.xPerturbed[j] += h;
       if (!hi.empty() && ws.xPerturbed[j] > hi[j]) {
@@ -171,7 +176,7 @@ void levenbergMarquardt(const ResidualFn& fn, const Vector& x0,
       const bool blockedHi = !hi.empty() && x[j] >= hi[j] && ws.g[j] < 0.0;
       if (!blockedLo && !blockedHi) pgInf = std::max(pgInf, std::fabs(ws.g[j]));
     }
-    if (pgInf < options.gradientTolerance) {
+    if (pgInf < kGradientTolerance) {
       converged = true;
       break;
     }
@@ -215,9 +220,9 @@ void levenbergMarquardt(const ResidualFn& fn, const Vector& x0,
         std::swap(ws.r, ws.rTrial);
         const double improvement = (cost - costTrial) / std::max(cost, 1e-300);
         cost = costTrial;
-        lambda = std::max(lambda * options.lambdaDown, 1e-12);
+        lambda = std::max(lambda * kLambdaDown, 1e-12);
         accepted = true;
-        if (relStep < options.stepTolerance || improvement < 1e-12) {
+        if (relStep < kStepTolerance || improvement < 1e-12) {
           converged = true;
         }
         break;

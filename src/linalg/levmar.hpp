@@ -28,14 +28,13 @@ namespace vsstat::linalg {
 /// Residual callback: fills r (fixed size) from parameters x.
 using ResidualFn = std::function<void(const Vector& x, Vector& r)>;
 
+/// Budget, damping growth and box of one solve.  The stopping tolerances,
+/// the damping shrink and the finite-difference step are constants of
+/// levmar.cpp.
 struct LevMarOptions {
   int maxIterations = 200;
   double initialLambda = 1e-3;
   double lambdaUp = 10.0;
-  double lambdaDown = 0.3;
-  double gradientTolerance = 1e-10;  ///< stop when ||J^T r||_inf below this
-  double stepTolerance = 1e-12;      ///< stop when relative step below this
-  double fdRelStep = 1e-6;           ///< relative finite-difference step
   Vector lowerBounds;                ///< optional, empty == unbounded
   Vector upperBounds;                ///< optional, empty == unbounded
 };

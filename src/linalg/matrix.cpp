@@ -1,8 +1,7 @@
 #include "linalg/matrix.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <limits>
-#include <sstream>
 
 #include "util/error.hpp"
 
@@ -57,40 +56,11 @@ void Matrix::fill(double value) noexcept {
   for (auto& v : data_) v = value;
 }
 
-Matrix& Matrix::operator+=(const Matrix& rhs) {
-  require(rows_ == rhs.rows_ && cols_ == rhs.cols_, "Matrix += shape mismatch");
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += rhs.data_[i];
-  return *this;
-}
-
 Matrix& Matrix::operator-=(const Matrix& rhs) {
   require(rows_ == rhs.rows_ && cols_ == rhs.cols_, "Matrix -= shape mismatch");
   for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= rhs.data_[i];
   return *this;
 }
-
-Matrix& Matrix::operator*=(double s) noexcept {
-  for (auto& v : data_) v *= s;
-  return *this;
-}
-
-std::string Matrix::toString(int precision) const {
-  std::ostringstream ss;
-  ss.precision(precision);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    ss << '[';
-    for (std::size_t c = 0; c < cols_; ++c) {
-      ss << (*this)(r, c) << (c + 1 == cols_ ? "" : ", ");
-    }
-    ss << "]\n";
-  }
-  return ss.str();
-}
-
-Matrix operator+(Matrix lhs, const Matrix& rhs) { return lhs += rhs; }
-Matrix operator-(Matrix lhs, const Matrix& rhs) { return lhs -= rhs; }
-Matrix operator*(Matrix lhs, double s) { return lhs *= s; }
-Matrix operator*(double s, Matrix rhs) { return rhs *= s; }
 
 Matrix operator*(const Matrix& a, const Matrix& b) {
   require(a.cols() == b.rows(), "Matrix * shape mismatch");
@@ -116,13 +86,6 @@ Vector operator*(const Matrix& a, const Vector& x) {
   return y;
 }
 
-double dot(const Vector& a, const Vector& b) {
-  require(a.size() == b.size(), "dot: size mismatch");
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
-  return s;
-}
-
 double norm2(const Vector& v) noexcept {
   double s = 0.0;
   for (double x : v) s += x * x;
@@ -135,39 +98,11 @@ double normInf(const Vector& v) noexcept {
   return m;
 }
 
-Vector add(const Vector& a, const Vector& b) {
-  require(a.size() == b.size(), "add: size mismatch");
-  Vector r(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) r[i] = a[i] + b[i];
-  return r;
-}
-
 Vector sub(const Vector& a, const Vector& b) {
   require(a.size() == b.size(), "sub: size mismatch");
   Vector r(a.size());
   for (std::size_t i = 0; i < a.size(); ++i) r[i] = a[i] - b[i];
   return r;
-}
-
-Vector scale(const Vector& v, double s) {
-  Vector r(v.size());
-  for (std::size_t i = 0; i < v.size(); ++i) r[i] = v[i] * s;
-  return r;
-}
-
-void axpy(double alpha, const Vector& x, Vector& y) {
-  require(x.size() == y.size(), "axpy: size mismatch");
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
-}
-
-double maxAbsDiff(const Matrix& a, const Matrix& b) noexcept {
-  if (a.rows() != b.rows() || a.cols() != b.cols())
-    return std::numeric_limits<double>::infinity();
-  double m = 0.0;
-  for (std::size_t r = 0; r < a.rows(); ++r)
-    for (std::size_t c = 0; c < a.cols(); ++c)
-      m = std::max(m, std::fabs(a(r, c) - b(r, c)));
-  return m;
 }
 
 }  // namespace vsstat::linalg

@@ -1,15 +1,15 @@
 // Dense row-major matrix and vector helpers.
 //
-// The library's numerical core (BPV stacked systems, LM fitting, MNA) deals
-// with small dense systems (tens of unknowns), so a straightforward
-// value-semantic matrix with O(n^3) direct solvers is the right tool; no
-// sparse machinery is needed.
+// The small dense systems of the extraction side (BPV stacked systems,
+// sensitivity and Hessian blocks, NNLS/QR subproblems; tens of unknowns)
+// use this value-semantic matrix with O(n^3) direct solvers.  Circuit
+// simulation assembles its MNA systems into linalg::SparseMatrix and
+// factors them with linalg::SparseLu (linalg/sparse_lu.hpp) instead.
 #ifndef VSSTAT_LINALG_MATRIX_HPP
 #define VSSTAT_LINALG_MATRIX_HPP
 
 #include <cstddef>
 #include <initializer_list>
-#include <string>
 #include <vector>
 
 namespace vsstat::linalg {
@@ -48,11 +48,7 @@ class Matrix {
 
   void fill(double value) noexcept;
 
-  Matrix& operator+=(const Matrix& rhs);
   Matrix& operator-=(const Matrix& rhs);
-  Matrix& operator*=(double s) noexcept;
-
-  [[nodiscard]] std::string toString(int precision = 4) const;
 
   [[nodiscard]] const double* data() const noexcept { return data_.data(); }
   [[nodiscard]] double* data() noexcept { return data_.data(); }
@@ -63,25 +59,13 @@ class Matrix {
   std::vector<double> data_;
 };
 
-[[nodiscard]] Matrix operator+(Matrix lhs, const Matrix& rhs);
-[[nodiscard]] Matrix operator-(Matrix lhs, const Matrix& rhs);
-[[nodiscard]] Matrix operator*(Matrix lhs, double s);
-[[nodiscard]] Matrix operator*(double s, Matrix rhs);
 [[nodiscard]] Matrix operator*(const Matrix& a, const Matrix& b);
 [[nodiscard]] Vector operator*(const Matrix& a, const Vector& x);
 
 // --- vector helpers ---------------------------------------------------------
-[[nodiscard]] double dot(const Vector& a, const Vector& b);
 [[nodiscard]] double norm2(const Vector& v) noexcept;
 [[nodiscard]] double normInf(const Vector& v) noexcept;
-[[nodiscard]] Vector add(const Vector& a, const Vector& b);
 [[nodiscard]] Vector sub(const Vector& a, const Vector& b);
-[[nodiscard]] Vector scale(const Vector& v, double s);
-/// y += alpha * x
-void axpy(double alpha, const Vector& x, Vector& y);
-
-/// Maximum absolute elementwise difference; infinity on shape mismatch.
-[[nodiscard]] double maxAbsDiff(const Matrix& a, const Matrix& b) noexcept;
 
 }  // namespace vsstat::linalg
 

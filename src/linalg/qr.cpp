@@ -74,19 +74,4 @@ Vector QrFactorization::solveLeastSquares(const Vector& b) const {
   return x;
 }
 
-double QrFactorization::residualNorm(const Vector& b) const {
-  const std::size_t m = qr_.rows();
-  const std::size_t n = qr_.cols();
-  require(b.size() == m, "QR residual: rhs size mismatch");
-  Vector y = b;
-  applyQt(y);
-  double s = 0.0;
-  for (std::size_t i = n; i < m; ++i) s += y[i] * y[i];
-  return std::sqrt(s);
-}
-
-Vector leastSquares(const Matrix& a, const Vector& b) {
-  return QrFactorization(a).solveLeastSquares(b);
-}
-
 }  // namespace vsstat::linalg

@@ -1,6 +1,6 @@
-// Householder QR factorization and linear least squares.
-// Used by the BPV extraction (stacked over-determined system, Eq. 10 of the
-// paper) and as the subproblem solver inside NNLS.
+// Householder QR factorization and linear least squares: the subproblem
+// solver inside NNLS, which solves the BPV extraction's stacked
+// over-determined system (Eq. 10 of the paper).
 #ifndef VSSTAT_LINALG_QR_HPP
 #define VSSTAT_LINALG_QR_HPP
 
@@ -17,9 +17,6 @@ class QrFactorization {
   /// deficient to working precision.
   [[nodiscard]] Vector solveLeastSquares(const Vector& b) const;
 
-  /// Residual norm ||A x - b||_2 for the least-squares solution of b.
-  [[nodiscard]] double residualNorm(const Vector& b) const;
-
   [[nodiscard]] std::size_t rows() const noexcept { return qr_.rows(); }
   [[nodiscard]] std::size_t cols() const noexcept { return qr_.cols(); }
 
@@ -29,9 +26,6 @@ class QrFactorization {
   Matrix qr_;       // Householder vectors below diagonal, R on/above
   Vector betas_;    // Householder scalars
 };
-
-/// One-shot least squares min ||A x - b||.
-[[nodiscard]] Vector leastSquares(const Matrix& a, const Vector& b);
 
 }  // namespace vsstat::linalg
 

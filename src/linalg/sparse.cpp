@@ -37,12 +37,6 @@ SparsePattern::SparsePattern(
   while (nextRow <= n) rowStart_[nextRow++] = colIndex_.size();
 }
 
-double SparsePattern::sparsity() const noexcept {
-  if (n_ == 0) return 0.0;
-  const double total = static_cast<double>(n_) * static_cast<double>(n_);
-  return 1.0 - static_cast<double>(nonZeroCount()) / total;
-}
-
 void SparseMatrix::scatterTo(Matrix& dense) const {
   const std::size_t n = pattern_->size();
   if (dense.rows() != n || dense.cols() != n) {

@@ -73,9 +73,6 @@ class SparsePattern {
     return rowIndex_;
   }
 
-  /// Fraction of structurally zero entries, in [0, 1].
-  [[nodiscard]] double sparsity() const noexcept;
-
  private:
   std::size_t n_ = 0;
   std::vector<std::size_t> rowStart_;

@@ -248,17 +248,6 @@ std::vector<double> SobolSampler::standardNormals(
 
 // --- sampling plans ------------------------------------------------------------
 
-const char* toString(SamplingPlan::Scheme scheme) noexcept {
-  switch (scheme) {
-    case SamplingPlan::Scheme::providerRng: return "rng";
-    case SamplingPlan::Scheme::iid: return "iid";
-    case SamplingPlan::Scheme::lhs: return "lhs";
-    case SamplingPlan::Scheme::halton: return "halton";
-    case SamplingPlan::Scheme::sobol: return "sobol";
-  }
-  return "rng";
-}
-
 SamplingPlan::Scheme parseScheme(const std::string& name) {
   if (name == "rng" || name == "providerRng")
     return SamplingPlan::Scheme::providerRng;

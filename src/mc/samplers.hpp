@@ -135,8 +135,6 @@ struct SamplingPlan {
   std::uint64_t seed = 0;
 };
 
-[[nodiscard]] const char* toString(SamplingPlan::Scheme scheme) noexcept;
-
 /// Parses a CLI scheme name ("iid", "lhs", "halton", "sobol", "rng");
 /// throws InvalidArgumentError on anything else.
 [[nodiscard]] SamplingPlan::Scheme parseScheme(const std::string& name);

@@ -12,135 +12,63 @@ using spice::SourceWaveform;
 
 namespace {
 
-/// One capture trial: D rises (or falls) at dEdge, CLK rises at clockEdge.
-/// Returns true when Q ends at the expected captured value.
-bool captureTrial(circuits::DffBench& bench, const SetupHoldOptions& opt,
-                  bool dRising, double dEdge) {
+constexpr double kClockEdge = 70e-12;     ///< rising CLK edge time [s]
+constexpr double kSlew = 8e-12;           ///< D and CLK edge slew [s]
+constexpr double kSettleWindow = 70e-12;  ///< time allowed for Q [s]
+constexpr double kSearchSpan = 50e-12;    ///< bisection bracket half-width
+constexpr double kResolution = 0.2e-12;   ///< bisection stop resolution [s]
+constexpr double kDt = 0.3e-12;           ///< transient step [s]
+
+/// One capture trial: D rises at dEdge, CLK rises at kClockEdge.  Returns
+/// true when Q ends at the captured '1'.
+bool captureTrial(circuits::DffBench& bench, double dEdge) {
   const double vdd = bench.supply;
   auto& dSrc = bench.circuit.voltageSource(bench.dSource);
   auto& clkSrc = bench.circuit.voltageSource(bench.clkSource);
 
-  const double tStop = opt.clockEdge + opt.settleWindow;
-  const double dStart = dRising ? 0.0 : vdd;
-  const double dEnd = vdd - dStart;
+  const double tStop = kClockEdge + kSettleWindow;
 
   // Clamp the data edge into the simulated window; an edge before t=0
   // behaves as "data valid from the start".
   const double tEdge = std::max(dEdge, 1e-15);
-  dSrc.setWaveform(SourceWaveform::pwl({{0.0, dStart},
-                                        {tEdge, dStart},
-                                        {tEdge + opt.slew, dEnd},
-                                        {tStop, dEnd}}));
+  dSrc.setWaveform(SourceWaveform::pwl(
+      {{0.0, 0.0}, {tEdge, 0.0}, {tEdge + kSlew, vdd}, {tStop, vdd}}));
   clkSrc.setWaveform(SourceWaveform::pwl({{0.0, 0.0},
-                                          {opt.clockEdge, 0.0},
-                                          {opt.clockEdge + opt.slew, vdd},
+                                          {kClockEdge, 0.0},
+                                          {kClockEdge + kSlew, vdd},
                                           {tStop, vdd}}));
 
   spice::TransientOptions topt;
   topt.tStop = tStop;
-  topt.dt = opt.dt;
+  topt.dt = kDt;
   const spice::Waveform wave = spice::transient(bench.circuit, topt);
 
   // The slave opens on the rising edge, so a captured value shows at Q
   // within the settle window and stays there.
-  const double qFinal = wave.finalValue(bench.q);
-  const double target = dRising ? vdd : 0.0;
-  return std::fabs(qFinal - target) < 0.1 * vdd;
+  return std::fabs(wave.finalValue(bench.q) - vdd) < 0.1 * vdd;
 }
 
 }  // namespace
 
-double measureSetupTime(circuits::DffBench& bench,
-                        const SetupHoldOptions& opt) {
+double measureSetupTime(circuits::DffBench& bench) {
   // Offset = how long D leads the CLK edge.  Large lead must pass; D
   // arriving after the edge must fail.
   const auto passes = [&](double lead) {
-    return captureTrial(bench, opt, /*dRising=*/true,
-                        opt.clockEdge - lead - opt.slew);
+    return captureTrial(bench, kClockEdge - lead - kSlew);
   };
 
-  double lo = -opt.searchSpan;  // D after edge: expect fail
-  double hi = opt.searchSpan;   // D well before edge: expect pass
+  double lo = -kSearchSpan;  // D after edge: expect fail
+  double hi = kSearchSpan;   // D well before edge: expect pass
   if (!passes(hi)) {
     throw ConvergenceError("measureSetupTime: register never captures", 0);
   }
   if (passes(lo)) return lo;  // captures even with trailing data
 
-  while (hi - lo > opt.resolution) {
+  while (hi - lo > kResolution) {
     const double mid = 0.5 * (lo + hi);
     (passes(mid) ? hi : lo) = mid;
   }
   return 0.5 * (lo + hi);
-}
-
-double measureHoldTime(circuits::DffBench& bench,
-                       const SetupHoldOptions& opt) {
-  // D rises well before the edge (guaranteed setup), then falls again at
-  // clockEdge + holdOffset.  Too-early fall corrupts the captured 1.
-  const double vdd = bench.supply;
-  auto& dSrc = bench.circuit.voltageSource(bench.dSource);
-  auto& clkSrc = bench.circuit.voltageSource(bench.clkSource);
-
-  const auto passes = [&](double holdOffset) {
-    const double tStop = opt.clockEdge + opt.settleWindow;
-    const double dRise = std::max(opt.clockEdge - opt.searchSpan, 1e-15);
-    const double dFall = std::max(opt.clockEdge + holdOffset, dRise + opt.slew);
-    dSrc.setWaveform(SourceWaveform::pwl({{0.0, 0.0},
-                                          {dRise, 0.0},
-                                          {dRise + opt.slew, vdd},
-                                          {dFall, vdd},
-                                          {dFall + opt.slew, 0.0},
-                                          {tStop, 0.0}}));
-    clkSrc.setWaveform(SourceWaveform::pwl({{0.0, 0.0},
-                                            {opt.clockEdge, 0.0},
-                                            {opt.clockEdge + opt.slew, vdd},
-                                            {tStop, vdd}}));
-    spice::TransientOptions topt;
-    topt.tStop = tStop;
-    topt.dt = opt.dt;
-    const spice::Waveform wave = spice::transient(bench.circuit, topt);
-    return wave.finalValue(bench.q) > 0.9 * vdd;
-  };
-
-  double lo = -opt.searchSpan * 0.5;  // D falls before edge: expect fail
-  double hi = opt.searchSpan;         // D held long after edge: expect pass
-  if (!passes(hi)) {
-    throw ConvergenceError("measureHoldTime: register never captures", 0);
-  }
-  if (passes(lo)) return lo;
-
-  while (hi - lo > opt.resolution) {
-    const double mid = 0.5 * (lo + hi);
-    (passes(mid) ? hi : lo) = mid;
-  }
-  return 0.5 * (lo + hi);
-}
-
-double measureClkToQ(circuits::DffBench& bench, const SetupHoldOptions& opt) {
-  const double vdd = bench.supply;
-  auto& dSrc = bench.circuit.voltageSource(bench.dSource);
-  auto& clkSrc = bench.circuit.voltageSource(bench.clkSource);
-
-  const double tStop = opt.clockEdge + opt.settleWindow;
-  dSrc.setWaveform(SourceWaveform::pwl(
-      {{0.0, 0.0}, {1e-12, 0.0}, {1e-12 + opt.slew, vdd}, {tStop, vdd}}));
-  clkSrc.setWaveform(SourceWaveform::pwl({{0.0, 0.0},
-                                          {opt.clockEdge, 0.0},
-                                          {opt.clockEdge + opt.slew, vdd},
-                                          {tStop, vdd}}));
-  spice::TransientOptions topt;
-  topt.tStop = tStop;
-  topt.dt = opt.dt;
-  const spice::Waveform wave = spice::transient(bench.circuit, topt);
-
-  const double mid = 0.5 * vdd;
-  const auto clkCross =
-      wave.crossing(bench.clk, mid, /*rising=*/true, opt.clockEdge - 5e-12);
-  const auto qCross = wave.crossing(bench.q, mid, /*rising=*/true,
-                                    clkCross.value_or(opt.clockEdge));
-  require(clkCross.has_value(), "measureClkToQ: no clock edge");
-  if (!qCross) throw ConvergenceError("measureClkToQ: Q never rose", 0);
-  return *qCross - *clkCross;
 }
 
 }  // namespace vsstat::measure

@@ -1,11 +1,11 @@
-// D flip-flop setup/hold characterization (paper Fig. 8).
+// D flip-flop setup time characterization (paper Fig. 8).
 //
-// Setup and hold times cannot be probed directly: each data point requires
-// a full transient with a particular data-to-clock offset, and the
-// constraint is found by bisecting on that offset until capture fails --
-// which is precisely why the paper stresses the VS model's runtime
-// advantage for this analysis ("about 20x more SPICE simulations than a
-// combinational cell").
+// Setup time cannot be probed directly: each data point requires a full
+// transient with a particular data-to-clock offset, and the constraint is
+// found by bisecting on that offset until capture fails -- which is
+// precisely why the paper stresses the VS model's runtime advantage for
+// this analysis ("about 20x more SPICE simulations than a combinational
+// cell").
 #ifndef VSSTAT_MEASURE_SETUP_HOLD_HPP
 #define VSSTAT_MEASURE_SETUP_HOLD_HPP
 
@@ -13,29 +13,11 @@
 
 namespace vsstat::measure {
 
-struct SetupHoldOptions {
-  double clockEdge = 70e-12;     ///< rising CLK edge time [s]
-  double slew = 8e-12;           ///< D and CLK edge slew [s]
-  double settleWindow = 70e-12;  ///< time allowed after the edge for Q [s]
-  double searchSpan = 50e-12;    ///< bisection bracket half-width [s]
-  double resolution = 0.2e-12;   ///< bisection stop resolution [s]
-  double dt = 0.3e-12;           ///< transient step [s]
-};
-
 /// Minimum D-before-CLK time that still captures a rising D (the paper's
 /// Fig. 8c distribution).  Positive means D must lead the clock.
 /// Throws ConvergenceError when the register fails even with maximal lead
 /// (a dead sample under extreme mismatch).
-[[nodiscard]] double measureSetupTime(circuits::DffBench& bench,
-                                      const SetupHoldOptions& options = {});
-
-/// Minimum D-hold-after-CLK time for a captured '1' to survive a falling D.
-[[nodiscard]] double measureHoldTime(circuits::DffBench& bench,
-                                     const SetupHoldOptions& options = {});
-
-/// Clock-to-Q delay with a comfortably early D (reference timing).
-[[nodiscard]] double measureClkToQ(circuits::DffBench& bench,
-                                   const SetupHoldOptions& options = {});
+[[nodiscard]] double measureSetupTime(circuits::DffBench& bench);
 
 }  // namespace vsstat::measure
 

@@ -27,8 +27,7 @@ void butterflyInto(circuits::SramButterflyBench& bench,
   require(&session.circuit() == &bench.circuit,
           "measureButterfly: session is bound to a different circuit");
   sweepLevelsInto(bench.supply, points, levels);
-  // Lean sweeps: only the probed response node is recorded per level (the
-  // solver trajectory -- hence every voltage -- matches dcSweep exactly).
+  // Lean sweeps: only the probed response node is recorded per level.
   curves.curve1.x.assign(levels.begin(), levels.end());
   session.dcSweepNode(bench.sweep1, levels, bench.out1, curves.curve1.y);
   curves.curve2.y.assign(levels.begin(), levels.end());
@@ -125,12 +124,6 @@ double interpolate(const std::vector<double>& keys,
 }
 
 }  // namespace
-
-bool polylinesIntersect(const VtcCurve& a, const VtcCurve& b) {
-  std::vector<std::pair<double, double>> hits;
-  intersectionPointsInto(a, b, 1e-12, hits);
-  return !hits.empty();
-}
 
 SnmResult staticNoiseMargin(const ButterflyCurves& curves, double vdd) {
   require(curves.curve1.x.size() >= 2 && curves.curve2.x.size() >= 2,
@@ -260,11 +253,6 @@ SnmResult measureSnm(circuits::SramButterflyBench& bench,
   static thread_local ButterflyCurves curves;
   butterflyInto(bench, session, points, levels, curves);
   return staticNoiseMargin(curves, bench.supply);
-}
-
-SnmResult measureSnm(circuits::SramButterflyBench& bench, int points) {
-  spice::SimSession session(bench.circuit);
-  return measureSnm(bench, session, points);
 }
 
 }  // namespace vsstat::measure

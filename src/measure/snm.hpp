@@ -61,13 +61,6 @@ struct SnmResult {
                                    spice::SimSession& session,
                                    int points = 61);
 
-/// One-shot variant: the overload above on a fresh default session.
-[[nodiscard]] SnmResult measureSnm(circuits::SramButterflyBench& bench,
-                                   int points = 61);
-
-/// True when two polylines intersect (exposed for tests).
-[[nodiscard]] bool polylinesIntersect(const VtcCurve& a, const VtcCurve& b);
-
 }  // namespace vsstat::measure
 
 #endif  // VSSTAT_MEASURE_SNM_HPP

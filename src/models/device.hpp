@@ -35,8 +35,8 @@ enum class DeviceType { Nmos, Pmos };
 /// tests and the cross-thread determinism contract are built on.
 ///
 /// `fast` replaces the lane loop's exp/log1p/pow with the vectorized
-/// polynomial kernels of util/simd_math.hpp, batched across the bank's
-/// lanes.  It is tolerance-checked, not bit-checked, against reference:
+/// polynomial kernels of util/simd_math_kernels.inc, batched across the
+/// bank's lanes.  It is tolerance-checked, not bit-checked, against reference:
 /// per-lane relative current/charge error stays within the bounds asserted
 /// by tests/models/test_fast_numerics.cpp, and campaign metrics agree
 /// within solver tolerance.  Fast mode is still deterministic -- the same
@@ -201,7 +201,7 @@ class MosfetModel {
   /// `mode`; models with a flat analytic chain (the VS model) override it
   /// with a struct-of-arrays lane loop that caches the bias-independent
   /// derived parameters per lane and, in NumericsMode::fast, batches the
-  /// chain's transcendentals through util/simd_math.hpp kernels.
+  /// chain's transcendentals through util/simd_math_kernels.inc kernels.
   [[nodiscard]] virtual std::unique_ptr<MosfetLoadBank> makeLoadBank(
       std::vector<BankLane> lanes,
       NumericsMode mode = NumericsMode::reference) const;

@@ -6,16 +6,9 @@
 
 namespace vsstat::models {
 
-DieSampler::DieSampler(DieVariationSpec spec,
-                       std::vector<stats::DiePoint> locations)
-    : spec_(std::move(spec)), locations_(std::move(locations)) {
-  require(!locations_.empty(), "DieSampler: no device locations");
-  if (spec_.spatial) {
-    require(spec_.spatial->correlationLength > 0.0,
-            "DieSampler: spatial correlation length must be positive");
-    field_.emplace(locations_, spec_.spatial->correlationLength);
-  }
-  fieldValues_.assign(locations_.size(), 0.0);
+DieSampler::DieSampler(DieVariationSpec spec, std::size_t deviceCount)
+    : spec_(std::move(spec)), deviceCount_(deviceCount) {
+  require(deviceCount_ > 0, "DieSampler: no devices");
 }
 
 void DieSampler::newDie(stats::Rng& rng) {
@@ -25,17 +18,13 @@ void DieSampler::newDie(stats::Rng& rng) {
   globalDelta_.dWeff = g.sWeff > 0.0 ? rng.normal(0.0, g.sWeff) : 0.0;
   globalDelta_.dMu = g.sMu > 0.0 ? rng.normal(0.0, g.sMu) : 0.0;
   globalDelta_.dCinv = g.sCinv > 0.0 ? rng.normal(0.0, g.sCinv) : 0.0;
-
-  if (field_) {
-    fieldValues_ = field_->sample(rng);
-  }
 }
 
-VariationDelta DieSampler::deltaFor(std::size_t locationIndex,
+VariationDelta DieSampler::deltaFor(std::size_t deviceIndex,
                                     const DeviceGeometry& geom,
                                     stats::Rng& rng) const {
-  require(locationIndex < locations_.size(),
-          "DieSampler::deltaFor: location index out of range");
+  require(deviceIndex < deviceCount_,
+          "DieSampler::deltaFor: device index out of range");
 
   // Local Pelgrom mismatch: fresh independent draw per instance.
   const ParameterSigmas localSigmas = sigmasFor(spec_.local, geom);
@@ -47,17 +36,6 @@ VariationDelta DieSampler::deltaFor(std::size_t locationIndex,
   delta.dWeff += globalDelta_.dWeff;
   delta.dMu += globalDelta_.dMu;
   delta.dCinv += globalDelta_.dCinv;
-
-  // Spatially correlated component, scaled by its per-parameter amplitude.
-  if (spec_.spatial) {
-    const double f = fieldValues_[locationIndex];
-    const GlobalSigmas& s = spec_.spatial->sigmas;
-    delta.dVt0 += f * s.sVt0;
-    delta.dLeff += f * s.sLeff;
-    delta.dWeff += f * s.sWeff;
-    delta.dMu += f * s.sMu;
-    delta.dCinv += f * s.sCinv;
-  }
   return delta;
 }
 

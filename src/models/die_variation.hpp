@@ -10,7 +10,6 @@
 // composes, per device instance,
 //
 //   delta = global (one draw per die, geometry-independent)
-//         + spatially-correlated intra-die component (optional, ref [14])
 //         + local Pelgrom mismatch (the paper's extracted component),
 //
 // and the decomposition helpers to recover the components from population
@@ -18,11 +17,10 @@
 #ifndef VSSTAT_MODELS_DIE_VARIATION_HPP
 #define VSSTAT_MODELS_DIE_VARIATION_HPP
 
-#include <optional>
 #include <vector>
 
 #include "models/process_variation.hpp"
-#include "stats/spatial.hpp"
+#include "stats/rng.hpp"
 
 namespace vsstat::models {
 
@@ -36,50 +34,37 @@ struct GlobalSigmas {
   double sCinv = 0.0;  ///< F/m^2
 };
 
-/// Spatially correlated intra-die component: a single unit field scales
-/// each parameter through its own sigma (perfectly correlated across
-/// parameters at one location, exponentially decorrelating across the
-/// die -- the standard principal-component simplification of ref [14]).
-struct SpatialComponent {
-  GlobalSigmas sigmas;          ///< per-parameter field amplitudes
-  double correlationLength = 1e-3;  ///< [m]
-};
-
 struct DieVariationSpec {
   PelgromAlphas local;  ///< within-die mismatch (the paper's component)
   GlobalSigmas global;  ///< inter-die shifts
-  std::optional<SpatialComponent> spatial;  ///< correlated intra-die part
 };
 
-/// Samples whole dies: call newDie() once per die, then deltaFor() once
-/// per device instance.  Device locations are fixed up front so the
-/// spatial field factorization happens once.
+/// Samples whole dies of `deviceCount` devices: call newDie() once per
+/// die, then deltaFor() once per device instance.
 class DieSampler {
  public:
-  DieSampler(DieVariationSpec spec, std::vector<stats::DiePoint> locations);
+  DieSampler(DieVariationSpec spec, std::size_t deviceCount);
 
-  /// Draws the die-level state (global delta + spatial field realization).
+  /// Draws the die-level state (the global delta).
   void newDie(stats::Rng& rng);
 
-  /// Per-instance delta for the device at `locationIndex`; composes the
-  /// current die state with a fresh local mismatch draw.
-  [[nodiscard]] VariationDelta deltaFor(std::size_t locationIndex,
+  /// Per-instance delta for device `deviceIndex`; composes the current die
+  /// state with a fresh local mismatch draw.
+  [[nodiscard]] VariationDelta deltaFor(std::size_t deviceIndex,
                                         const DeviceGeometry& geom,
                                         stats::Rng& rng) const;
 
   [[nodiscard]] const VariationDelta& globalDelta() const noexcept {
     return globalDelta_;
   }
-  [[nodiscard]] std::size_t locationCount() const noexcept {
-    return locations_.size();
+  [[nodiscard]] std::size_t deviceCount() const noexcept {
+    return deviceCount_;
   }
 
  private:
   DieVariationSpec spec_;
-  std::vector<stats::DiePoint> locations_;
-  std::optional<stats::CorrelatedGaussianField> field_;
+  std::size_t deviceCount_;
   VariationDelta globalDelta_{};
-  std::vector<double> fieldValues_;
 };
 
 /// Eq. (1) decomposition of a measured population.

@@ -1,6 +1,6 @@
 // Fused vectorized VS equation chain for NumericsMode::fast.
 //
-// The staged form (one simd_math kernel call per transcendental site)
+// A staged form (one array kernel call per transcendental site)
 // loses most of its gain at real bank sizes (6-10 lanes) to per-stage
 // staging: every stage re-reads the lane arrays, and seven kernel-call
 // round trips per currentPart dominate the saved libm time.  These two
@@ -10,12 +10,12 @@
 // divides), all intermediate arithmetic stays in V4d, and only the final
 // states are stored.
 //
-// Like util/simd_math.hpp the bodies compile twice -- baseline flags and
-// an AVX2+FMA clone -- sharing one source (vs_fast_chain_kernels.inc,
-// which itself builds on simd_math_kernels.inc), dispatched once per
-// process.  Numerics: same tolerance contract as the simd_math kernels
-// (the chain is their composition); bit-different from the reference
-// chain, deterministic per host.
+// The bodies compile twice -- baseline flags and an AVX2+FMA clone --
+// sharing one source (vs_fast_chain_kernels.inc, which itself builds on
+// util/simd_math_kernels.inc), dispatched once per process.  Numerics:
+// same tolerance contract as the simd_math kernels (the chain is their
+// composition); bit-different from the reference chain, deterministic per
+// host.
 //
 // Layout contract: `n` is the PADDED lane count, a multiple of 4.  The
 // caller (VsLoadBank's fast scratch) pads trailing lanes with benign card

@@ -65,7 +65,7 @@ class VsModel final : public MosfetModel {
   /// (default) it is bit-identical to the scalar path by construction --
   /// both call the same chain function.  NumericsMode::fast batches the
   /// chain's exp/log1p/pow across all lanes through the vectorized kernels
-  /// of util/simd_math.hpp: tolerance-checked against reference
+  /// of util/simd_math_kernels.inc: tolerance-checked against reference
   /// (tests/models/test_fast_numerics.cpp), still deterministic.
   /// (Default for `mode` lives on the base declaration only: defaults on
   /// virtuals bind statically, so repeating it here could drift.)

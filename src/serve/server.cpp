@@ -38,10 +38,7 @@ bool writeAll(int fd, const char* data, std::size_t size) {
 
 }  // namespace
 
-CampaignServer::CampaignServer() : CampaignServer(Options{}) {}
-
-CampaignServer::CampaignServer(Options options)
-    : cache_(options.cacheCapacity) {}
+CampaignServer::CampaignServer() = default;
 
 CampaignServer::~CampaignServer() {
   stop();

@@ -30,13 +30,7 @@ namespace vsstat::serve {
 
 class CampaignServer {
  public:
-  struct Options {
-    /// Session-cache capacity (distinct warm topology+options entries).
-    std::size_t cacheCapacity = 8;
-  };
-
   CampaignServer();
-  explicit CampaignServer(Options options);
   ~CampaignServer();
 
   CampaignServer(const CampaignServer&) = delete;

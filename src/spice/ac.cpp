@@ -100,7 +100,7 @@ AcSweep acAnalysis(Circuit& circuit, const std::string& sourceName,
   require(!frequenciesHz.empty(), "acAnalysis: empty frequency list");
 
   AcSweep sweep;
-  sweep.op = dcOperatingPoint(circuit, options.dc);
+  sweep.op = dcOperatingPoint(circuit);
   const SmallSignalSystem system(circuit, sweep.op);
   const linalg::ComplexVector excitation = system.voltageExcitation(
       circuit, sourceName, options.excitationMagnitude);

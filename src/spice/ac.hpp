@@ -20,7 +20,6 @@
 namespace vsstat::spice {
 
 struct AcOptions {
-  DcOptions dc;                      ///< operating-point solve settings
   double excitationMagnitude = 1.0;  ///< AC source amplitude [V]
 };
 

@@ -41,11 +41,6 @@ void LoadContext::addBranchJacobianV(int localBranch, NodeId node,
                                      double d) noexcept {
   assembler_->stampBranchJacobianV(branchBase_ + localBranch, node, d);
 }
-void LoadContext::addBranchJacobianI(int localBranch, int otherLocalBranch,
-                                     double d) noexcept {
-  assembler_->stampBranchJacobianI(branchBase_ + localBranch,
-                                   branchBase_ + otherLocalBranch, d);
-}
 void LoadContext::setCharge(int localSlot, double q) noexcept {
   assembler_->recordCharge(chargeBase_ + localSlot, q);
 }
@@ -212,42 +207,40 @@ bool dcSolveLadder(Assembler& assembler, linalg::Vector& x,
   // not allocate on persistent sessions.
   linalg::Vector& xTrial = assembler.workspace().xHomotopy;
 
-  if (options.gminStepping) {
-    report.homotopyRung = kRungGminStepping;
-    xTrial.assign(x.begin(), x.end());
-    bool ok = true;
-    for (double gmin = 1e-2; gmin >= kGminFloor; gmin *= 0.1) {
-      assembler.setGmin(gmin);
-      if (!newtonSolve(assembler, xTrial, options.newton)) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) {
-      x = xTrial;
-      return finish(true);
+  // Homotopy 1: gmin stepping, a decaying shunt conductance.
+  report.homotopyRung = kRungGminStepping;
+  xTrial.assign(x.begin(), x.end());
+  bool ok = true;
+  for (double gmin = 1e-2; gmin >= kGminFloor; gmin *= 0.1) {
+    assembler.setGmin(gmin);
+    if (!newtonSolve(assembler, xTrial, options.newton)) {
+      ok = false;
+      break;
     }
   }
+  if (ok) {
+    x = xTrial;
+    return finish(true);
+  }
 
-  if (options.sourceStepping) {
-    report.homotopyRung = kRungSourceStepping;
-    xTrial.assign(x.size(), 0.0);
-    assembler.setGmin(1e-9);
-    bool ok = true;
-    for (int step = 1; step <= 20; ++step) {
-      assembler.setSourceScale(static_cast<double>(step) / 20.0);
-      if (!newtonSolve(assembler, xTrial, options.newton)) {
-        ok = false;
-        break;
-      }
+  // Homotopy 2: source stepping, sources ramped from zero.
+  report.homotopyRung = kRungSourceStepping;
+  xTrial.assign(x.size(), 0.0);
+  assembler.setGmin(1e-9);
+  ok = true;
+  for (int step = 1; step <= 20; ++step) {
+    assembler.setSourceScale(static_cast<double>(step) / 20.0);
+    if (!newtonSolve(assembler, xTrial, options.newton)) {
+      ok = false;
+      break;
     }
-    if (ok) {
-      assembler.setSourceScale(1.0);
-      assembler.setGmin(kGminFloor);
-      if (newtonSolve(assembler, xTrial, options.newton)) {
-        x = xTrial;
-        return finish(true);
-      }
+  }
+  if (ok) {
+    assembler.setSourceScale(1.0);
+    assembler.setGmin(kGminFloor);
+    if (newtonSolve(assembler, xTrial, options.newton)) {
+      x = xTrial;
+      return finish(true);
     }
   }
   return finish(false);
@@ -259,6 +252,8 @@ void runTransient(Assembler& assembler, const TransientOptions& options,
           "transient: tStop and dt must be positive");
   const Circuit& circuit = assembler.circuit();
   NewtonWorkspace& ws = assembler.workspace();
+  // Recovery floor of step halving [s].
+  constexpr double kDtMin = 1e-16;
 
   // t = 0 operating point.  Scratch buffers live in the workspace and are
   // re-initialized to the exact values a fresh run would construct, so
@@ -390,7 +385,7 @@ void runTransient(Assembler& assembler, const TransientOptions& options,
         break;
       }
       h *= 0.5;
-      if (h < options.dtMin) break;
+      if (h < kDtMin) break;
     }
     if (!accepted) {
       // The step retries accumulated flags into the workspace report (the
@@ -431,13 +426,6 @@ double sourceCurrent(Circuit& circuit, const std::string& name,
                      const OperatingPoint& op) {
   const VoltageSourceElement& src = circuit.voltageSource(name);
   return op.branchCurrents[static_cast<std::size_t>(src.branchBase())];
-}
-
-std::vector<OperatingPoint> dcSweep(Circuit& circuit,
-                                    const std::string& sourceName,
-                                    const std::vector<double>& levels,
-                                    const DcOptions& options) {
-  return SimSession(circuit).dcSweep(sourceName, levels, options);
 }
 
 Waveform transient(Circuit& circuit, const TransientOptions& options) {

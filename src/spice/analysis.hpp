@@ -1,13 +1,14 @@
 // Circuit analyses: Newton DC operating point (with gmin and source
-// stepping homotopies), DC sweeps, and charge-conserving transient
-// simulation (backward Euler startup, trapezoidal thereafter, with
-// step-halving recovery).
+// stepping homotopies) and charge-conserving transient simulation
+// (backward Euler startup, trapezoidal thereafter, with step-halving
+// recovery).
 //
 // The free functions below are one-shot sessions: each builds a
 // spice::SimSession with default options (reference numerics, fresh
 // pivoting, per-sample tier) and runs one analysis on it.  Callers that
 // solve the same topology repeatedly should keep a SimSession instead
-// (spice/session.hpp); the numbers are the same either way.
+// (spice/session.hpp); the numbers are the same either way.  DC sweeps
+// run on SimSession::dcSweepNode only.
 #ifndef VSSTAT_SPICE_ANALYSIS_HPP
 #define VSSTAT_SPICE_ANALYSIS_HPP
 
@@ -26,10 +27,11 @@ struct NewtonOptions {
   double maxUpdate = 0.4;           ///< per-iteration voltage-step clamp [V]
 };
 
+/// A DC solve that plain Newton cannot converge falls back on two
+/// homotopies, in order: gmin stepping (a decaying shunt conductance),
+/// then source stepping (sources ramped from zero).
 struct DcOptions {
   NewtonOptions newton;
-  bool gminStepping = true;    ///< homotopy 1: decaying shunt conductance
-  bool sourceStepping = true;  ///< homotopy 2: ramp sources from zero
 };
 
 /// Converged DC solution.
@@ -56,17 +58,11 @@ struct OperatingPoint {
 [[nodiscard]] double sourceCurrent(Circuit& circuit, const std::string& name,
                                    const OperatingPoint& op);
 
-/// Sweeps the DC level of a named voltage source; each point warm-starts
-/// from the previous solution.  The source's original waveform is restored
-/// afterwards.
-[[nodiscard]] std::vector<OperatingPoint> dcSweep(
-    Circuit& circuit, const std::string& sourceName,
-    const std::vector<double>& levels, const DcOptions& options = {});
-
+/// A step that fails to converge is halved and retried, down to a 1e-16 s
+/// floor.
 struct TransientOptions {
   double tStop = 0.0;      ///< end time [s]
   double dt = 1e-13;       ///< nominal step [s]
-  double dtMin = 1e-16;    ///< recovery floor for step halving [s]
   NewtonOptions newton;
   DcOptions dcOptions;     ///< for the t=0 operating point
 };

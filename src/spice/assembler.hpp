@@ -218,11 +218,6 @@ class Assembler {
       addEntry(numNodes_ + static_cast<std::size_t>(globalBranch),
                static_cast<std::size_t>(node - 1), d);
   }
-  void stampBranchJacobianI(int globalBranch, int otherGlobalBranch,
-                            double d) noexcept {
-    addEntry(numNodes_ + static_cast<std::size_t>(globalBranch),
-             numNodes_ + static_cast<std::size_t>(otherGlobalBranch), d);
-  }
   void recordCharge(int globalSlot, double q) noexcept {
     chargeNow_[static_cast<std::size_t>(globalSlot)] = q;
   }

@@ -122,12 +122,9 @@ bool DeviceBankSet::sync() {
     for (std::size_t i = 0; i < grp.element.size(); ++i) {
       const MosfetElement* e = grp.element[i];
       if (e->cardVersion() == grp.version[i]) continue;
+      // rebind forbids a polarity change, so the lane's sign stays valid.
       if (!grp.bank->rebindLane(i, e->model(), e->geometry()))
         return false;  // dynamic type changed: regroup from scratch
-      // Polarity may only change through setInstance (rebind forbids it);
-      // either way the sign is re-derived with the lane.
-      grp.sign[i] =
-          e->model().deviceType() == models::DeviceType::Nmos ? 1.0 : -1.0;
       grp.version[i] = e->cardVersion();
     }
   }

@@ -27,8 +27,8 @@
 // Rebinds: lanes cache bias-independent state, so the bank tracks each
 // element's cardVersion().  sync() re-derives stale lanes through
 // MosfetLoadBank::rebindLane; a card whose dynamic type changed (exotic --
-// cross-family setInstance/rebind) fails rebindLane and the caller rebuilds
-// the groups from scratch.
+// a cross-family rebind) fails rebindLane and the caller rebuilds the
+// groups from scratch.
 #ifndef VSSTAT_SPICE_DEVICE_BANK_HPP
 #define VSSTAT_SPICE_DEVICE_BANK_HPP
 

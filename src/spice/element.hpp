@@ -44,8 +44,6 @@ class LoadContext {
   // --- branch (voltage source) equations --------------------------------------
   void addBranchResidual(int localBranch, double f) noexcept;
   void addBranchJacobianV(int localBranch, NodeId node, double d) noexcept;
-  void addBranchJacobianI(int localBranch, int otherLocalBranch,
-                          double d) noexcept;
 
   // --- charge bookkeeping -------------------------------------------------------
   /// Records the slot's charge at this iterate (required every load).

@@ -94,14 +94,6 @@ MosfetElement::MosfetElement(std::string name, NodeId drain, NodeId gate,
           "MosfetElement requires positive geometry");
 }
 
-void MosfetElement::setInstance(std::unique_ptr<models::MosfetModel> model,
-                                const models::DeviceGeometry& geometry) {
-  require(model != nullptr, "setInstance requires a model");
-  model_ = std::move(model);
-  geometry_ = geometry;
-  ++cardVersion_;
-}
-
 void MosfetElement::rebind(const models::MosfetModel& model,
                            const models::DeviceGeometry& geometry) {
   require(geometry.width > 0.0 && geometry.length > 0.0,
@@ -111,15 +103,6 @@ void MosfetElement::rebind(const models::MosfetModel& model,
   if (!model_->assignFrom(model)) model_ = model.clone();
   geometry_ = geometry;
   ++cardVersion_;
-}
-
-double MosfetElement::terminalDrainCurrent(double vd, double vg,
-                                           double vs) const {
-  const double sign =
-      model_->deviceType() == models::DeviceType::Nmos ? 1.0 : -1.0;
-  const double vgs = sign * (vg - vs);
-  const double vds = sign * (vd - vs);
-  return sign * model_->drainCurrent(geometry_, vgs, vds);
 }
 
 void MosfetElement::load(LoadContext& ctx) const {

@@ -107,10 +107,6 @@ class MosfetElement final : public Element {
   [[nodiscard]] const models::DeviceGeometry& geometry() const noexcept {
     return geometry_;
   }
-  /// Replaces the instance card/geometry (Monte Carlo re-instancing).
-  void setInstance(std::unique_ptr<models::MosfetModel> model,
-                   const models::DeviceGeometry& geometry);
-
   /// Rebinds the instance card/geometry in place -- the per-sample pass of
   /// a build-once campaign session (sim::CampaignSession).  When `model`
   /// has the same dynamic type as the current card its parameters are
@@ -121,18 +117,14 @@ class MosfetElement final : public Element {
   void rebind(const models::MosfetModel& model,
               const models::DeviceGeometry& geometry);
 
-  /// Monotone counter bumped whenever the instance card or geometry
-  /// changes (rebind/setInstance).  Device banks cache bias-independent
-  /// per-lane state and compare this against their last-synced value to
-  /// know when a lane must be re-derived -- the card object itself is
-  /// usually overwritten in place, so pointer identity cannot tell.
+  /// Monotone counter bumped whenever rebind changes the instance card or
+  /// geometry.  Device banks cache bias-independent per-lane state and
+  /// compare this against their last-synced value to know when a lane must
+  /// be re-derived -- the card object itself is usually overwritten in
+  /// place, so pointer identity cannot tell.
   [[nodiscard]] std::uint32_t cardVersion() const noexcept {
     return cardVersion_;
   }
-
-  /// DC drain terminal current at the given terminal voltages.
-  [[nodiscard]] double terminalDrainCurrent(double vd, double vg,
-                                            double vs) const;
 
  private:
   NodeId drain_;

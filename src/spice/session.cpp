@@ -235,24 +235,6 @@ OperatingPoint SimSession::dcOperatingPoint(const OperatingPoint& guess,
   return detail::packSolution(*circuit_, x);
 }
 
-std::vector<OperatingPoint> SimSession::dcSweep(
-    const std::string& sourceName, const std::vector<double>& levels,
-    const DcOptions& options) {
-  VoltageSourceElement& src = circuit_->voltageSource(sourceName);
-  const SweepSourceGuard restore(src);
-
-  std::vector<OperatingPoint> result;
-  result.reserve(levels.size());
-  OperatingPoint guess;
-  for (double level : levels) {
-    src.setDcLevel(level);
-    guess = result.empty() ? dcOperatingPoint(options)
-                           : dcOperatingPoint(guess, options);
-    result.push_back(guess);
-  }
-  return result;
-}
-
 void SimSession::dcSweepNode(const std::string& sourceName,
                              const std::vector<double>& levels,
                              NodeId probeNode, std::vector<double>& out,
@@ -262,10 +244,8 @@ void SimSession::dcSweepNode(const std::string& sourceName,
 
   out.clear();
   out.reserve(levels.size());
-  // The iterate persists across levels: handing level k's solution to
-  // level k+1 directly is exactly the pack/unpack round trip dcSweep
-  // performs (a straight copy), so the Newton trajectories -- and the
-  // probed voltages -- are bit-identical to dcSweep's.
+  // The iterate persists across levels: level k's solution is level
+  // k+1's starting guess.
   //
   // Statistical tier: level 0 seeds from the previous sample's level-0
   // solution (warm slot), and level k+1 seeds from a linear (two converged

@@ -95,8 +95,8 @@ struct SessionOptions {
   /// (models::NumericsMode, spice/device_bank.hpp).  `reference` (default)
   /// pins every analysis bit-identical to the free functions; `fast`
   /// batches the VS chain's transcendentals through the vectorized kernels
-  /// of util/simd_math.hpp -- deterministic and tolerance-checked against
-  /// reference, but NOT bit-identical to it.
+  /// of util/simd_math_kernels.inc -- deterministic and tolerance-checked
+  /// against reference, but NOT bit-identical to it.
   models::NumericsMode numerics = models::NumericsMode::reference;
   /// Pivot policy of the workspace factorization (linalg::SolverMode).
   /// `fresh` (default) re-pivots per solve, pinning every analysis
@@ -139,17 +139,11 @@ class SimSession {
   [[nodiscard]] OperatingPoint dcOperatingPoint(const OperatingPoint& guess,
                                                 const DcOptions& options);
 
-  /// DC sweep of a named voltage source, warm-starting each point from the
-  /// previous solution; the source's waveform is restored afterwards.
-  [[nodiscard]] std::vector<OperatingPoint> dcSweep(
-      const std::string& sourceName, const std::vector<double>& levels,
-      const DcOptions& options = {});
-
-  /// Lean sweep for probe-one-node consumers (VTC/butterfly loops): same
-  /// solver trajectory as dcSweep -- the warm-start handoff between levels
-  /// is an exact copy either way -- but records only `probeNode`'s voltage
-  /// per level into `out` instead of materializing an OperatingPoint per
-  /// level.  Allocation-free in steady state (out's capacity is reused).
+  /// DC sweep of a named voltage source for probe-one-node consumers
+  /// (VTC/butterfly loops): each level warm-starts from the previous
+  /// level's solution, and only `probeNode`'s voltage per level is
+  /// recorded into `out`.  The source's waveform is restored afterwards.
+  /// Allocation-free in steady state (out's capacity is reused).
   void dcSweepNode(const std::string& sourceName,
                    const std::vector<double>& levels, NodeId probeNode,
                    std::vector<double>& out, const DcOptions& options = {});

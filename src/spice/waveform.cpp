@@ -67,10 +67,4 @@ double Waveform::finalValue(NodeId node) const {
   return value(node, times_.size() - 1);
 }
 
-std::vector<double> Waveform::series(NodeId node) const {
-  std::vector<double> s(times_.size());
-  for (std::size_t i = 0; i < times_.size(); ++i) s[i] = value(node, i);
-  return s;
-}
-
 }  // namespace vsstat::spice

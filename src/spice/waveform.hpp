@@ -45,8 +45,6 @@ class Waveform {
   [[nodiscard]] const std::vector<double>& times() const noexcept {
     return times_;
   }
-  /// Full series of one node (copies).
-  [[nodiscard]] std::vector<double> series(NodeId node) const;
 
  private:
   std::size_t nodeCount_;

@@ -1,10 +1,6 @@
 #include "stats/normality.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "stats/descriptive.hpp"
-#include "stats/qq.hpp"
 #include "util/error.hpp"
 
 namespace vsstat::stats {
@@ -21,32 +17,6 @@ JarqueBera jarqueBera(const std::vector<double>& samples) {
   jb.statistic = n / 6.0 * (s * s + 0.25 * k * k);
   jb.rejectAt5Percent = jb.statistic > 5.991;  // chi2(2) 95%
   return jb;
-}
-
-KsNormal ksAgainstNormal(std::vector<double> samples) {
-  require(samples.size() >= 8, "ksAgainstNormal: need >= 8 samples");
-  const double mu = mean(samples);
-  const double sd = stddev(samples);
-  require(sd > 0.0, "ksAgainstNormal: zero-variance sample");
-
-  std::sort(samples.begin(), samples.end());
-  const auto n = static_cast<double>(samples.size());
-
-  double d = 0.0;
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const double z = (samples[i] - mu) / sd;
-    const double f = normalCdf(z);
-    const double empHi = (static_cast<double>(i) + 1.0) / n;
-    const double empLo = static_cast<double>(i) / n;
-    d = std::max({d, std::fabs(empHi - f), std::fabs(f - empLo)});
-  }
-
-  KsNormal ks;
-  ks.statistic = d;
-  // Lilliefors asymptotic critical value for estimated parameters.
-  ks.critical5Percent = 0.886 / std::sqrt(n);
-  ks.rejectAt5Percent = d > ks.critical5Percent;
-  return ks;
 }
 
 }  // namespace vsstat::stats

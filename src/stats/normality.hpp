@@ -1,6 +1,7 @@
-// Normality diagnostics.  The paper's BPV derivation assumes Gaussian
+// Normality diagnostic.  The paper's BPV derivation assumes Gaussian
 // electrical targets (Sec. III), and its low-Vdd results hinge on detecting
-// when delay distributions *stop* being Gaussian; these tests quantify both.
+// when delay distributions *stop* being Gaussian; the Jarque-Bera test
+// quantifies both.
 #ifndef VSSTAT_STATS_NORMALITY_HPP
 #define VSSTAT_STATS_NORMALITY_HPP
 
@@ -16,17 +17,6 @@ struct JarqueBera {
 };
 
 [[nodiscard]] JarqueBera jarqueBera(const std::vector<double>& samples);
-
-/// Lilliefors / Kolmogorov–Smirnov distance against a normal with the
-/// sample's own mean and stddev, plus the 5% Lilliefors critical value
-/// (asymptotic 0.886/sqrt(n)).
-struct KsNormal {
-  double statistic = 0.0;
-  double critical5Percent = 0.0;
-  bool rejectAt5Percent = false;
-};
-
-[[nodiscard]] KsNormal ksAgainstNormal(std::vector<double> samples);
 
 }  // namespace vsstat::stats
 

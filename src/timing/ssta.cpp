@@ -44,16 +44,6 @@ CanonicalDelay addSeries(const CanonicalDelay& a, const CanonicalDelay& b) {
   return out;
 }
 
-double correlation(const CanonicalDelay& a, const CanonicalDelay& b) {
-  requireSameSources(a, b);
-  double cov = 0.0;
-  for (std::size_t k = 0; k < a.global.size(); ++k)
-    cov += a.global[k] * b.global[k];
-  const double denom = a.sigma() * b.sigma();
-  if (denom <= 0.0) return 0.0;
-  return cov / denom;
-}
-
 CanonicalDelay statisticalMax(const CanonicalDelay& a,
                               const CanonicalDelay& b) {
   requireSameSources(a, b);

@@ -38,10 +38,6 @@ struct CanonicalDelay {
 [[nodiscard]] CanonicalDelay addSeries(const CanonicalDelay& a,
                                        const CanonicalDelay& b);
 
-/// Correlation implied by the shared global sources.
-[[nodiscard]] double correlation(const CanonicalDelay& a,
-                                 const CanonicalDelay& b);
-
 /// Clark's max: Gaussian moment matching of max(a, b) with
 /// tightness-weighted propagation of the canonical coefficients.  The
 /// result's variance is matched exactly to Clark's second moment by

@@ -1,6 +1,7 @@
 #include "timing/statistical_cell.hpp"
 
 #include <cmath>
+#include <cstdint>
 
 #include "models/vs_model.hpp"
 #include "stats/descriptive.hpp"
@@ -50,8 +51,7 @@ CanonicalDelay characterizeStageDelay(const core::StatisticalVsKit& kit,
         models::applyToVs(kit.nominal(models::DeviceType::Nmos), dN));
     return measureInverterPoint(pmos, models::applyGeometry(pGeom, dP), nmos,
                                 models::applyGeometry(nGeom, dN), vdd,
-                                options.inputSlew, options.loadFarads,
-                                options.dt)
+                                kStageInputSlew, kStageLoadFarads, kStageDt)
         .averageDelay();
   };
 
@@ -70,8 +70,10 @@ CanonicalDelay characterizeStageDelay(const core::StatisticalVsKit& kit,
   d.global[1] = 0.5 * (delayWith(zero, scaledCorner(fastP, 1.0)) -
                        delayWith(zero, scaledCorner(fastP, -1.0)));
 
-  // Local sigma: mismatch-only Monte Carlo of the same fixture.
-  stats::Rng rng(options.seed);
+  // Local sigma: mismatch-only Monte Carlo of the same fixture, on a fixed
+  // seed.
+  constexpr std::uint64_t kMismatchSeed = 1;
+  stats::Rng rng(kMismatchSeed);
   std::vector<double> delays;
   delays.reserve(static_cast<std::size_t>(options.mismatchSamples));
   for (int s = 0; s < options.mismatchSamples; ++s) {

@@ -11,8 +11,6 @@
 #ifndef VSSTAT_TIMING_STATISTICAL_CELL_HPP
 #define VSSTAT_TIMING_STATISTICAL_CELL_HPP
 
-#include <cstdint>
-
 #include "circuits/cells.hpp"
 #include "core/corners.hpp"
 #include "core/statistical_vs.hpp"
@@ -20,12 +18,14 @@
 
 namespace vsstat::timing {
 
+/// Operating point of the canonical stage model: input slew [s] and load
+/// capacitance [F], measured with transient step kStageDt [s].
+inline constexpr double kStageInputSlew = 15e-12;
+inline constexpr double kStageLoadFarads = 2e-15;
+inline constexpr double kStageDt = 0.3e-12;
+
 struct StageModelOptions {
-  double inputSlew = 15e-12;   ///< operating point for the canonical model
-  double loadFarads = 2e-15;
   int mismatchSamples = 40;    ///< local-sigma Monte Carlo size
-  std::uint64_t seed = 1;
-  double dt = 0.3e-12;
 };
 
 /// Canonical delay of one inverter stage under the kit's variation model.

@@ -1,100 +1,11 @@
 #include "timing/tables.hpp"
 
-#include <algorithm>
-#include <cmath>
-
-#include "circuits/cells.hpp"
 #include "spice/analysis.hpp"
 #include "spice/circuit.hpp"
 #include "spice/elements.hpp"
 #include "util/error.hpp"
 
 namespace vsstat::timing {
-
-namespace {
-
-/// Clamped 1-D bracket: returns (index, fraction) for linear interpolation.
-std::pair<std::size_t, double> bracket(const std::vector<double>& grid,
-                                       double x) {
-  if (x <= grid.front()) return {0, 0.0};
-  if (x >= grid.back()) return {grid.size() - 2, 1.0};
-  std::size_t i = 0;
-  while (x > grid[i + 1]) ++i;
-  return {i, (x - grid[i]) / (grid[i + 1] - grid[i])};
-}
-
-double bilinear(const std::vector<double>& rows,
-                const std::vector<double>& cols, const linalg::Matrix& table,
-                double r, double c) {
-  require(rows.size() >= 2 && cols.size() >= 2,
-          "TimingTable: need at least a 2x2 grid");
-  const auto [i, fr] = bracket(rows, r);
-  const auto [j, fc] = bracket(cols, c);
-  const double v00 = table(i, j);
-  const double v01 = table(i, j + 1);
-  const double v10 = table(i + 1, j);
-  const double v11 = table(i + 1, j + 1);
-  return (1.0 - fr) * ((1.0 - fc) * v00 + fc * v01) +
-         fr * ((1.0 - fc) * v10 + fc * v11);
-}
-
-}  // namespace
-
-double TimingTable::delayAt(double slew, double load) const {
-  return bilinear(inputSlews, loadsFarads, delay, slew, load);
-}
-
-double TimingTable::outputSlewAt(double slew, double load) const {
-  return bilinear(inputSlews, loadsFarads, outputSlew, slew, load);
-}
-
-CellTiming characterizeInverter(circuits::DeviceProvider& provider,
-                                const circuits::CellSizing& sizing,
-                                const CharacterizationOptions& options) {
-  require(options.inputSlews.size() >= 2 && options.loadsFarads.size() >= 2,
-          "characterizeInverter: need at least a 2x2 grid");
-  require(std::is_sorted(options.inputSlews.begin(),
-                         options.inputSlews.end()) &&
-              std::is_sorted(options.loadsFarads.begin(),
-                             options.loadsFarads.end()),
-          "characterizeInverter: grids must be ascending");
-  require(options.vdd > 0.0, "characterizeInverter: vdd must be positive");
-
-  const std::size_t nSlew = options.inputSlews.size();
-  const std::size_t nLoad = options.loadsFarads.size();
-
-  CellTiming cell;
-  for (TimingTable* t : {&cell.fall, &cell.rise}) {
-    t->inputSlews = options.inputSlews;
-    t->loadsFarads = options.loadsFarads;
-    t->delay = linalg::Matrix(nSlew, nLoad);
-    t->outputSlew = linalg::Matrix(nSlew, nLoad);
-  }
-
-  // The device instances are drawn from the provider ONCE: a statistical
-  // provider contributes a single mismatch realization shared by all grid
-  // points (grid points are operating conditions, not new devices).
-  const circuits::DeviceInstance pmos = provider.make(
-      models::DeviceType::Pmos, "XDUT.MP",
-      models::geometryNm(sizing.wPmosNm, sizing.lengthNm));
-  const circuits::DeviceInstance nmos = provider.make(
-      models::DeviceType::Nmos, "XDUT.MN",
-      models::geometryNm(sizing.wNmosNm, sizing.lengthNm));
-
-  for (std::size_t si = 0; si < nSlew; ++si) {
-    for (std::size_t li = 0; li < nLoad; ++li) {
-      const DelayPoint p = measureInverterPoint(
-          *pmos.model, pmos.geometry, *nmos.model, nmos.geometry,
-          options.vdd, options.inputSlews[si], options.loadsFarads[li],
-          options.dt);
-      cell.fall.delay(si, li) = p.fallDelay;
-      cell.fall.outputSlew(si, li) = p.fallSlew;
-      cell.rise.delay(si, li) = p.riseDelay;
-      cell.rise.outputSlew(si, li) = p.riseSlew;
-    }
-  }
-  return cell;
-}
 
 DelayPoint measureInverterPoint(const models::MosfetModel& pmosModel,
                                 const models::DeviceGeometry& pmosGeom,

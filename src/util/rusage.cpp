@@ -2,14 +2,9 @@
 
 #include <sys/resource.h>
 #include <sys/time.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <exception>
-
-#include "util/error.hpp"
 
 namespace vsstat::util {
 
@@ -23,38 +18,6 @@ double rusageCpuSeconds(const rusage& ru) {
 }
 
 }  // namespace
-
-CampaignUsage runIsolated(const std::function<void()>& workload) {
-  const auto start = std::chrono::steady_clock::now();
-  const pid_t pid = ::fork();
-  if (pid < 0) throw Error("runIsolated: fork failed");
-  if (pid == 0) {
-    // Child: run the workload and exit without running parent-side atexit
-    // handlers or flushing shared stdio buffers twice.
-    int code = 0;
-    try {
-      workload();
-    } catch (const std::exception&) {
-      code = 1;
-    } catch (...) {
-      code = 2;
-    }
-    ::_exit(code);
-  }
-
-  int status = 0;
-  rusage ru{};
-  if (::wait4(pid, &status, 0, &ru) < 0) throw Error("runIsolated: wait4 failed");
-  const auto end = std::chrono::steady_clock::now();
-
-  CampaignUsage usage;
-  usage.wallSeconds = std::chrono::duration<double>(end - start).count();
-  usage.cpuSeconds = rusageCpuSeconds(ru);
-  // Linux reports ru_maxrss in KiB.
-  usage.maxRssMiB = static_cast<double>(ru.ru_maxrss) / 1024.0;
-  usage.exitCode = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  return usage;
-}
 
 CampaignUsage runInProcess(const std::function<void()>& workload) {
   const auto start = std::chrono::steady_clock::now();
@@ -73,7 +36,6 @@ CampaignUsage runInProcess(const std::function<void()>& workload) {
   CampaignUsage usage;
   usage.wallSeconds = std::chrono::duration<double>(end - start).count();
   usage.cpuSeconds = rusageCpuSeconds(after) - rusageCpuSeconds(before);
-  usage.maxRssMiB = static_cast<double>(after.ru_maxrss) / 1024.0;
   usage.exitCode = code;
   return usage;
 }

@@ -1,31 +1,22 @@
-// Process-isolated resource measurement for Table IV (runtime & memory of
-// Monte Carlo campaigns).  Each campaign runs in a forked child so peak RSS
-// is attributable to that campaign alone; the parent collects wall time and
-// the child's maxrss via wait4(2).
+// In-process resource measurement for Table IV (runtime of Monte Carlo
+// campaigns): wall-clock time and the process's CPU time across every
+// thread, measured around one workload.
 #ifndef VSSTAT_UTIL_RUSAGE_HPP
 #define VSSTAT_UTIL_RUSAGE_HPP
 
 #include <functional>
-#include <string>
 
 namespace vsstat::util {
 
-/// Result of running a workload in an isolated child process.
+/// Resources one workload consumed.
 struct CampaignUsage {
-  double wallSeconds = 0.0;   ///< wall-clock duration of the child
-  double cpuSeconds = 0.0;    ///< user+system CPU time of the child
-  double maxRssMiB = 0.0;     ///< peak resident set size in MiB
-  int exitCode = 0;           ///< child exit status (0 == success)
+  double wallSeconds = 0.0;   ///< wall-clock duration
+  double cpuSeconds = 0.0;    ///< user+system CPU time of the process
+  int exitCode = 0;           ///< 0 == success, 1 == the workload threw
 };
 
-/// Runs `workload` in a forked child process and reports its resource usage.
-/// The workload must be self-contained (no shared mutable state with the
-/// parent is visible after the fork).  Throws vsstat::Error if fork/wait
-/// fails; a workload that throws is reported via a nonzero exitCode.
-CampaignUsage runIsolated(const std::function<void()>& workload);
-
-/// In-process fallback (wall/cpu only; maxRssMiB is the *process* high-water
-/// mark, not campaign-attributable).  Used on platforms without fork.
+/// Runs `workload` in this process and reports its wall and CPU time.  A
+/// workload that throws a std::exception is reported via exitCode 1.
 CampaignUsage runInProcess(const std::function<void()>& workload);
 
 }  // namespace vsstat::util

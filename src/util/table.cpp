@@ -1,7 +1,6 @@
 #include "util/table.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <ostream>
 #include <sstream>
 
@@ -67,7 +66,11 @@ std::string formatValue(double v, int precision) {
   ss.setf(std::ios::fixed);
   ss.precision(precision);
   ss << v;
-  return ss.str();
+  std::string s = ss.str();
+  // Negative values that round to zero (and -0.0 itself) drop the sign.
+  if (s.front() == '-' && s.find_first_not_of("-0.") == std::string::npos)
+    s.erase(0, 1);
+  return s;
 }
 
 std::string formatSci(double v, int precision) {
@@ -75,30 +78,6 @@ std::string formatSci(double v, int precision) {
   ss.setf(std::ios::scientific);
   ss.precision(precision);
   ss << v;
-  return ss.str();
-}
-
-std::string formatEng(double v, const std::string& unit, int precision) {
-  struct Scale {
-    double factor;
-    const char* prefix;
-  };
-  static constexpr Scale kScales[] = {
-      {1e-15, "f"}, {1e-12, "p"}, {1e-9, "n"}, {1e-6, "u"},
-      {1e-3, "m"},  {1.0, ""},    {1e3, "k"},  {1e6, "M"},
-      {1e9, "G"}};
-  if (v == 0.0 || !std::isfinite(v)) {
-    return formatValue(v, precision) + " " + unit;
-  }
-  const double mag = std::fabs(v);
-  const Scale* best = &kScales[5];
-  for (const auto& s : kScales) {
-    if (mag >= s.factor) best = &s;
-  }
-  std::ostringstream ss;
-  ss.setf(std::ios::fixed);
-  ss.precision(precision);
-  ss << v / best->factor << ' ' << best->prefix << unit;
   return ss.str();
 }
 

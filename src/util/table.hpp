@@ -32,15 +32,12 @@ class Table {
   std::vector<std::vector<std::string>> rows_;  // empty row == separator
 };
 
-/// Fixed-precision decimal rendering ("0.01234").
+/// Fixed-precision decimal rendering ("0.01234").  A value that rounds to
+/// zero at `precision` prints without a sign ("0.0", never "-0.0").
 [[nodiscard]] std::string formatValue(double v, int precision = 4);
 
 /// Scientific rendering ("1.234e-05").
 [[nodiscard]] std::string formatSci(double v, int precision = 3);
-
-/// Engineering-style rendering with a unit suffix chosen from {p,n,u,m,-,k,M,G}.
-[[nodiscard]] std::string formatEng(double v, const std::string& unit,
-                                    int precision = 3);
 
 }  // namespace vsstat::util
 

@@ -102,11 +102,11 @@ ImportanceResult bruteForceProbability(const FailureIndicator& fails,
 
 std::vector<double> findFailureShift(
     const FailureIndicator& fails, std::size_t dim,
-    const std::vector<std::vector<double>>& extraDirections,
-    const ShiftSearchOptions& options) {
+    const std::vector<std::vector<double>>& extraDirections) {
+  constexpr double kMaxRadius = 8.0;   // search limit [sigma]
+  constexpr double kTolerance = 0.05;  // bisection width on the radius
+  constexpr double kBackoff = 0.9;     // shift = backoff * boundary radius
   require(dim > 0, "findFailureShift: dim must be positive");
-  require(options.maxRadius > 0.0 && options.tolerance > 0.0,
-          "findFailureShift: bad search options");
 
   // Direction set: +/- coordinate axes plus normalized extras.
   std::vector<std::vector<double>> directions;
@@ -132,13 +132,13 @@ std::vector<double> findFailureShift(
     return fails(z);
   };
 
-  double bestRadius = options.maxRadius + 1.0;
+  double bestRadius = kMaxRadius + 1.0;
   std::vector<double> bestDir;
   for (const auto& dir : directions) {
-    if (!failsAt(dir, options.maxRadius)) continue;  // never fails this way
+    if (!failsAt(dir, kMaxRadius)) continue;  // never fails this way
     double lo = 0.0;
-    double hi = options.maxRadius;
-    while (hi - lo > options.tolerance) {
+    double hi = kMaxRadius;
+    while (hi - lo > kTolerance) {
       const double mid = 0.5 * (lo + hi);
       (failsAt(dir, mid) ? hi : lo) = mid;
     }
@@ -155,7 +155,7 @@ std::vector<double> findFailureShift(
 
   std::vector<double> shift(dim);
   for (std::size_t i = 0; i < dim; ++i)
-    shift[i] = options.backoff * bestRadius * bestDir[i];
+    shift[i] = kBackoff * bestRadius * bestDir[i];
   return shift;
 }
 

@@ -68,23 +68,16 @@ struct ImportanceResult {
     const FailureIndicator& fails, std::size_t dim,
     const ImportanceOptions& options = {});
 
-struct ShiftSearchOptions {
-  double maxRadius = 8.0;      ///< search limit in sigma units
-  double tolerance = 0.05;     ///< bisection width on the radius [sigma]
-  double backoff = 0.9;        ///< place the shift slightly inside the
-                               ///< failure region (times boundary radius)
-};
-
 /// Finds a mean-shift vector for importanceSample(): scans a direction set
 /// (coordinate axes, both signs, plus the caller's extra directions),
-/// bisects each direction for the failure-boundary radius, and returns
-/// backoff * radius * direction for the closest boundary -- an
-/// approximation of the most-probable failure point.  Throws
-/// ConvergenceError when no direction fails within maxRadius.
+/// bisects each direction for the failure-boundary radius (to 0.05 sigma,
+/// within 8 sigma), and returns 0.9 * radius * direction for the closest
+/// boundary -- an approximation of the most-probable failure point, placed
+/// slightly inside the failure region.  Throws ConvergenceError when no
+/// direction fails within 8 sigma.
 [[nodiscard]] std::vector<double> findFailureShift(
     const FailureIndicator& fails, std::size_t dim,
-    const std::vector<std::vector<double>>& extraDirections = {},
-    const ShiftSearchOptions& options = {});
+    const std::vector<std::vector<double>>& extraDirections = {});
 
 }  // namespace vsstat::yield
 

@@ -3,26 +3,9 @@
 #include <cmath>
 #include <string>
 
-#include "stats/qq.hpp"
 #include "util/error.hpp"
 
 namespace vsstat::yield {
-
-double gaussianYield(double mean, double sigma, const SpecLimit& spec) {
-  require(sigma > 0.0, "gaussianYield: sigma must be positive");
-  double y = 1.0;
-  if (spec.upper) y = stats::normalCdf((*spec.upper - mean) / sigma);
-  if (spec.lower) y -= stats::normalCdf((*spec.lower - mean) / sigma);
-  return std::max(y, 0.0);
-}
-
-double empiricalYield(const std::vector<double>& samples,
-                      const SpecLimit& spec) {
-  require(!samples.empty(), "empiricalYield: no samples");
-  long passed = 0;
-  for (double v : samples) passed += spec.passes(v) ? 1 : 0;
-  return static_cast<double>(passed) / static_cast<double>(samples.size());
-}
 
 YieldEstimate yieldWithConfidence(long passed, long total, double z) {
   require(total > 0, "yieldWithConfidence: total must be positive");

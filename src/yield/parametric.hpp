@@ -2,8 +2,9 @@
 // limits.  The paper points out that the statistical VS model "may be used
 // to predict the distribution of frequency, leakage power, and even
 // parametric yield" (Sec. IV-B); this module supplies the yield-side
-// arithmetic -- Gaussian and empirical yield plus binomial confidence
-// intervals -- used by the SRAM and timing examples.
+// arithmetic -- empirical yield with binomial confidence intervals, and
+// campaign yield under an explicit dropped-sample policy -- used by the
+// SRAM and timing examples.
 #ifndef VSSTAT_YIELD_PARAMETRIC_HPP
 #define VSSTAT_YIELD_PARAMETRIC_HPP
 
@@ -27,15 +28,6 @@ struct SpecLimit {
     return true;
   }
 };
-
-/// Yield of a Gaussian metric N(mean, sigma^2) against the spec window.
-/// sigma must be positive; a spec with no bounds yields 1.
-[[nodiscard]] double gaussianYield(double mean, double sigma,
-                                   const SpecLimit& spec);
-
-/// Fraction of samples inside the window.  Throws on empty input.
-[[nodiscard]] double empiricalYield(const std::vector<double>& samples,
-                                    const SpecLimit& spec);
 
 /// Binomial yield estimate with a Wilson score interval.
 struct YieldEstimate {

@@ -8,6 +8,7 @@
 #include "spice/ac.hpp"
 #include "spice/analysis.hpp"
 #include "spice/elements.hpp"
+#include "spice/session.hpp"
 
 namespace vsstat::circuits {
 namespace {
@@ -107,14 +108,19 @@ TEST(Dff, SixteenTransistors) {
   EXPECT_EQ(fets, 16);
 }
 
+/// Output of the butterfly's first half cell with its input held at `vin`.
+double halfCellOutput(SramButterflyBench& b, double vin) {
+  std::vector<double> out;
+  spice::SimSession(b.circuit).dcSweepNode(b.sweep1, {vin}, b.out1, out);
+  return out.front();
+}
+
 TEST(SramButterfly, HalfCellsAreInverting) {
   auto p = vsProvider();
   SramButterflyBench b =
       buildSramButterfly(p, kVdd, SramMode::Hold, SramSizing{});
-  const auto low = spice::dcSweep(b.circuit, b.sweep1, {0.0});
-  const auto high = spice::dcSweep(b.circuit, b.sweep1, {kVdd});
-  EXPECT_GT(low.front().v(b.out1), 0.85 * kVdd);
-  EXPECT_LT(high.front().v(b.out1), 0.15 * kVdd);
+  EXPECT_GT(halfCellOutput(b, 0.0), 0.85 * kVdd);
+  EXPECT_LT(halfCellOutput(b, kVdd), 0.15 * kVdd);
 }
 
 TEST(SramButterfly, ReadModeDegradesLowLevel) {
@@ -126,10 +132,8 @@ TEST(SramButterfly, ReadModeDegradesLowLevel) {
   auto p2 = vsProvider();
   SramButterflyBench read =
       buildSramButterfly(p2, kVdd, SramMode::Read, SramSizing{});
-  const double holdLow =
-      spice::dcSweep(hold.circuit, hold.sweep1, {kVdd}).front().v(hold.out1);
-  const double readLow =
-      spice::dcSweep(read.circuit, read.sweep1, {kVdd}).front().v(read.out1);
+  const double holdLow = halfCellOutput(hold, kVdd);
+  const double readLow = halfCellOutput(read, kVdd);
   EXPECT_GT(readLow, holdLow + 0.02);
 }
 

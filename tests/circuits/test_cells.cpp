@@ -109,84 +109,6 @@ TEST(NmosPass, BlocksWhenGateLow) {
 }
 
 
-TEST(Nor2Cell, TruthTableAtDc) {
-  Circuit c;
-  auto p = vsProvider();
-  const NodeId a = c.node("a");
-  const NodeId b = c.node("b");
-  const NodeId out = c.node("out");
-  const NodeId vdd = c.node("vdd");
-  c.addVoltageSource("VDD", vdd, c.ground(), SourceWaveform::dc(kVdd));
-  auto& va = c.addVoltageSource("VA", a, c.ground(), SourceWaveform::dc(0.0));
-  auto& vb = c.addVoltageSource("VB", b, c.ground(), SourceWaveform::dc(0.0));
-  addNor2(c, p, "X1", a, b, out, vdd, CellSizing{});
-
-  const auto outAt = [&](double la, double lb) {
-    va.setDcLevel(la);
-    vb.setDcLevel(lb);
-    return spice::dcOperatingPoint(c).v(out);
-  };
-  EXPECT_NEAR(outAt(0.0, 0.0), kVdd, 0.02);  // 00 -> 1
-  EXPECT_NEAR(outAt(kVdd, 0.0), 0.0, 0.02);  // 10 -> 0
-  EXPECT_NEAR(outAt(0.0, kVdd), 0.0, 0.02);  // 01 -> 0
-  EXPECT_NEAR(outAt(kVdd, kVdd), 0.0, 0.02); // 11 -> 0
-}
-
-TEST(Nor2Cell, FourDevicesWithSeriesPmos) {
-  Circuit c;
-  auto p = vsProvider();
-  addNor2(c, p, "X1", c.node("a"), c.node("b"), c.node("out"),
-          c.node("vdd"), CellSizing{});
-  int fets = 0;
-  for (const auto& e : c.elements()) {
-    if (dynamic_cast<const spice::MosfetElement*>(e.get()) != nullptr) ++fets;
-  }
-  EXPECT_EQ(fets, 4);
-  // Internal series node exists.
-  EXPECT_NO_THROW((void)c.mosfet("X1.MPA"));
-  EXPECT_NO_THROW((void)c.mosfet("X1.MNB"));
-}
-
-TEST(Nand3Cell, TruthTableAtDc) {
-  Circuit c;
-  auto p = vsProvider();
-  const NodeId a = c.node("a");
-  const NodeId b = c.node("b");
-  const NodeId cc = c.node("c");
-  const NodeId out = c.node("out");
-  const NodeId vdd = c.node("vdd");
-  c.addVoltageSource("VDD", vdd, c.ground(), SourceWaveform::dc(kVdd));
-  auto& va = c.addVoltageSource("VA", a, c.ground(), SourceWaveform::dc(0.0));
-  auto& vb = c.addVoltageSource("VB", b, c.ground(), SourceWaveform::dc(0.0));
-  auto& vc = c.addVoltageSource("VC", cc, c.ground(), SourceWaveform::dc(0.0));
-  addNand3(c, p, "X1", a, b, cc, out, vdd, CellSizing{});
-
-  const auto outAt = [&](double la, double lb, double lc) {
-    va.setDcLevel(la);
-    vb.setDcLevel(lb);
-    vc.setDcLevel(lc);
-    return spice::dcOperatingPoint(c).v(out);
-  };
-  // Output low only when all three inputs are high.
-  EXPECT_NEAR(outAt(kVdd, kVdd, kVdd), 0.0, 0.02);
-  EXPECT_NEAR(outAt(0.0, kVdd, kVdd), kVdd, 0.02);
-  EXPECT_NEAR(outAt(kVdd, 0.0, kVdd), kVdd, 0.02);
-  EXPECT_NEAR(outAt(kVdd, kVdd, 0.0), kVdd, 0.02);
-  EXPECT_NEAR(outAt(0.0, 0.0, 0.0), kVdd, 0.02);
-}
-
-TEST(Nand3Cell, SixDevices) {
-  Circuit c;
-  auto p = vsProvider();
-  addNand3(c, p, "X1", c.node("a"), c.node("b"), c.node("cc"),
-           c.node("out"), c.node("vdd"), CellSizing{});
-  int fets = 0;
-  for (const auto& e : c.elements()) {
-    if (dynamic_cast<const spice::MosfetElement*>(e.get()) != nullptr) ++fets;
-  }
-  EXPECT_EQ(fets, 6);
-}
-
 TEST(Provider, NominalProviderChecksPolarity) {
   EXPECT_THROW(NominalProvider(VsModel(models::defaultVsPmos()),
                                VsModel(models::defaultVsNmos())),

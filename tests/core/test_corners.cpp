@@ -72,7 +72,7 @@ TEST(Corners, FastCornerLowersVt0AndRaisesMobility) {
 
 TEST(Corners, SimulatedIdsatMatchesFirstOrderPrediction) {
   const StatisticalCorners corners(kit());
-  const models::DeviceGeometry geom = corners.options().referenceGeometry;
+  const models::DeviceGeometry geom = kCornerReferenceGeometry;
   for (const auto type : {DeviceType::Nmos, DeviceType::Pmos}) {
     const models::VsModel nominal(kit().nominal(type));
     const double idNom = nominal.drainCurrent(geom, 0.9, 0.9);

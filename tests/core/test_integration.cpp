@@ -59,7 +59,8 @@ TEST(Integration, SramSnmMonteCarloShowsVariation) {
         auto provider = sharedKit().makeProvider(rng);
         auto bench = circuits::buildSramButterfly(
             *provider, 0.9, circuits::SramMode::Read, circuits::SramSizing{});
-        out[0] = measure::measureSnm(bench, 41).cellSnm();
+        spice::SimSession session(bench.circuit);
+        out[0] = measure::measureSnm(bench, session, 41).cellSnm();
       });
   ASSERT_GT(r.sampleCount(), 50u);
   const auto s = stats::summarize(r.metrics[0]);

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "models/alpha_power.hpp"
-#include "models/bsim_lite.hpp"
 #include "models/vs_model.hpp"
 #include "util/error.hpp"
 
@@ -108,20 +107,6 @@ TEST(FitCampaign, EachFamilyCardCarriesItsLane) {
   EXPECT_EQ(ac.vSmooth, alphaSeed.vSmooth);
   EXPECT_NEAR(ac.vth0, alphaTruth.vth0, 1e-3);
 
-  models::BsimParams bsimSeed;
-  bsimSeed.rdsw *= 1.5;
-  models::BsimParams bsimTruth = bsimSeed;
-  bsimTruth.vth0 += 0.02;
-  const models::BsimLite bsimModel(bsimTruth);
-  const FitCampaign bsim(bsimSeed, nominalGeom(), vsMeasurementGrid(), opt);
-  const FitCampaignResult rb = bsim.run(1, 1, synthesize(bsim, bsimModel));
-  const models::BsimParams bc = bsim.bsimCard(rb, 0);
-  const auto xb = rb.lane(0);
-  EXPECT_EQ(bc.vth0, xb[0]);
-  EXPECT_EQ(bc.u0, xb[3]);
-  EXPECT_EQ(bc.cox, xb[5]);
-  EXPECT_EQ(bc.rdsw, bsimSeed.rdsw);
-  EXPECT_NEAR(bc.vth0, bsimTruth.vth0, 1e-3);
 }
 
 TEST(FitCampaign, RecoversNoiselessTruthWithinFitTolerance) {

@@ -75,8 +75,6 @@ TEST_F(SensitivityTest, NamesAreStable) {
   EXPECT_STREQ(toString(Target::Idsat), "Idsat");
   EXPECT_STREQ(toString(Target::Log10Ioff), "log10(Ioff)");
   EXPECT_STREQ(toString(Target::Cgg), "Cgg@Vdd");
-  EXPECT_STREQ(toString(Parameter::Vt0), "VT0");
-  EXPECT_STREQ(toString(Parameter::Cinv), "Cinv");
 }
 
 TEST(SensitivityScaling, IdsatVt0SensitivityGrowsWithWidth) {

@@ -37,7 +37,10 @@ TEST(Matrix, TransposeRoundTrips) {
   const Matrix t = m.transposed();
   EXPECT_EQ(t.rows(), 3u);
   EXPECT_EQ(t.cols(), 2u);
-  EXPECT_DOUBLE_EQ(maxAbsDiff(t.transposed(), m), 0.0);
+  EXPECT_DOUBLE_EQ(t(2, 0), 3.0);
+  const Matrix back = t.transposed();
+  for (std::size_t r = 0; r < 2; ++r)
+    for (std::size_t c = 0; c < 3; ++c) EXPECT_EQ(back(r, c), m(r, c));
 }
 
 TEST(Matrix, MultiplicationMatchesHandComputation) {
@@ -71,35 +74,15 @@ TEST(Matrix, SelectColumnsExtractsInOrder) {
   EXPECT_DOUBLE_EQ(s(1, 0), 6.0);
 }
 
-TEST(Matrix, AdditionAndScaling) {
-  const Matrix a{{1.0, 2.0}};
-  const Matrix b{{3.0, 4.0}};
-  const Matrix c = a + b * 2.0;
-  EXPECT_DOUBLE_EQ(c(0, 0), 7.0);
-  EXPECT_DOUBLE_EQ(c(0, 1), 10.0);
-}
-
-TEST(VectorOps, DotNormAxpy) {
+TEST(VectorOps, NormsAndSub) {
   const Vector a{3.0, 4.0};
-  EXPECT_DOUBLE_EQ(dot(a, a), 25.0);
   EXPECT_DOUBLE_EQ(norm2(a), 5.0);
   EXPECT_DOUBLE_EQ(normInf(Vector{-7.0, 2.0}), 7.0);
-  Vector y{1.0, 1.0};
-  axpy(2.0, a, y);
-  EXPECT_DOUBLE_EQ(y[0], 7.0);
-  EXPECT_DOUBLE_EQ(y[1], 9.0);
-}
-
-TEST(VectorOps, AddSubScale) {
-  const Vector a{1.0, 2.0};
-  const Vector b{0.5, 1.5};
-  EXPECT_DOUBLE_EQ(add(a, b)[1], 3.5);
-  EXPECT_DOUBLE_EQ(sub(a, b)[0], 0.5);
-  EXPECT_DOUBLE_EQ(scale(a, 3.0)[1], 6.0);
+  EXPECT_DOUBLE_EQ(sub(Vector{1.0, 2.0}, Vector{0.5, 1.5})[0], 0.5);
 }
 
 TEST(VectorOps, SizeMismatchThrows) {
-  EXPECT_THROW((void)dot(Vector{1.0}, Vector{1.0, 2.0}), InvalidArgumentError);
+  EXPECT_THROW((void)sub(Vector{1.0}, Vector{1.0, 2.0}), InvalidArgumentError);
 }
 
 }  // namespace

@@ -43,11 +43,6 @@ TEST(SparsePattern, RejectsOutOfRangeCoordinates) {
   EXPECT_THROW(SparsePattern(0, Coords{}), InvalidArgumentError);
 }
 
-TEST(SparsePattern, ReportsSparsity) {
-  const SparsePattern p(2, Coords{{0, 0}});
-  EXPECT_DOUBLE_EQ(p.sparsity(), 0.75);
-}
-
 TEST(SparseMatrix, AccumulatesAndClears) {
   const SparsePattern p(2, Coords{{0, 0}, {1, 1}});
   SparseMatrix m(p);

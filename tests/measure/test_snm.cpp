@@ -35,14 +35,6 @@ VtcCurve stepVtc(double vdd, double threshold, int points = 201) {
   return c;
 }
 
-TEST(PolylineIntersection, DetectsCrossingAndMiss) {
-  VtcCurve a{{0.0, 1.0}, {0.0, 1.0}};
-  VtcCurve b{{0.0, 1.0}, {1.0, 0.0}};
-  EXPECT_TRUE(polylinesIntersect(a, b));
-  VtcCurve c{{0.0, 1.0}, {2.0, 3.0}};
-  EXPECT_FALSE(polylinesIntersect(a, c));
-}
-
 TEST(Snm, IdealSymmetricButterflyGivesKnownSquare) {
   // Two ideal step inverters at threshold vdd/2: lobes are squares of side
   // ~vdd/2, so the embedded square side approaches vdd/2.
@@ -82,7 +74,8 @@ TEST(Snm, SramHoldButterflyInExpectedRange) {
   auto p = vsProvider();
   SramButterflyBench b =
       circuits::buildSramButterfly(p, 0.9, SramMode::Hold, SramSizing{});
-  const SnmResult r = measureSnm(b);
+  spice::SimSession session(b.circuit);
+  const SnmResult r = measureSnm(b, session);
   // Paper Fig. 9(e): HOLD SNM ~ 0.30 V at 0.9 V supply.
   EXPECT_GT(r.cellSnm(), 0.15);
   EXPECT_LT(r.cellSnm(), 0.45);
@@ -93,8 +86,10 @@ TEST(Snm, ReadSnmSmallerThanHoldSnm) {
   auto hold = circuits::buildSramButterfly(p1, 0.9, SramMode::Hold, SramSizing{});
   auto p2 = vsProvider();
   auto read = circuits::buildSramButterfly(p2, 0.9, SramMode::Read, SramSizing{});
-  const double snmHold = measureSnm(hold).cellSnm();
-  const double snmRead = measureSnm(read).cellSnm();
+  spice::SimSession holdSession(hold.circuit);
+  spice::SimSession readSession(read.circuit);
+  const double snmHold = measureSnm(hold, holdSession).cellSnm();
+  const double snmRead = measureSnm(read, readSession).cellSnm();
   // Paper Fig. 9(b)/(e): READ ~0.1 V << HOLD ~0.3 V.
   EXPECT_LT(snmRead, 0.7 * snmHold);
   EXPECT_GT(snmRead, 0.0);

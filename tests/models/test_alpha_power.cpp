@@ -160,7 +160,9 @@ TEST(AlphaPowerFit, PmosAlsoFits) {
 TEST(AlphaPowerFit, RmsReportsSplitAtTheScanBoundary) {
   // rmsRelIdVg covers exactly the two-bias Id-Vg scan from 0.45 Vdd and
   // rmsRelIdVd exactly the three-gate-bias Id-Vd family, recomputed here
-  // from the fitted and golden cards' drain currents.
+  // from the fitted and golden cards' drain currents.  The nominal fit's
+  // grid has 50 mV pitches and a 50 mV linear-region drain bias.
+  constexpr double kPitch = 0.05;
   const extract::FitOptions opt;
   const struct {
     AlphaPowerParams seed;
@@ -181,15 +183,14 @@ TEST(AlphaPowerFit, RmsReportsSplitAtTheScanBoundary) {
     double sumVg = 0.0;
     int nVg = 0;
     for (double vgs = 0.45 * opt.vdd; vgs <= opt.vdd + 1e-9;
-         vgs += opt.vgsStep) {
-      sumVg += relErrSq(vgs, opt.vdsLin) + relErrSq(vgs, opt.vdd);
+         vgs += kPitch) {
+      sumVg += relErrSq(vgs, kPitch) + relErrSq(vgs, opt.vdd);
       nVg += 2;
     }
     double sumVd = 0.0;
     int nVd = 0;
     for (const double frac : {0.6, 0.8, 1.0}) {
-      for (double vds = opt.vdsStep; vds <= opt.vdd + 1e-9;
-           vds += opt.vdsStep) {
+      for (double vds = kPitch; vds <= opt.vdd + 1e-9; vds += kPitch) {
         sumVd += relErrSq(frac * opt.vdd, vds);
         ++nVd;
       }

@@ -21,29 +21,15 @@ PelgromAlphas localAlphas() {
   return a;
 }
 
-std::vector<stats::DiePoint> gridLocations(int nx, int ny, double pitch) {
-  std::vector<stats::DiePoint> pts;
-  for (int i = 0; i < nx; ++i)
-    for (int j = 0; j < ny; ++j)
-      pts.push_back({i * pitch, j * pitch});
-  return pts;
-}
-
 TEST(DieSampler, RejectsBadConstruction) {
-  EXPECT_THROW(DieSampler(DieVariationSpec{}, {}), InvalidArgumentError);
-
-  DieVariationSpec bad;
-  bad.spatial = SpatialComponent{};
-  bad.spatial->correlationLength = 0.0;
-  EXPECT_THROW(DieSampler(bad, gridLocations(2, 2, 1e-5)),
-               InvalidArgumentError);
+  EXPECT_THROW(DieSampler(DieVariationSpec{}, 0), InvalidArgumentError);
 }
 
 TEST(DieSampler, GlobalComponentIsSharedAcrossTheDie) {
   DieVariationSpec spec;   // local alphas all zero
   spec.global.sVt0 = 0.02;
   spec.global.sMu = 1e-4;
-  DieSampler sampler(spec, gridLocations(2, 2, 1e-5));
+  DieSampler sampler(spec, 4);
 
   stats::Rng rng(11);
   sampler.newDie(rng);
@@ -59,27 +45,23 @@ TEST(DieSampler, GlobalComponentIsSharedAcrossTheDie) {
 }
 
 TEST(DieSampler, VarianceAddsAcrossComponents) {
-  // Var[dVt0] over many dies/devices must equal local^2 + global^2 +
-  // spatial^2 (all components independent by construction).
+  // Var[dVt0] over many dies/devices must equal local^2 + global^2 (the
+  // components are independent by construction).
   DieVariationSpec spec;
   spec.local = localAlphas();
   spec.global.sVt0 = 0.015;
-  spec.spatial = SpatialComponent{};
-  spec.spatial->sigmas.sVt0 = 0.010;
-  spec.spatial->correlationLength = 50e-6;
 
-  const auto locations = gridLocations(4, 4, 20e-6);
-  DieSampler sampler(spec, locations);
+  DieSampler sampler(spec, 16);
   const double sLocal = sigmasFor(spec.local, kGeom).sVt0;
-  const double expectedVar = sLocal * sLocal + 0.015 * 0.015 + 0.010 * 0.010;
+  const double expectedVar = sLocal * sLocal + 0.015 * 0.015;
 
   stats::Rng rng(123);
   double sum = 0.0, sumSq = 0.0;
   int n = 0;
   for (int die = 0; die < 3000; ++die) {
     sampler.newDie(rng);
-    for (std::size_t loc = 0; loc < locations.size(); ++loc) {
-      const double v = sampler.deltaFor(loc, kGeom, rng).dVt0;
+    for (std::size_t dev = 0; dev < sampler.deviceCount(); ++dev) {
+      const double v = sampler.deltaFor(dev, kGeom, rng).dVt0;
       sum += v;
       sumSq += v * v;
       ++n;
@@ -87,38 +69,13 @@ TEST(DieSampler, VarianceAddsAcrossComponents) {
   }
   const double mean = sum / n;
   const double var = sumSq / n - mean * mean;
-  // Correlated draws shrink the effective sample count; allow 5%.
+  // The die-shared draws shrink the effective sample count; allow 5%.
   EXPECT_NEAR(var / expectedVar, 1.0, 0.05);
 }
 
-TEST(DieSampler, NearbyDevicesCorrelateThroughTheField) {
-  DieVariationSpec spec;  // spatial only
-  spec.spatial = SpatialComponent{};
-  spec.spatial->sigmas.sVt0 = 0.02;
-  spec.spatial->correlationLength = 100e-6;
-
-  // Locations: 0-1 close (10 um), 0-2 far (1 mm).
-  DieSampler sampler(spec, {{0, 0}, {10e-6, 0}, {1000e-6, 0}});
-
-  stats::Rng rng(77);
-  double c01 = 0.0, c02 = 0.0, v0 = 0.0;
-  const int dies = 8000;
-  for (int d = 0; d < dies; ++d) {
-    sampler.newDie(rng);
-    const double a = sampler.deltaFor(0, kGeom, rng).dVt0;
-    const double b = sampler.deltaFor(1, kGeom, rng).dVt0;
-    const double c = sampler.deltaFor(2, kGeom, rng).dVt0;
-    c01 += a * b;
-    c02 += a * c;
-    v0 += a * a;
-  }
-  EXPECT_GT(c01 / v0, 0.8);   // exp(-0.1) = 0.90
-  EXPECT_LT(c02 / v0, 0.10);  // exp(-10) ~ 0
-}
-
-TEST(DieSampler, LocationIndexIsValidated) {
+TEST(DieSampler, DeviceIndexIsValidated) {
   DieVariationSpec spec;
-  DieSampler sampler(spec, gridLocations(2, 1, 1e-5));
+  DieSampler sampler(spec, 2);
   stats::Rng rng(1);
   sampler.newDie(rng);
   EXPECT_THROW((void)sampler.deltaFor(2, kGeom, rng), InvalidArgumentError);
@@ -173,8 +130,7 @@ TEST(DieVariationEq1, RoundTripThroughTheSampler) {
   spec.local = localAlphas();
   spec.global.sVt0 = 0.012;
 
-  const auto locations = gridLocations(5, 4, 25e-6);
-  DieSampler sampler(spec, locations);
+  DieSampler sampler(spec, 20);
   const double sLocal = sigmasFor(spec.local, kGeom).sVt0;
 
   stats::Rng rng(31415);
@@ -182,8 +138,8 @@ TEST(DieVariationEq1, RoundTripThroughTheSampler) {
   for (int d = 0; d < 500; ++d) {
     sampler.newDie(rng);
     std::vector<double> die;
-    for (std::size_t loc = 0; loc < locations.size(); ++loc)
-      die.push_back(sampler.deltaFor(loc, kGeom, rng).dVt0);
+    for (std::size_t dev = 0; dev < sampler.deviceCount(); ++dev)
+      die.push_back(sampler.deltaFor(dev, kGeom, rng).dVt0);
     dies.push_back(std::move(die));
   }
   const VarianceDecomposition v = decomposeVariance(dies);

@@ -115,7 +115,8 @@ mc::McResult snmRebuildCampaign(int samples, unsigned threads) {
         auto provider = makeProvider(rng);
         SramButterflyBench bench = circuits::buildSramButterfly(
             *provider, 0.9, circuits::SramMode::Read, circuits::SramSizing{});
-        out[0] = measure::measureSnm(bench, kSnmPoints).cellSnm();
+        spice::SimSession session(bench.circuit);
+        out[0] = measure::measureSnm(bench, session, kSnmPoints).cellSnm();
       });
 }
 
@@ -174,25 +175,23 @@ TEST(CampaignSession, RecordsBuildOrderAndRebindsInPlace) {
   EXPECT_EQ(session.deviceCount(), 6u);
 
   // Rebinding with the same sample stream must reproduce the rebuild cards:
-  // compare a terminal current against a freshly built fixture.
+  // compare the pull-down drain current against a freshly built fixture.
+  const auto idsat = [](const spice::MosfetElement& m) {
+    return m.model().drainCurrent(m.geometry(), 0.9, 0.9);
+  };
   const stats::Rng sample(12345);
   session.bindSample(sample);
-  const double sessionId = session.fixture()
-                               .circuit.mosfet("MPD1")
-                               .terminalDrainCurrent(0.9, 0.9, 0.0);
+  const double sessionId = idsat(session.fixture().circuit.mosfet("MPD1"));
 
   auto freshProvider = makeProvider(sample);
   SramButterflyBench rebuilt = circuits::buildSramButterfly(
       *freshProvider, 0.9, circuits::SramMode::Hold, circuits::SramSizing{});
-  const double rebuiltId =
-      rebuilt.circuit.mosfet("MPD1").terminalDrainCurrent(0.9, 0.9, 0.0);
+  const double rebuiltId = idsat(rebuilt.circuit.mosfet("MPD1"));
   EXPECT_EQ(sessionId, rebuiltId);
 
   // A second bind with a different stream must actually change the card.
   session.bindSample(stats::Rng(999));
-  const double rebound = session.fixture()
-                             .circuit.mosfet("MPD1")
-                             .terminalDrainCurrent(0.9, 0.9, 0.0);
+  const double rebound = idsat(session.fixture().circuit.mosfet("MPD1"));
   EXPECT_NE(rebound, sessionId);
 }
 
@@ -208,10 +207,8 @@ TEST(MosfetRebind, SameTypeCopiesInPlaceDifferentTypeClones) {
   const models::MosfetModel* before = &m.model();
   m.rebind(vsB, models::geometryNm(300, 40));
   EXPECT_EQ(&m.model(), before);  // same object, parameters overwritten
-  EXPECT_EQ(m.terminalDrainCurrent(0.9, 0.9, 0.0),
-            spice::MosfetElement("tmp", 1, 2, 0, vsB.clone(),
-                                 models::geometryNm(300, 40))
-                .terminalDrainCurrent(0.9, 0.9, 0.0));
+  EXPECT_EQ(m.model().drainCurrent(m.geometry(), 0.9, 0.9),
+            vsB.drainCurrent(models::geometryNm(300, 40), 0.9, 0.9));
 
   // Cross-family rebind falls back to cloning (and must not change type).
   const models::BsimLite golden(models::defaultBsimNmos());

@@ -6,6 +6,7 @@
 #include "spice/analysis.hpp"
 #include "spice/circuit.hpp"
 #include "spice/elements.hpp"
+#include "spice/session.hpp"
 #include "util/error.hpp"
 
 namespace vsstat::spice {
@@ -127,10 +128,11 @@ TEST(LinearSweep, DcSweepTracksSourceLevels) {
   c.addVoltageSource("V1", in, c.ground(), SourceWaveform::dc(0.0));
   c.addResistor("R1", in, mid, 1000.0);
   c.addResistor("R2", mid, c.ground(), 1000.0);
-  const auto ops = dcSweep(c, "V1", {0.0, 1.0, 2.0, 3.0});
-  ASSERT_EQ(ops.size(), 4u);
+  std::vector<double> vMid;
+  SimSession(c).dcSweepNode("V1", {0.0, 1.0, 2.0, 3.0}, mid, vMid);
+  ASSERT_EQ(vMid.size(), 4u);
   for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_NEAR(ops[i].v(mid), 0.5 * static_cast<double>(i), 1e-9);
+    EXPECT_NEAR(vMid[i], 0.5 * static_cast<double>(i), 1e-9);
   }
   // Original waveform restored after sweep.
   EXPECT_DOUBLE_EQ(c.voltageSource("V1").waveform().dcValue(), 0.0);

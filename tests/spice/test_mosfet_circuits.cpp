@@ -9,6 +9,7 @@
 #include "spice/analysis.hpp"
 #include "spice/circuit.hpp"
 #include "spice/elements.hpp"
+#include "spice/session.hpp"
 
 namespace vsstat::spice {
 namespace {
@@ -62,13 +63,15 @@ TEST_P(InverterBothModels, VtcIsMonotonicallyDecreasing) {
   const auto [in, out] = buildInverter(c, GetParam());
   std::vector<double> levels;
   for (int i = 0; i <= 30; ++i) levels.push_back(kVdd * i / 30.0);
-  const auto ops = dcSweep(c, "VIN", levels);
-  for (std::size_t i = 1; i < ops.size(); ++i) {
-    EXPECT_LE(ops[i].v(out), ops[i - 1].v(out) + 1e-9) << "step " << i;
+  std::vector<double> vOut;
+  SimSession(c).dcSweepNode("VIN", levels, out, vOut);
+  ASSERT_EQ(vOut.size(), levels.size());
+  for (std::size_t i = 1; i < vOut.size(); ++i) {
+    EXPECT_LE(vOut[i], vOut[i - 1] + 1e-9) << "step " << i;
   }
   // Switching threshold is interior.
-  EXPECT_GT(ops[10].v(out), 0.5 * kVdd);
-  EXPECT_LT(ops[20].v(out), 0.5 * kVdd);
+  EXPECT_GT(vOut[10], 0.5 * kVdd);
+  EXPECT_LT(vOut[20], 0.5 * kVdd);
 }
 
 TEST_P(InverterBothModels, TransientInversionWithCapLoad) {

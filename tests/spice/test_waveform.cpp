@@ -74,12 +74,5 @@ TEST(Waveform, RejectsArityMismatch) {
   EXPECT_THROW(w.addSample(0.0, {1.0}), InvalidArgumentError);
 }
 
-TEST(Waveform, SeriesExtractsSingleNode) {
-  const Waveform w = ramp();
-  const auto s = w.series(1);
-  EXPECT_EQ(s.size(), 11u);
-  EXPECT_DOUBLE_EQ(s[3], 0.3);
-}
-
 }  // namespace
 }  // namespace vsstat::spice

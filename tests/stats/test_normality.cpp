@@ -39,35 +39,5 @@ TEST(JarqueBera, RejectsTinySample) {
   EXPECT_THROW((void)jarqueBera({1.0, 2.0, 3.0}), InvalidArgumentError);
 }
 
-TEST(KsNormal, AcceptsGaussian) {
-  const KsNormal ks = ksAgainstNormal(gaussian(2000, 7));
-  EXPECT_FALSE(ks.rejectAt5Percent)
-      << "D = " << ks.statistic << " crit = " << ks.critical5Percent;
-}
-
-TEST(KsNormal, RejectsLognormal) {
-  const KsNormal ks = ksAgainstNormal(lognormal(2000, 9));
-  EXPECT_TRUE(ks.rejectAt5Percent);
-}
-
-TEST(KsNormal, RejectsUniformTails) {
-  Rng rng(11);
-  std::vector<double> v(3000);
-  for (auto& x : v) x = rng.uniform(-1.0, 1.0);
-  const KsNormal ks = ksAgainstNormal(v);
-  EXPECT_TRUE(ks.rejectAt5Percent);
-}
-
-TEST(KsNormal, CriticalValueShrinksWithN) {
-  const KsNormal small = ksAgainstNormal(gaussian(100, 13));
-  const KsNormal large = ksAgainstNormal(gaussian(10000, 13));
-  EXPECT_GT(small.critical5Percent, large.critical5Percent);
-}
-
-TEST(KsNormal, RejectsZeroVariance) {
-  EXPECT_THROW((void)ksAgainstNormal(std::vector<double>(100, 1.0)),
-               InvalidArgumentError);
-}
-
 }  // namespace
 }  // namespace vsstat::stats

@@ -1,4 +1,4 @@
-// Canonical SSTA calculus: series composition, correlation, Clark's max
+// Canonical SSTA calculus: series composition, Clark's max
 // against closed forms and Monte Carlo, exceedance probability.
 #include <gtest/gtest.h>
 
@@ -38,19 +38,6 @@ TEST(Ssta, AddSeriesAddsMeansAndGlobalsRssesLocals) {
   EXPECT_DOUBLE_EQ(s.local, 5.0);
 
   EXPECT_THROW((void)addSeries(a, make(0, {1.0}, 0)), InvalidArgumentError);
-}
-
-TEST(Ssta, CorrelationFollowsSharedSources) {
-  // Fully global, identical coefficients: correlation 1.
-  const CanonicalDelay g = make(0.0, {2.0}, 0.0);
-  EXPECT_NEAR(correlation(g, g), 1.0, 1e-12);
-  // Fully local: correlation 0.
-  const CanonicalDelay l1 = make(0.0, {0.0}, 1.0);
-  const CanonicalDelay l2 = make(0.0, {0.0}, 2.0);
-  EXPECT_DOUBLE_EQ(correlation(l1, l2), 0.0);
-  // Opposite global signs anti-correlate.
-  EXPECT_NEAR(correlation(make(0, {1.0}, 0), make(0, {-1.0}, 0)), -1.0,
-              1e-12);
 }
 
 TEST(Ssta, MaxOfIndependentEqualGaussiansMatchesClosedForm) {

@@ -64,11 +64,10 @@ TEST(StatisticalCell, LinearModelPredictsTheFastCornerDelay) {
       models::applyToVs(kit().nominal(models::DeviceType::Pmos), dP));
   const models::VsModel nmos(
       models::applyToVs(kit().nominal(models::DeviceType::Nmos), dN));
-  StageModelOptions opt;
   const double ffDelay =
       measureInverterPoint(pmos, models::applyGeometry(pGeom, dP), nmos,
                            models::applyGeometry(nGeom, dN), kit().vdd(),
-                           opt.inputSlew, opt.loadFarads, opt.dt)
+                           kStageInputSlew, kStageLoadFarads, kStageDt)
           .averageDelay();
 
   const double predicted =

@@ -1,8 +1,7 @@
-// NLDM-style characterization: physical trends of the tables, exactness
-// of interpolation, and input validation.
+// Inverter operating-point characterization: physical trends of delay and
+// output slew over load and input slew, determinism, and input validation.
 #include <gtest/gtest.h>
 
-#include "circuits/provider.hpp"
 #include "models/vs_model.hpp"
 #include "timing/tables.hpp"
 #include "util/error.hpp"
@@ -12,111 +11,41 @@ namespace {
 
 using models::VsModel;
 
-const CellTiming& cell() {
-  // Characterize once (9 transients); shared by the table tests.
-  static const CellTiming c = [] {
-    circuits::NominalProvider provider(VsModel(models::defaultVsNmos()),
-                                       VsModel(models::defaultVsPmos()));
-    return characterizeInverter(provider, circuits::CellSizing{});
-  }();
-  return c;
+DelayPoint measure(double inputSlew, double loadFarads) {
+  const VsModel pmos(models::defaultVsPmos());
+  const VsModel nmos(models::defaultVsNmos());
+  return measureInverterPoint(pmos, models::geometryNm(600, 40), nmos,
+                              models::geometryNm(300, 40), 0.9, inputSlew,
+                              loadFarads);
 }
 
-TEST(TimingTables, DelayGrowsWithLoad) {
-  const TimingTable& t = cell().fall;
-  for (std::size_t si = 0; si < t.inputSlews.size(); ++si) {
-    for (std::size_t li = 1; li < t.loadsFarads.size(); ++li) {
-      EXPECT_GT(t.delay(si, li), t.delay(si, li - 1))
-          << "slew row " << si << ", load col " << li;
-    }
-  }
+TEST(InverterPoint, DelayAndSlewGrowWithLoad) {
+  const DelayPoint light = measure(15e-12, 0.5e-15);
+  const DelayPoint heavy = measure(15e-12, 6e-15);
+  EXPECT_GT(heavy.fallDelay, light.fallDelay);
+  EXPECT_GT(heavy.riseDelay, light.riseDelay);
+  EXPECT_GT(heavy.fallSlew, light.fallSlew);
+  EXPECT_GT(heavy.riseSlew, light.riseSlew);
 }
 
-TEST(TimingTables, OutputSlewGrowsWithLoad) {
-  const TimingTable& t = cell().rise;
-  for (std::size_t si = 0; si < t.inputSlews.size(); ++si) {
-    for (std::size_t li = 1; li < t.loadsFarads.size(); ++li) {
-      EXPECT_GT(t.outputSlew(si, li), t.outputSlew(si, li - 1));
-    }
-  }
-}
-
-TEST(TimingTables, DelayGrowsWithInputSlew) {
+TEST(InverterPoint, DelayGrowsWithInputSlew) {
   // Slower input edges delay the switching point.
-  const TimingTable& t = cell().fall;
-  const std::size_t lastLoad = t.loadsFarads.size() - 1;
-  for (std::size_t si = 1; si < t.inputSlews.size(); ++si) {
-    EXPECT_GT(t.delay(si, lastLoad), t.delay(si - 1, lastLoad));
-  }
+  EXPECT_GT(measure(35e-12, 6e-15).fallDelay, measure(6e-12, 6e-15).fallDelay);
 }
 
-TEST(TimingTables, InterpolationIsExactAtGridPoints) {
-  const TimingTable& t = cell().fall;
-  for (std::size_t si = 0; si < t.inputSlews.size(); ++si) {
-    for (std::size_t li = 0; li < t.loadsFarads.size(); ++li) {
-      EXPECT_NEAR(t.delayAt(t.inputSlews[si], t.loadsFarads[li]),
-                  t.delay(si, li), 1e-18);
-    }
-  }
+TEST(InverterPoint, RepeatedCallsSeeIdenticalDevices) {
+  const DelayPoint a = measure(15e-12, 2e-15);
+  const DelayPoint b = measure(15e-12, 2e-15);
+  EXPECT_EQ(a.fallDelay, b.fallDelay);
+  EXPECT_EQ(a.riseDelay, b.riseDelay);
+  EXPECT_GT(a.fallSlew, 0.0);
+  EXPECT_GT(a.riseSlew, 0.0);
+  EXPECT_DOUBLE_EQ(a.averageDelay(), 0.5 * (a.fallDelay + a.riseDelay));
 }
 
-TEST(TimingTables, InterpolationIsBetweenNeighbours) {
-  const TimingTable& t = cell().fall;
-  const double slew = 0.5 * (t.inputSlews[0] + t.inputSlews[1]);
-  const double load = 0.5 * (t.loadsFarads[0] + t.loadsFarads[1]);
-  const double v = t.delayAt(slew, load);
-  const double lo = std::min({t.delay(0, 0), t.delay(0, 1), t.delay(1, 0),
-                              t.delay(1, 1)});
-  const double hi = std::max({t.delay(0, 0), t.delay(0, 1), t.delay(1, 0),
-                              t.delay(1, 1)});
-  EXPECT_GE(v, lo);
-  EXPECT_LE(v, hi);
-}
-
-TEST(TimingTables, InterpolationClampsOutsideTheGrid) {
-  const TimingTable& t = cell().fall;
-  EXPECT_DOUBLE_EQ(t.delayAt(0.0, t.loadsFarads[0]),
-                   t.delayAt(t.inputSlews[0], t.loadsFarads[0]));
-  EXPECT_DOUBLE_EQ(t.delayAt(1e-9, 1e-12),
-                   t.delay(t.inputSlews.size() - 1,
-                           t.loadsFarads.size() - 1));
-}
-
-TEST(TimingTables, MeasureInverterPointMatchesTable) {
-  circuits::NominalProvider provider(VsModel(models::defaultVsNmos()),
-                                     VsModel(models::defaultVsPmos()));
-  const circuits::DeviceInstance p = provider.make(
-      models::DeviceType::Pmos, "MP", models::geometryNm(600, 40));
-  const circuits::DeviceInstance n = provider.make(
-      models::DeviceType::Nmos, "MN", models::geometryNm(300, 40));
-  const DelayPoint point = measureInverterPoint(
-      *p.model, p.geometry, *n.model, n.geometry, 0.9, 15e-12, 2e-15);
-  // Same fixture, same conditions as the cached cell() grid midpoint.
-  EXPECT_NEAR(point.fallDelay, cell().fall.delay(1, 1), 1e-15);
-  EXPECT_NEAR(point.riseDelay, cell().rise.delay(1, 1), 1e-15);
-  EXPECT_GT(point.fallSlew, 0.0);
-  EXPECT_GT(point.riseSlew, 0.0);
-}
-
-TEST(TimingTables, ValidatesOptions) {
-  circuits::NominalProvider provider(VsModel(models::defaultVsNmos()),
-                                     VsModel(models::defaultVsPmos()));
-  CharacterizationOptions bad;
-  bad.inputSlews = {1e-12};  // fewer than 2
-  EXPECT_THROW(
-      (void)characterizeInverter(provider, circuits::CellSizing{}, bad),
-      InvalidArgumentError);
-  bad = CharacterizationOptions{};
-  bad.loadsFarads = {2e-15, 1e-15};  // not ascending
-  EXPECT_THROW(
-      (void)characterizeInverter(provider, circuits::CellSizing{}, bad),
-      InvalidArgumentError);
-  EXPECT_THROW((void)measureInverterPoint(
-                   VsModel(models::defaultVsPmos()),
-                   models::geometryNm(600, 40),
-                   VsModel(models::defaultVsNmos()),
-                   models::geometryNm(300, 40), 0.9, -1e-12, 2e-15),
-               InvalidArgumentError);
+TEST(InverterPoint, ValidatesParameters) {
+  EXPECT_THROW((void)measure(-1e-12, 2e-15), InvalidArgumentError);
+  EXPECT_THROW((void)measure(15e-12, 0.0), InvalidArgumentError);
 }
 
 }  // namespace

@@ -2,36 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
-#include <vector>
-
 namespace vsstat::util {
 namespace {
-
-TEST(RunIsolated, ReportsSuccessExitCode) {
-  const CampaignUsage u = runIsolated([] { /* trivial workload */ });
-  EXPECT_EQ(u.exitCode, 0);
-  EXPECT_GE(u.wallSeconds, 0.0);
-  EXPECT_GT(u.maxRssMiB, 0.0);
-}
-
-TEST(RunIsolated, ReportsFailureExitCode) {
-  const CampaignUsage u =
-      runIsolated([] { throw std::runtime_error("child fails"); });
-  EXPECT_EQ(u.exitCode, 1);
-}
-
-TEST(RunIsolated, ChildMemoryDoesNotLeakIntoParent) {
-  // Allocate ~64 MiB in the child; the parent's measurement of a later
-  // trivial child must not inherit that RSS.
-  const CampaignUsage big = runIsolated([] {
-    std::vector<double> hog(8 * 1024 * 1024, 1.0);
-    volatile double sink = hog[123];
-    (void)sink;
-  });
-  const CampaignUsage small = runIsolated([] {});
-  EXPECT_GT(big.maxRssMiB, small.maxRssMiB);
-}
 
 TEST(RunInProcess, MeasuresWallTime) {
   const CampaignUsage u = runInProcess([] {

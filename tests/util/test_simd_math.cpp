@@ -1,25 +1,80 @@
-// Kernel-vs-libm accuracy sweeps for util/simd_math.hpp.
+// Kernel-vs-libm accuracy sweeps for util/simd_math_kernels.inc, the exp
+// and log kernels the fused VS chain runs in NumericsMode::fast, and the
+// chain's pow composition kexp4(y * klog4(x)).
 //
-// Every bound asserted here is the documented contract of the header (the
+// Every bound asserted here is the documented contract of the kernels (the
 // measured worst cases carry 2-4x headroom).  The sweeps cover the full VS
 // argument ranges: logistic/softplus arguments from deep subthreshold (exp
 // underflow, |x| far past the +-34 reference clamp) to strong inversion,
-// log1p over the softplus image [0, 1e18], and the Fsat pow corners (ratio
-// spanning 1e-12..50, beta and 1/beta exponents, ratio == 0 exactly).
+// and the Fsat pow corners (ratio spanning 1e-12..50, beta and 1/beta
+// exponents).
 //
-// The kernels dispatch to AVX2+FMA clones where the host supports them;
-// both paths share one body (simd_math_kernels.inc) and the same bounds,
-// so this suite validates whichever path the CI host runs.
-#include "util/simd_math.hpp"
-
+// The kernels are included here the way models/vs_fast_chain.cpp includes
+// them, once with the default flags and, on x86, once more under the
+// AVX2+FMA target of vs_fast_chain_avx2.cpp; the AVX2 copy runs only where
+// the host supports it, the same condition the chain dispatches on.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 #include <random>
+#include <string>
 #include <vector>
 
-namespace vsstat::util::simd {
+namespace vsstat {
 namespace {
+
+// One compilation of the kernels behind pointer-based entry points over 4
+// lanes, so no vector type crosses a target-flag boundary.
+#define VSSTAT_KERNEL_ENTRY_POINTS                                        \
+  V4d load4(const double* p) {                                           \
+    V4d v;                                                               \
+    __builtin_memcpy(&v, p, sizeof v);                                   \
+    return v;                                                            \
+  }                                                                      \
+  void store4(double* p, V4d v) { __builtin_memcpy(p, &v, sizeof v); }   \
+  void exp4(const double* x, double* out) { store4(out, kexp4(load4(x))); } \
+  void log4(const double* x, double* out) { store4(out, klog4(load4(x))); } \
+  void pow4(const double* x, const double* y, double* out) {             \
+    store4(out, kexp4(load4(y) * klog4(load4(x))));                      \
+  }
+
+namespace baseline {
+namespace {
+#include "util/simd_math_kernels.inc"
+VSSTAT_KERNEL_ENTRY_POINTS
+}  // namespace
+}  // namespace baseline
+
+#if defined(__x86_64__) || defined(__i386__)
+#pragma GCC push_options
+#pragma GCC target("avx2,fma")
+namespace avx2 {
+namespace {
+#include "util/simd_math_kernels.inc"
+VSSTAT_KERNEL_ENTRY_POINTS
+}  // namespace
+}  // namespace avx2
+#pragma GCC pop_options
+#endif
+
+#undef VSSTAT_KERNEL_ENTRY_POINTS
+
+struct KernelPath {
+  const char* name;
+  bool needsAvx2;
+  void (*exp4)(const double*, double*);
+  void (*log4)(const double*, double*);
+  void (*pow4)(const double*, const double*, double*);
+};
+
+bool hostHasAvx2() {
+#if defined(__x86_64__) || defined(__i386__)
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+#else
+  return false;
+#endif
+}
 
 /// Relative deviation from the libm reference; exact matches are 0, any
 /// non-finite mismatch is pushed far beyond every bound.
@@ -29,55 +84,51 @@ double relErr(double got, double ref) {
   return std::fabs(got - ref) / std::fabs(ref);
 }
 
-class SimdMathTest : public ::testing::Test {
+class KernelContract : public ::testing::TestWithParam<KernelPath> {
  protected:
-  static constexpr std::size_t kN = 4097;  // odd: exercises the padded tail
+  static constexpr std::size_t kN = 4096;  // multiple of the 4-lane width
   std::mt19937_64 rng{20260726};
   std::vector<double> x = std::vector<double>(kN);
   std::vector<double> out = std::vector<double>(kN);
 
-  template <class Fill, class Kernel, class Ref>
-  double worstRel(int reps, Fill fill, Kernel kernel, Ref ref) {
+  void SetUp() override {
+    if (GetParam().needsAvx2 && !hostHasAvx2())
+      GTEST_SKIP() << "host lacks AVX2+FMA";
+  }
+
+  void runUnary(void (*kernel)(const double*, double*)) {
+    for (std::size_t i = 0; i < kN; i += 4) kernel(&x[i], &out[i]);
+  }
+
+  /// Worst relative error of exp over `reps` uniform draws in [lo, hi].
+  double worstExp(double lo, double hi, int reps) {
+    std::uniform_real_distribution<double> d(lo, hi);
     double worst = 0.0;
     for (int rep = 0; rep < reps; ++rep) {
-      for (double& v : x) v = fill();
-      kernel(x.data(), out.data(), x.size());
-      for (std::size_t i = 0; i < x.size(); ++i)
-        worst = std::max(worst, relErr(out[i], ref(x[i])));
+      for (double& v : x) v = d(rng);
+      runUnary(GetParam().exp4);
+      for (std::size_t i = 0; i < kN; ++i)
+        worst = std::max(worst, relErr(out[i], std::exp(x[i])));
     }
     return worst;
   }
 };
 
-TEST_F(SimdMathTest, ExpFullRange) {
-  std::uniform_real_distribution<double> d(-708.0, 708.0);
-  EXPECT_LE(worstRel(
-                50, [&] { return d(rng); },
-                [](const double* a, double* o, std::size_t n) {
-                  expArray(a, o, n);
-                },
-                [](double v) { return std::exp(v); }),
-            1e-12);
+TEST_P(KernelContract, ExpFullRange) {
+  EXPECT_LE(worstExp(-708.0, 708.0, 50), 1e-12);
 }
 
-TEST_F(SimdMathTest, ExpVsChainRangeIncludingSubthresholdUnderflow) {
+TEST_P(KernelContract, ExpVsChainRangeIncludingSubthresholdUnderflow) {
   // The VS chain's logistic/softplus arguments: the reference tails clamp
-  // at +-34, so the kernels must agree with libm through the whole band
+  // at +-34, so the kernel must agree with libm through the whole band
   // around it (subthreshold currents live in exp(-34..0)).
-  std::uniform_real_distribution<double> d(-60.0, 60.0);
-  EXPECT_LE(worstRel(
-                50, [&] { return d(rng); },
-                [](const double* a, double* o, std::size_t n) {
-                  expArray(a, o, n);
-                },
-                [](double v) { return std::exp(v); }),
-            1e-12);
+  EXPECT_LE(worstExp(-60.0, 60.0, 50), 1e-12);
 }
 
-TEST_F(SimdMathTest, ExpSaturatesOutsideClampRange) {
+TEST_P(KernelContract, ExpSaturatesOutsideClampRange) {
   const double xs[4] = {-800.0, -709.0, 709.0, 800.0};
   double o[4];
-  expArray(xs, o, 4);
+  GetParam().exp4(xs, o);
   // Documented clamp: inputs fold to [-708, 708]; no infinities, no zeros.
   for (double v : o) EXPECT_TRUE(std::isfinite(v));
   EXPECT_DOUBLE_EQ(o[0], o[1]);
@@ -85,7 +136,7 @@ TEST_F(SimdMathTest, ExpSaturatesOutsideClampRange) {
   EXPECT_GT(o[0], 0.0);
 }
 
-TEST_F(SimdMathTest, LogNormalPositives) {
+TEST_P(KernelContract, LogNormalPositives) {
   // Absolute bound: near x == 1 the result crosses 0, where a relative
   // bound is meaningless; away from the crossing |log| >= ~0.3 makes the
   // documented 4e-12 absolute bound a ~1e-11 relative one.
@@ -93,8 +144,8 @@ TEST_F(SimdMathTest, LogNormalPositives) {
   double worst = 0.0;
   for (int rep = 0; rep < 50; ++rep) {
     for (double& v : x) v = std::exp2(0.5 * mag(rng));
-    logArray(x.data(), out.data(), x.size());
-    for (std::size_t i = 0; i < x.size(); ++i) {
+    runUnary(GetParam().log4);
+    for (std::size_t i = 0; i < kN; ++i) {
       const double ref = std::log(x[i]);
       worst = std::max(worst, std::fabs(out[i] - ref) /
                                   std::max(1.0, std::fabs(ref)));
@@ -103,94 +154,62 @@ TEST_F(SimdMathTest, LogNormalPositives) {
   EXPECT_LE(worst, 4e-12);
 }
 
-TEST_F(SimdMathTest, LogNearOneCancellation) {
+TEST_P(KernelContract, LogNearOneCancellation) {
   std::uniform_real_distribution<double> d(-0.3, 0.3);
   double worst = 0.0;
   for (int rep = 0; rep < 50; ++rep) {
     for (double& v : x) v = 1.0 + d(rng);
-    logArray(x.data(), out.data(), x.size());
-    for (std::size_t i = 0; i < x.size(); ++i)
+    runUnary(GetParam().log4);
+    for (std::size_t i = 0; i < kN; ++i)
       worst = std::max(worst, std::fabs(out[i] - std::log(x[i])));
   }
   EXPECT_LE(worst, 4e-12);
 }
 
-TEST_F(SimdMathTest, Log1pSoftplusImage) {
-  // softplus feeds log1p with exp(eta) in [exp(-708), 1e18].
-  std::uniform_real_distribution<double> mag(-18.0, 18.0);
-  EXPECT_LE(worstRel(
-                50, [&] { return std::pow(10.0, mag(rng)); },
-                [](const double* a, double* o, std::size_t n) {
-                  log1pArray(a, o, n);
-                },
-                [](double v) { return std::log1p(v); }),
-            1e-11);
+TEST_P(KernelContract, LogOfZeroIsTheDocumentedFloor) {
+  // The Fsat stage feeds ratio == 0 straight into klog4: the zero bit
+  // pattern reads as 2^-1023, so the result is -1023 ln2, not -inf.
+  const double xs[4] = {0.0, 0.0, 0.0, 0.0};
+  double o[4];
+  GetParam().log4(xs, o);
+  for (double v : o) EXPECT_NEAR(v, -1023.0 * std::log(2.0), 1e-9);
 }
 
-TEST_F(SimdMathTest, Log1pTinyIsExact) {
-  // Below epsilon the correction term IS the answer: log1p(x) == x.
-  const double xs[5] = {0.0, 1e-300, 1e-30, 1e-17, 4.9e-324};
-  double o[5];
-  log1pArray(xs, o, 5);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(o[i], xs[i]) << "x=" << xs[i];
-}
-
-TEST_F(SimdMathTest, PowVsFsatDomain) {
+TEST_P(KernelContract, PowVsFsatDomain) {
   // Fsat corners: t = ratio^beta with ratio in [1e-12, 50] (deep linear
   // region through hard saturation) and both beta and 1/beta exponents.
   std::uniform_real_distribution<double> mb(-12.0, std::log10(50.0));
   std::uniform_real_distribution<double> dy(1.2, 2.5);
-  std::vector<double> base(kN), y(kN);
+  std::vector<double> y(kN);
   double worst = 0.0;
   for (int rep = 0; rep < 50; ++rep) {
     for (std::size_t i = 0; i < kN; ++i) {
-      base[i] = std::pow(10.0, mb(rng));
+      x[i] = std::pow(10.0, mb(rng));
       y[i] = (i % 2 != 0) ? dy(rng) : 1.0 / dy(rng);
     }
-    powArray(base.data(), y.data(), out.data(), kN);
+    for (std::size_t i = 0; i < kN; i += 4)
+      GetParam().pow4(&x[i], &y[i], &out[i]);
     for (std::size_t i = 0; i < kN; ++i)
-      worst = std::max(worst, relErr(out[i], std::pow(base[i], y[i])));
+      worst = std::max(worst, relErr(out[i], std::pow(x[i], y[i])));
   }
   EXPECT_LE(worst, 1e-9);
 }
 
-TEST_F(SimdMathTest, PowCorners) {
-  // ratio == 0 must give exactly 0 (the Fsat numerator relies on it).
-  const double base[4] = {0.0, 0.0, 1.0, 50.0};
-  const double y[4] = {1.8, 0.55, 1.8, 2.0};
-  double o[4];
-  powArray(base, y, o, 4);
-  EXPECT_EQ(o[0], 0.0);
-  EXPECT_EQ(o[1], 0.0);
-  EXPECT_NEAR(o[2], 1.0, 1e-12);
-  EXPECT_NEAR(o[3], 2500.0, 2500.0 * 1e-11);
-}
-
-TEST_F(SimdMathTest, ArrayDriversMatchAtEveryLengthAndPosition) {
-  // The padded-tail driver must give each element the same bits no matter
-  // the array length or the element's block position: determinism of the
-  // fast pipeline across bank layouts depends on it.
-  std::uniform_real_distribution<double> d(-30.0, 30.0);
-  std::vector<double> big(29), ref(29);
-  for (double& v : big) v = d(rng);
-  expArray(big.data(), ref.data(), big.size());
-  for (std::size_t len = 1; len <= big.size(); ++len) {
-    std::vector<double> o(len);
-    expArray(big.data(), o.data(), len);
-    for (std::size_t i = 0; i < len; ++i)
-      EXPECT_EQ(o[i], ref[i]) << "len=" << len << " i=" << i;
-  }
-}
-
-TEST_F(SimdMathTest, DispatchReportsAPath) {
-  // Smoke: the dispatch decided something and the kernels run under it
-  // (on CI hosts with AVX2 this exercises the clone TU).
-  (void)usingAvx2();
-  const double xs[1] = {1.0};
-  double o[1];
-  expArray(xs, o, 1);
-  EXPECT_NEAR(o[0], 2.718281828459045, 1e-11);
-}
+const KernelPath kBaseline{"baseline", false, baseline::exp4, baseline::log4,
+                           baseline::pow4};
+#if defined(__x86_64__) || defined(__i386__)
+const KernelPath kAvx2{"avx2_fma", true, avx2::exp4, avx2::log4, avx2::pow4};
+INSTANTIATE_TEST_SUITE_P(Paths, KernelContract,
+                         ::testing::Values(kBaseline, kAvx2),
+                         [](const ::testing::TestParamInfo<KernelPath>& i) {
+                           return std::string(i.param.name);
+                         });
+#else
+INSTANTIATE_TEST_SUITE_P(Paths, KernelContract, ::testing::Values(kBaseline),
+                         [](const ::testing::TestParamInfo<KernelPath>& i) {
+                           return std::string(i.param.name);
+                         });
+#endif
 
 }  // namespace
-}  // namespace vsstat::util::simd
+}  // namespace vsstat

@@ -54,18 +54,14 @@ TEST(TableFormat, FixedPrecision) {
   EXPECT_EQ(formatValue(-1.0, 1), "-1.0");
 }
 
+TEST(TableFormat, ValuesThatRoundToZeroPrintWithoutSign) {
+  EXPECT_EQ(formatValue(-0.04, 1), "0.0");
+  EXPECT_EQ(formatValue(-0.0, 2), "0.00");
+  EXPECT_EQ(formatValue(-0.06, 1), "-0.1");
+}
+
 TEST(TableFormat, Scientific) {
   EXPECT_EQ(formatSci(12345.0, 2), "1.23e+04");
-}
-
-TEST(TableFormat, EngineeringPicksSensiblePrefix) {
-  EXPECT_EQ(formatEng(3.3e-5, "A", 1), "33.0 uA");
-  EXPECT_EQ(formatEng(4.2e-12, "s", 1), "4.2 ps");
-  EXPECT_EQ(formatEng(1.5e8, "Hz", 1), "150.0 MHz");
-}
-
-TEST(TableFormat, EngineeringHandlesZero) {
-  EXPECT_EQ(formatEng(0.0, "A", 1), "0.0 A");
 }
 
 }  // namespace

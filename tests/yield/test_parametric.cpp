@@ -1,5 +1,5 @@
-// Parametric yield arithmetic: Gaussian yield against analytic CDF values,
-// empirical yield, Wilson intervals.
+// Parametric yield arithmetic: spec windows, Wilson intervals, empirical
+// yield of samples.
 #include <gtest/gtest.h>
 
 #include "util/error.hpp"
@@ -21,26 +21,6 @@ TEST(SpecLimit, PassLogicCoversAllWindowShapes) {
   EXPECT_TRUE(band.passes(0.5));
   EXPECT_FALSE(band.passes(1.5));
   EXPECT_FALSE(band.passes(-1.5));
-}
-
-TEST(GaussianYield, MatchesAnalyticNormalProbabilities) {
-  // One-sided: P(X > mean - 3 sigma) = Phi(3) = 0.99865.
-  EXPECT_NEAR(gaussianYield(0.0, 1.0, {-3.0, std::nullopt}), 0.99865, 1e-4);
-  // Two-sided +/- 1 sigma: 68.27%.
-  EXPECT_NEAR(gaussianYield(0.0, 1.0, {-1.0, 1.0}), 0.6827, 1e-3);
-  // Shifted/scaled: spec [2, 6] on N(4, 1) is the same +/- 2 sigma window.
-  EXPECT_NEAR(gaussianYield(4.0, 1.0, {2.0, 6.0}),
-              gaussianYield(0.0, 1.0, {-2.0, 2.0}), 1e-12);
-  // No bounds: certain pass.
-  EXPECT_DOUBLE_EQ(gaussianYield(0.0, 1.0, {}), 1.0);
-  EXPECT_THROW((void)gaussianYield(0.0, 0.0, {}), InvalidArgumentError);
-}
-
-TEST(EmpiricalYield, CountsWindowMembership) {
-  const std::vector<double> s{0.1, 0.2, 0.3, 0.4, 0.9};
-  EXPECT_DOUBLE_EQ(empiricalYield(s, {std::nullopt, 0.5}), 0.8);
-  EXPECT_DOUBLE_EQ(empiricalYield(s, {0.15, 0.35}), 0.4);
-  EXPECT_THROW((void)empiricalYield({}, {}), InvalidArgumentError);
 }
 
 TEST(WilsonInterval, KnownValues) {
