@@ -1,6 +1,10 @@
 // Fig. 9: 6T SRAM cell -- READ/HOLD butterfly curves, SNM probability
 // densities for both models, and the QQ plot of the HOLD SNM showing its
 // slightly non-Gaussian tail.
+//
+// Exits 1, naming the check, when a campaign reports failed samples or
+// when the figure's shape breaks: the READ mean SNM must sit below the
+// HOLD mean SNM for both models.
 #include <iostream>
 
 #include "common.hpp"
@@ -44,6 +48,8 @@ int main() {
 
   util::Table table({"mode", "model", "mean SNM [mV]", "sigma [mV]",
                      "min [mV]", "QQ r^2"});
+  int failedSamples = 0;
+  double meanSnm[2][2] = {};  // [read][useVs]
   for (const auto mode : {circuits::SramMode::Read, circuits::SramMode::Hold}) {
     const bool read = mode == circuits::SramMode::Read;
     for (const bool useVs : {false, true}) {
@@ -65,7 +71,9 @@ int main() {
             out[0] = measure::measureSnm(session.fixture(), session.spice(), 45)
                          .cellSnm();
           });
+      failedSamples += r.failures;
       const auto s = stats::summarize(r.metrics[0]);
+      meanSnm[read][useVs] = s.mean;
       const auto qq = stats::qqAgainstNormal(r.metrics[0]);
       table.addRow({read ? "READ" : "HOLD", useVs ? "VS" : "golden",
                     util::formatValue(s.mean * 1e3, 1),
@@ -93,5 +101,20 @@ int main() {
                "VS matches the golden model on both PDFs; the HOLD SNM QQ\n"
                "plot bends slightly away from the Gaussian line (min-of-two-\n"
                "lobes statistics).\n";
-  return 0;
+
+  bool ok = true;
+  if (failedSamples != 0) {
+    std::cout << "CHECK FAILED: no failed samples (" << failedSamples
+              << " failed)\n";
+    ok = false;
+  }
+  for (const bool useVs : {false, true}) {
+    if (!(meanSnm[1][useVs] < meanSnm[0][useVs])) {
+      std::cout << "CHECK FAILED: READ mean SNM below HOLD mean SNM ("
+                << (useVs ? "VS" : "golden") << ")\n";
+      ok = false;
+    }
+  }
+  std::cout << (ok ? "checks: OK\n" : "checks: FAILED\n");
+  return ok ? 0 : 1;
 }

@@ -23,6 +23,14 @@ is matched by "name" against the committed reference and judged per metric:
     overrides), so the statistical tier's accuracy contract and the
     ordering's cost relative to the factor it prepares gate independently
     of the throughput bands.
+  * fingerprints -- metrics_fnv1a must equal the reference exactly on
+    every row that records one.  Quick and full runs hash different sample
+    counts, so a row records the full run's fingerprint beside its
+    "samples" (or "fits") and the --quick run's as "metrics_fnv1a_quick"
+    beside "samples_quick" (or "fits_quick"); the gate compares whichever
+    matches the current row's count.  A mismatch, or a count with no
+    recorded fingerprint, fails: re-record, and name the reason in
+    CHANGES.md.
   * "ci_skip": ["metric", ...] in a reference row skips named metrics.
 
 Every reference row must be present in the current output (a vanished row
@@ -75,6 +83,26 @@ BOUNDED_METRICS = {"estimator_max_sigma_delta": 3.0,
                    "mean_card_param_rel_error": 0.05,
                    "max_card_param_rel_error": 0.25,
                    "ordering_vs_factor": 1.0}
+
+
+FINGERPRINT = "metrics_fnv1a"
+COUNT_KEYS = ("samples", "fits")
+RERECORD = "re-record, and name the reason in CHANGES.md"
+
+
+def reference_fingerprint(ref, cur):
+    """(count text, fingerprint) the reference recorded at the current
+    row's sample count; the fingerprint is None when it recorded none."""
+    for key in COUNT_KEYS:
+        if key not in ref:
+            continue
+        count = cur.get(key)
+        if count == ref[key]:
+            return f"{key} {count}", ref.get(FINGERPRINT)
+        if f"{key}_quick" in ref and count == ref[f"{key}_quick"]:
+            return f"{key} {count}", ref.get(f"{FINGERPRINT}_quick")
+        return f"{key} {count}", None
+    return "-", ref.get(FINGERPRINT)
 
 
 def load_reference(path):
@@ -162,6 +190,17 @@ def check_row(ref, cur, tolerance, alloc_slack):
         c = float(cur[metric])
         ok = c <= ceiling
         yield metric, float(ref[metric]), c, f"cap {ceiling:.2f}", ok, "contract ceiling"
+
+    if FINGERPRINT not in skip and (FINGERPRINT in ref or
+                                    f"{FINGERPRINT}_quick" in ref):
+        count, expected = reference_fingerprint(ref, cur)
+        c = cur.get(FINGERPRINT, "missing")
+        if expected is None:
+            yield (FINGERPRINT, "none", c, count, False,
+                   f"no fingerprint recorded at this count: {RERECORD}")
+        else:
+            yield (FINGERPRINT, expected, c, count, c == expected,
+                   f"fingerprint changed: {RERECORD}")
 
 
 def main():

@@ -97,8 +97,8 @@ for rel in sorted(lines):
     print(f"{rel:<40} {n:>6} {h:>6} {100.0 * h / max(n, 1):>6.1f}%")
 print(f"{'TOTAL':<40} {total:>6} {covered:>6} "
       f"{100.0 * covered / max(total, 1):>6.1f}%")
-# A function counts as reached when any line of its body ran: the -O2
-# build inlines small functions, whose out-of-line copies never run.
+# A function counts as reached when any line of its body ran, so the
+# report does not depend on whether the compiler inlined it.
 print("\nvsstat:: functions at 0%:")
 for rel, first, last, name in sorted(functions):
     if not any(hit for n, hit in lines[rel].items() if first <= n <= last):

@@ -125,9 +125,8 @@ SramButterflyBench buildSramButterfly(DeviceProvider& provider, double vdd,
   const NodeId wl = c.node("wl");
   const NodeId bl = c.node("bl");
 
-  bench.in1 = c.node("u1");
+  bench.in = c.node("u");
   bench.out1 = c.node("y1");
-  bench.in2 = c.node("u2");
   bench.out2 = c.node("y2");
 
   const auto addHalf = [&](int half, NodeId in, NodeId out) {
@@ -154,16 +153,14 @@ SramButterflyBench buildSramButterfly(DeviceProvider& provider, double vdd,
                   pg.geometry);
     }
   };
-  addHalf(1, bench.in1, bench.out1);
-  addHalf(2, bench.in2, bench.out2);
+  addHalf(1, bench.in, bench.out1);
+  addHalf(2, bench.in, bench.out2);
 
   c.addVoltageSource("VDD", vddN, c.ground(), SourceWaveform::dc(vdd));
   c.addVoltageSource("VBL", bl, c.ground(), SourceWaveform::dc(vdd));
   c.addVoltageSource("VWL", wl, c.ground(),
                      SourceWaveform::dc(mode == SramMode::Read ? vdd : 0.0));
-  c.addVoltageSource(bench.sweep1, bench.in1, c.ground(),
-                     SourceWaveform::dc(0.0));
-  c.addVoltageSource(bench.sweep2, bench.in2, c.ground(),
+  c.addVoltageSource(bench.sweep1, bench.in, c.ground(),
                      SourceWaveform::dc(0.0));
   return bench;
 }

@@ -77,20 +77,21 @@ struct DffBench {
                                 double passWidthNm = 300.0);
 
 /// SRAM butterfly fixture: the cell's two cross-coupled halves broken at
-/// the feedback and driven by independent sweep sources (the standard SNM
-/// measurement).  READ mode: BL/BLB precharged to Vdd, WL on.  HOLD mode:
+/// the feedback, both driven from one swept input (the standard SNM
+/// measurement).  The halves meet only at ideal sources (VDD, VBL, VWL)
+/// and no gate draws DC current, so each half's response is the same
+/// function of the input as if it were swept alone, and one sweep traces
+/// both VTCs.  READ mode: BL/BLB precharged to Vdd, WL on.  HOLD mode:
 /// WL off.  Device order: PU1, PD1, PG1, PU2, PD2, PG2 -- i.e. one
 /// mismatch draw per physical transistor of the cell.
 enum class SramMode { Read, Hold };
 
 struct SramButterflyBench {
   spice::Circuit circuit;
-  spice::NodeId in1 = 0;   ///< swept input of half 1 (== node QB)
+  spice::NodeId in = 0;    ///< swept input shared by both halves
   spice::NodeId out1 = 0;  ///< response of half 1 (== node Q)
-  spice::NodeId in2 = 0;   ///< swept input of half 2 (== node Q side)
-  spice::NodeId out2 = 0;  ///< response of half 2
-  std::string sweep1 = "U1";
-  std::string sweep2 = "U2";
+  spice::NodeId out2 = 0;  ///< response of half 2 (== node QB)
+  std::string sweep1 = "U1";  ///< the source driving `in`
   double supply = 0.9;
 };
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
+#include <limits>
 
 #include "util/error.hpp"
 
@@ -27,220 +27,199 @@ void butterflyInto(circuits::SramButterflyBench& bench,
   require(&session.circuit() == &bench.circuit,
           "measureButterfly: session is bound to a different circuit");
   sweepLevelsInto(bench.supply, points, levels);
-  // Lean sweeps: only the probed response node is recorded per level.
+  // One lean sweep of the shared input records both halves' responses
+  // (and nothing else) per level.
   curves.curve1.x.assign(levels.begin(), levels.end());
-  session.dcSweepNode(bench.sweep1, levels, bench.out1, curves.curve1.y);
   curves.curve2.y.assign(levels.begin(), levels.end());
-  session.dcSweepNode(bench.sweep2, levels, bench.out2, curves.curve2.x);
-  // Seam guard: a swept response that went NaN/Inf must not feed the SNM
-  // geometry silently (segment intersection on NaN quietly yields a
-  // monostable verdict -- i.e. SNM 0 -- which would bias yield instead of
-  // being counted as a non-finite failure).
-  for (const double v : curves.curve1.y) {
-    if (!std::isfinite(v))
-      throw NonFiniteError("measureButterfly: non-finite VTC response");
-  }
-  for (const double v : curves.curve2.x) {
-    if (!std::isfinite(v))
-      throw NonFiniteError("measureButterfly: non-finite VTC response");
+  const spice::SweepProbe probes[] = {{bench.out1, &curves.curve1.y},
+                                      {bench.out2, &curves.curve2.x}};
+  session.dcSweepNodes(bench.sweep1, levels, probes);
+  // Seam guard: a swept response that went NaN/Inf is a non-finite solve
+  // failure and must be counted as one, not reach the SNM geometry (which
+  // would reject the curve as a malformed argument instead).
+  for (const std::vector<double>* response : {&curves.curve1.y,
+                                               &curves.curve2.x}) {
+    for (const double v : *response) {
+      if (!std::isfinite(v))
+        throw NonFiniteError("measureButterfly: non-finite VTC response");
+    }
   }
 }
 
 }  // namespace
 
 ButterflyCurves measureButterfly(circuits::SramButterflyBench& bench,
-                                 spice::SimSession& session, int points) {
+                                 int points) {
+  spice::SimSession session(bench.circuit);
   std::vector<double> levels;
   ButterflyCurves curves;
   butterflyInto(bench, session, points, levels, curves);
   return curves;
 }
 
-ButterflyCurves measureButterfly(circuits::SramButterflyBench& bench,
-                                 int points) {
-  spice::SimSession session(bench.circuit);
-  return measureButterfly(bench, session, points);
-}
-
 namespace {
 
-/// Intersection point of two segments, if any (parametric clipping).
-std::optional<std::pair<double, double>> segmentIntersection(
-    double ax, double ay, double bx, double by, double cx, double cy,
-    double dx, double dy) {
-  const double rX = bx - ax;
-  const double rY = by - ay;
-  const double sX = dx - cx;
-  const double sY = dy - cy;
-  const double denom = rX * sY - rY * sX;
-  const double qpX = cx - ax;
-  const double qpY = cy - ay;
-  if (std::fabs(denom) < 1e-18) return std::nullopt;  // parallel
-  const double t = (qpX * sY - qpY * sX) / denom;
-  const double u = (qpX * rY - qpY * rX) / denom;
-  if (t < -1e-12 || t > 1.0 + 1e-12 || u < -1e-12 || u > 1.0 + 1e-12)
-    return std::nullopt;
-  return std::make_pair(ax + t * rX, ay + t * rY);
-}
-
-/// Geometrically distinct intersection points of two polylines, written
-/// into the caller's buffer (cleared first, capacity reused).
-void intersectionPointsInto(const VtcCurve& a, const VtcCurve& b,
-                            double mergeTolerance,
-                            std::vector<std::pair<double, double>>& hits) {
-  hits.clear();
-  for (std::size_t i = 1; i < a.x.size(); ++i) {
-    for (std::size_t j = 1; j < b.x.size(); ++j) {
-      const auto hit =
-          segmentIntersection(a.x[i - 1], a.y[i - 1], a.x[i], a.y[i],
-                              b.x[j - 1], b.y[j - 1], b.x[j], b.y[j]);
-      if (!hit) continue;
-      bool duplicate = false;
-      for (const auto& h : hits) {
-        if (std::fabs(h.first - hit->first) < mergeTolerance &&
-            std::fabs(h.second - hit->second) < mergeTolerance) {
-          duplicate = true;
-          break;
-        }
-      }
-      if (!duplicate) hits.push_back(*hit);
+/// A VTC polyline in the rotated frame s = x - y, t = x + y, read in
+/// ascending s (curve 2 is stored mirrored, so it reads back to front):
+/// t is then a piecewise-linear function of s.
+struct RotatedCurve {
+  explicit RotatedCurve(const VtcCurve& c)
+      : curve(c),
+        reversed(c.x.back() - c.y.back() < c.x.front() - c.y.front()) {
+    for (std::size_t k = 1; k < size(); ++k) {
+      require(s(k) > s(k - 1),
+              "staticNoiseMargin: a VTC is not monotone in x - y "
+              "(gain of +1 or more)");
     }
+  }
+
+  [[nodiscard]] std::size_t size() const { return curve.x.size(); }
+  [[nodiscard]] std::size_t at(std::size_t k) const {
+    return reversed ? size() - 1 - k : k;
+  }
+  [[nodiscard]] double s(std::size_t k) const {
+    return curve.x[at(k)] - curve.y[at(k)];
+  }
+  [[nodiscard]] double t(std::size_t k) const {
+    return curve.x[at(k)] + curve.y[at(k)];
+  }
+  /// t at `sv` on the segment that ends at vertex k.
+  [[nodiscard]] double tOn(std::size_t k, double sv) const {
+    return t(k - 1) +
+           (sv - s(k - 1)) / (s(k) - s(k - 1)) * (t(k) - t(k - 1));
+  }
+
+  const VtcCurve& curve;
+  bool reversed;
+};
+
+/// The gap g = t1(s) - t2(s) between the rotated curves at one vertex.
+struct GapVertex {
+  double s = 0.0;
+  double t1 = 0.0;
+  double g = 0.0;
+};
+
+/// Visits every vertex of either curve inside the curves' common s range,
+/// in ascending s, with the gap there: a merge walk over both vertex
+/// lists.  Between two visited vertices both curves are straight, so the
+/// gap is linear there and its extremes sit on visited vertices.
+template <typename Visit>
+void walkGap(const RotatedCurve& c1, const RotatedCurve& c2, Visit&& visit) {
+  const double lo = std::max(c1.s(0), c2.s(0));
+  const double hi = std::min(c1.s(c1.size() - 1), c2.s(c2.size() - 1));
+  if (lo > hi) return;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (c1.s(i) < lo) ++i;
+  while (c2.s(j) < lo) ++j;
+  while (i < c1.size() && j < c2.size()) {
+    const double s = std::min(c1.s(i), c2.s(j));
+    if (s > hi) return;
+    const double t1 = c1.s(i) == s ? c1.t(i++) : c1.tOn(i, s);
+    const double t2 = c2.s(j) == s ? c2.t(j++) : c2.tOn(j, s);
+    visit(GapVertex{s, t1, t1 - t2});
   }
 }
 
-/// Linear interpolation of value(key) on a polyline with ascending keys;
-/// clamps beyond the swept range (VTC rails saturate).
-double interpolate(const std::vector<double>& keys,
-                   const std::vector<double>& values, double key) {
-  if (key <= keys.front()) return values.front();
-  if (key >= keys.back()) return values.back();
-  const auto it = std::upper_bound(keys.begin(), keys.end(), key);
-  const std::size_t hi = static_cast<std::size_t>(it - keys.begin());
-  const std::size_t lo = hi - 1;
-  const double span = keys[hi] - keys[lo];
-  if (span <= 0.0) return values[hi];
-  const double f = (key - keys[lo]) / span;
-  return values[lo] * (1.0 - f) + values[hi] * f;
+/// A crossing of the two curves, in both frames.
+struct Crossing {
+  double x = 0.0;
+  double y = 0.0;
+  double s = 0.0;
+};
+
+/// Calls `onCrossing` for every distinct crossing of the curves -- every
+/// zero of the gap -- in ascending s.  A zero within `mergeTolerance` of
+/// the previous crossing in both x and y is the same crossing found twice
+/// (a zero on a vertex, or the two zeros of a closing eye) and is skipped.
+template <typename OnCrossing>
+void forEachCrossing(const RotatedCurve& c1, const RotatedCurve& c2,
+                     double mergeTolerance, OnCrossing&& onCrossing) {
+  bool any = false;
+  Crossing last;
+  const auto emit = [&](double s, double t) {
+    const Crossing c{0.5 * (s + t), 0.5 * (t - s), s};
+    if (any && std::fabs(c.x - last.x) < mergeTolerance &&
+        std::fabs(c.y - last.y) < mergeTolerance)
+      return;
+    any = true;
+    last = c;
+    onCrossing(c);
+  };
+  GapVertex prev;  // g = 0: no sign change before the first vertex
+  walkGap(c1, c2, [&](const GapVertex& v) {
+    if (v.g == 0.0) {
+      emit(v.s, v.t1);
+    } else if (prev.g != 0.0 && (prev.g < 0.0) != (v.g < 0.0)) {
+      const double f = prev.g / (prev.g - v.g);
+      emit(prev.s + f * (v.s - prev.s), prev.t1 + f * (v.t1 - prev.t1));
+    }
+    prev = v;
+  });
 }
 
 }  // namespace
 
 SnmResult staticNoiseMargin(const ButterflyCurves& curves, double vdd) {
-  require(curves.curve1.x.size() >= 2 && curves.curve2.x.size() >= 2,
+  require(curves.curve1.x.size() >= 2 && curves.curve2.x.size() >= 2 &&
+              curves.curve1.y.size() == curves.curve1.x.size() &&
+              curves.curve2.y.size() == curves.curve2.x.size(),
           "staticNoiseMargin: degenerate curves");
+  const RotatedCurve c1(curves.curve1);
+  const RotatedCurve c2(curves.curve2);
+  const double mergeTolerance = vdd * 2e-3;
 
   // A butterfly exists only when the two VTCs cross three times (two
   // stable states + the metastable point).  A monostable (flipped) cell
-  // has no eyes and zero noise margin.  The crossing list and the lobe
-  // grids below live in per-thread buffers reused across calls: this
-  // routine runs once per Monte Carlo sample, and its scratch was most of
-  // the campaign's remaining measurement-side allocations.
-  static thread_local std::vector<std::pair<double, double>> crossings;
-  intersectionPointsInto(curves.curve1, curves.curve2, vdd * 2e-3, crossings);
-  if (crossings.size() < 3) return SnmResult{};
+  // has no eyes and zero noise margin.  The stable corners are A =
+  // upper-left (highest crossing) and B = lower-right (rightmost), the
+  // first found on ties.
+  std::size_t count = 0;
+  std::size_t iA = 0;
+  std::size_t iB = 0;
+  Crossing a;
+  Crossing b;
+  forEachCrossing(c1, c2, mergeTolerance, [&](const Crossing& c) {
+    if (count == 0 || c.y > a.y) {
+      a = c;
+      iA = count;
+    }
+    if (count == 0 || c.x > b.x) {
+      b = c;
+      iB = count;
+    }
+    ++count;
+  });
+  if (count < 3) return SnmResult{};
 
-  // Identify the stable corners and the metastable point: A = upper-left,
-  // B = lower-right, M = the remaining crossing nearest the middle.  The
-  // eyes live strictly between the stable points and M; the square scans
-  // below are restricted to those ranges so the saturated VTC tails beyond
-  // the butterfly cannot fake a square (a READ cell's elevated "low" floor
-  // would otherwise do exactly that).
-  std::size_t iA = 0, iB = 0;
-  for (std::size_t i = 1; i < crossings.size(); ++i) {
-    if (crossings[i].second > crossings[iA].second) iA = i;
-    if (crossings[i].first > crossings[iB].first) iB = i;
-  }
-  std::size_t iM = crossings.size();
-  double bestMid = 0.0;
-  for (std::size_t i = 0; i < crossings.size(); ++i) {
-    if (i == iA || i == iB) continue;
-    const double mid = std::fabs(crossings[i].first - 0.5 * vdd) +
-                       std::fabs(crossings[i].second - 0.5 * vdd);
-    if (iM == crossings.size() || mid < bestMid) {
+  // The metastable point M: the remaining crossing nearest the middle.
+  std::size_t index = 0;
+  double bestMid = std::numeric_limits<double>::infinity();
+  Crossing m;
+  forEachCrossing(c1, c2, mergeTolerance, [&](const Crossing& c) {
+    const std::size_t i = index++;
+    if (i == iA || i == iB) return;
+    const double mid =
+        std::fabs(c.x - 0.5 * vdd) + std::fabs(c.y - 0.5 * vdd);
+    if (mid < bestMid) {
       bestMid = mid;
-      iM = i;
+      m = c;
     }
-  }
-  if (iM == crossings.size()) return SnmResult{};  // degenerate butterfly
-  const double yA = crossings[iA].second;
-  const double xB = crossings[iB].first;
-  const double xM = crossings[iM].first;
-  const double yM = crossings[iM].second;
+  });
 
-  // Express both curves as functions: f1(x) = curve 1 output, and
-  // f2(u) = curve 2's x at sweep level u (curve 2 is stored mirrored, so
-  // its sweep variable is y).  Both are monotone-decreasing inverter VTCs;
-  // interpolation clamps to the rails outside the swept range.
-  const auto f1 = [&](double x) {
-    return interpolate(curves.curve1.x, curves.curve1.y, x);
-  };
-  const auto f2 = [&](double u) {
-    return interpolate(curves.curve2.y, curves.curve2.x, u);
-  };
-
-  // Largest axis-aligned square of side t inside the upper-left eye:
-  // corners (xl, yb)..(xl+t, yb+t).  The square must stay below curve 1
-  // (f1 decreasing: binding at the top-right corner, yb + t <= f1(xl + t))
-  // and right of curve 2 (f2 decreasing in its sweep variable: binding at
-  // the bottom-left corner, xl >= f2(yb)).  Substituting the tightest
-  // xl = f2(yb):
-  //   fits(t)  <=>  exists yb : f1(f2(yb) + t) - t >= yb.
-  // The inner anchor interpolation (f2(yb) resp. f1(xl)) does not depend
-  // on the square side t, so it is hoisted out of the bisection: one grid
-  // evaluation per lobe instead of one per (bisection iteration x grid
-  // point).  The surviving arithmetic is unchanged, so SNM values are
-  // bit-identical to the unhoisted form.
-  const int gridPoints = 360;
-  static thread_local std::vector<double> upperYb;
-  static thread_local std::vector<double> upperAnchor;
-  upperYb.resize(gridPoints + 1);
-  upperAnchor.resize(gridPoints + 1);
-  for (int i = 0; i <= gridPoints; ++i) {
-    upperYb[i] = yM + (yA - yM) * static_cast<double>(i) / gridPoints;
-    upperAnchor[i] = f2(upperYb[i]);
-  }
-  const auto fitsUpper = [&](double t) {
-    for (int i = 0; i <= gridPoints; ++i) {
-      if (f1(upperAnchor[i] + t) - t >= upperYb[i]) return true;
-    }
-    return false;
-  };
-  // Lower-right eye by symmetry (square above curve 1, binding at the
-  // bottom-left corner yb >= f1(xl); left of curve 2, binding at the
-  // top-right corner xl + t <= f2(yb + t)).  With the tightest yb = f1(xl):
-  //   fits(t)  <=>  exists xl : f2(f1(xl) + t) - t >= xl.
-  static thread_local std::vector<double> lowerXl;
-  static thread_local std::vector<double> lowerAnchor;
-  lowerXl.resize(gridPoints + 1);
-  lowerAnchor.resize(gridPoints + 1);
-  for (int i = 0; i <= gridPoints; ++i) {
-    lowerXl[i] = xM + (xB - xM) * static_cast<double>(i) / gridPoints;
-    lowerAnchor[i] = f1(lowerXl[i]);
-  }
-  const auto fitsLower = [&](double t) {
-    for (int i = 0; i <= gridPoints; ++i) {
-      if (f2(lowerAnchor[i] + t) - t >= lowerXl[i]) return true;
-    }
-    return false;
-  };
-
-  // Generic lambda: no std::function wrapper (whose capture allocation per
-  // call was measurable in campaign profiles).
-  const auto largestSide = [&](const auto& fits) {
-    if (!fits(0.0)) return 0.0;
-    double lo = 0.0;
-    double hi = vdd;
-    if (fits(hi)) return hi;
-    for (int iter = 0; iter < 30; ++iter) {
-      const double mid = 0.5 * (lo + hi);
-      (fits(mid) ? lo : hi) = mid;
-    }
-    return 0.5 * (lo + hi);
-  };
-
+  // The eyes live between the stable points and M; bounding each lobe's
+  // search there keeps the saturated VTC tails beyond the butterfly from
+  // faking a square (a READ cell's elevated "low" floor would otherwise do
+  // exactly that).  A square with axis-parallel sides and its diagonal
+  // corners on the two curves has both corners at one s and side g / 2.
+  // In the upper-left eye curve 1 runs above curve 2 (top-right corner on
+  // curve 1, g > 0); in the lower-right eye below it (g < 0).
   SnmResult r;
-  r.lobe1 = largestSide(fitsUpper);
-  r.lobe2 = largestSide(fitsLower);
+  walkGap(c1, c2, [&](const GapVertex& v) {
+    if (v.s >= a.s && v.s <= m.s) r.lobe1 = std::max(r.lobe1, 0.5 * v.g);
+    if (v.s >= m.s && v.s <= b.s) r.lobe2 = std::max(r.lobe2, -0.5 * v.g);
+  });
   return r;
 }
 

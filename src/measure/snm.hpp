@@ -1,12 +1,13 @@
 // SRAM static noise margin (paper Fig. 9): butterfly curves from the two
 // broken-feedback half-cells and the largest embedded square per lobe.
 //
-// The square search is geometric and exact up to polyline resolution:
-// a square of side s with axis-parallel sides fits between the curves of a
-// lobe iff curve 1 translated by (+s, -s) (resp. (-s, +s) for the other
-// lobe) still intersects curve 2; SNM is found by bisecting on s until the
-// intersection disappears.  This is equivalent to Seevinck's 45-degree
-// formulation but robust to curves that are multivalued after rotation.
+// The square search is the exact rotated-frame construction of Seevinck,
+// List and Lohstroh (IEEE JSSC, 1987).  In s = x - y, t = x + y each VTC
+// is a function t(s), since no inverter VTC has a gain of +1 or more.  A
+// square with its diagonal corners on the two curves has side
+// |t1 - t2| / 2 at one s; the gap is piecewise linear with breaks at the
+// vertices of either curve, so one merge walk over both vertex lists
+// finds the crossings (its zeros) and each lobe's largest square.
 #ifndef VSSTAT_MEASURE_SNM_HPP
 #define VSSTAT_MEASURE_SNM_HPP
 
@@ -23,7 +24,7 @@ struct VtcCurve {
   std::vector<double> y;
 };
 
-/// Sweeps the half-cell inputs and returns the two butterfly curves:
+/// The two butterfly curves of one sweep of the shared half-cell input:
 /// curve 1 = (Vin, f1(Vin)) from half 1; curve 2 = (f2(Vin), Vin) from
 /// half 2 (axes mirrored, as plotted in the paper's butterfly).
 struct ButterflyCurves {
@@ -31,14 +32,9 @@ struct ButterflyCurves {
   VtcCurve curve2;
 };
 
-/// Sweeps through `session`, a spice::SimSession bound to the bench's
-/// circuit (build-once campaigns keep one per worker).  Throws
-/// NonFiniteError when a swept response is NaN/Inf.
-[[nodiscard]] ButterflyCurves measureButterfly(
-    circuits::SramButterflyBench& bench, spice::SimSession& session,
-    int points = 61);
-
-/// One-shot variant: the overload above on a fresh default session.
+/// Sweeps the bench on a fresh default session (campaigns keep one per
+/// worker and call measureSnm).  Throws NonFiniteError when a swept
+/// response is NaN/Inf.
 [[nodiscard]] ButterflyCurves measureButterfly(
     circuits::SramButterflyBench& bench, int points = 61);
 
@@ -53,6 +49,8 @@ struct SnmResult {
   }
 };
 
+/// Throws InvalidArgumentError on curves of fewer than two vertices or
+/// not strictly monotone in x - y.
 [[nodiscard]] SnmResult staticNoiseMargin(const ButterflyCurves& curves,
                                           double vdd);
 

@@ -8,7 +8,8 @@
 // pivoting, per-sample tier) and runs one analysis on it.  Callers that
 // solve the same topology repeatedly should keep a SimSession instead
 // (spice/session.hpp); the numbers are the same either way.  DC sweeps
-// run on SimSession::dcSweepNode only.
+// run on SimSession::dcSweepNodes only (dcSweepNode is its one-probe
+// form).
 #ifndef VSSTAT_SPICE_ANALYSIS_HPP
 #define VSSTAT_SPICE_ANALYSIS_HPP
 

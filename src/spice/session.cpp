@@ -235,15 +235,17 @@ OperatingPoint SimSession::dcOperatingPoint(const OperatingPoint& guess,
   return detail::packSolution(*circuit_, x);
 }
 
-void SimSession::dcSweepNode(const std::string& sourceName,
-                             const std::vector<double>& levels,
-                             NodeId probeNode, std::vector<double>& out,
-                             const DcOptions& options) {
+void SimSession::dcSweepNodes(const std::string& sourceName,
+                              const std::vector<double>& levels,
+                              std::span<const SweepProbe> probes,
+                              const DcOptions& options) {
   VoltageSourceElement& src = circuit_->voltageSource(sourceName);
   const SweepSourceGuard restore(src);
 
-  out.clear();
-  out.reserve(levels.size());
+  for (const SweepProbe& probe : probes) {
+    probe.out->clear();
+    probe.out->reserve(levels.size());
+  }
   // The iterate persists across levels: level k's solution is level
   // k+1's starting guess.
   //
@@ -361,7 +363,7 @@ void SimSession::dcSweepNode(const std::string& sourceName,
     if (!ok) {
       if (slot != nullptr) slot->valid = false;
       detail::throwSolveFailure(report,
-                                "SimSession::dcSweepNode: no convergence",
+                                "SimSession::dcSweepNodes: no convergence",
                                 effective.newton.maxIterations);
     }
     if (slot != nullptr) {
@@ -375,9 +377,12 @@ void SimSession::dcSweepNode(const std::string& sourceName,
       levelK = level;
       ++converged;
     }
-    out.push_back(probeNode == kGround
-                      ? 0.0
-                      : sweepX_[static_cast<std::size_t>(probeNode - 1)]);
+    for (const SweepProbe& probe : probes) {
+      probe.out->push_back(
+          probe.node == kGround
+              ? 0.0
+              : sweepX_[static_cast<std::size_t>(probe.node - 1)]);
+    }
   }
   // Hand the full level trajectory to the next sample on this warm chain
   // (buffers recycle through the scratch recorder, so the steady-state

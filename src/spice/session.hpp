@@ -43,6 +43,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -73,7 +74,7 @@ enum class ToleranceTier : std::uint8_t {
   /// samples' converged states (SimSession warm slots); sweep levels seed
   /// Newton from a quadratic extrapolation of the last converged levels,
   /// corrected by the previous sample's trajectory on the same level grid
-  /// (dcSweepNode); transient steps seed from the previous sample's
+  /// (dcSweepNodes); transient steps seed from the previous sample's
   /// accepted waveform plus this sample's running offset (runTransient's
   /// reference-plus-offset predictor); transient dt doubles; and Newton
   /// tolerances relax 10x.  Every per-sample value remains deterministic
@@ -118,6 +119,13 @@ struct SessionOptions {
   std::shared_ptr<const FaultInjector> faultInjector = nullptr;
 };
 
+/// One recorded node of a DC sweep (SimSession::dcSweepNodes): the node's
+/// voltage at every level lands in `*out` (cleared first).
+struct SweepProbe {
+  NodeId node = kGround;
+  std::vector<double>* out = nullptr;
+};
+
 class SimSession {
  public:
   /// Binds to `circuit` and captures its MNA pattern.  The circuit must
@@ -139,14 +147,23 @@ class SimSession {
   [[nodiscard]] OperatingPoint dcOperatingPoint(const OperatingPoint& guess,
                                                 const DcOptions& options);
 
-  /// DC sweep of a named voltage source for probe-one-node consumers
+  /// DC sweep of a named voltage source for probe-node consumers
   /// (VTC/butterfly loops): each level warm-starts from the previous
-  /// level's solution, and only `probeNode`'s voltage per level is
-  /// recorded into `out`.  The source's waveform is restored afterwards.
-  /// Allocation-free in steady state (out's capacity is reused).
+  /// level's solution, and only the probed nodes' voltages per level are
+  /// recorded.  The source's waveform is restored afterwards.
+  /// Allocation-free in steady state (the records' capacity is reused).
+  void dcSweepNodes(const std::string& sourceName,
+                    const std::vector<double>& levels,
+                    std::span<const SweepProbe> probes,
+                    const DcOptions& options = {});
+
+  /// One-probe form of dcSweepNodes.
   void dcSweepNode(const std::string& sourceName,
                    const std::vector<double>& levels, NodeId probeNode,
-                   std::vector<double>& out, const DcOptions& options = {});
+                   std::vector<double>& out, const DcOptions& options = {}) {
+    const SweepProbe probe{probeNode, &out};
+    dcSweepNodes(sourceName, levels, {&probe, 1}, options);
+  }
 
   /// Transient analysis (the t = 0 operating point included).
   [[nodiscard]] Waveform transient(const TransientOptions& options);
@@ -229,7 +246,7 @@ class SimSession {
 
   // --- statistical-tier warm starts ------------------------------------------
   // Under ToleranceTier::statistical every top-level analysis entry
-  // (dcOperatingPoint from zero, dcSweepNode, transient) consumes one warm
+  // (dcOperatingPoint from zero, dcSweepNodes, transient) consumes one warm
   // SLOT in call order: slot i seeds analysis i from the converged state
   // the PREVIOUS sample's analysis i stored there.  Campaign samples run a
   // fixed analysis sequence, so the cursor-aligned slots always pair like
@@ -307,7 +324,7 @@ class SimSession {
   linalg::SolverMode solverMode_ = linalg::SolverMode::fresh;
   ToleranceTier tier_ = ToleranceTier::perSample;
   SolveEffort effort_;
-  linalg::Vector sweepX_;  ///< persistent sweep iterate (dcSweepNode)
+  linalg::Vector sweepX_;  ///< persistent sweep iterate (dcSweepNodes)
   linalg::Vector sweepPrevX_;   ///< previous converged level (extrapolation)
   linalg::Vector sweepPrev2X_;  ///< two-back converged level (quadratic)
   TransientTrajectory trajScratch_;  ///< in-flight transient recording
