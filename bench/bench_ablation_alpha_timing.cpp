@@ -36,7 +36,7 @@ double invDelay(circuits::DeviceProvider& provider, double vdd) {
   circuits::GateFo3Bench bench =
       circuits::buildInvFo3(provider, circuits::CellSizing{}, stim);
   bench.tStop *= stretch;
-  return measure::measureGateDelays(bench, 0.3e-12 * stretch).average();
+  return measure::measureGateDelays(bench).average();
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
 // Fig. 5: delay probability density of a fanout-of-3 inverter at three
 // sizes (P/N = 300/150, 600/300, 1200/600 nm), BSIM (golden) vs VS.
+//
+// Exits 1, naming the check, when a campaign reports failed samples or
+// when the figure's shape breaks: sigma/mean must fall at each doubling
+// of size for both models (Pelgrom: larger devices average out mismatch).
 #include <iostream>
 
 #include "common.hpp"
@@ -25,7 +29,10 @@ int main() {
   const circuits::CellSizing sizes[] = {{300.0, 150.0, 40.0},
                                         {600.0, 300.0, 40.0},
                                         {1200.0, 600.0, 40.0}};
-  for (const auto& sizing : sizes) {
+  int failedSamples = 0;
+  double spread[3][2] = {};  // sigma/mean per [size][useVs]
+  for (std::size_t size = 0; size < 3; ++size) {
+    const circuits::CellSizing& sizing = sizes[size];
     const std::string label = util::formatValue(sizing.wPmosNm, 0) + "/" +
                               util::formatValue(sizing.wNmosNm, 0);
     std::vector<std::vector<double>> both;
@@ -35,6 +42,8 @@ int main() {
           useVs ? 51 : 52);
       const auto s = stats::summarize(r.delays);
       const auto jb = stats::jarqueBera(r.delays);
+      failedSamples += r.failures;
+      spread[size][useVs] = s.stddev / s.mean;
       table.addRow({label, useVs ? "VS" : "golden",
                     util::formatValue(s.mean * 1e12, 3),
                     util::formatValue(s.stddev * 1e12, 3),
@@ -57,5 +66,24 @@ int main() {
 
   std::cout << "\nPaper Fig. 5 shape: Gaussian PDFs, near-identical between\n"
                "models across all three sizes.\n";
-  return 0;
+
+  bool ok = true;
+  if (failedSamples != 0) {
+    std::cout << "CHECK FAILED: no failed samples (" << failedSamples
+              << " failed)\n";
+    ok = false;
+  }
+  for (const bool useVs : {false, true}) {
+    for (std::size_t size = 1; size < 3; ++size) {
+      if (!(spread[size][useVs] < spread[size - 1][useVs])) {
+        std::cout << "CHECK FAILED: sigma/mean falls from "
+                  << util::formatValue(sizes[size - 1].wPmosNm, 0) << " to "
+                  << util::formatValue(sizes[size].wPmosNm, 0) << " nm ("
+                  << (useVs ? "VS" : "golden") << ")\n";
+        ok = false;
+      }
+    }
+  }
+  std::cout << (ok ? "checks: OK\n" : "checks: FAILED\n");
+  return ok ? 0 : 1;
 }

@@ -54,7 +54,7 @@ struct DelayCampaignResult {
 [[nodiscard]] DelayCampaignResult runGateDelayCampaign(
     bool useVs, bool nand2, const circuits::CellSizing& sizing,
     const circuits::StimulusSpec& stimulus, int samples, std::uint64_t seed,
-    bool withLeakage = false, double dt = 0.3e-12);
+    bool withLeakage = false, double dt = 5e-12);
 
 /// Largest relative per-sample metric deviation between two campaign runs
 /// with the same seed -- the tolerance accounting behind the mode-comparison

@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
     stim.vdd = vdd;
     stim.slew = vdd >= 0.9 ? 12e-12 : (vdd >= 0.7 ? 18e-12 : 30e-12);
     stim.width = vdd >= 0.9 ? 80e-12 : (vdd >= 0.7 ? 140e-12 : 280e-12);
-    const double dt = vdd >= 0.7 ? 0.3e-12 : 0.6e-12;
+    const double dt = vdd >= 0.7 ? 5e-12 : 1e-12;  // largest step
 
     mc::McOptions mcOpt;
     mcOpt.samples = kSamples;

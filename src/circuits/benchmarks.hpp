@@ -149,7 +149,7 @@ struct RingOscillatorBench {
   spice::NodeId vdd = 0;
   std::string vddSource = "VDD";
   double supply = 0.9;
-  double suggestedDt = 0.3e-12;
+  double suggestedDt = 5e-12;   ///< largest transient step
   double suggestedTStop = 0.0;  ///< covers ~10 estimated periods
 };
 

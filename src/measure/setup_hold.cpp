@@ -17,11 +17,10 @@ constexpr double kSlew = 8e-12;           ///< D and CLK edge slew [s]
 constexpr double kSettleWindow = 70e-12;  ///< time allowed for Q [s]
 constexpr double kSearchSpan = 50e-12;    ///< bisection bracket half-width
 constexpr double kResolution = 0.2e-12;   ///< bisection stop resolution [s]
-constexpr double kDt = 0.3e-12;           ///< transient step [s]
 
 /// One capture trial: D rises at dEdge, CLK rises at kClockEdge.  Returns
 /// true when Q ends at the captured '1'.
-bool captureTrial(circuits::DffBench& bench, double dEdge) {
+bool captureTrial(circuits::DffBench& bench, double dEdge, double dt) {
   const double vdd = bench.supply;
   auto& dSrc = bench.circuit.voltageSource(bench.dSource);
   auto& clkSrc = bench.circuit.voltageSource(bench.clkSource);
@@ -40,7 +39,7 @@ bool captureTrial(circuits::DffBench& bench, double dEdge) {
 
   spice::TransientOptions topt;
   topt.tStop = tStop;
-  topt.dt = kDt;
+  topt.dt = dt;
   const spice::Waveform wave = spice::transient(bench.circuit, topt);
 
   // The slave opens on the rising edge, so a captured value shows at Q
@@ -50,11 +49,11 @@ bool captureTrial(circuits::DffBench& bench, double dEdge) {
 
 }  // namespace
 
-double measureSetupTime(circuits::DffBench& bench) {
+double measureSetupTime(circuits::DffBench& bench, double dt) {
   // Offset = how long D leads the CLK edge.  Large lead must pass; D
   // arriving after the edge must fail.
   const auto passes = [&](double lead) {
-    return captureTrial(bench, kClockEdge - lead - kSlew);
+    return captureTrial(bench, kClockEdge - lead - kSlew, dt);
   };
 
   double lo = -kSearchSpan;  // D after edge: expect fail

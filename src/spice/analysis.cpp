@@ -246,14 +246,78 @@ bool dcSolveLadder(Assembler& assembler, linalg::Vector& x,
   return finish(false);
 }
 
+namespace {
+
+/// Recovery floor of step halving [s]; breakpoints closer together than
+/// this are one time point.
+constexpr double kDtMin = 1e-16;
+
+/// Newton failures one step may retry (each halving the step).
+constexpr int kMaxNewtonRetries = 12;
+
+/// Sorted slope breakpoints of every independent source in (0, tStop),
+/// closed by tStop itself, so landing on the list also ends the run
+/// exactly at tStop.
+void collectBreakpoints(const Circuit& circuit, double tStop,
+                        std::vector<double>& out) {
+  out.clear();
+  for (const auto& element : circuit.elements()) {
+    if (const auto* v =
+            dynamic_cast<const VoltageSourceElement*>(element.get())) {
+      v->waveform().appendBreakpoints(tStop, out);
+    } else if (const auto* i =
+                   dynamic_cast<const CurrentSourceElement*>(element.get())) {
+      i->waveform().appendBreakpoints(tStop, out);
+    }
+  }
+  std::sort(out.begin(), out.end());
+  // Corners within kDtMin of each other, of t = 0 or of tStop are one
+  // time point.
+  std::size_t kept = 0;
+  double last = 0.0;
+  for (const double t : out) {
+    if (t - last > kDtMin && tStop - t > kDtMin) last = out[kept++] = t;
+  }
+  out.resize(kept);
+  out.push_back(tStop);
+}
+
+/// Trapezoidal local truncation error of the step from (t2, x2) to
+/// (t3, x3), the largest over the node voltages: h^3/12 |v'''| with
+/// v''' = 6 * the third divided difference through the step's end point
+/// and the three accepted points before it.
+double trapezoidalLte(std::size_t numNodes, double t0, const linalg::Vector& x0,
+                      double t1, const linalg::Vector& x1, double t2,
+                      const linalg::Vector& x2, double t3,
+                      const linalg::Vector& x3) {
+  const double r10 = 1.0 / (t1 - t0);
+  const double r21 = 1.0 / (t2 - t1);
+  const double r32 = 1.0 / (t3 - t2);
+  const double r20 = 1.0 / (t2 - t0);
+  const double r31 = 1.0 / (t3 - t1);
+  const double r30 = 1.0 / (t3 - t0);
+  double worst = 0.0;
+  for (std::size_t n = 0; n < numNodes; ++n) {
+    const double d10 = (x1[n] - x0[n]) * r10;
+    const double d21 = (x2[n] - x1[n]) * r21;
+    const double d32 = (x3[n] - x2[n]) * r32;
+    const double dd3 = ((d32 - d21) * r31 - (d21 - d10) * r20) * r30;
+    worst = std::max(worst, std::fabs(dd3));
+  }
+  const double h = t3 - t2;
+  return 0.5 * h * h * h * worst;
+}
+
+}  // namespace
+
 void runTransient(Assembler& assembler, const TransientOptions& options,
                   Waveform& wave, const TransientControls& controls) {
   require(options.tStop > 0.0 && options.dt > 0.0,
           "transient: tStop and dt must be positive");
+  require(controls.lteTolerance > 0.0,
+          "transient: the truncation-error tolerance must be positive");
   const Circuit& circuit = assembler.circuit();
   NewtonWorkspace& ws = assembler.workspace();
-  // Recovery floor of step halving [s].
-  constexpr double kDtMin = 1e-16;
 
   // t = 0 operating point.  Scratch buffers live in the workspace and are
   // re-initialized to the exact values a fresh run would construct, so
@@ -287,22 +351,12 @@ void runTransient(Assembler& assembler, const TransientOptions& options,
     for (std::size_t n = 0; n < numNodes; ++n) sample[n + 1] = x[n];
     wave.addSample(t, sample);
   };
+  wave.beginPiece();
   record(0.0);
 
-  double t = 0.0;
-  bool firstStep = true;
-  linalg::Vector& xTrial = ws.xTrial;  // hoisted: reused across steps
-  xTrial.assign(x.size(), 0.0);
-  // Statistical-tier step predictor state: the previous ACCEPTED state and
-  // step size, for the linear extrapolation of the next trial iterate.
-  linalg::Vector& xPrev = ws.xPrevStep;
-  double hPrev = 0.0;
-  bool havePrev = false;
-  if (controls.predictiveSteps) xPrev.assign(x.size(), 0.0);
-
   // Sample-to-sample trajectory warm start: the previous sample's accepted
-  // waveform, interpolated at any query time.  Fixed-dt runs align
-  // step-for-step; halving retries only shift the interpolation weights.
+  // waveform, interpolated at any query time, so it seeds this run's steps
+  // wherever they fall.
   const TransientTrajectory* traj = controls.trajectoryIn;
   if (traj != nullptr && !traj->usableFor(x.size())) traj = nullptr;
   const auto trajSegment = [traj](double tq, std::size_t& j, double& alpha) {
@@ -322,70 +376,104 @@ void runTransient(Assembler& assembler, const TransientOptions& options,
     }
   };
   if (controls.trajectoryOut != nullptr) {
-    controls.trajectoryOut->beginRecording();
+    controls.trajectoryOut->beginRecording(x.size());
     controls.trajectoryOut->append(0.0, x);
   }
-  while (t < options.tStop - 1e-18) {
-    double h = std::min(options.dt, options.tStop - t);
 
-    // Step with halving recovery; fall back to BE on retries (sturdier
-    // against the corner where trapezoidal rings on a hard nonlinearity).
+  // Step control state.  The history (xPrev at tPrev, xPrev2 at tPrev2,
+  // then x at t) holds the accepted points; `segmentPoints` counts those
+  // since t = 0 or the last breakpoint, the only ones the truncation
+  // estimate may difference (a corner's slope jump is no truncation
+  // error).  Buffers rotate by swap, so the loop never allocates.
+  std::vector<double>& breakpoints = ws.breakpoints;
+  collectBreakpoints(circuit, options.tStop, breakpoints);
+  linalg::Vector& xTrial = ws.xTrial;
+  linalg::Vector& xPrev = ws.xPrevStep;
+  linalg::Vector& xPrev2 = ws.xPrev2Step;
+  xTrial.assign(x.size(), 0.0);
+  xPrev.assign(x.size(), 0.0);
+  xPrev2.assign(x.size(), 0.0);
+  double t = 0.0;
+  double tPrev = 0.0;
+  double tPrev2 = 0.0;
+  int segmentPoints = 1;
+  std::size_t nextBreak = 0;
+  const double hMax = options.dt;
+  double h = std::min(hMax, 0.1 * breakpoints.front());
+
+  while (t < options.tStop) {
+    const double tBreak = breakpoints[nextBreak];
     bool accepted = false;
-    for (int attempt = 0; attempt < 12; ++attempt) {
-      const double tNext = t + h;
+    bool landed = false;
+    bool newtonRetry = false;
+    double growth = 1.0;  // next step / this one, once an estimate exists
+    for (int failures = 0;;) {
+      // Land exactly on the next breakpoint; split a step that would
+      // leave a sliver before it into two halves.
+      const double gap = tBreak - t;
+      landed = h >= gap * (1.0 - 1e-9);
+      if (landed) {
+        h = gap;
+      } else if (h > 0.5 * gap) {
+        h = 0.5 * gap;
+      }
+      const double tNext = landed ? tBreak : t + h;
       assembler.setTime(tNext);
-      if (firstStep || attempt > 0) {
+      // Backward Euler for the first step and for Newton-failure retries
+      // (sturdier against the corner where trapezoidal rings on a hard
+      // nonlinearity).  setTrapezoidal reads only the committed charges
+      // and currents, so a rejected step leaves nothing to undo.
+      const bool backwardEuler = t == 0.0 || newtonRetry;
+      if (backwardEuler) {
         assembler.setBackwardEuler(h);
       } else {
         assembler.setTrapezoidal(h, slotCurrents);
       }
-      if (traj != nullptr && attempt == 0) {
+      if (traj != nullptr && !newtonRetry) {
         // Reference-waveform predictor: previous sample's state at tNext
         // plus this sample's current offset from that reference.
         std::size_t j0, j1;
         double a0, a1;
         trajSegment(t, j0, a0);
         trajSegment(tNext, j1, a1);
-        const linalg::Vector& lo0 = traj->states[j0];
-        const linalg::Vector& hi0 = traj->states[j0 + 1];
-        const linalg::Vector& lo1 = traj->states[j1];
-        const linalg::Vector& hi1 = traj->states[j1 + 1];
+        const double* lo0 = traj->state(j0);
+        const double* hi0 = traj->state(j0 + 1);
+        const double* lo1 = traj->state(j1);
+        const double* hi1 = traj->state(j1 + 1);
         for (std::size_t i = 0; i < x.size(); ++i) {
           const double ref0 = lo0[i] + a0 * (hi0[i] - lo0[i]);
           const double ref1 = lo1[i] + a1 * (hi1[i] - lo1[i]);
           xTrial[i] = ref1 + (x[i] - ref0);
         }
-      } else if (controls.predictiveSteps && havePrev && !firstStep &&
-                 attempt == 0) {
-        // First iterate from the linear history extrapolation; the Newton
+      } else if (t > 0.0 && !newtonRetry) {
+        // Linear extrapolation of the last two accepted points; the Newton
         // clamp and the constant-predictor retries bound a bad guess.
-        const double ratio = hPrev > 0.0 ? std::min(h / hPrev, 2.0) : 0.0;
+        const double ratio = std::min(h / (t - tPrev), 2.0);
         for (std::size_t i = 0; i < x.size(); ++i)
           xTrial[i] = x[i] + ratio * (x[i] - xPrev[i]);
       } else {
         xTrial = x;
       }
-      if (newtonSolve(assembler, xTrial, options.newton)) {
-        if (controls.predictiveSteps) {
-          xPrev = x;
-          hPrev = h;
-          havePrev = true;
-        }
-        x = xTrial;
-        // newtonSolve left the assembler's charge state consistent with x,
-        // so the converged-iterate assembly is reused directly.
-        assembler.slotCurrents(slotCurrents);
-        assembler.commitCharges();
-        t = tNext;
-        record(t);
-        if (controls.trajectoryOut != nullptr)
-          controls.trajectoryOut->append(t, x);
-        accepted = true;
-        firstStep = false;
-        break;
+      if (!newtonSolve(assembler, xTrial, options.newton)) {
+        newtonRetry = true;
+        h *= 0.5;
+        if (++failures == kMaxNewtonRetries || h < kDtMin) break;
+        continue;
       }
-      h *= 0.5;
-      if (h < kDtMin) break;
+      if (!backwardEuler && segmentPoints >= 3) {
+        const double err = trapezoidalLte(numNodes, tPrev2, xPrev2, tPrev,
+                                          xPrev, t, x, tNext, xTrial);
+        // The error scales as h^3; aim 10 % under the tolerance.
+        const double scale =
+            err > 0.0 ? 0.9 * std::cbrt(controls.lteTolerance / err) : 2.0;
+        if (err > controls.lteTolerance && h * scale >= kDtMin) {
+          h *= std::max(scale, 0.1);
+          continue;
+        }
+        growth = std::min(scale, 2.0);
+      }
+      accepted = true;
+      break;
     }
     if (!accepted) {
       // The step retries accumulated flags into the workspace report (the
@@ -403,6 +491,34 @@ void runTransient(Assembler& assembler, const TransientOptions& options,
       throwSolveFailure(report,
                         "transient: step failed at t = " + std::to_string(t),
                         options.newton.maxIterations);
+    }
+
+    // newtonSolve left the assembler's charge state consistent with the
+    // converged iterate, so its assembly is reused directly.
+    assembler.slotCurrents(slotCurrents);
+    assembler.commitCharges();
+    std::swap(xPrev2, xPrev);
+    std::swap(xPrev, x);
+    std::swap(x, xTrial);
+    tPrev2 = tPrev;
+    tPrev = t;
+    t = landed ? tBreak : t + h;
+    record(t);
+    if (controls.trajectoryOut != nullptr)
+      controls.trajectoryOut->append(t, x);
+    ++segmentPoints;
+
+    if (landed && t < options.tStop) {
+      // Restart at the corner: a tenth of the gap to the next breakpoint,
+      // and half the step that reached this one.  The slope jump has just
+      // kicked the stiff nodes, and the next two steps run before the
+      // error estimate has three points again.
+      ++nextBreak;
+      segmentPoints = 1;
+      wave.beginPiece();
+      h = std::min({hMax, 0.5 * h, 0.1 * (breakpoints[nextBreak] - t)});
+    } else {
+      h = std::min(hMax, h * growth);
     }
   }
   ws.report.outcome = SolveOutcome::ok;

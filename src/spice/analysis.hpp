@@ -1,7 +1,17 @@
 // Circuit analyses: Newton DC operating point (with gmin and source
-// stepping homotopies) and charge-conserving transient simulation
-// (backward Euler startup, trapezoidal thereafter, with step-halving
-// recovery).
+// stepping homotopies) and charge-conserving transient simulation.
+//
+// The transient integrates with backward Euler for its first step and
+// the trapezoidal rule after that, under SPICE's local-truncation-error
+// step control (Nagel, SPICE2, 1975): each converged step's error is
+// estimated from a third divided difference of the node voltages, a step
+// over tolerance is retried shorter, and the next step follows from the
+// error ratio, growing at most 2x and never past TransientOptions::dt.
+// The stepper lands exactly on every source breakpoint (PULSE and PWL
+// corners) and on tStop, and restarts its error history at each one.  A
+// step whose Newton fails is halved and retried with backward Euler.
+// The step sequence depends only on the circuit, its cards and the
+// options, so every run of the same inputs takes the same steps.
 //
 // The free functions below are one-shot sessions: each builds a
 // spice::SimSession with default options (reference numerics, fresh
@@ -13,6 +23,7 @@
 #ifndef VSSTAT_SPICE_ANALYSIS_HPP
 #define VSSTAT_SPICE_ANALYSIS_HPP
 
+#include <utility>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -59,11 +70,14 @@ struct OperatingPoint {
 [[nodiscard]] double sourceCurrent(Circuit& circuit, const std::string& name,
                                    const OperatingPoint& op);
 
-/// A step that fails to converge is halved and retried, down to a 1e-16 s
-/// floor.
+/// The step control holds each step's estimated truncation error on the
+/// node voltages to the session tier's tolerance (kTransientLteVolts,
+/// spice/session.hpp).  A step that fails to converge is halved and
+/// retried, down to a 1e-16 s floor.
 struct TransientOptions {
   double tStop = 0.0;      ///< end time [s]
-  double dt = 1e-13;       ///< nominal step [s]
+  /// Largest step [s], SPICE's TMAX: the step control never exceeds it.
+  double dt = 1e-13;
   NewtonOptions newton;
   DcOptions dcOptions;     ///< for the t=0 operating point
 };
@@ -74,29 +88,35 @@ struct TransientOptions {
 /// previous sample's trajectory and seeds each step's Newton from it (the
 /// reference waveform plus the current sample's running offset).
 struct TransientTrajectory {
-  /// times.size() is the logical length; states may retain MORE entries
-  /// than that (beginRecording keeps previously grown state buffers so a
-  /// steady-state campaign records allocation-free).
+  /// One time per recorded point; `states` holds the points' unknown
+  /// vectors back to back, `width` entries each.  Both keep their
+  /// capacity across recordings, so a steady-state campaign records
+  /// allocation-free even though runs differ in step count.
   std::vector<double> times;
-  std::vector<linalg::Vector> states;
+  std::vector<double> states;
+  std::size_t width = 0;
 
-  /// Resets the logical length to zero, retaining every state buffer.
-  void beginRecording() noexcept { times.clear(); }
+  /// Resets the length to zero, retaining the buffers' capacity.
+  void beginRecording(std::size_t unknowns) noexcept {
+    times.clear();
+    states.clear();
+    width = unknowns;
+  }
   void append(double t, const linalg::Vector& x) {
-    if (times.size() < states.size()) {
-      states[times.size()] = x;  // reuses the retained buffer's capacity
-    } else {
-      states.push_back(x);
-    }
     times.push_back(t);
+    states.insert(states.end(), x.begin(), x.end());
+  }
+  /// Unknown vector of recorded point `j`.
+  [[nodiscard]] const double* state(std::size_t j) const noexcept {
+    return states.data() + j * width;
   }
   [[nodiscard]] bool usableFor(std::size_t unknowns) const noexcept {
-    return times.size() >= 2 && states.size() >= times.size() &&
-           states.front().size() == unknowns;
+    return times.size() >= 2 && width == unknowns;
   }
   void swap(TransientTrajectory& other) noexcept {
     times.swap(other.times);
     states.swap(other.states);
+    std::swap(width, other.width);
   }
 };
 

@@ -51,8 +51,13 @@ struct NewtonWorkspace {
   // reuse capacity across Monte Carlo samples instead of reallocating.
   linalg::Vector xTransient;
   linalg::Vector xTrial;
-  /// Previous accepted transient state (statistical-tier step predictor).
+  /// The accepted transient states one and two steps back: the step
+  /// predictor's history and, with the current state, the three points
+  /// the truncation-error estimate differences the trial step against.
   linalg::Vector xPrevStep;
+  linalg::Vector xPrev2Step;
+  /// Source breakpoints of the running transient, sorted, ending at tStop.
+  std::vector<double> breakpoints;
   std::vector<double> slotCurrents;
   std::vector<double> sampleBuf;
   /// Homotopy trial iterate (detail::dcSolveLadder gmin/source stepping).

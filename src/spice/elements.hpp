@@ -43,6 +43,10 @@ class CurrentSourceElement final : public Element {
                        SourceWaveform waveform);
   void load(LoadContext& ctx) const override;
 
+  [[nodiscard]] const SourceWaveform& waveform() const noexcept {
+    return waveform_;
+  }
+
  private:
   NodeId from_;
   NodeId to_;

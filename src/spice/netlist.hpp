@@ -9,7 +9,8 @@
 //   M<name> d g s <model> W=<value> L=<value>
 //   .model <name> vs_nmos|vs_pmos|bsim_nmos|bsim_pmos|alpha_nmos|alpha_pmos
 //          [key=value ...]           (VS families accept card overrides)
-//   .tran <dt> <tstop>               (recorded, not executed)
+//   .tran <dt> <tstop>               (recorded, not executed; dt is the
+//                                    transient's largest step)
 //   .title <text>  .end
 //
 // Values accept SPICE suffixes (f p n u m k meg g t) and scientific

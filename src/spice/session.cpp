@@ -272,7 +272,7 @@ void SimSession::dcSweepNodes(const std::string& sourceName,
               slot->traj.times.size() == levels.size()
           ? &slot->traj
           : nullptr;
-  if (slot != nullptr) trajScratch_.beginRecording();
+  if (slot != nullptr) trajScratch_.beginRecording(sweepX_.size());
   const DcOptions effective = applyEffort(options);
   std::size_t converged = 0;  // levels converged so far (statistical tier)
   double levelK = 0.0;    // converged level values: L_k,
@@ -311,10 +311,10 @@ void SimSession::dcSweepNodes(const std::string& sourceName,
             // which two adjacent samples share almost exactly -- so the
             // corrected guess tracks even the steep VTC transition, where
             // the bare parabola overshoots.
-            const linalg::Vector& r0 = ref->states[converged];
-            const linalg::Vector& r1 = ref->states[converged - 1];
-            const linalg::Vector& r2 = ref->states[converged - 2];
-            const linalg::Vector& r3 = ref->states[converged - 3];
+            const double* r0 = ref->state(converged);
+            const double* r1 = ref->state(converged - 1);
+            const double* r2 = ref->state(converged - 2);
+            const double* r3 = ref->state(converged - 3);
             for (std::size_t i = 0; i < sweepX_.size(); ++i)
               sweepPrev2X_[i] +=
                   r0[i] - (cK * r1[i] + cKm1 * r2[i] + cKm2 * r3[i]);
@@ -327,8 +327,8 @@ void SimSession::dcSweepNodes(const std::string& sourceName,
       // Too early in the sweep for the parabola: seed from the previous
       // sample's state at this level plus this sample's running offset.
       sweepPrev2X_.resize(sweepX_.size());
-      const linalg::Vector& refHere = ref->states[converged];
-      const linalg::Vector& refPrev = ref->states[converged - 1];
+      const double* refHere = ref->state(converged);
+      const double* refPrev = ref->state(converged - 1);
       for (std::size_t i = 0; i < sweepX_.size(); ++i)
         sweepPrev2X_[i] = refHere[i] + (sweepX_[i] - refPrev[i]);
       predicted = true;
@@ -401,20 +401,13 @@ void SimSession::transient(const TransientOptions& options, Waveform& out) {
   TransientOptions effective = options;
   effective.newton = applyEffort(options.newton);
   effective.dcOptions = applyEffort(options.dcOptions);
-  if (tier_ == ToleranceTier::statistical) {
-    // Statistical tier: half the time resolution.  Trapezoidal LTE is
-    // O(h^2) -- a 2x step turns fs-scale truncation error into 4x fs-scale,
-    // still orders of magnitude below the mV/ps Monte Carlo standard
-    // errors the tier's estimator contract is stated against, and it
-    // halves the dominant per-sample cost (assemble+factor per step).
-    // Step halving keeps the same dtMin recovery floor.
-    effective.dt = options.dt * 2.0;
-  }
   WarmSlot* slot = nextWarmSlot();
   detail::TransientControls controls;
+  controls.lteTolerance = tier_ == ToleranceTier::statistical
+                              ? kStatisticalTransientLteVolts
+                              : kTransientLteVolts;
   bool seeded = false;
   if (slot != nullptr) {
-    controls.predictiveSteps = true;
     seeded = slot->valid && slot->x.size() == circuit_->unknownCount();
     if (seeded) controls.dcWarmStart = &slot->x;
     // The converged t = 0 DC state lands straight in the slot; `valid`

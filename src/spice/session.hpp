@@ -76,7 +76,8 @@ enum class ToleranceTier : std::uint8_t {
   /// corrected by the previous sample's trajectory on the same level grid
   /// (dcSweepNodes); transient steps seed from the previous sample's
   /// accepted waveform plus this sample's running offset (runTransient's
-  /// reference-plus-offset predictor); transient dt doubles; and Newton
+  /// reference-plus-offset predictor); transient steps hold the looser
+  /// truncation tolerance kStatisticalTransientLteVolts; and Newton
   /// tolerances relax 10x.  Every per-sample value remains deterministic
   /// -- a fixed warm-start chain produces the same bits on every run and
   /// every worker -- but is no longer individually comparable to a cold
@@ -90,6 +91,18 @@ enum class ToleranceTier : std::uint8_t {
 [[nodiscard]] inline const char* toString(ToleranceTier tier) noexcept {
   return tier == ToleranceTier::statistical ? "statistical" : "per-sample";
 }
+
+/// Truncation-error tolerance the transient step control holds every step
+/// to on the node voltages, per tier [V].  Per sample: FO3 gate delays at
+/// a 5 ps largest step land within 3e-4 of their 0.01 ps-step values
+/// (tests/spice/test_transient_steps.cpp).  Statistical: 8x looser; the
+/// trapezoidal step scales with the cube root of the tolerance, so steps
+/// run about 2x longer -- the error of the doubled fixed step this tier
+/// used to take, far below the Monte Carlo standard errors its estimator
+/// contract is stated against.
+inline constexpr double kTransientLteVolts = 1.5e-4;
+inline constexpr double kStatisticalTransientLteVolts =
+    8.0 * kTransientLteVolts;
 
 struct SessionOptions {
   /// Numerics contract of the device bank's MOSFET evaluation

@@ -50,20 +50,19 @@ bool dcSolveLadder(Assembler& assembler, linalg::Vector& x,
 OperatingPoint packSolution(const Circuit& circuit, const linalg::Vector& x);
 linalg::Vector unpackGuess(const Circuit& circuit, const OperatingPoint& op);
 
-/// Statistical-tier warm-start seam of the transient driver.  The default
-/// state is inert: a zero-initialized TransientControls reproduces the
-/// historical code path bit for bit.
+/// The transient driver's tier seam: the step control's tolerance, and
+/// the statistical tier's warm starts (inert when left null).
 struct TransientControls {
+  /// Truncation-error tolerance of every trapezoidal step on the node
+  /// voltages [V]: the session's kTransientLteVolts or
+  /// kStatisticalTransientLteVolts.
+  double lteTolerance = 0.0;
   /// Seed for the t = 0 DC ladder (previous sample's DC solution); null or
   /// size-mismatched falls back to the zero guess.
   const linalg::Vector* dcWarmStart = nullptr;
   /// Receives the converged t = 0 DC solution (the state worth handing to
   /// the NEXT sample as dcWarmStart); null skips the copy.
   linalg::Vector* dcSolutionOut = nullptr;
-  /// Linear step predictor: seed each trapezoidal step's Newton from
-  /// x + (x - xPrev) * h/hPrev instead of the constant x.  Halving retries
-  /// always fall back to the constant predictor.
-  bool predictiveSteps = false;
   /// Previous sample's accepted-step trajectory: when usable, each step's
   /// first iterate becomes ref(tNext) + (x - ref(t)) -- the reference
   /// waveform carried to the new time plus the current sample's running
@@ -77,11 +76,12 @@ struct TransientControls {
 };
 
 /// Full transient run on an existing assembler (t = 0 DC solve included),
-/// recorded into `out` (reset first; capacity reused).  Scratch vectors
-/// live in the assembler's workspace, so a warm session transient performs
-/// no per-run allocations beyond waveform growth past prior capacity.
+/// recorded into `out` (reset first; capacity reused).  Scratch vectors,
+/// the breakpoint list and the step history live in the assembler's
+/// workspace, so a warm session transient performs no per-run allocations
+/// beyond growth past prior capacity.
 void runTransient(Assembler& assembler, const TransientOptions& options,
-                  Waveform& out, const TransientControls& controls = {});
+                  Waveform& out, const TransientControls& controls);
 
 }  // namespace vsstat::spice::detail
 

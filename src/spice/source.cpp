@@ -77,6 +77,38 @@ double SourceWaveform::valueAt(double time) const {
   return 0.0;  // unreachable
 }
 
+void SourceWaveform::appendBreakpoints(double tStop,
+                                       std::vector<double>& out) const {
+  const auto add = [&](double t) {
+    if (t > 0.0 && t < tStop) out.push_back(t);
+  };
+  switch (kind_) {
+    case Kind::Dc:
+      return;
+
+    case Kind::Pulse: {
+      const double corners[] = {0.0, rise_, rise_ + width_,
+                                rise_ + width_ + fall_};
+      if (period_ <= 0.0) {
+        for (const double c : corners) add(delay_ + c);
+        return;
+      }
+      // valueAt wraps every period, so corners past it are never reached.
+      const double periods = std::ceil((tStop - delay_) / period_);
+      require(periods <= 1e6, "pulse: more than 1e6 periods before tStop");
+      for (double k = 0.0; k < periods; k += 1.0) {
+        for (const double c : corners)
+          if (c < period_) add(delay_ + k * period_ + c);
+      }
+      return;
+    }
+
+    case Kind::Pwl:
+      for (const auto& p : points_) add(p.first);
+      return;
+  }
+}
+
 void SourceWaveform::setDcLevel(double value) {
   kind_ = Kind::Dc;
   dcValue_ = value;

@@ -30,6 +30,12 @@ class SourceWaveform {
   /// Value used by DC analyses (time-zero value).
   [[nodiscard]] double dcValue() const { return valueAt(0.0); }
 
+  /// Appends the times in (0, tStop) where the waveform's slope jumps:
+  /// the four PULSE corners of every period, and the PWL points.  The
+  /// transient stepper lands on each one.  Throws InvalidArgumentError
+  /// for a PULSE with more than 1e6 periods before tStop.
+  void appendBreakpoints(double tStop, std::vector<double>& out) const;
+
   /// Replaces a DC waveform's level (used by DC sweeps); converts any
   /// waveform into a DC one.
   void setDcLevel(double value);

@@ -15,6 +15,7 @@ void Waveform::reset(std::size_t nodeCount) {
   nodeCount_ = nodeCount;
   times_.clear();
   values_.clear();
+  pieceStarts_.clear();
 }
 
 void Waveform::addSample(double time, const std::vector<double>& nodeVoltages) {
@@ -23,6 +24,10 @@ void Waveform::addSample(double time, const std::vector<double>& nodeVoltages) {
           "Waveform: samples must be time-ordered");
   times_.push_back(time);
   values_.insert(values_.end(), nodeVoltages.begin(), nodeVoltages.end());
+}
+
+void Waveform::beginPiece() {
+  pieceStarts_.push_back(times_.empty() ? 0 : times_.size() - 1);
 }
 
 double Waveform::value(NodeId node, std::size_t i) const {
@@ -54,12 +59,71 @@ std::optional<double> Waveform::crossing(NodeId node, double level,
     const bool crossed = rising ? (v0 < level && v1 >= level)
                                 : (v0 > level && v1 <= level);
     if (!crossed) continue;
-    const double span = v1 - v0;
-    const double f = span != 0.0 ? (level - v0) / span : 0.0;
-    const double t = times_[i - 1] + f * (times_[i] - times_[i - 1]);
+    const double t = crossingIn(node, level, i);
     if (t >= after) return t;
   }
   return std::nullopt;
+}
+
+double Waveform::crossingIn(NodeId node, double level, std::size_t i) const {
+  const double t0 = times_[i - 1];
+  const double t1 = times_[i];
+  const double v0 = value(node, i - 1);
+  const double v1 = value(node, i);
+  const double span = v1 - v0;
+  const double linear = t0 + (span != 0.0 ? (level - v0) / span : 0.0) *
+                                 (t1 - t0);
+
+  // The smooth piece holding the segment: from the last start at or
+  // before i - 1 to the next start (the shared breakpoint sample) or the
+  // record's end.
+  const auto next =
+      std::upper_bound(pieceStarts_.begin(), pieceStarts_.end(), i - 1);
+  if (next == pieceStarts_.begin()) return linear;
+  const std::size_t first = *(next - 1);
+  const std::size_t last =
+      next != pieceStarts_.end() ? *next : times_.size() - 1;
+  if (last < i) return linear;
+
+  // The most centred stencil of up to four samples of the piece that
+  // contains the segment.
+  std::size_t points = std::min<std::size_t>(4, last - first + 1);
+  if (points < 3) return linear;
+  const std::size_t lo = std::max(first, i + 1 >= points ? i + 1 - points : 0);
+  const std::size_t hi = std::min(last + 1 - points, i - 1);
+  const std::size_t start =
+      std::clamp(i >= points / 2 ? i - points / 2 : 0, lo, hi);
+  double ts[4];
+  double vs[4];
+  for (std::size_t k = 0; k < points; ++k) {
+    ts[k] = times_[start + k];
+    vs[k] = value(node, start + k) - level;
+  }
+  const auto poly = [&](double t) {
+    double sum = 0.0;
+    for (std::size_t k = 0; k < points; ++k) {
+      double w = vs[k];
+      for (std::size_t m = 0; m < points; ++m)
+        if (m != k) w *= (t - ts[m]) / (ts[k] - ts[m]);
+      sum += w;
+    }
+    return sum;
+  };
+  // The samples bracket the level, so bisection keeps a root of the
+  // interpolant; 60 halvings reach the last bits of the segment.
+  double a = t0;
+  double b = t1;
+  const double fa = v0 - level;
+  for (int k = 0; k < 60 && a < b; ++k) {
+    const double m = 0.5 * (a + b);
+    if (m <= a || m >= b) break;
+    if ((poly(m) < 0.0) == (fa < 0.0)) {
+      a = m;
+    } else {
+      b = m;
+    }
+  }
+  return 0.5 * (a + b);
 }
 
 double Waveform::finalValue(NodeId node) const {

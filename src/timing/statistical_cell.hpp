@@ -19,7 +19,7 @@
 namespace vsstat::timing {
 
 /// Operating point of the canonical stage model: input slew [s] and load
-/// capacitance [F], measured with transient step kStageDt [s].
+/// capacitance [F], measured with largest transient step kStageDt [s].
 inline constexpr double kStageInputSlew = 15e-12;
 inline constexpr double kStageLoadFarads = 2e-15;
 inline constexpr double kStageDt = 0.3e-12;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "util/error.hpp"
 
 namespace vsstat::spice {
@@ -50,6 +52,35 @@ TEST(PwlSource, RejectsUnsortedPoints) {
   EXPECT_THROW(SourceWaveform::pwl({{1.0, 0.0}, {0.5, 1.0}}),
                InvalidArgumentError);
   EXPECT_THROW(SourceWaveform::pwl({}), InvalidArgumentError);
+}
+
+TEST(Breakpoints, ListCornersInsideTheRun) {
+  std::vector<double> out;
+  SourceWaveform::dc(1.0).appendBreakpoints(10e-9, out);
+  EXPECT_TRUE(out.empty());
+
+  // delay 1, rise 1, width 2, fall 1, period 10 [ns]; tStop 15 ns.
+  SourceWaveform::pulse(0.0, 1.0, 1e-9, 1e-9, 1e-9, 2e-9, 10e-9)
+      .appendBreakpoints(15e-9, out);
+  const std::vector<double> pulseCorners = {1e-9,  2e-9,  4e-9,
+                                            5e-9,  11e-9, 12e-9, 14e-9};
+  ASSERT_EQ(out.size(), pulseCorners.size());
+  for (std::size_t k = 0; k < out.size(); ++k)
+    EXPECT_NEAR(out[k], pulseCorners[k], 1e-21);
+
+  // PWL points on or outside (0, tStop) are not breakpoints.
+  out.clear();
+  SourceWaveform::pwl({{0.0, 0.0}, {1.0, 1.0}, {2.0, 0.0}, {3.0, 1.0}})
+      .appendBreakpoints(3.0, out);
+  EXPECT_EQ(out, (std::vector<double>{1.0, 2.0}));
+}
+
+TEST(Breakpoints, RejectMoreThanAMillionPulsePeriods) {
+  std::vector<double> out;
+  EXPECT_THROW(SourceWaveform::pulse(0.0, 1.0, 0.0, 1e-15, 1e-15, 1e-15,
+                                     4e-15)
+                   .appendBreakpoints(1e-6, out),
+               InvalidArgumentError);
 }
 
 TEST(SetDcLevel, ConvertsAnyWaveformToDc) {

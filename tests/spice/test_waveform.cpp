@@ -57,6 +57,33 @@ TEST(Waveform, CrossingRespectsAfter) {
   EXPECT_NEAR(*second, 2.5, 1e-12);
 }
 
+TEST(Waveform, CrossingInsideASmoothPieceFollowsTheCubic) {
+  // v = t^3 sampled at t = 0..4: the cubic through the four nearest
+  // samples is the curve itself; a chord would put the crossing at 1.34.
+  Waveform w(2);
+  w.beginPiece();
+  for (int i = 0; i <= 4; ++i) w.addSample(i, {0.0, 1.0 * i * i * i});
+  const auto t = w.crossing(1, 3.375, /*rising=*/true);
+  ASSERT_TRUE(t.has_value());
+  EXPECT_NEAR(*t, 1.5, 1e-12);
+}
+
+TEST(Waveform, PieceStartKeepsAKinkOutOfTheInterpolant) {
+  // Slope 1 up to t = 2, slope 3 after: the piece started at t = 2 holds
+  // only the straight samples, so the crossing stays on the line.
+  Waveform w(2);
+  w.beginPiece();
+  for (int i = 0; i <= 2; ++i) w.addSample(i, {0.0, 1.0 * i});
+  w.beginPiece();
+  for (int i = 3; i <= 4; ++i) w.addSample(i, {0.0, 2.0 + 3.0 * (i - 2)});
+  const auto late = w.crossing(1, 3.5, /*rising=*/true);
+  ASSERT_TRUE(late.has_value());
+  EXPECT_NEAR(*late, 2.5, 1e-12);
+  const auto early = w.crossing(1, 1.5, /*rising=*/true);
+  ASSERT_TRUE(early.has_value());
+  EXPECT_NEAR(*early, 1.5, 1e-12);
+}
+
 TEST(Waveform, NoCrossingReturnsNullopt) {
   const Waveform w = ramp();
   EXPECT_FALSE(w.crossing(1, 2.0, true).has_value());
