@@ -18,6 +18,7 @@
 #include "common.hpp"
 #include "extract/bpv.hpp"
 #include "extract/sensitivity.hpp"
+#include "mc/runner.hpp"
 #include "models/die_variation.hpp"
 #include "models/vs_model.hpp"
 #include "util/csv.hpp"
@@ -40,25 +41,31 @@ int main() {
   spec.global.sVt0 = 0.012;                 // 12 mV die-to-die
   spec.global.sMu = 0.02 * card.mu;         // 2% die-to-die mobility
 
-  // 24 devices per die.
-  models::DieSampler sampler(spec, 24);
-
+  // One campaign sample per die: its child stream draws the die's global
+  // shift, then its 24 devices.
+  constexpr std::size_t kDevicesPerDie = 24;
+  const models::DieSampler sampler(spec, kDevicesPerDie);
   const int dies = bench::scaledSamples(600, 120);
-  stats::Rng rng(20130318);  // DATE 2013 :-)
-  std::vector<std::vector<double>> idsatPerDie;
-  idsatPerDie.reserve(static_cast<std::size_t>(dies));
-  for (int d = 0; d < dies; ++d) {
-    sampler.newDie(rng);
-    std::vector<double> die;
-    die.reserve(sampler.deviceCount());
-    for (std::size_t dev = 0; dev < sampler.deviceCount(); ++dev) {
-      const models::VariationDelta delta = sampler.deltaFor(dev, geom, rng);
-      const models::VsModel m(models::applyToVs(card, delta));
-      die.push_back(
-          m.drainCurrent(models::applyGeometry(geom, delta), kVdd, kVdd));
-    }
-    idsatPerDie.push_back(std::move(die));
-  }
+  mc::McOptions opt;
+  opt.samples = dies;
+  opt.seed = 20130318;  // DATE 2013 :-)
+  const mc::McResult r = mc::runCampaign(
+      opt, kDevicesPerDie,
+      [&](std::size_t, stats::Rng& rng, std::vector<double>& out) {
+        models::DieSampler die = sampler;
+        die.newDie(rng);
+        for (std::size_t dev = 0; dev < kDevicesPerDie; ++dev) {
+          const models::VariationDelta delta = die.deltaFor(dev, geom, rng);
+          const models::VsModel m(models::applyToVs(card, delta));
+          out[dev] =
+              m.drainCurrent(models::applyGeometry(geom, delta), kVdd, kVdd);
+        }
+      });
+  std::vector<std::vector<double>> idsatPerDie(
+      r.sampleCount(), std::vector<double>(kDevicesPerDie));
+  for (std::size_t d = 0; d < r.sampleCount(); ++d)
+    for (std::size_t dev = 0; dev < kDevicesPerDie; ++dev)
+      idsatPerDie[d][dev] = r.metrics[dev][d];
 
   const models::VarianceDecomposition v =
       models::decomposeVariance(idsatPerDie);
@@ -110,6 +117,6 @@ int main() {
                "their references (ratios ~1), demonstrating the Eq. (1)\n"
                "workflow the paper sketches for extending BPV beyond the\n"
                "within-die component.  (" << dies << " dies x "
-            << sampler.deviceCount() << " devices)\n";
+            << kDevicesPerDie << " devices)\n";
   return 0;
 }

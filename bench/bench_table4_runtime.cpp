@@ -15,9 +15,8 @@
 #include "alloc_counter.hpp"
 #include "common.hpp"
 #include "measure/delay.hpp"
-#include "measure/setup_hold.hpp"
 #include "measure/snm.hpp"
-#include "mc/runner.hpp"
+#include "mc/circuit_campaign.hpp"
 #include "spice/ac.hpp"
 #include "util/rusage.hpp"
 #include "util/table.hpp"
@@ -33,16 +32,7 @@ void runNandCampaign(bool useVs, int samples) {
 }
 
 void runDffCampaign(bool useVs, int samples) {
-  mc::McOptions opt;
-  opt.samples = samples;
-  opt.seed = 402;
-  (void)mc::runCampaign(
-      opt, 1, [&](std::size_t, stats::Rng& rng, std::vector<double>& out) {
-        auto provider = bench::makeStatProvider(useVs, rng);
-        circuits::DffBench fixture =
-            circuits::buildDff(*provider, 0.9, {600.0, 300.0, 40.0});
-        out[0] = measure::measureSetupTime(fixture);
-      });
+  (void)bench::runSetupTimeCampaign(useVs, samples, 402);
 }
 
 void runSramCampaign(bool useVs, int samples) {
@@ -53,14 +43,19 @@ void runSramCampaign(bool useVs, int samples) {
   mc::McOptions opt;
   opt.samples = samples;
   opt.seed = 403;
-  (void)mc::runCampaign(
-      opt, 1, [&](std::size_t, stats::Rng& rng, std::vector<double>& out) {
-        auto provider = bench::makeStatProvider(useVs, rng);
-        auto fixture = circuits::buildSramCell(*provider, 0.9,
-                                               /*wordlineOn=*/false,
-                                               circuits::SramSizing{});
-        const spice::OperatingPoint op = spice::dcOperatingPoint(
-            fixture.circuit, fixture.stateGuess(), spice::DcOptions{});
+  (void)mc::runCampaign<circuits::SramCellBench>(
+      opt, 1,
+      [](circuits::DeviceProvider& provider) {
+        return circuits::buildSramCell(provider, 0.9, /*wordlineOn=*/false,
+                                       circuits::SramSizing{});
+      },
+      [useVs] { return bench::makeStatProvider(useVs, stats::Rng(0)); },
+      [&freqs](std::size_t,
+               sim::CampaignSession<circuits::SramCellBench>& session,
+               stats::Rng&, std::vector<double>& out) {
+        circuits::SramCellBench& fixture = session.fixture();
+        const spice::OperatingPoint op = session.spice().dcOperatingPoint(
+            fixture.stateGuess(), spice::DcOptions{});
         const spice::SmallSignalSystem system(fixture.circuit, op);
         const linalg::ComplexVector excitation = system.voltageExcitation(
             fixture.circuit, fixture.vddSource);

@@ -6,6 +6,7 @@
 #include <iostream>
 
 #include "measure/delay.hpp"
+#include "measure/setup_hold.hpp"
 #include "mc/circuit_campaign.hpp"
 #include "mc/providers.hpp"
 #include "mc/runner.hpp"
@@ -87,6 +88,23 @@ DelayCampaignResult runGateDelayCampaign(bool useVs, bool nand2,
   result.leakage = r.metrics[1];
   result.failures = r.failures;
   return result;
+}
+
+mc::McResult runSetupTimeCampaign(bool useVs, int samples,
+                                  std::uint64_t seed) {
+  mc::McOptions opt;
+  opt.samples = samples;
+  opt.seed = seed;
+  return mc::runCampaign<circuits::DffBench>(
+      opt, 1,
+      [](circuits::DeviceProvider& provider) {
+        return circuits::buildDff(provider, 0.9, {600.0, 300.0, 40.0});
+      },
+      [useVs] { return makeStatProvider(useVs, stats::Rng(0)); },
+      [](std::size_t, sim::CampaignSession<circuits::DffBench>& session,
+         stats::Rng&, std::vector<double>& out) {
+        out[0] = measure::measureSetupTime(session.fixture(), session.spice());
+      });
 }
 
 double maxRelMetricDelta(const mc::McResult& a, const mc::McResult& b) {

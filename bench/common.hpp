@@ -56,6 +56,11 @@ struct DelayCampaignResult {
     const circuits::StimulusSpec& stimulus, int samples, std::uint64_t seed,
     bool withLeakage = false, double dt = 5e-12);
 
+/// Monte Carlo of the Fig. 8 register's setup time (DffBench at 0.9 V,
+/// inverters P/N = 600/300 nm, L = 40 nm): one metric, seconds.
+[[nodiscard]] mc::McResult runSetupTimeCampaign(bool useVs, int samples,
+                                                std::uint64_t seed);
+
 /// Largest relative per-sample metric deviation between two campaign runs
 /// with the same seed -- the tolerance accounting behind the mode-comparison
 /// bench rows (fast / reuse-pivot vs their baseline configuration).

@@ -25,42 +25,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <vector>
 
 #include "circuits/benchmarks.hpp"
 #include "core/statistical_vs.hpp"
 #include "mc/circuit_campaign.hpp"
-#include "mc/runner.hpp"
-#include "sim/rescue.hpp"
 #include "sim/session.hpp"
 #include "stats/descriptive.hpp"
 #include "util/error.hpp"
 
 using namespace vsstat;
-
-namespace {
-
-using GridSession = sim::CampaignSession<circuits::PowerGridBench>;
-
-// Warm-chain block lease (statistical tier): one session serves a whole
-// contiguous sample block, published through a thread-local so the sample
-// function below finds it; blocks start cold per the determinism contract.
-thread_local GridSession* tlsBlockSession = nullptr;
-
-struct BlockLease {
-  sim::SessionPool<circuits::PowerGridBench>::Lease lease;
-  explicit BlockLease(sim::SessionPool<circuits::PowerGridBench>::Lease l)
-      : lease(std::move(l)) {
-    lease->coldStart();
-    tlsBlockSession = &*lease;
-  }
-  ~BlockLease() { tlsBlockSession = nullptr; }
-  BlockLease(const BlockLease&) = delete;
-  BlockLease& operator=(const BlockLease&) = delete;
-};
-
-}  // namespace
 
 int main(int argc, char** argv) {
   int samples = 60;
@@ -105,14 +79,14 @@ int main(int argc, char** argv) {
   mc::McOptions mcOpt;
   mcOpt.samples = samples;
   mcOpt.seed = 77;
-  if (sessionOptions.tier == spice::ToleranceTier::statistical)
-    mcOpt.sampleBlock = mc::kStatisticalSampleBlock;
 
   // Measurement body (session arrives rebound by the rescue wrapper): sweep
-  // the feed supply, report the far-corner IR drop at full rail.
-  const mc::CircuitSampleFn<circuits::PowerGridBench> measure =
-      [&](std::size_t, GridSession& session, stats::Rng&,
-          std::vector<double>& out) {
+  // the feed supply, report the far-corner IR drop at full rail.  Under
+  // --statistical the campaign runs the samples in warm-chain blocks.
+  const mc::McResult r = mc::runCampaign<circuits::PowerGridBench>(
+      mcOpt, 1, pool,
+      [&](std::size_t, sim::CampaignSession<circuits::PowerGridBench>& session,
+          stats::Rng&, std::vector<double>& out) {
         circuits::PowerGridBench& fx = session.fixture();
         std::vector<double> levels;
         levels.reserve(kLevels);
@@ -122,26 +96,7 @@ int main(int argc, char** argv) {
         session.spice().dcSweepNode(fx.feedSource, levels, fx.farNode,
                                     farVolts);
         out[0] = fx.supply - farVolts.back();
-      };
-
-  mc::BlockResourceFn blockFn;
-  if (mcOpt.sampleBlock > 0)
-    blockFn = [&pool](std::size_t) -> std::shared_ptr<void> {
-      return std::make_shared<BlockLease>(pool.acquire());
-    };
-  const mc::McResult r = mc::runCampaign(
-      mcOpt, 1,
-      mc::SampleFnEx([&](std::size_t index, stats::Rng& rng,
-                         std::vector<double>& out, mc::SampleContext& ctx) {
-        if (tlsBlockSession != nullptr) {
-          sim::runSampleWithRescue(index, *tlsBlockSession, rng, out, ctx,
-                                   measure);
-          return;
-        }
-        auto lease = pool.acquire();
-        sim::runSampleWithRescue(index, *lease, rng, out, ctx, measure);
-      }),
-      blockFn);
+      });
 
   const auto s = stats::summarize(r.metrics[0]);
   std::printf("%dx%d power-grid IR drop (%d MC samples, %zu leakage FETs, "

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <memory>
 
+#include "mc/runner.hpp"
 #include "models/process_variation.hpp"
 #include "models/vs_model.hpp"
 #include "spice/analysis.hpp"
@@ -69,19 +70,25 @@ int main() {
   alphas.aMu = 944.0;
   alphas.aCinv = 0.29;
 
-  stats::Rng rng(1);
   const auto sigmas = models::sigmasFor(alphas, geom);
   std::printf("\nMismatch sigmas at 600/40 nm: sigma(VT0) = %.1f mV, "
               "sigma(Leff) = %.2f nm\n",
               sigmas.sVt0 * 1e3, sigmas.sLeff * 1e9);
+  // A Monte Carlo campaign: sample k draws from the seed's k-th child
+  // stream, whatever thread runs it.
+  mc::McOptions mcOpt;
+  mcOpt.samples = 5;
+  mcOpt.seed = 1;
+  const mc::McResult r = mc::runCampaign(
+      mcOpt, 1, [&](std::size_t, stats::Rng& rng, std::vector<double>& out) {
+        const auto delta = models::sampleDelta(sigmas, rng);
+        const models::VsModel instance(
+            models::applyToVs(models::defaultVsNmos(), delta));
+        out[0] = instance.drainCurrent(models::applyGeometry(geom, delta),
+                                       0.9, 0.9);
+      });
   std::printf("Five statistical instances (Idsat):\n");
-  for (int i = 0; i < 5; ++i) {
-    const auto delta = models::sampleDelta(sigmas, rng);
-    const models::VsModel instance(
-        models::applyToVs(models::defaultVsNmos(), delta));
-    std::printf("  sample %d: Idsat = %.1f uA\n", i,
-                instance.drainCurrent(models::applyGeometry(geom, delta), 0.9,
-                                      0.9) * 1e6);
-  }
+  for (std::size_t i = 0; i < r.sampleCount(); ++i)
+    std::printf("  sample %zu: Idsat = %.1f uA\n", i, r.metrics[0][i] * 1e6);
   return 0;
 }

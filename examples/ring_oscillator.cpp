@@ -13,7 +13,7 @@
 #include "circuits/benchmarks.hpp"
 #include "core/statistical_vs.hpp"
 #include "measure/delay.hpp"
-#include "mc/runner.hpp"
+#include "mc/circuit_campaign.hpp"
 #include "stats/descriptive.hpp"
 
 using namespace vsstat;
@@ -41,12 +41,16 @@ int main(int argc, char** argv) {
   mc::McOptions mcOpt;
   mcOpt.samples = kSamples;
   mcOpt.seed = 808;
-  const mc::McResult mc = mc::runCampaign(
-      mcOpt, 1, [&](std::size_t, stats::Rng& rng, std::vector<double>& out) {
-        auto provider = kit.makeProvider(rng);
-        circuits::RingOscillatorBench ro = circuits::buildRingOscillator(
-            *provider, 3, circuits::CellSizing{}, kit.vdd());
-        out[0] = measure::measureOscillation(ro).frequency;
+  const mc::McResult mc = mc::runCampaign<circuits::RingOscillatorBench>(
+      mcOpt, 1,
+      [&kit](circuits::DeviceProvider& provider) {
+        return circuits::buildRingOscillator(provider, 3,
+                                             circuits::CellSizing{}, kit.vdd());
+      },
+      [&kit] { return kit.makeProvider(stats::Rng(0)); },
+      [](std::size_t, sim::CampaignSession<circuits::RingOscillatorBench>& s,
+         stats::Rng&, std::vector<double>& out) {
+        out[0] = measure::measureOscillation(s.fixture(), s.spice()).frequency;
       });
 
   const stats::Summary s = stats::summarize(mc.metrics[0]);

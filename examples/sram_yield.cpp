@@ -9,11 +9,10 @@
 //      probability with a tight relative error.
 //
 // Everything runs on the build-once / rebind-per-sample campaign engine:
-// stage 1 leases READ and HOLD butterfly sessions from two sim::SessionPool
-// instances inside one mc::runCampaign, and stage 2's failure indicator
+// stage 1 is two mc::runCampaign<Fixture> campaigns on one seed, READ and
+// HOLD butterflies of the same dies, and stage 2's failure indicator
 // leases a session per evaluation -- which also makes it safe for the
-// parallel importance sampler (yield::importanceSample now fans out over
-// the shared persistent thread pool).
+// importance sampler, whose draws are the samples of an mc::runCampaign.
 //
 // An optional variance-reduction stage demonstrates the first-class
 // mc::SamplingPlan schemes: with `lhs` (Latin hypercube), `halton`, or
@@ -48,7 +47,6 @@
 #include "measure/snm.hpp"
 #include "mc/circuit_campaign.hpp"
 #include "mc/providers.hpp"
-#include "mc/runner.hpp"
 #include "mc/samplers.hpp"
 #include "models/process_variation.hpp"
 #include "models/vs_model.hpp"
@@ -80,28 +78,12 @@ std::unique_ptr<circuits::DeviceProvider> makeFixedZProvider(
 using ButterflyPool = sim::SessionPool<circuits::SramButterflyBench>;
 using ButterflySession = sim::CampaignSession<circuits::SramButterflyBench>;
 
-/// One warm-chain block's READ + HOLD leases (statistical tier): published
-/// through a thread-local so the block's samples reuse the same pair of
-/// sessions, which is what makes sample-to-sample warm starts reproducible
-/// across worker counts.
-struct StagePair {
-  ButterflyPool::Lease read;
-  ButterflyPool::Lease hold;
-  StagePair(ButterflyPool::Lease r, ButterflyPool::Lease h)
-      : read(std::move(r)), hold(std::move(h)) {}
-};
-
-thread_local StagePair* tlsStagePair = nullptr;
-
-struct BlockPair : StagePair {
-  BlockPair(ButterflyPool::Lease r, ButterflyPool::Lease h)
-      : StagePair(std::move(r), std::move(h)) {
-    read->coldStart();
-    hold->coldStart();
-    tlsStagePair = this;
-  }
-  ~BlockPair() { tlsStagePair = nullptr; }
-};
+/// Campaign sample function: the rebound cell's SNM from a 45-level sweep.
+void measureCellSnm(std::size_t, ButterflySession& session, stats::Rng&,
+                    std::vector<double>& out) {
+  out[0] = measure::measureSnm(session.fixture(), session.spice(), 45)
+               .cellSnm();
+}
 
 /// Per-class failure/rescue accounting of a campaign (mc::McResult
 /// taxonomy).  Unattended flows read this instead of diffing sample
@@ -157,13 +139,7 @@ yield::YieldEstimate generatorYield(const core::StatisticalVsKit& kit,
                                             circuits::SramMode::Read,
                                             circuits::SramSizing{});
       },
-      [&kit] { return makeFixedZProvider(kit); },
-      [](std::size_t, ButterflySession& session, stats::Rng&,
-         std::vector<double>& out) {
-        out[0] =
-            measure::measureSnm(session.fixture(), session.spice(), 45)
-                .cellSnm();
-      },
+      [&kit] { return makeFixedZProvider(kit); }, measureCellSnm,
       sessionOptions, sim::RescuePolicy{}, plan);
   return yield::yieldOfSamples(r.metrics[0], {snmFloor, std::nullopt});
 }
@@ -202,74 +178,26 @@ int main(int argc, char** argv) {
   require(scheme == "iid" || scheme == "lhs" || scheme == "halton" ||
               scheme == "sobol",
           "scheme must be one of: iid, lhs, halton, sobol");
-  const bool statistical =
-      sessionOptions.tier == spice::ToleranceTier::statistical;
   constexpr double kSnmFloor = 0.04;  // V; stability criterion
 
-  // Stage 1: READ and HOLD SNM of the same dies, via leased sessions.
+  // Stage 1: READ and HOLD SNM of the same dies.  The two campaigns share
+  // a seed and both fixtures request the cell's transistors in one order,
+  // so sample k of either campaign rebinds die k's draws.  Under
+  // --statistical each campaign runs in warm-chain blocks.
+  mc::McOptions mcOpt;
+  mcOpt.samples = kSamples;
+  mcOpt.seed = 2026;
   ButterflyPool readPool =
       makePool(kit, circuits::SramMode::Read, sessionOptions);
   ButterflyPool holdPool =
       makePool(kit, circuits::SramMode::Hold, sessionOptions);
-
-  mc::McOptions mcOpt;
-  mcOpt.samples = kSamples;
-  mcOpt.seed = 2026;
-  // Per-sample Newton telemetry: diffed around both sessions' measurements
-  // so the health footer can report iters/sample and warm-start hit rate.
-  const auto measurePair = [&](ButterflySession& readSession,
-                               ButterflySession& holdSession, stats::Rng& rng,
-                               std::vector<double>& out,
-                               mc::SampleContext& ctx) {
-    const auto r0 = readSession.spice().iterationTelemetry();
-    const auto h0 = holdSession.spice().iterationTelemetry();
-    readSession.bindSample(rng);
-    out[0] = measure::measureSnm(readSession.fixture(), readSession.spice(),
-                                 45)
-                 .cellSnm();
-    // Same dies, HOLD mode rebinds identical draws from a forked stream:
-    holdSession.bindSample(rng.fork(1));
-    out[1] = measure::measureSnm(holdSession.fixture(), holdSession.spice(),
-                                 45)
-                 .cellSnm();
-    const auto r1 = readSession.spice().iterationTelemetry();
-    const auto h1 = holdSession.spice().iterationTelemetry();
-    ctx.newtonIterations = (r1.newtonIterations - r0.newtonIterations) +
-                           (h1.newtonIterations - h0.newtonIterations);
-    ctx.warmStartHits = (r1.warmStartHits - r0.warmStartHits) +
-                        (h1.warmStartHits - h0.warmStartHits);
-    ctx.warmStartOpportunities =
-        (r1.warmStartOpportunities - r0.warmStartOpportunities) +
-        (h1.warmStartOpportunities - h0.warmStartOpportunities);
-  };
-  mc::BlockResourceFn blockFn;
-  if (statistical) {
-    // Warm-chain blocks: one READ + one HOLD lease span each fixed-size
-    // block (cold-started at its head), so sample k's solves seed from
-    // sample k-1's converged states deterministically -- the block
-    // geometry, and with it every result bit, is independent of the
-    // worker count.
-    mcOpt.sampleBlock = mc::kStatisticalSampleBlock;
-    blockFn = [&](std::size_t) -> std::shared_ptr<void> {
-      return std::make_shared<BlockPair>(readPool.acquire(),
-                                         holdPool.acquire());
-    };
-  }
-  const mc::McResult r = mc::runCampaign(
-      mcOpt, 2,
-      mc::SampleFnEx([&](std::size_t, stats::Rng& rng,
-                         std::vector<double>& out, mc::SampleContext& ctx) {
-        if (StagePair* block = tlsStagePair) {
-          measurePair(*block->read, *block->hold, rng, out, ctx);
-          return;
-        }
-        StagePair pair(readPool.acquire(), holdPool.acquire());
-        measurePair(*pair.read, *pair.hold, rng, out, ctx);
-      }),
-      blockFn);
+  const mc::McResult r = mc::runCampaign<circuits::SramButterflyBench>(
+      mcOpt, 1, readPool, measureCellSnm);
+  const mc::McResult h = mc::runCampaign<circuits::SramButterflyBench>(
+      mcOpt, 1, holdPool, measureCellSnm);
 
   const auto read = stats::summarize(r.metrics[0]);
-  const auto hold = stats::summarize(r.metrics[1]);
+  const auto hold = stats::summarize(h.metrics[0]);
   std::printf("6T SRAM (N/P 150/40 nm, pass 100 nm) at Vdd = %.2f V, %d MC "
               "samples, %s numerics, %s solver, %s tier\n\n", kit.vdd(),
               kSamples, models::toString(sessionOptions.numerics),
@@ -284,7 +212,9 @@ int main(int argc, char** argv) {
   // extreme draws, so they count as spec failures (conservative), and an
   // unattended run aborts loudly -- exit 3 -- rather than report a number
   // biased by a silently degraded campaign.
-  printCampaignBreakdown("SNM", r);
+  // Both campaigns answer to the drop budget; the yield is READ's.
+  printCampaignBreakdown("READ SNM", r);
+  printCampaignBreakdown("HOLD SNM", h);
   yield::DropPolicy dropPolicy;
   dropPolicy.mode = yield::DroppedSamplePolicy::errorAboveThreshold;
   dropPolicy.maxDropFraction = 0.01;
@@ -292,15 +222,18 @@ int main(int argc, char** argv) {
   try {
     moderate = yield::yieldOfCampaign(r, 0, {kSnmFloor, std::nullopt},
                                       dropPolicy);
+    (void)yield::yieldOfCampaign(h, 0, {kSnmFloor, std::nullopt},
+                                 dropPolicy);
   } catch (const yield::DroppedSamplesError& e) {
     std::printf("campaign health: DEGRADED -- %s\n", e.what());
     return 3;
   }
   std::printf("campaign health: OK (drop fraction within %.0f %% budget)\n",
               100.0 * dropPolicy.maxDropFraction);
-  std::printf("newton: %.1f iterations/sample, warm-start hit rate %.0f %% "
-              "(%s tier)\n",
-              r.meanIterationsPerSample(), 100.0 * r.warmStartHitRate(),
+  std::printf("newton: %.1f + %.1f iterations/sample (READ + HOLD), "
+              "warm-start hit rate %.0f/%.0f %% (%s tier)\n",
+              r.meanIterationsPerSample(), h.meanIterationsPerSample(),
+              100.0 * r.warmStartHitRate(), 100.0 * h.warmStartHitRate(),
               spice::toString(sessionOptions.tier));
 
   // Factor telemetry from one of the campaign's own worker sessions: shape
@@ -324,7 +257,7 @@ int main(int argc, char** argv) {
               100.0 * moderate.upper, moderate.total - moderate.passed,
               moderate.total);
 
-  const auto qq = stats::qqAgainstNormal(r.metrics[1]);
+  const auto qq = stats::qqAgainstNormal(h.metrics[0]);
   std::printf("HOLD SNM QQ linearity r^2 = %.4f (slightly non-Gaussian, as "
               "in the paper's Fig. 9f)\n", qq.linearity);
 

@@ -20,6 +20,7 @@
 
 #include "core/corners.hpp"
 #include "core/statistical_vs.hpp"
+#include "mc/runner.hpp"
 #include "models/vs_model.hpp"
 #include "stats/descriptive.hpp"
 #include "timing/statistical_cell.hpp"
@@ -92,37 +93,37 @@ int main(int argc, char** argv) {
   const auto& fastP = corners.delta(core::Corner::FF, models::DeviceType::Pmos);
 
   const int kSamples = argc > 1 ? std::max(std::atoi(argv[1]), 10) : 150;
-  stats::Rng rng(20260611);
-  std::vector<double> mcPath;
-  mcPath.reserve(kSamples);
-  for (int s = 0; s < kSamples; ++s) {
-    stats::Rng sampleRng = rng.fork(static_cast<std::uint64_t>(s));
-    const double zN = sampleRng.normal();
-    const double zP = sampleRng.normal();
-    double total = 0.0;
-    for (int k = 0; k < kStages; ++k) {
-      const models::VariationDelta dN =
-          combine(scaled(fastN, zN),
-                  models::sampleDelta(
-                      kit.sigmas(models::DeviceType::Nmos, nGeom), sampleRng));
-      const models::VariationDelta dP =
-          combine(scaled(fastP, zP),
-                  models::sampleDelta(
-                      kit.sigmas(models::DeviceType::Pmos, pGeom), sampleRng));
-      const models::VsModel pmos(
-          models::applyToVs(kit.nominal(models::DeviceType::Pmos), dP));
-      const models::VsModel nmos(
-          models::applyToVs(kit.nominal(models::DeviceType::Nmos), dN));
-      total += timing::measureInverterPoint(
-                   pmos, models::applyGeometry(pGeom, dP), nmos,
-                   models::applyGeometry(nGeom, dN), kit.vdd(),
-                   timing::kStageInputSlew, timing::kStageLoadFarads,
-                   timing::kStageDt)
-                   .averageDelay();
-    }
-    mcPath.push_back(total);
-  }
-  const stats::Summary mc = stats::summarize(mcPath);
+  mc::McOptions mcOpt;
+  mcOpt.samples = kSamples;
+  mcOpt.seed = 20260611;
+  const mc::McResult flat = mc::runCampaign(
+      mcOpt, 1, [&](std::size_t, stats::Rng& rng, std::vector<double>& out) {
+        const double zN = rng.normal();
+        const double zP = rng.normal();
+        double total = 0.0;
+        for (int k = 0; k < kStages; ++k) {
+          const models::VariationDelta dN =
+              combine(scaled(fastN, zN),
+                      models::sampleDelta(
+                          kit.sigmas(models::DeviceType::Nmos, nGeom), rng));
+          const models::VariationDelta dP =
+              combine(scaled(fastP, zP),
+                      models::sampleDelta(
+                          kit.sigmas(models::DeviceType::Pmos, pGeom), rng));
+          const models::VsModel pmos(
+              models::applyToVs(kit.nominal(models::DeviceType::Pmos), dP));
+          const models::VsModel nmos(
+              models::applyToVs(kit.nominal(models::DeviceType::Nmos), dN));
+          total += timing::measureInverterPoint(
+                       pmos, models::applyGeometry(pGeom, dP), nmos,
+                       models::applyGeometry(nGeom, dN), kit.vdd(),
+                       timing::kStageInputSlew, timing::kStageLoadFarads,
+                       timing::kStageDt)
+                       .averageDelay();
+        }
+        out[0] = total;
+      });
+  const stats::Summary mc = stats::summarize(flat.metrics[0]);
   std::printf("flat MC (%d samples):   mean = %.2f ps, sigma = %.3f ps\n",
               kSamples, mc.mean * 1e12, mc.stddev * 1e12);
   std::printf("  SSTA/MC ratios: mean %.3f, sigma %.3f\n",

@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "core/statistical_vs.hpp"
+#include "mc/runner.hpp"
 #include "measure/device_metrics.hpp"
 #include "models/bsim_lite.hpp"
 #include "stats/descriptive.hpp"
@@ -30,16 +31,21 @@ int main() {
   for (const auto type : {models::DeviceType::Nmos, models::DeviceType::Pmos}) {
     for (const double widthNm : {1500.0, 600.0, 120.0}) {
       const auto geom = models::geometryNm(widthNm, 40.0);
-      stats::Rng rng(7);
-      stats::MomentAccumulator idsat, ioff;
-      for (int s = 0; s < 1500; ++s) {
-        const auto inst = kit.makeInstance(type, geom, rng);
-        idsat.add(measure::idsat(*inst.model, inst.geometry, kit.vdd()));
-        ioff.add(measure::log10Ioff(*inst.model, inst.geometry, kit.vdd()));
-      }
+      mc::McOptions mcOpt;
+      mcOpt.samples = 1500;
+      mcOpt.seed = 7;
+      const mc::McResult r = mc::runCampaign(
+          mcOpt, 2,
+          [&](std::size_t, stats::Rng& rng, std::vector<double>& out) {
+            const auto inst = kit.makeInstance(type, geom, rng);
+            out[0] = measure::idsat(*inst.model, inst.geometry, kit.vdd());
+            out[1] =
+                measure::log10Ioff(*inst.model, inst.geometry, kit.vdd());
+          });
       std::printf("W/L = %4.0f/40 nm   %-6s %-14.2f %-14.3f\n", widthNm,
-                  models::toString(type), idsat.stddev() * 1e6,
-                  ioff.stddev());
+                  models::toString(type),
+                  stats::summarize(r.metrics[0]).stddev * 1e6,
+                  stats::summarize(r.metrics[1]).stddev);
     }
   }
   std::printf("\nCompare with the paper's Table III: sigma(Idsat) ~ 33/20/9 uA\n"

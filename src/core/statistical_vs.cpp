@@ -85,14 +85,8 @@ models::ParameterSigmas StatisticalVsKit::sigmas(
 circuits::DeviceInstance StatisticalVsKit::makeInstance(
     models::DeviceType t, const models::DeviceGeometry& geom,
     stats::Rng& rng) const {
-  const models::ParameterSigmas s = sigmas(t, geom);
-  const models::VariationDelta delta = models::sampleDelta(s, rng);
-
-  circuits::DeviceInstance inst;
-  inst.model =
-      std::make_unique<models::VsModel>(models::applyToVs(nominal(t), delta));
-  inst.geometry = models::applyGeometry(geom, delta);
-  return inst;
+  return mc::variedInstance(nominal(t), geom,
+                            models::sampleDelta(sigmas(t, geom), rng));
 }
 
 std::unique_ptr<circuits::DeviceProvider> StatisticalVsKit::makeProvider(

@@ -2,13 +2,13 @@
 
 #include <array>
 
+#include "mc/runner.hpp"
 #include "measure/device_metrics.hpp"
 #include "models/bsim_lite.hpp"
 #include "models/process_variation.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/rng.hpp"
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace vsstat::extract {
 
@@ -47,35 +47,31 @@ GeometryMeasurement measureGoldenVariance(const GoldenKit& kit,
       models::toPelgromAlphas(mismatchFor(kit, type));
   const models::ParameterSigmas sigmas = models::sigmasFor(alphas, geom);
 
-  // Parallel sample evaluation into flat index-addressed storage, then a
-  // serial index-order reduction: bit-identical to the historical serial
-  // loop (which already drew from one child stream per sample) for any
-  // thread count.
-  const auto n = static_cast<std::size_t>(options.samples);
-  std::vector<double> idsat(n), log10Ioff(n), cgg(n);
-  const stats::Rng campaign(options.seed);
-  util::parallelFor(
-      n,
-      [&](std::size_t s) {
-        stats::Rng rng = campaign.fork(static_cast<std::uint64_t>(s));
+  // One campaign sample per device draw; the moments reduce the metric
+  // rows in sample-index order.
+  mc::McOptions campaign;
+  campaign.samples = options.samples;
+  campaign.seed = options.seed;
+  campaign.threads = options.threads;
+  const mc::McResult r = mc::runCampaign(
+      campaign, 3,
+      [&](std::size_t, stats::Rng& rng, std::vector<double>& out) {
         const models::VariationDelta delta = models::sampleDelta(sigmas, rng);
         const models::BsimLite model(models::applyToBsim(card, delta));
-        const models::DeviceGeometry g = models::applyGeometry(geom, delta);
-        const measure::ElectricalTargets t =
-            measure::measureTargets(model, g, kit.vdd);
-        idsat[s] = t.idsat;
-        log10Ioff[s] = t.log10Ioff;
-        cgg[s] = t.cgg;
-      },
-      options.threads);
+        const measure::ElectricalTargets t = measure::measureTargets(
+            model, models::applyGeometry(geom, delta), kit.vdd);
+        out[0] = t.idsat;
+        out[1] = t.log10Ioff;
+        out[2] = t.cgg;
+      });
 
   stats::MomentAccumulator idsatAcc;
   stats::MomentAccumulator ioffAcc;
   stats::MomentAccumulator cggAcc;
-  for (std::size_t s = 0; s < n; ++s) {
-    idsatAcc.add(idsat[s]);
-    ioffAcc.add(log10Ioff[s]);
-    cggAcc.add(cgg[s]);
+  for (std::size_t s = 0; s < r.sampleCount(); ++s) {
+    idsatAcc.add(r.metrics[0][s]);
+    ioffAcc.add(r.metrics[1][s]);
+    cggAcc.add(r.metrics[2][s]);
   }
 
   GeometryMeasurement m;

@@ -34,11 +34,9 @@ struct GoldenMeterOptions {
   unsigned threads = 0;        ///< 0 == hardware concurrency
 };
 
-/// Monte-Carlo variance measurement at one geometry for the given polarity.
-/// Samples run in parallel on the shared persistent pool with one child
-/// RNG stream per sample and a serial index-order reduction, so the
-/// variances are bit-identical for any thread count (and to the historical
-/// serial implementation, which already forked per sample).
+/// Monte-Carlo variance measurement at one geometry for the given polarity:
+/// an mc::runCampaign with one device draw per sample and an index-order
+/// reduction, so the variances are bit-identical for any thread count.
 [[nodiscard]] GeometryMeasurement measureGoldenVariance(
     const GoldenKit& kit, models::DeviceType type,
     const models::DeviceGeometry& geom, const GoldenMeterOptions& options);

@@ -6,63 +6,59 @@
 
 namespace vsstat::mc {
 
-VsStatisticalProvider::VsStatisticalProvider(models::VsParams nmos,
-                                             models::VsParams pmos,
-                                             models::PelgromAlphas nmosAlphas,
-                                             models::PelgromAlphas pmosAlphas,
-                                             stats::Rng rng)
-    : nmos_(nmos), pmos_(pmos), nmosAlphas_(nmosAlphas),
-      pmosAlphas_(pmosAlphas), rng_(rng) {}
+namespace {
 
-models::VariationDelta VsStatisticalProvider::draw(
-    models::DeviceType type, const models::DeviceGeometry& nominal) {
-  const bool isN = type == models::DeviceType::Nmos;
-  const models::PelgromAlphas& alphas = isN ? nmosAlphas_ : pmosAlphas_;
-  const models::ParameterSigmas sigmas = models::sigmasFor(alphas, nominal);
-  return models::sampleDelta(sigmas, rng_);
+models::VsModel variedModel(const models::VsParams& card,
+                            const models::VariationDelta& delta) {
+  return models::VsModel(models::applyToVs(card, delta));
 }
 
-circuits::DeviceInstance VsStatisticalProvider::make(
-    models::DeviceType type, const std::string& /*instanceName*/,
-    const models::DeviceGeometry& nominal) {
-  const bool isN = type == models::DeviceType::Nmos;
-  const models::VsParams& card = isN ? nmos_ : pmos_;
-  const models::VariationDelta delta = draw(type, nominal);
+models::BsimLite variedModel(const models::BsimParams& card,
+                             const models::VariationDelta& delta) {
+  return models::BsimLite(models::applyToBsim(card, delta));
+}
 
+template <class Card>
+circuits::DeviceInstance makeVaried(const Card& card,
+                                    const models::DeviceGeometry& nominal,
+                                    const models::VariationDelta& delta) {
+  using Model = decltype(variedModel(card, delta));
   circuits::DeviceInstance inst;
-  inst.model = std::make_unique<models::VsModel>(models::applyToVs(card, delta));
+  inst.model = std::make_unique<Model>(variedModel(card, delta));
   inst.geometry = models::applyGeometry(nominal, delta);
   return inst;
 }
 
-void VsStatisticalProvider::resample(models::DeviceType type,
-                                     const std::string& /*instanceName*/,
-                                     const models::DeviceGeometry& nominal,
-                                     spice::MosfetElement& element) {
-  const bool isN = type == models::DeviceType::Nmos;
-  const models::VsParams& card = isN ? nmos_ : pmos_;
-  const models::VariationDelta delta = draw(type, nominal);
+}  // namespace
 
-  // Stack card + in-place parameter copy: the per-sample rebind pass of a
-  // campaign session performs no heap allocation here.
-  const models::VsModel varied(models::applyToVs(card, delta));
-  element.rebind(varied, models::applyGeometry(nominal, delta));
+circuits::DeviceInstance variedInstance(const models::VsParams& card,
+                                        const models::DeviceGeometry& nominal,
+                                        const models::VariationDelta& delta) {
+  return makeVaried(card, nominal, delta);
 }
 
-VsFixedZProvider::VsFixedZProvider(models::VsParams nmos,
-                                   models::VsParams pmos,
-                                   models::PelgromAlphas nmosAlphas,
-                                   models::PelgromAlphas pmosAlphas)
-    : nmos_(nmos), pmos_(pmos), nmosAlphas_(nmosAlphas),
-      pmosAlphas_(pmosAlphas) {}
+template <class Card, class Base>
+circuits::DeviceInstance VariedCardProvider<Card, Base>::make(
+    models::DeviceType type, const std::string& /*instanceName*/,
+    const models::DeviceGeometry& nominal) {
+  return makeVaried(card(type), nominal, draw(type, nominal));
+}
 
-models::VariationDelta VsFixedZProvider::draw(
-    models::DeviceType type, const models::DeviceGeometry& nominal) {
-  const bool isN = type == models::DeviceType::Nmos;
-  const models::PelgromAlphas& alphas = isN ? nmosAlphas_ : pmosAlphas_;
-  const models::ParameterSigmas sigmas = models::sigmasFor(alphas, nominal);
-  // Same parameter order as models::sampleDelta, so a z-vector of iid
-  // normals reproduces the RNG provider's distribution exactly.
+template <class Card, class Base>
+void VariedCardProvider<Card, Base>::resample(
+    models::DeviceType type, const std::string& /*instanceName*/,
+    const models::DeviceGeometry& nominal, spice::MosfetElement& element) {
+  const models::VariationDelta delta = draw(type, nominal);
+  element.rebind(variedModel(card(type), delta),
+                 models::applyGeometry(nominal, delta));
+}
+
+template class VariedCardProvider<models::VsParams, circuits::DeviceProvider>;
+template class VariedCardProvider<models::VsParams, circuits::FixedZProvider>;
+template class VariedCardProvider<models::BsimParams, circuits::DeviceProvider>;
+
+models::VariationDelta VsFixedZProvider::drawDelta(
+    const models::ParameterSigmas& sigmas) {
   models::VariationDelta d;
   d.dVt0 = sigmas.sVt0 * nextZ();
   d.dLeff = sigmas.sLeff * nextZ();
@@ -70,74 +66,6 @@ models::VariationDelta VsFixedZProvider::draw(
   d.dMu = sigmas.sMu * nextZ();
   d.dCinv = sigmas.sCinv * nextZ();
   return d;
-}
-
-circuits::DeviceInstance VsFixedZProvider::make(
-    models::DeviceType type, const std::string& /*instanceName*/,
-    const models::DeviceGeometry& nominal) {
-  const bool isN = type == models::DeviceType::Nmos;
-  const models::VsParams& card = isN ? nmos_ : pmos_;
-  const models::VariationDelta delta = draw(type, nominal);
-
-  circuits::DeviceInstance inst;
-  inst.model =
-      std::make_unique<models::VsModel>(models::applyToVs(card, delta));
-  inst.geometry = models::applyGeometry(nominal, delta);
-  return inst;
-}
-
-void VsFixedZProvider::resample(models::DeviceType type,
-                                const std::string& /*instanceName*/,
-                                const models::DeviceGeometry& nominal,
-                                spice::MosfetElement& element) {
-  const bool isN = type == models::DeviceType::Nmos;
-  const models::VsParams& card = isN ? nmos_ : pmos_;
-  const models::VariationDelta delta = draw(type, nominal);
-
-  const models::VsModel varied(models::applyToVs(card, delta));
-  element.rebind(varied, models::applyGeometry(nominal, delta));
-}
-
-BsimStatisticalProvider::BsimStatisticalProvider(
-    models::BsimParams nmos, models::BsimParams pmos,
-    models::BsimMismatch nmosMismatch, models::BsimMismatch pmosMismatch,
-    stats::Rng rng)
-    : nmos_(nmos), pmos_(pmos), nmosMismatch_(nmosMismatch),
-      pmosMismatch_(pmosMismatch), rng_(rng) {}
-
-models::VariationDelta BsimStatisticalProvider::draw(
-    models::DeviceType type, const models::DeviceGeometry& nominal) {
-  const bool isN = type == models::DeviceType::Nmos;
-  const models::PelgromAlphas alphas =
-      models::toPelgromAlphas(isN ? nmosMismatch_ : pmosMismatch_);
-  const models::ParameterSigmas sigmas = models::sigmasFor(alphas, nominal);
-  return models::sampleDelta(sigmas, rng_);
-}
-
-circuits::DeviceInstance BsimStatisticalProvider::make(
-    models::DeviceType type, const std::string& /*instanceName*/,
-    const models::DeviceGeometry& nominal) {
-  const bool isN = type == models::DeviceType::Nmos;
-  const models::BsimParams& card = isN ? nmos_ : pmos_;
-  const models::VariationDelta delta = draw(type, nominal);
-
-  circuits::DeviceInstance inst;
-  inst.model =
-      std::make_unique<models::BsimLite>(models::applyToBsim(card, delta));
-  inst.geometry = models::applyGeometry(nominal, delta);
-  return inst;
-}
-
-void BsimStatisticalProvider::resample(models::DeviceType type,
-                                       const std::string& /*instanceName*/,
-                                       const models::DeviceGeometry& nominal,
-                                       spice::MosfetElement& element) {
-  const bool isN = type == models::DeviceType::Nmos;
-  const models::BsimParams& card = isN ? nmos_ : pmos_;
-  const models::VariationDelta delta = draw(type, nominal);
-
-  const models::BsimLite varied(models::applyToBsim(card, delta));
-  element.rebind(varied, models::applyGeometry(nominal, delta));
 }
 
 }  // namespace vsstat::mc

@@ -1,6 +1,7 @@
 #include "mc/runner.hpp"
 
 #include <algorithm>
+#include <deque>
 
 #include "util/thread_pool.hpp"
 
@@ -43,8 +44,10 @@ McResult runCampaignChunked(const McOptions& options, std::size_t metricCount,
     // (and across campaigns -- pool workers are persistent).  assign()
     // keeps the capacity, so steady-state samples allocate nothing
     // here.  One scratch per nesting depth keeps a sample fn that runs
-    // an inner campaign from clobbering its caller's buffer.
-    thread_local std::vector<std::vector<double>> scratchStack;
+    // an inner campaign from clobbering its caller's buffer; a deque,
+    // because growing it for an inner campaign must not move the
+    // caller's buffer out from under its reference.
+    thread_local std::deque<std::vector<double>> scratchStack;
     thread_local std::size_t depth = 0;
     if (scratchStack.size() <= depth) scratchStack.resize(depth + 1);
     std::vector<double>& out = scratchStack[depth];
@@ -159,23 +162,12 @@ McResult runCampaignChunked(const McOptions& options, std::size_t metricCount,
 }
 
 McResult runCampaign(const McOptions& options, std::size_t metricCount,
-                     const SampleFnEx& fn,
-                     const BlockResourceFn& blockResource) {
-  return runCampaignChunked(options, metricCount, fn, blockResource,
-                            /*chunkSamples=*/0, ChunkFn{});
-}
-
-McResult runCampaign(const McOptions& options, std::size_t metricCount,
-                     const SampleFnEx& fn) {
-  return runCampaign(options, metricCount, fn, BlockResourceFn{});
-}
-
-McResult runCampaign(const McOptions& options, std::size_t metricCount,
                      const SampleFn& fn) {
-  return runCampaign(options, metricCount,
-                     SampleFnEx([&fn](std::size_t i, stats::Rng& rng,
-                                      std::vector<double>& out,
-                                      SampleContext&) { fn(i, rng, out); }));
+  return runCampaignChunked(
+      options, metricCount,
+      SampleFnEx([&fn](std::size_t i, stats::Rng& rng, std::vector<double>& out,
+                       SampleContext&) { fn(i, rng, out); }),
+      BlockResourceFn{}, /*chunkSamples=*/0, ChunkFn{});
 }
 
 }  // namespace vsstat::mc

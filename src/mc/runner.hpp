@@ -57,7 +57,7 @@ struct McResult {
   }
 
   /// Successful samples that needed at least one rescue-ladder retry
-  /// (sim::runCampaign rescue path); 0 for plain sample functions.
+  /// (mc::runCampaign<Fixture>); 0 for plain sample functions.
   int rescued = 0;
 
   /// Newton-iteration telemetry summed over SUCCESSFUL samples (filled by
@@ -168,18 +168,11 @@ using ChunkFn = std::function<void(const McChunkView&)>;
                                           int chunkSamples,
                                           const ChunkFn& onChunk);
 
+/// Device-level and explicit-card campaigns: one chunk, no block resource.
+/// Circuit campaigns use mc::runCampaign<Fixture> (mc/circuit_campaign.hpp).
 [[nodiscard]] McResult runCampaign(const McOptions& options,
                                    std::size_t metricCount,
                                    const SampleFn& fn);
-
-[[nodiscard]] McResult runCampaign(const McOptions& options,
-                                   std::size_t metricCount,
-                                   const SampleFnEx& fn);
-
-[[nodiscard]] McResult runCampaign(const McOptions& options,
-                                   std::size_t metricCount,
-                                   const SampleFnEx& fn,
-                                   const BlockResourceFn& blockResource);
 
 }  // namespace vsstat::mc
 

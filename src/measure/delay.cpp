@@ -7,8 +7,6 @@
 
 namespace vsstat::measure {
 
-using spice::SourceWaveform;
-
 namespace {
 
 GateDelays delaysFromWave(const circuits::GateFo3Bench& bench,
@@ -76,14 +74,17 @@ GateDelays delaysFromWave(const circuits::GateFo3Bench& bench,
 }  // namespace
 
 OscillationResult measureOscillation(circuits::RingOscillatorBench& bench,
+                                     spice::SimSession& session,
                                      int settleCycles, int measureCycles) {
+  require(&session.circuit() == &bench.circuit,
+          "measureOscillation: session is bound to a different circuit");
   require(settleCycles >= 0 && measureCycles >= 1,
           "measureOscillation: bad cycle counts");
 
   spice::TransientOptions opt;
   opt.dt = bench.suggestedDt;
   opt.tStop = bench.suggestedTStop;
-  const spice::Waveform wave = spice::transient(bench.circuit, opt);
+  const spice::Waveform wave = session.transient(opt);
 
   // Successive rising mid-rail crossings at tap 0.
   const spice::NodeId tap = bench.taps.front();
@@ -127,32 +128,18 @@ OscillationResult measureOscillation(circuits::RingOscillatorBench& bench,
   return r;
 }
 
-namespace {
-
-/// Restores a voltage source's waveform on scope exit -- a throwing DC
-/// solve must not leave the stimulus clobbered, especially on persistent
-/// session fixtures that outlive the failing sample.
-class WaveformRestorer {
- public:
-  explicit WaveformRestorer(spice::VoltageSourceElement& source)
-      : source_(source), original_(source.waveform()) {}
-  ~WaveformRestorer() { source_.setWaveform(original_); }
-  WaveformRestorer(const WaveformRestorer&) = delete;
-  WaveformRestorer& operator=(const WaveformRestorer&) = delete;
-
- private:
-  spice::VoltageSourceElement& source_;
-  SourceWaveform original_;
-};
-
-}  // namespace
+OscillationResult measureOscillation(circuits::RingOscillatorBench& bench,
+                                     int settleCycles, int measureCycles) {
+  spice::SimSession session(bench.circuit);
+  return measureOscillation(bench, session, settleCycles, measureCycles);
+}
 
 double measureLeakage(circuits::GateFo3Bench& bench,
                       spice::SimSession& session) {
   require(&session.circuit() == &bench.circuit,
           "measureLeakage: session is bound to a different circuit");
   auto& input = bench.circuit.voltageSource(bench.inSource);
-  const WaveformRestorer restore(input);
+  const spice::WaveformRestorer restore(input);
 
   double total = 0.0;
   for (const double level : {0.0, bench.supply}) {

@@ -47,11 +47,16 @@ struct OscillationResult {
   double swing = 0.0;      ///< peak-to-peak at the tap [V]
 };
 
-/// Runs the ring-oscillator transient and measures the steady oscillation
-/// frequency at tap 0 (skipping `settleCycles` start-up periods).  Throws
-/// ConvergenceError when the ring fails to produce enough full cycles --
-/// a stuck ring under extreme mismatch is a reportable failure, not a
-/// number.
+/// Runs the ring-oscillator transient through `session` (bound to the
+/// bench's circuit) and measures the steady oscillation frequency at tap 0
+/// (skipping `settleCycles` start-up periods).  Throws ConvergenceError
+/// when the ring fails to produce enough full cycles -- a stuck ring under
+/// extreme mismatch is a reportable failure, not a number.
+[[nodiscard]] OscillationResult measureOscillation(
+    circuits::RingOscillatorBench& bench, spice::SimSession& session,
+    int settleCycles = 2, int measureCycles = 4);
+
+/// One-shot variant: the overload above on a fresh default session.
 [[nodiscard]] OscillationResult measureOscillation(
     circuits::RingOscillatorBench& bench, int settleCycles = 2,
     int measureCycles = 4);

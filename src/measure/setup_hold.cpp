@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "spice/analysis.hpp"
 #include "spice/elements.hpp"
 #include "util/error.hpp"
 
@@ -20,7 +19,8 @@ constexpr double kResolution = 0.2e-12;   ///< bisection stop resolution [s]
 
 /// One capture trial: D rises at dEdge, CLK rises at kClockEdge.  Returns
 /// true when Q ends at the captured '1'.
-bool captureTrial(circuits::DffBench& bench, double dEdge, double dt) {
+bool captureTrial(circuits::DffBench& bench, spice::SimSession& session,
+                  spice::Waveform& wave, double dEdge, double dt) {
   const double vdd = bench.supply;
   auto& dSrc = bench.circuit.voltageSource(bench.dSource);
   auto& clkSrc = bench.circuit.voltageSource(bench.clkSource);
@@ -40,7 +40,7 @@ bool captureTrial(circuits::DffBench& bench, double dEdge, double dt) {
   spice::TransientOptions topt;
   topt.tStop = tStop;
   topt.dt = dt;
-  const spice::Waveform wave = spice::transient(bench.circuit, topt);
+  session.transient(topt, wave);
 
   // The slave opens on the rising edge, so a captured value shows at Q
   // within the settle window and stays there.
@@ -49,11 +49,19 @@ bool captureTrial(circuits::DffBench& bench, double dEdge, double dt) {
 
 }  // namespace
 
-double measureSetupTime(circuits::DffBench& bench, double dt) {
+double measureSetupTime(circuits::DffBench& bench, spice::SimSession& session,
+                        double dt) {
+  require(&session.circuit() == &bench.circuit,
+          "measureSetupTime: session is bound to a different circuit");
+  const spice::WaveformRestorer restoreD(
+      bench.circuit.voltageSource(bench.dSource));
+  const spice::WaveformRestorer restoreClk(
+      bench.circuit.voltageSource(bench.clkSource));
+  spice::Waveform wave(1);
   // Offset = how long D leads the CLK edge.  Large lead must pass; D
   // arriving after the edge must fail.
   const auto passes = [&](double lead) {
-    return captureTrial(bench, kClockEdge - lead - kSlew, dt);
+    return captureTrial(bench, session, wave, kClockEdge - lead - kSlew, dt);
   };
 
   double lo = -kSearchSpan;  // D after edge: expect fail
@@ -68,6 +76,11 @@ double measureSetupTime(circuits::DffBench& bench, double dt) {
     (passes(mid) ? hi : lo) = mid;
   }
   return 0.5 * (lo + hi);
+}
+
+double measureSetupTime(circuits::DffBench& bench, double dt) {
+  spice::SimSession session(bench.circuit);
+  return measureSetupTime(bench, session, dt);
 }
 
 }  // namespace vsstat::measure

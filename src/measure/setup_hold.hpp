@@ -10,18 +10,27 @@
 #define VSSTAT_MEASURE_SETUP_HOLD_HPP
 
 #include "circuits/benchmarks.hpp"
+#include "spice/session.hpp"
 
 namespace vsstat::measure {
 
 /// Minimum D-before-CLK time that still captures a rising D (the paper's
-/// Fig. 8c distribution).  Positive means D must lead the clock.  `dt` is
-/// each capture trial's largest transient step [s]: the latches hold
-/// their state through weak feedback between the edges, and steps longer
-/// than about 1 ps there move the capture verdicts (at 5 ps, 21 of 176
-/// Fig. 8 setup times leave their 0.01 ps-step bisection cell; at 1 ps,
-/// 3, against 4 for the old fixed 0.3 ps step).  Throws ConvergenceError
-/// when the register fails even with maximal lead (a dead sample under
-/// extreme mismatch).
+/// Fig. 8c distribution).  Positive means D must lead the clock.  Every
+/// capture trial of the bisection runs a transient through `session`, a
+/// spice::SimSession bound to the bench's circuit (build-once campaigns
+/// keep one per worker); D and CLK get their waveforms back afterwards,
+/// also when the search throws.  `dt` is each trial's largest transient
+/// step [s]: the latches hold their state through weak feedback between
+/// the edges, and steps longer than about 1 ps there move the capture
+/// verdicts (at 5 ps, 21 of 176 Fig. 8 setup times leave their 0.01
+/// ps-step bisection cell; at 1 ps, 3, against 4 for the old fixed 0.3 ps
+/// step).  Throws ConvergenceError when the register fails even with
+/// maximal lead (a dead sample under extreme mismatch).
+[[nodiscard]] double measureSetupTime(circuits::DffBench& bench,
+                                      spice::SimSession& session,
+                                      double dt = 1e-12);
+
+/// One-shot variant: the overload above on a fresh default session.
 [[nodiscard]] double measureSetupTime(circuits::DffBench& bench,
                                       double dt = 1e-12);
 

@@ -250,9 +250,8 @@ std::shared_ptr<const DeckPlan> SessionCache::deckPlan(
 
 SessionCache::Acquired SessionCache::acquire(const CampaignPlan& plan) {
   Acquired acquired;
-  acquired.warm = cache_.contains(plan.cacheKey());
-  acquired.pool =
-      cache_.acquire(plan.cacheKey(), [&plan] { return plan.makePool(); });
+  acquired.pool = cache_.acquire(
+      plan.cacheKey(), [&plan] { return plan.makePool(); }, &acquired.warm);
   return acquired;
 }
 

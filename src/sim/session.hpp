@@ -256,11 +256,15 @@ class SessionPoolCache {
   /// evicting the least-recently-used entry when over capacity.  Building
   /// a pool is cheap (sessions are built lazily on first lease), so the
   /// factory runs under the lock -- concurrent requests for the same key
-  /// always converge on one shared pool.
+  /// always converge on one shared pool, and exactly one of them misses.
+  /// `hit`, when given, receives whether the key was resident, read under
+  /// the same lock as the lookup.
   [[nodiscard]] std::shared_ptr<Pool> acquire(const std::string& key,
-                                              const PoolFactory& makePool) {
+                                              const PoolFactory& makePool,
+                                              bool* hit = nullptr) {
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto it = entries_.find(key);
+    if (hit != nullptr) *hit = it != entries_.end();
     if (it != entries_.end()) {
       ++stats_.hits;
       lru_.splice(lru_.begin(), lru_, it->second.position);

@@ -76,6 +76,23 @@ class VoltageSourceElement final : public Element {
   SourceWaveform waveform_;
 };
 
+/// Restores a voltage source's waveform on scope exit -- also when a solve
+/// throws -- so a measurement that retunes a stimulus (a DC sweep level, a
+/// leakage bias, a setup trial's edges) never leaves a persistent session
+/// fixture clobbered for the next analysis or sample.
+class WaveformRestorer {
+ public:
+  explicit WaveformRestorer(VoltageSourceElement& source)
+      : source_(source), original_(source.waveform()) {}
+  ~WaveformRestorer() { source_.setWaveform(original_); }
+  WaveformRestorer(const WaveformRestorer&) = delete;
+  WaveformRestorer& operator=(const WaveformRestorer&) = delete;
+
+ private:
+  VoltageSourceElement& source_;
+  SourceWaveform original_;
+};
+
 /// Finite-difference step the device bank hands compact models without
 /// analytic Newton-load chains: above the models' smoothness scale, below
 /// circuit resolution.

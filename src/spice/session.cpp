@@ -10,26 +10,6 @@
 
 namespace vsstat::spice {
 
-namespace {
-
-/// Restores the swept source's waveform on scope exit: a level that fails
-/// to converge must not leave a persistent session's stimulus pinned at
-/// the failing DC level for later analyses.
-class SweepSourceGuard {
- public:
-  explicit SweepSourceGuard(VoltageSourceElement& source)
-      : source_(source), original_(source.waveform()) {}
-  ~SweepSourceGuard() { source_.setWaveform(original_); }
-  SweepSourceGuard(const SweepSourceGuard&) = delete;
-  SweepSourceGuard& operator=(const SweepSourceGuard&) = delete;
-
- private:
-  VoltageSourceElement& source_;
-  SourceWaveform original_;
-};
-
-}  // namespace
-
 SimSession::SimSession(Circuit& circuit, SessionOptions options)
     : circuit_(&circuit),
       assembler_(std::make_unique<detail::Assembler>(
@@ -240,7 +220,7 @@ void SimSession::dcSweepNodes(const std::string& sourceName,
                               std::span<const SweepProbe> probes,
                               const DcOptions& options) {
   VoltageSourceElement& src = circuit_->voltageSource(sourceName);
-  const SweepSourceGuard restore(src);
+  const WaveformRestorer restore(src);
 
   for (const SweepProbe& probe : probes) {
     probe.out->clear();

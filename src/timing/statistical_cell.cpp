@@ -1,8 +1,6 @@
 #include "timing/statistical_cell.hpp"
 
-#include <cmath>
-#include <cstdint>
-
+#include "mc/runner.hpp"
 #include "models/vs_model.hpp"
 #include "stats/descriptive.hpp"
 #include "timing/tables.hpp"
@@ -71,20 +69,22 @@ CanonicalDelay characterizeStageDelay(const core::StatisticalVsKit& kit,
                        delayWith(zero, scaledCorner(fastP, -1.0)));
 
   // Local sigma: mismatch-only Monte Carlo of the same fixture, on a fixed
-  // seed.
-  constexpr std::uint64_t kMismatchSeed = 1;
-  stats::Rng rng(kMismatchSeed);
-  std::vector<double> delays;
-  delays.reserve(static_cast<std::size_t>(options.mismatchSamples));
-  for (int s = 0; s < options.mismatchSamples; ++s) {
-    stats::Rng sampleRng = rng.fork(static_cast<std::uint64_t>(s));
-    const models::VariationDelta dN = models::sampleDelta(
-        kit.sigmas(models::DeviceType::Nmos, nGeom), sampleRng);
-    const models::VariationDelta dP = models::sampleDelta(
-        kit.sigmas(models::DeviceType::Pmos, pGeom), sampleRng);
-    delays.push_back(delayWith(dN, dP));
-  }
-  d.local = stats::summarize(delays).stddev;
+  // seed.  A sample that throws a SampleFailure aborts the stage model.
+  mc::McOptions campaign;
+  campaign.samples = options.mismatchSamples;
+  campaign.seed = 1;
+  const mc::McResult r = mc::runCampaign(
+      campaign, 1,
+      [&](std::size_t, stats::Rng& rng, std::vector<double>& out) {
+        const models::VariationDelta dN = models::sampleDelta(
+            kit.sigmas(models::DeviceType::Nmos, nGeom), rng);
+        const models::VariationDelta dP = models::sampleDelta(
+            kit.sigmas(models::DeviceType::Pmos, pGeom), rng);
+        out[0] = delayWith(dN, dP);
+      });
+  if (r.failures > 0)
+    throw SampleFailure(r.firstFailure.message, r.firstFailure.failureClass);
+  d.local = stats::summarize(r.metrics[0]).stddev;
   return d;
 }
 

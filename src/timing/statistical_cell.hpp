@@ -29,7 +29,10 @@ struct StageModelOptions {
 };
 
 /// Canonical delay of one inverter stage under the kit's variation model.
-/// global[0] is the NMOS axis, global[1] the PMOS axis.
+/// global[0] is the NMOS axis, global[1] the PMOS axis.  The local sigma's
+/// Monte Carlo is an mc::runCampaign on a fixed seed; a sample that throws
+/// a SampleFailure aborts the call (rethrown as a SampleFailure of its
+/// class).
 [[nodiscard]] CanonicalDelay characterizeStageDelay(
     const core::StatisticalVsKit& kit, const core::StatisticalCorners& corners,
     const circuits::CellSizing& sizing, const StageModelOptions& options = {});

@@ -2,10 +2,10 @@
 
 #include <cmath>
 
+#include "mc/runner.hpp"
 #include "mc/samplers.hpp"
 #include "stats/rng.hpp"
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace vsstat::yield {
 
@@ -34,46 +34,42 @@ ImportanceResult importanceSample(const FailureIndicator& fails,
   }
 
   const double shiftNormSq = dot(shift, shift);
-  const stats::Rng campaign(options.seed);
-  const auto n = static_cast<std::size_t>(options.samples);
 
-  // Evaluate the indicator in parallel: each sample draws from its own
-  // decorrelated child stream, and per-sample weights land in flat
-  // index-addressed storage so the reduction below is independent of
-  // scheduling (bit-identical across thread counts).
-  std::vector<double> weight(n, 0.0);
-  std::vector<char> failed(n, 0);
-  util::parallelFor(
-      n,
-      [&](std::size_t s) {
+  // One campaign sample per draw: metric 0 flags a failing draw, metric 1
+  // holds its likelihood ratio phi(z)/phi(z - shift).
+  mc::McOptions campaign;
+  campaign.samples = options.samples;
+  campaign.seed = options.seed;
+  campaign.threads = options.threads;
+  const mc::McResult draws = mc::runCampaign(
+      campaign, 2,
+      [&](std::size_t s, stats::Rng& rng, std::vector<double>& out) {
         // Per-call buffer: an indicator may itself run a nested campaign
         // on this thread (nested parallelFor degrades to serial), so a
         // thread_local scratch would be overwritten under the caller.
-        // Either source of base points is a deterministic function of the
-        // sample index, preserving the thread-count independence below.
         std::vector<double> z;
         if (options.generator != nullptr) {
           z = options.generator->standardNormals(s);
           for (std::size_t i = 0; i < z.size(); ++i) z[i] += shift[i];
         } else {
-          stats::Rng rng = campaign.fork(s);
           z.resize(shift.size());
           for (std::size_t i = 0; i < z.size(); ++i)
             z[i] = shift[i] + rng.normal();
         }
         if (!fails(z)) return;
-        failed[s] = 1;
-        // Likelihood ratio phi(z)/phi(z - shift).
-        weight[s] = std::exp(-dot(shift, z) + 0.5 * shiftNormSq);
-      },
-      options.threads);
+        out[0] = 1.0;
+        out[1] = std::exp(-dot(shift, z) + 0.5 * shiftNormSq);
+      });
+  if (draws.failures > 0)
+    throw SampleFailure(draws.firstFailure.message,
+                        draws.firstFailure.failureClass);
 
   double sumW = 0.0;
   double sumW2 = 0.0;
   int hits = 0;
-  for (std::size_t s = 0; s < n; ++s) {
-    if (!failed[s]) continue;
-    const double w = weight[s];
+  for (std::size_t s = 0; s < draws.sampleCount(); ++s) {
+    if (draws.metrics[0][s] == 0.0) continue;
+    const double w = draws.metrics[1][s];
     sumW += w;
     sumW2 += w * w;
     ++hits;

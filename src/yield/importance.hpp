@@ -25,8 +25,8 @@ namespace vsstat::yield {
 /// Failure indicator over the standardized Gaussian space: z has one entry
 /// per statistical parameter; returns true when the sample FAILS.
 ///
-/// importanceSample/bruteForceProbability evaluate the indicator from the
-/// shared persistent thread pool, so it must be safe to call concurrently
+/// importanceSample/bruteForceProbability evaluate the indicator as the
+/// samples of an mc::runCampaign, so it must be safe to call concurrently
 /// (circuit-backed indicators should lease per-worker fixtures from a
 /// sim::SessionPool; see examples/sram_yield.cpp).
 using FailureIndicator = std::function<bool(const std::vector<double>& z)>;
@@ -54,11 +54,12 @@ struct ImportanceResult {
 /// 1_fail(z) * w(z).  The shift should sit at (or slightly inside) the
 /// failure boundary; see findFailureShift().
 ///
-/// Samples are evaluated in parallel on the shared persistent pool; each
-/// draws from its own child RNG stream derived from (seed, sample index),
-/// and the weight reduction runs serially in index order afterwards, so
-/// results are bit-identical regardless of thread count (the same scheme
-/// as mc::runCampaign).
+/// The draws are the samples of an mc::runCampaign: each draws from its
+/// own child RNG stream derived from (seed, sample index), and the weight
+/// reduction runs serially in index order afterwards, so results are
+/// bit-identical regardless of thread count.  An indicator that throws a
+/// SampleFailure aborts the call: the lowest-indexed failure is rethrown
+/// as a SampleFailure of its class.
 [[nodiscard]] ImportanceResult importanceSample(
     const FailureIndicator& fails, const std::vector<double>& shift,
     const ImportanceOptions& options = {});

@@ -58,6 +58,19 @@ TEST(GoldenMeter, DeterministicForFixedSeed) {
   EXPECT_DOUBLE_EQ(a.varLog10Ioff, b.varLog10Ioff);
 }
 
+TEST(GoldenMeter, MatchesRecordedVariances) {
+  // Recorded from the per-sample loop the campaign runner replaced: the
+  // same child streams, reduced in the same order.
+  GoldenMeterOptions opt;
+  opt.samples = 64;
+  opt.seed = 77;
+  const GeometryMeasurement m = measureGoldenVariance(
+      GoldenKit::default40nm(), DeviceType::Nmos, geometryNm(600, 40), opt);
+  EXPECT_EQ(m.varIdsat, 0x1.2ac854579237bp-33);
+  EXPECT_EQ(m.varLog10Ioff, 0x1.de750be46d35fp-6);
+  EXPECT_EQ(m.varCgg, 0x1.6852f00542176p-112);
+}
+
 TEST(GoldenMeter, GeometrySetSweepsDecorrelatedSeeds) {
   const GoldenKit kit = GoldenKit::default40nm();
   GoldenMeterOptions opt;

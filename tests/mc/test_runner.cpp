@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "stats/descriptive.hpp"
 #include "util/error.hpp"
@@ -120,13 +122,14 @@ TEST(McRunner, NonSampleFailuresPropagateOutOfTheCampaign) {
 TEST(McRunner, RescuedSamplesAreCountedViaTheSampleContext) {
   McOptions opt;
   opt.samples = 30;
-  const McResult r = runCampaign(
+  const McResult r = runCampaignChunked(
       opt, 1,
       SampleFnEx([](std::size_t i, stats::Rng&, std::vector<double>& out,
                     SampleContext& ctx) {
         out[0] = 1.0;
         if (i % 3 == 0) ctx.rescueAttempts = 1;  // simulated ladder rescue
-      }));
+      }),
+      BlockResourceFn{}, /*chunkSamples=*/0, ChunkFn{});
   EXPECT_EQ(r.failures, 0);
   EXPECT_EQ(r.rescued, 10);
 }
@@ -165,6 +168,33 @@ TEST(McRunner, SampleCountEnforcesTheSharedRowLengthContract) {
   McResult ragged = r;
   ragged.metrics[1].pop_back();
   EXPECT_THROW((void)ragged.sampleCount(), InvalidArgumentError);
+}
+
+TEST(McRunner, NestedCampaignKeepsTheCallersSampleBuffer) {
+  // A sample function may run an inner campaign (a kit characterized on
+  // first use inside a worker does).  On a fresh thread the inner campaign
+  // grows the per-thread scratch by one nesting level, which must leave
+  // the outer sample's half-written buffer where it is.
+  McOptions outer;
+  outer.samples = 4;
+  outer.threads = 1;
+  McResult r;
+  std::thread fresh([&] {
+    r = runCampaign(
+        outer, 2, [](std::size_t i, stats::Rng&, std::vector<double>& out) {
+          out[0] = static_cast<double>(i);
+          McOptions inner;
+          inner.samples = 3;
+          inner.threads = 1;
+          const McResult sub = runCampaign(
+              inner, 1, [](std::size_t k, stats::Rng&,
+                           std::vector<double>& o) { o[0] = 10.0 * k; });
+          out[1] = sub.metrics[0].back();
+        });
+  });
+  fresh.join();
+  EXPECT_EQ(r.metrics[0], (std::vector<double>{0.0, 1.0, 2.0, 3.0}));
+  EXPECT_EQ(r.metrics[1], (std::vector<double>(4, 20.0)));
 }
 
 TEST(McRunner, RejectsBadOptions) {

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -305,6 +306,34 @@ TEST(SessionCache, PoolBuildsSessionsAfterItsDeckPlanIsEvicted) {
   const mc::McResult served = CampaignPlan(request).run(*pool, nullptr, false);
   EXPECT_EQ(pool->sessionCount(), 1u);
   EXPECT_EQ(served.metrics[0], inProcessCampaign(1).metrics[0]);
+}
+
+TEST(SessionCache, ConcurrentFirstAcquiresReportExactlyOneCold) {
+  // Requests racing for one new key share one pool, and each reads hit or
+  // miss from the lookup that served it: exactly one of them is cold.
+  SessionCache cache;
+  const CampaignPlan plan(parseCampaignRequest(
+      parseJson(makeRequest("race", kInverterDeck, kSamples, 1, 16))));
+  constexpr int kThreads = 6;
+  std::vector<SessionCache::Acquired> got(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      got[static_cast<std::size_t>(t)] = cache.acquire(plan);
+    });
+  for (std::thread& th : threads) th.join();
+
+  int cold = 0;
+  for (const SessionCache::Acquired& a : got) {
+    EXPECT_EQ(a.pool.get(), got[0].pool.get());
+    if (!a.warm) ++cold;
+  }
+  EXPECT_EQ(cold, 1);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, static_cast<std::size_t>(kThreads - 1));
 }
 
 // --- transient analysis over the wire --------------------------------------

@@ -15,11 +15,9 @@
 #include "circuits/benchmarks.hpp"
 #include "mc/circuit_campaign.hpp"
 #include "mc/providers.hpp"
-#include "mc/runner.hpp"
 #include "measure/delay.hpp"
 #include "models/vs_model.hpp"
 #include "models/vs_params.hpp"
-#include "sim/rescue.hpp"
 
 namespace vsstat::sim {
 namespace {
@@ -55,9 +53,12 @@ TEST(SessionPoolCache, HitMissAccounting) {
   Cache cache(4);
   EXPECT_FALSE(cache.contains("a"));
 
-  const std::shared_ptr<Pool> first = cache.acquire("a", makeInvPool);
+  bool hit = true;
+  const std::shared_ptr<Pool> first = cache.acquire("a", makeInvPool, &hit);
+  EXPECT_FALSE(hit);
   EXPECT_TRUE(cache.contains("a"));
-  const std::shared_ptr<Pool> second = cache.acquire("a", makeInvPool);
+  const std::shared_ptr<Pool> second = cache.acquire("a", makeInvPool, &hit);
+  EXPECT_TRUE(hit);
   EXPECT_EQ(first.get(), second.get()) << "repeat key must share one pool";
 
   const Cache::Stats stats = cache.stats();
@@ -110,23 +111,14 @@ mc::McResult campaignOnPool(Pool& pool, int samples, unsigned threads) {
   opt.samples = samples;
   opt.seed = 321;
   opt.threads = threads;
-  const sim::RescuePolicy rescue;
-  const auto measureDelay = [](std::size_t,
-                               CampaignSession<GateFo3Bench>& session,
-                               stats::Rng&, std::vector<double>& out) {
-    out[0] = measure::measureGateDelays(session.fixture(), session.spice(),
-                                        kInvDt)
-                 .average();
-  };
-  return mc::runCampaign(
-      opt, 1,
-      mc::SampleFnEx([&](std::size_t index, stats::Rng& rng,
-                         std::vector<double>& out, mc::SampleContext& ctx) {
-        Pool::Lease lease = pool.acquire();
-        sim::runSampleWithRescue(index, *lease, rng, out, ctx, measureDelay,
-                                 rescue);
-      }),
-      mc::BlockResourceFn{});
+  return mc::runCampaign<GateFo3Bench>(
+      opt, 1, pool,
+      [](std::size_t, CampaignSession<GateFo3Bench>& session, stats::Rng&,
+         std::vector<double>& out) {
+        out[0] = measure::measureGateDelays(session.fixture(),
+                                            session.spice(), kInvDt)
+                     .average();
+      });
 }
 
 TEST(SessionPoolCache, CachedPoolCampaignsBitIdenticalAcrossWorkers) {

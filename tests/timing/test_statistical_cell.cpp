@@ -76,6 +76,28 @@ TEST(StatisticalCell, LinearModelPredictsTheFastCornerDelay) {
   EXPECT_NEAR(ffDelay / predicted, 1.0, 0.05);
 }
 
+TEST(StatisticalCell, LocalSigmaMatchesRecorded) {
+  // Recorded from the per-sample loop the campaign runner replaced: the
+  // same child streams, reduced in the same order.
+  EXPECT_EQ(stage().local, 0x1.51583670981acp-42);
+}
+
+TEST(StatisticalCell, ASampleFailureAbortsTheStageModel) {
+  // The kit's cards with a VT0 mismatch of about 1 V: some draws leave an
+  // inverter that never switches.  The nominal and corner delays still
+  // come from the cards and the regular corners.
+  models::PelgromAlphas wild = kit().alphas(models::DeviceType::Nmos);
+  wild.aVt0 = 150.0;
+  const core::StatisticalVsKit broken(
+      kit().nominal(models::DeviceType::Nmos),
+      kit().nominal(models::DeviceType::Pmos), wild, wild, kit().vdd());
+  StageModelOptions opt;
+  opt.mismatchSamples = 8;
+  EXPECT_THROW((void)characterizeStageDelay(broken, corners(),
+                                            circuits::CellSizing{}, opt),
+               SampleFailure);
+}
+
 TEST(StatisticalCell, ValidatesOptions) {
   StageModelOptions bad;
   bad.mismatchSamples = 2;

@@ -78,6 +78,48 @@ TEST(ImportanceSampling, BeatsBruteForceVarianceAtTheTail) {
   EXPECT_NEAR(is.probability / truth, 1.0, 0.10);
 }
 
+TEST(ImportanceSampling, MatchesRecordedEstimates) {
+  // Recorded from the per-sample loop the campaign runner replaced: the
+  // same child streams, reduced in the same order.
+  const FailureIndicator fails = [](const std::vector<double>& z) {
+    return z[0] + 0.5 * z[1] > 3.0;
+  };
+  ImportanceOptions opt;
+  opt.samples = 2000;
+  opt.seed = 11;
+  const ImportanceResult is = importanceSample(fails, {2.4, 1.2}, opt);
+  EXPECT_EQ(is.probability, 0x1.d7f1a366202d1p-9);
+  EXPECT_EQ(is.relStdError, 0x1.40f914ac878fbp-5);
+  EXPECT_EQ(is.effectiveSamples, 0x1.eb8b5ac419a84p+8);
+  EXPECT_EQ(is.failingDraws, 1020);
+
+  opt.seed = 12;
+  const ImportanceResult bf = bruteForceProbability(fails, 2, opt);
+  EXPECT_EQ(bf.probability, 0x1.6872b020c49bap-8);
+  EXPECT_EQ(bf.relStdError, 0x1.33f971d96d169p-2);
+  EXPECT_EQ(bf.effectiveSamples, 11.0);
+  EXPECT_EQ(bf.failingDraws, 11);
+}
+
+TEST(ImportanceSampling, ASampleFailureAbortsTheCall) {
+  // A failing indicator evaluation is not a dropped draw: the estimate
+  // would be biased, so the call throws the failure's class.
+  const FailureIndicator fails = [](const std::vector<double>& z) -> bool {
+    if (z[0] > 1.5) throw ConvergenceError("indicator solve", 7);
+    return z[0] > 1.0;
+  };
+  ImportanceOptions opt;
+  opt.samples = 200;
+  opt.seed = 3;
+  try {
+    (void)importanceSample(fails, {2.0}, opt);
+    ADD_FAILURE() << "importanceSample returned";
+  } catch (const SampleFailure& e) {
+    EXPECT_EQ(e.failureClass(), FailureClass::nonConvergence);
+  }
+  EXPECT_THROW((void)bruteForceProbability(fails, 1, opt), SampleFailure);
+}
+
 TEST(ImportanceSampling, ValidatesInputs) {
   const FailureIndicator fails = [](const std::vector<double>&) {
     return false;
