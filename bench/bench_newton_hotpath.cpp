@@ -136,7 +136,7 @@ int run(int iters) {
     circuits::SramCellBench bench = circuits::buildSramCell(
         provider, 0.9, /*wordlineOn=*/true, circuits::SramSizing{});
     const spice::OperatingPoint op =
-        spice::dcOperatingPoint(bench.circuit, bench.stateGuess(true), {});
+        spice::dcOperatingPoint(bench.circuit, bench.stateGuess(true));
     benchCircuit("sram6t", bench.circuit, op, iters);
   }
   return 0;

@@ -54,8 +54,8 @@ void runSramCampaign(bool useVs, int samples) {
                sim::CampaignSession<circuits::SramCellBench>& session,
                stats::Rng&, std::vector<double>& out) {
         circuits::SramCellBench& fixture = session.fixture();
-        const spice::OperatingPoint op = session.spice().dcOperatingPoint(
-            fixture.stateGuess(), spice::DcOptions{});
+        const spice::OperatingPoint op =
+            session.spice().dcOperatingPoint(fixture.stateGuess());
         const spice::SmallSignalSystem system(fixture.circuit, op);
         const linalg::ComplexVector excitation = system.voltageExcitation(
             fixture.circuit, fixture.vddSource);

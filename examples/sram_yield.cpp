@@ -236,21 +236,14 @@ int main(int argc, char** argv) {
               100.0 * r.warmStartHitRate(), 100.0 * h.warmStartHitRate(),
               spice::toString(sessionOptions.tier));
 
-  // Factor telemetry from one of the campaign's own worker sessions: shape
-  // (pattern vs fill) is topology-fixed, counters accumulate that worker's
-  // share of the campaign.
-  {
-    auto lease = readPool.acquire();
-    const auto t = lease->spice().solverTelemetry();
-    std::printf("solver factor: %zu pattern nnz -> %zu factor nnz "
-                "(fill %.2fx), ordering %llu us, %llu full factors "
-                "(%llu us), %llu fast refactors\n",
-                t.patternNnz, t.factorNnz, t.fillRatio,
-                static_cast<unsigned long long>(t.orderingMicros),
-                static_cast<unsigned long long>(t.fullFactors),
-                static_cast<unsigned long long>(t.fullFactorMicros),
-                static_cast<unsigned long long>(t.fastRefactors));
-  }
+  std::printf("solver factor: %llu + %llu full factors, %llu + %llu fast "
+              "refactors, %llu + %llu pivot fallbacks (READ + HOLD)\n",
+              static_cast<unsigned long long>(r.fullFactors),
+              static_cast<unsigned long long>(h.fullFactors),
+              static_cast<unsigned long long>(r.fastRefactors),
+              static_cast<unsigned long long>(h.fastRefactors),
+              static_cast<unsigned long long>(r.pivotFallbacks),
+              static_cast<unsigned long long>(h.pivotFallbacks));
   std::printf("\nRead-stability yield (SNM >= %.0f mV): %.2f %%  "
               "[95%% CI %.2f..%.2f]  (%ld/%ld failing)\n",
               kSnmFloor * 1e3, 100.0 * moderate.yield, 100.0 * moderate.lower,

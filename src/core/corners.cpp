@@ -47,23 +47,19 @@ const char* toString(Corner c) noexcept {
   return "?";
 }
 
-StatisticalCorners::StatisticalCorners(const StatisticalVsKit& kit,
-                                       const CornerOptions& options)
-    : kit_(kit), options_(options) {
-  require(options_.nSigma > 0.0, "StatisticalCorners: nSigma must be > 0");
-  require(options_.vdd > 0.0, "StatisticalCorners: vdd must be > 0");
+StatisticalCorners::StatisticalCorners(const StatisticalVsKit& kit)
+    : kit_(kit) {
   nmos_ = derive(kit.nominal(models::DeviceType::Nmos),
-                 kit.alphas(models::DeviceType::Nmos), options_);
+                 kit.alphas(models::DeviceType::Nmos), kit.vdd());
   pmos_ = derive(kit.nominal(models::DeviceType::Pmos),
-                 kit.alphas(models::DeviceType::Pmos), options_);
+                 kit.alphas(models::DeviceType::Pmos), kit.vdd());
 }
 
 StatisticalCorners::PolarityCorner StatisticalCorners::derive(
     const models::VsParams& card, const models::PelgromAlphas& a,
-    const CornerOptions& options) {
+    double vdd) {
   const models::DeviceGeometry geom = kCornerReferenceGeometry;
-  const linalg::Matrix sens =
-      extract::targetSensitivities(card, geom, options.vdd);
+  const linalg::Matrix sens = extract::targetSensitivities(card, geom, vdd);
   const models::ParameterSigmas s = models::sigmasFor(a, geom);
 
   const auto idsatRow = static_cast<std::size_t>(extract::Target::Idsat);
@@ -78,10 +74,10 @@ StatisticalCorners::PolarityCorner StatisticalCorners::derive(
   require(var > 0.0, "StatisticalCorners: zero Idsat variance");
   const double sigmaIdsat = std::sqrt(var);
 
-  // Most-probable point for a +/- nSigma Idsat excursion of a linear
+  // Most-probable point for a +/- n sigma Idsat excursion of a linear
   // target: delta_j = +/- n sigma_j^2 g_j / sigma_e.
   PolarityCorner pc;
-  const double scale = options.nSigma / sigmaIdsat;
+  const double scale = kCornerSigmas / sigmaIdsat;
   const auto fill = [&](models::VariationDelta& d, double sign) {
     d.dVt0 = sign * scale * sigma[0] * sigma[0] * g[0];
     d.dLeff = sign * scale * sigma[1] * sigma[1] * g[1];
@@ -93,7 +89,7 @@ StatisticalCorners::PolarityCorner StatisticalCorners::derive(
   fill(pc.slow, -1.0);
 
   const models::VsModel nominal(card);
-  pc.idsatNominal = nominal.drainCurrent(geom, options.vdd, options.vdd);
+  pc.idsatNominal = nominal.drainCurrent(geom, vdd, vdd);
   pc.idsatSigma = sigmaIdsat;
   return pc;
 }
@@ -112,7 +108,7 @@ double StatisticalCorners::predictedIdsatRatio(
   const PolarityCorner& pc =
       type == models::DeviceType::Nmos ? nmos_ : pmos_;
   const double sign = fastFor(corner, type) ? 1.0 : -1.0;
-  return 1.0 + sign * options_.nSigma * pc.idsatSigma / pc.idsatNominal;
+  return 1.0 + sign * kCornerSigmas * pc.idsatSigma / pc.idsatNominal;
 }
 
 namespace {
@@ -152,7 +148,7 @@ std::unique_ptr<circuits::DeviceProvider> StatisticalCorners::makeProvider(
 
 std::string StatisticalCorners::summary() const {
   std::ostringstream os;
-  os << "Statistical corners at " << options_.nSigma << " sigma (W/L = "
+  os << "Statistical corners at " << kCornerSigmas << " sigma (W/L = "
      << kCornerReferenceGeometry.widthNm() << "/"
      << kCornerReferenceGeometry.lengthNm() << " nm)\n";
   for (const Corner c : kAllCorners) {

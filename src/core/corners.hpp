@@ -11,7 +11,8 @@
 // i.e. the sigma-scaled gradient direction.  Sigmas come from the
 // Pelgrom alphas evaluated at a reference geometry and are interpreted as
 // a die-level (global) skew applied identically to every instance -- the
-// Eq. (1) composition's inter-die slot.
+// Eq. (1) composition's inter-die slot.  Corners sit at n = 3 sigma, with
+// Idsat evaluated at the kit's supply.
 #ifndef VSSTAT_CORE_CORNERS_HPP
 #define VSSTAT_CORE_CORNERS_HPP
 
@@ -37,16 +38,13 @@ inline constexpr std::array<Corner, 5> kAllCorners = {
 inline constexpr models::DeviceGeometry kCornerReferenceGeometry{300e-9,
                                                                  40e-9};
 
-struct CornerOptions {
-  double nSigma = 3.0;  ///< corner distance in Idsat sigmas
-  double vdd = 0.9;
-};
+/// Corner distance in Idsat sigmas.
+inline constexpr double kCornerSigmas = 3.0;
 
 /// Derives and holds the five corner deltas for a calibrated kit.
 class StatisticalCorners {
  public:
-  StatisticalCorners(const StatisticalVsKit& kit,
-                     const CornerOptions& options = {});
+  explicit StatisticalCorners(const StatisticalVsKit& kit);
 
   /// The per-polarity parameter shift at this corner (zero for TT).
   [[nodiscard]] const models::VariationDelta& delta(
@@ -62,27 +60,22 @@ class StatisticalCorners {
   [[nodiscard]] std::unique_ptr<circuits::DeviceProvider> makeProvider(
       Corner corner) const;
 
-  [[nodiscard]] const CornerOptions& options() const noexcept {
-    return options_;
-  }
-
   /// Human-readable corner report (per-corner VT0/Leff/mu shifts).
   [[nodiscard]] std::string summary() const;
 
  private:
   struct PolarityCorner {
-    models::VariationDelta fast;  ///< +nSigma Idsat shift
-    models::VariationDelta slow;  ///< -nSigma Idsat shift
+    models::VariationDelta fast;  ///< +kCornerSigmas Idsat shift
+    models::VariationDelta slow;  ///< -kCornerSigmas Idsat shift
     double idsatNominal = 0.0;
     double idsatSigma = 0.0;  ///< first-order sigma at the reference geom
   };
 
   [[nodiscard]] static PolarityCorner derive(const models::VsParams& card,
                                              const models::PelgromAlphas& a,
-                                             const CornerOptions& options);
+                                             double vdd);
 
   const StatisticalVsKit& kit_;
-  CornerOptions options_;
   PolarityCorner nmos_;
   PolarityCorner pmos_;
   models::VariationDelta zero_{};

@@ -25,9 +25,9 @@ StatisticalVsKit::StatisticalVsKit(models::VsParams nmos,
 
 StatisticalVsKit StatisticalVsKit::characterize(
     const extract::GoldenKit& golden, const CharacterizeOptions& options) {
-  CharacterizeOptions opt = options;
-  opt.fit.vdd = golden.vdd;
-  opt.bpv.vdd = golden.vdd;
+  // Fit and BPV run at the golden kit's supply, on their default settings.
+  extract::FitOptions fitOpt;
+  fitOpt.vdd = golden.vdd;
 
   // Reference geometry for the nominal fit, as in the paper's Fig. 1.
   const models::DeviceGeometry fitGeom = models::geometryNm(300, 40);
@@ -42,32 +42,31 @@ StatisticalVsKit StatisticalVsKit::characterize(
     // Step 1 (Fig. 1): fit the nominal VS card to the golden I-V/C-V.
     const models::BsimLite goldenModel(goldenCard);
     const extract::IvFitResult fit =
-        extract::fitVsToGolden(seed, goldenModel, fitGeom, opt.fit);
+        extract::fitVsToGolden(seed, goldenModel, fitGeom, fitOpt);
 
     // Step 2: measure target variances across the geometry set.
     const std::vector<models::DeviceGeometry> geoms =
         extract::extractionGeometries();
     std::vector<extract::GeometryMeasurement> meas;
-    if (opt.analyticGoldenVariance) {
+    if (options.analyticGoldenVariance) {
       meas.reserve(geoms.size());
       for (const auto& g : geoms)
         meas.push_back(extract::analyticGoldenVariance(golden, type, g));
     } else {
       extract::GoldenMeterOptions gm;
-      gm.samples = opt.samplesPerGeometry;
-      gm.seed = opt.seed + (type == models::DeviceType::Nmos ? 0 : 0x9E37);
+      gm.samples = options.samplesPerGeometry;
+      gm.seed = options.seed + (type == models::DeviceType::Nmos ? 0 : 0x9E37);
       meas = extract::measureGoldenVariances(golden, type, geoms, gm);
     }
 
     // Step 3 (Eq. 10): backward propagation of variance.  Cinv is
     // "measured directly" from the golden kit (the paper measures oxide
     // thickness), so its coefficient is handed to BPV rather than solved.
-    extract::BpvOptions bpvOpt = opt.bpv;
-    if (!bpvOpt.solveCinvByBpv) {
-      bpvOpt.aCinvDirect = type == models::DeviceType::Nmos
-                               ? golden.nmosMismatch.aCox
-                               : golden.pmosMismatch.aCox;
-    }
+    extract::BpvOptions bpvOpt;
+    bpvOpt.vdd = golden.vdd;
+    bpvOpt.aCinvDirect = type == models::DeviceType::Nmos
+                             ? golden.nmosMismatch.aCox
+                             : golden.pmosMismatch.aCox;
     const extract::BpvResult bpv = extract::solveBpv(fit.card, meas, bpvOpt);
     return std::make_pair(fit.card, bpv.alphas);
   };

@@ -34,8 +34,6 @@ struct CharacterizeOptions {
   /// Use analytic golden variances instead of MC (noise-free extraction;
   /// useful for tests and the ablation bench).
   bool analyticGoldenVariance = false;
-  extract::FitOptions fit;
-  extract::BpvOptions bpv;
 };
 
 class StatisticalVsKit {

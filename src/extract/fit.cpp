@@ -28,6 +28,9 @@ constexpr double kVgsStep = 0.05;
 constexpr double kVdsStep = 0.05;
 constexpr double kVdsLin = 0.05;
 
+// LM iteration budget of a nominal fit.
+constexpr int kMaxIterations = 300;
+
 struct NominalRun {
   FitCampaignResult result;
   bool converged = false;
@@ -119,7 +122,7 @@ IvFitResult fitVsToGolden(const models::VsParams& seed,
   grid.points.push_back({0.0, vdd, Quantity::logId, kIoffWeight});
 
   FitCampaignOptions campaignOptions;
-  campaignOptions.maxIterations = options.maxIterations;
+  campaignOptions.maxIterations = kMaxIterations;
   const FitCampaign campaign(seed, geom, std::move(grid), campaignOptions);
   const NominalRun run = runNominal(campaign, golden, "fitVsToGolden");
 
@@ -165,7 +168,7 @@ AlphaFitResult fitAlphaPowerToGolden(const models::AlphaPowerParams& seed,
     idVgEnd += 2;
 
   FitCampaignOptions campaignOptions;
-  campaignOptions.maxIterations = options.maxIterations;
+  campaignOptions.maxIterations = kMaxIterations;
   const FitCampaign campaign(seed, geom, std::move(grid), campaignOptions);
   const NominalRun run = runNominal(campaign, golden, "fitAlphaPowerToGolden");
 

@@ -20,11 +20,10 @@
 
 namespace vsstat::extract {
 
-/// Supply and LM budget of a nominal fit; the measurement grid's pitches
-/// are constants of fit.cpp.
+/// Supply of a nominal fit; the LM budget and the measurement grid's
+/// pitches are constants of fit.cpp.
 struct FitOptions {
   double vdd = 0.9;
-  int maxIterations = 300;
 };
 
 struct IvFitResult {

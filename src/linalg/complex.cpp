@@ -21,7 +21,7 @@ ComplexVector operator*(const ComplexMatrix& a, const ComplexVector& x) {
   return y;
 }
 
-ComplexLu::ComplexLu(ComplexMatrix a, double pivotTolerance)
+ComplexLu::ComplexLu(ComplexMatrix a)
     : lu_(std::move(a)), pivots_(lu_.rows()) {
   require(lu_.rows() == lu_.cols(), "ComplexLu: matrix must be square");
   const std::size_t n = lu_.rows();
@@ -38,7 +38,7 @@ ComplexLu::ComplexLu(ComplexMatrix a, double pivotTolerance)
         pivotRow = r;
       }
     }
-    if (best < pivotTolerance) {
+    if (best < kPivotTolerance) {
       throw ConvergenceError(
           "ComplexLu: singular matrix at column " + std::to_string(k),
           static_cast<int>(k));

@@ -48,8 +48,8 @@ class ComplexMatrix {
 class ComplexLu {
  public:
   /// Factors a square matrix.  Throws ConvergenceError on numerical
-  /// singularity (pivot modulus below `pivotTolerance`).
-  explicit ComplexLu(ComplexMatrix a, double pivotTolerance = 1e-14);
+  /// singularity (pivot modulus below kPivotTolerance).
+  explicit ComplexLu(ComplexMatrix a);
 
   /// Solves A x = b.
   [[nodiscard]] ComplexVector solve(const ComplexVector& b) const;

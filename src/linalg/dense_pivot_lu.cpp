@@ -7,19 +7,19 @@
 
 namespace vsstat::linalg {
 
-void DensePivotLu::refactor(const SparseMatrix& m, double pivotTolerance) {
+void DensePivotLu::refactor(const SparseMatrix& m) {
   const SparsePattern& pattern = m.pattern();
   require(!pattern.empty(), "DensePivotLu: empty pattern");
   if (pattern_ != &pattern || n_ != pattern.size()) {
-    fullFactor(m, pivotTolerance);
+    fullFactor(m);
     return;
   }
-  if (!fastRefactor(m, pivotTolerance)) {
-    fullFactor(m, pivotTolerance);
+  if (!fastRefactor(m)) {
+    fullFactor(m);
   }
 }
 
-void DensePivotLu::fullFactor(const SparseMatrix& m, double pivotTolerance) {
+void DensePivotLu::fullFactor(const SparseMatrix& m) {
   const SparsePattern& pattern = m.pattern();
   const std::size_t n = pattern.size();
   n_ = n;
@@ -50,7 +50,7 @@ void DensePivotLu::fullFactor(const SparseMatrix& m, double pivotTolerance) {
         p = i;
       }
     }
-    if (!(best >= pivotTolerance)) {
+    if (!(best >= kPivotTolerance)) {
       throw SingularMatrixError(
           "DensePivotLu: matrix is singular to working precision",
           static_cast<int>(k));
@@ -128,8 +128,7 @@ void DensePivotLu::buildSymbolic(const SparsePattern& pattern) {
   }
 }
 
-bool DensePivotLu::fastRefactor(const SparseMatrix& m,
-                                double pivotTolerance) noexcept {
+bool DensePivotLu::fastRefactor(const SparseMatrix& m) noexcept {
   const std::size_t n = n_;
   double* a = scratch_.data();
 
@@ -142,7 +141,7 @@ bool DensePivotLu::fastRefactor(const SparseMatrix& m,
 
   for (std::size_t k = 0; k < n; ++k) {
     const double diag = a[k * n + k];
-    if (!(std::fabs(diag) >= pivotTolerance)) return false;
+    if (!(std::fabs(diag) >= kPivotTolerance)) return false;
     const double* pivotRow = a + k * n;
     const std::size_t uBegin = uStart_[k];
     const std::size_t uEnd = uStart_[k + 1];

@@ -34,7 +34,7 @@ class DensePivotLu {
   /// dense analyze + partial-pivot path; later calls on the same pattern
   /// reuse the recorded pivot order and fill structure.  Throws
   /// ConvergenceError when the matrix is numerically singular.
-  void refactor(const SparseMatrix& m, double pivotTolerance = 1e-14);
+  void refactor(const SparseMatrix& m);
 
   /// Forgets the analyzed pattern so the next refactor() re-pivots from
   /// scratch -- the "fresh factor" the bench baseline times.
@@ -55,9 +55,8 @@ class DensePivotLu {
   }
 
  private:
-  void fullFactor(const SparseMatrix& m, double pivotTolerance);
-  [[nodiscard]] bool fastRefactor(const SparseMatrix& m,
-                                  double pivotTolerance) noexcept;
+  void fullFactor(const SparseMatrix& m);
+  [[nodiscard]] bool fastRefactor(const SparseMatrix& m) noexcept;
   void buildSymbolic(const SparsePattern& pattern);
 
   std::size_t n_ = 0;

@@ -16,6 +16,10 @@ namespace vsstat::linalg {
 
 using Vector = std::vector<double>;
 
+/// Smallest pivot magnitude the LU factorizations (SparseLu, DensePivotLu,
+/// ComplexLu) accept; a smaller pivot makes the matrix singular.
+inline constexpr double kPivotTolerance = 1e-14;
+
 /// Value-semantic dense matrix, row-major storage.
 class Matrix {
  public:

@@ -11,6 +11,9 @@ namespace vsstat::linalg {
 
 namespace {
 
+/// Element-growth ceiling of the reuse monitor: max|LU| > this * max|A|.
+constexpr double kPivotGrowthLimit = 1e8;
+
 std::uint64_t microsSince(
     const std::chrono::steady_clock::time_point& t0) noexcept {
   return static_cast<std::uint64_t>(
@@ -21,38 +24,37 @@ std::uint64_t microsSince(
 
 }  // namespace
 
-void SparseLu::refactor(const SparseMatrix& m, double pivotTolerance) {
+void SparseLu::refactor(const SparseMatrix& m) {
   if (mode_ == SolverMode::reusePivot) {
-    refactorReusingPivots(m, pivotTolerance);
+    refactorReusingPivots(m);
     return;
   }
   const SparsePattern& pattern = m.pattern();
   require(!pattern.empty(), "SparseLu: empty pattern");
   if (pattern_ != &pattern || n_ != pattern.size()) {
-    fullFactor(m, pivotTolerance);
+    fullFactor(m);
     return;
   }
-  if (!fastRefactor(m, pivotTolerance, 0.0)) {
+  if (!fastRefactor(m, /*monitorGrowth=*/false)) {
     // Pivot order went stale for the current values: re-pivot from scratch.
-    fullFactor(m, pivotTolerance);
+    fullFactor(m);
   }
 }
 
-void SparseLu::refactorReusingPivots(const SparseMatrix& m,
-                                     double pivotTolerance) {
+void SparseLu::refactorReusingPivots(const SparseMatrix& m) {
   const SparsePattern& pattern = m.pattern();
   require(!pattern.empty(), "SparseLu: empty pattern");
   if (pattern_ != &pattern || n_ != pattern.size()) {
-    fullFactor(m, pivotTolerance);
+    fullFactor(m);
     return;
   }
-  if (!fastRefactor(m, pivotTolerance, growthLimit_)) {
+  if (!fastRefactor(m, /*monitorGrowth=*/true)) {
     // Monitor breakdown: the reused order hit a near-zero pivot or grew the
     // factor past the growth limit for these values.  Abandon it and derive
     // a fresh order from the values themselves; restorePivotSnapshot()
     // brings the canonical order back at the next solve boundary.
     ++pivotFallbacks_;
-    fullFactor(m, pivotTolerance);
+    fullFactor(m);
   }
 }
 
@@ -153,7 +155,7 @@ void SparseLu::ensureOrdering(const SparsePattern& pattern) {
   orderingMicros_ += microsSince(t0);
 }
 
-void SparseLu::fullFactor(const SparseMatrix& m, double pivotTolerance) {
+void SparseLu::fullFactor(const SparseMatrix& m) {
   const SparsePattern& pattern = m.pattern();
   const std::size_t n = pattern.size();
   n_ = n;
@@ -268,7 +270,7 @@ void SparseLu::fullFactor(const SparseMatrix& m, double pivotTolerance) {
         ipiv = i;
       }
     }
-    if (ipiv == n || !(best >= pivotTolerance)) {
+    if (ipiv == n || !(best >= kPivotTolerance)) {
       // Negated comparison so a NaN column is also caught here instead of
       // silently poisoning the factors.  Restore the all-zero work
       // invariant before reporting: a later factorization must find x_ and
@@ -352,8 +354,8 @@ void SparseLu::fullFactor(const SparseMatrix& m, double pivotTolerance) {
   fullFactorMicros_ += microsSince(t0);
 }
 
-bool SparseLu::fastRefactor(const SparseMatrix& m, double pivotTolerance,
-                            double growthLimit) noexcept {
+bool SparseLu::fastRefactor(const SparseMatrix& m,
+                            bool monitorGrowth) noexcept {
   const std::size_t n = n_;
   const auto& values = m.values();
   double* x = x_.data();
@@ -370,7 +372,7 @@ bool SparseLu::fastRefactor(const SparseMatrix& m, double pivotTolerance,
   for (std::size_t k = 0; k < n; ++k) {
     const std::size_t j = colPerm_[k];
     const std::size_t aEnd = aColStart_[j + 1];
-    if (growthLimit > 0.0) {
+    if (monitorGrowth) {
       for (std::size_t p = aColStart_[j]; p < aEnd; ++p) {
         const double v = values[aSlotIdx_[p]];
         x[permInv_[aRowIdx_[p]]] = v;
@@ -397,7 +399,7 @@ bool SparseLu::fastRefactor(const SparseMatrix& m, double pivotTolerance,
     x[k] = 0.0;
     const std::size_t lEnd = lColStart_[k + 1];
     // Negated form so a NaN diagonal reports breakdown instead of passing.
-    if (!(std::fabs(diag) >= pivotTolerance)) {
+    if (!(std::fabs(diag) >= kPivotTolerance)) {
       for (std::size_t q = lColStart_[k]; q < lEnd; ++q)
         x[static_cast<std::size_t>(lRowIdx_[q])] = 0.0;
       return false;
@@ -410,7 +412,7 @@ bool SparseLu::fastRefactor(const SparseMatrix& m, double pivotTolerance,
     }
   }
 
-  if (growthLimit > 0.0) {
+  if (monitorGrowth) {
     // Element-growth monitor (pivot-reuse sessions): one O(nnz) post-pass
     // instead of per-update tracking, so the elimination loop above stays
     // identical to the unmonitored fresh-mode path.  Partial pivoting keeps
@@ -420,7 +422,7 @@ bool SparseLu::fastRefactor(const SparseMatrix& m, double pivotTolerance,
     for (const double v : lValues_) maxLu = std::max(maxLu, std::fabs(v));
     for (const double v : uValues_) maxLu = std::max(maxLu, std::fabs(v));
     for (const double v : uDiag_) maxLu = std::max(maxLu, std::fabs(v));
-    if (maxLu > growthLimit * maxA) return false;
+    if (maxLu > kPivotGrowthLimit * maxA) return false;
   }
 
   ++fastRefactors_;

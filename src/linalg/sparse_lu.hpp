@@ -23,7 +23,10 @@
 // A pivot falling below tolerance during a refactor transparently falls back
 // to the full re-pivoting path, exactly as the dense-pivot predecessor did
 // (that implementation survives as linalg/dense_pivot_lu.hpp, the measured
-// baseline for the `speedup_vs_dense_lu` bench rows).
+// baseline for the `speedup_vs_dense_lu` bench rows).  The pivot settings
+// are constants, not knobs: a pivot below kPivotTolerance (1e-14,
+// linalg/matrix.hpp) is singular, and the reuse monitor's growth ceiling
+// is 1e8.
 //
 // Two session-level pivot policies (SolverMode) build on this:
 //
@@ -77,18 +80,18 @@ class SparseLu {
   /// In SolverMode::reusePivot (setSolverMode) this forwards to
   /// refactorReusingPivots(), so generic drivers pick up the session's
   /// pivot policy without mode checks at every call site.
-  void refactor(const SparseMatrix& m, double pivotTolerance = 1e-14);
+  void refactor(const SparseMatrix& m);
 
   /// The pivot-reuse path: factors `m` on the previously derived pivot
   /// order and factor structure, skipping the pivot search and the symbolic
   /// pass.  A cheap monitor guards the reuse: if any reused pivot falls
-  /// below `pivotTolerance` or the factor's element growth max|LU| / max|A|
-  /// exceeds the growth limit (setPivotGrowthLimit), the stale order is
-  /// abandoned and a full re-pivot runs instead (counted by
+  /// below kPivotTolerance or the factor's element growth
+  /// max|LU| / max|A| exceeds 1e8 (partial pivoting keeps it near 1 on
+  /// these MNA systems, so only genuinely degenerate reuse trips it), the
+  /// stale order is abandoned and a full re-pivot runs instead (counted by
   /// pivotFallbackCount).  With no analyzed pattern (or a different one)
   /// it degrades to the full path.
-  void refactorReusingPivots(const SparseMatrix& m,
-                             double pivotTolerance = 1e-14);
+  void refactorReusingPivots(const SparseMatrix& m);
 
   /// Forgets the analyzed pivot order and factor structure so the next
   /// refactor() runs the full symbolic + partial-pivot path again.  All
@@ -125,15 +128,6 @@ class SparseLu {
   /// the explicit entry points above are mode-independent.
   void setSolverMode(SolverMode m) noexcept { mode_ = m; }
   [[nodiscard]] SolverMode solverMode() const noexcept { return mode_; }
-
-  /// Element-growth ceiling of the reuse monitor: a reused factorization
-  /// whose max|LU| exceeds limit * max|A| triggers a full re-pivot.
-  /// Partial pivoting keeps growth near 1 on these MNA systems, so the
-  /// default flags only genuinely degenerate reuse.
-  void setPivotGrowthLimit(double limit) noexcept { growthLimit_ = limit; }
-  [[nodiscard]] double pivotGrowthLimit() const noexcept {
-    return growthLimit_;
-  }
 
   /// Solves A x = b in place; allocation-free, O(nnz(L+U)).
   void solveInPlace(Vector& x) const;
@@ -192,9 +186,12 @@ class SparseLu {
 
  private:
   void ensureOrdering(const SparsePattern& pattern);
-  void fullFactor(const SparseMatrix& m, double pivotTolerance);
-  [[nodiscard]] bool fastRefactor(const SparseMatrix& m, double pivotTolerance,
-                                  double growthLimit) noexcept;
+  void fullFactor(const SparseMatrix& m);
+  /// Replays the numeric sweep over the analyzed structure; false on a
+  /// pivot below tolerance or, when `monitorGrowth`, on element growth
+  /// past the ceiling.
+  [[nodiscard]] bool fastRefactor(const SparseMatrix& m,
+                                  bool monitorGrowth) noexcept;
 
   std::size_t n_ = 0;
   const SparsePattern* pattern_ = nullptr;  ///< identity of analyzed pattern
@@ -263,7 +260,6 @@ class SparseLu {
   bool divergedFromSnapshot_ = false;
 
   SolverMode mode_ = SolverMode::fresh;
-  double growthLimit_ = 1e8;
 
   std::uint64_t fullFactors_ = 0;
   std::uint64_t fastRefactors_ = 0;

@@ -155,6 +155,9 @@ McResult runCampaignChunked(const McOptions& options, std::size_t metricCount,
     result.newtonIterations += contexts[i].newtonIterations;
     result.warmStartHits += contexts[i].warmStartHits;
     result.warmStartOpportunities += contexts[i].warmStartOpportunities;
+    result.fullFactors += contexts[i].fullFactors;
+    result.fastRefactors += contexts[i].fastRefactors;
+    result.pivotFallbacks += contexts[i].pivotFallbacks;
     for (std::size_t m = 0; m < metricCount; ++m)
       result.metrics[m].push_back(flat[i * metricCount + m]);
   }

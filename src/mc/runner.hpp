@@ -68,6 +68,13 @@ struct McResult {
   std::uint64_t newtonIterations = 0;
   std::uint64_t warmStartHits = 0;
   std::uint64_t warmStartOpportunities = 0;
+  /// Workspace-factorization counters summed the same way: full factors,
+  /// structure-reusing refactors and reuse-monitor pivot fallbacks.  As
+  /// sums in index order they do not depend on which worker session
+  /// served which sample.
+  std::uint64_t fullFactors = 0;
+  std::uint64_t fastRefactors = 0;
+  std::uint64_t pivotFallbacks = 0;
   [[nodiscard]] double meanIterationsPerSample() const {
     const std::size_t n = sampleCount();
     return n == 0 ? 0.0
@@ -101,12 +108,17 @@ struct McResult {
 /// ladder) use it to flag rescued samples in the result taxonomy.
 struct SampleContext {
   int rescueAttempts = 0;  ///< rescue-ladder retries consumed (0 = clean)
-  // Per-sample Newton telemetry (sim::runSampleWithRescue fills these by
-  // diffing SimSession::iterationTelemetry around the sample; reduced into
-  // the McResult aggregates in index order).
-  std::uint64_t newtonIterations = 0;
-  std::uint64_t warmStartHits = 0;
-  std::uint64_t warmStartOpportunities = 0;
+  // Per-sample solver telemetry (sim::runSampleWithRescue fills these by
+  // diffing SimSession's iteration and factorization counters around the
+  // sample; reduced into the 64-bit McResult aggregates in index order).
+  // One sample's counts fit 32 bits, and the runner keeps one context per
+  // sample.
+  std::uint32_t newtonIterations = 0;
+  std::uint32_t warmStartHits = 0;
+  std::uint32_t warmStartOpportunities = 0;
+  std::uint32_t fullFactors = 0;
+  std::uint32_t fastRefactors = 0;
+  std::uint32_t pivotFallbacks = 0;
 };
 
 /// Sample function: fills `out` (size metricCount) for the given sample.

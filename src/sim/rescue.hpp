@@ -1,26 +1,20 @@
-// Deterministic solve-rescue ladder for campaign samples.
+// Deterministic solve-rescue replay for campaign samples.
 //
 // When a sample's evaluation throws a SampleFailure, the campaign does not
 // have to drop it outright: many failures are artifacts of the session's
 // throughput configuration (a reused pivot order gone degenerate for this
 // draw, a fast-numerics lane overflowing, a Newton clamp too generous for a
-// stiff corner) rather than genuinely unsolvable circuits.  The rescue
-// ladder retries the sample through an escalating sequence of rungs:
+// stiff corner) rather than genuinely unsolvable circuits.  The sample is
+// replayed through the session's rescue rungs -- hardened Newton, fresh
+// pivoting, reference numerics, all combined -- which spice::SimSession
+// owns and applies (SimSession::beginAttempt); this file holds only the
+// replay loop and the campaign's on/off switch.
 //
-//   1. hardened Newton  -- 3x the iteration budget, 4x heavier damping
-//      (the full gmin/source-stepping homotopy reruns on every rung; it is
-//      built into every session solve);
-//   2. fresh pivoting   -- only for reusePivot sessions: re-derive the
-//      pivot order from this sample's own values;
-//   3. reference numerics -- only for fast sessions: swap the vectorized
-//      kernel chain out for the reference evaluation chain;
-//   4. all of the above combined.
-//
-// Determinism contract: the ladder is indexed by SAMPLE, never by thread or
+// Determinism contract: the replay is indexed by SAMPLE, never by thread or
 // schedule.  Every attempt rebinds from a copy of the sample's original RNG
-// state (DeviceProvider draws replay exactly), the rung sequence depends
-// only on the session's configuration, and every session-mode change is
-// restored before the sample returns -- so campaign results stay
+// state (DeviceProvider draws replay exactly), the rungs depend only on the
+// session's baseline configuration, and SimSession::endSample restores that
+// baseline before the sample returns -- so campaign results stay
 // bit-identical across thread counts and session assignments, with or
 // without rescues.  Rescued samples report the rung that succeeded through
 // mc::SampleContext::rescueAttempts; exhausted ladders rethrow the LAST
@@ -30,6 +24,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <vector>
 
@@ -47,139 +42,68 @@ struct RescuePolicy {
   bool enabled = true;
 };
 
-namespace detail {
-
-/// One rung of the ladder: which escalations it applies on top of the
-/// session's baseline configuration.
-struct RescueRung {
-  bool harden = false;            ///< 3x iterations, 0.25x update clamp
-  bool freshPivot = false;        ///< override reusePivot with fresh
-  bool referenceNumerics = false;  ///< override fast with reference
-};
-
-/// Extra Newton effort of hardened rungs.  3x budget covers slow-creeping
-/// stiff corners; a 0.25x clamp quarters the per-iteration voltage move
-/// (heavier damping), which is the classic fix for overshooting Newton on
-/// exponential device characteristics.
-inline constexpr spice::SimSession::SolveEffort kHardenedEffort{3, 0.25};
-
-/// Builds the ladder for a session configuration.  Depends ONLY on the
-/// session's baseline modes (identical for every worker), never on the
-/// failure or the schedule, so every worker uses the same ladder.
-inline std::vector<RescueRung> buildLadder(models::NumericsMode numerics,
-                                           linalg::SolverMode solver) {
-  const bool fast = numerics == models::NumericsMode::fast;
-  const bool reuse = solver == linalg::SolverMode::reusePivot;
-  std::vector<RescueRung> rungs;
-  rungs.push_back(RescueRung{true, false, false});
-  if (reuse) rungs.push_back(RescueRung{false, true, false});
-  if (fast) rungs.push_back(RescueRung{false, false, true});
-  if (reuse || fast) rungs.push_back(RescueRung{true, reuse, fast});
-  return rungs;
-}
-
-/// Restores the session's baseline modes, effort, and sample context on
-/// scope exit -- including on the rethrow path -- so the next sample this
-/// session serves starts from exactly the state every other session has.
-class SessionModeGuard {
- public:
-  explicit SessionModeGuard(spice::SimSession& session)
-      : session_(session),
-        numerics_(session.numericsMode()),
-        solver_(session.solverMode()),
-        tier_(session.toleranceTier()) {}
-  ~SessionModeGuard() {
-    session_.setSolveEffort(spice::SimSession::SolveEffort{});
-    session_.setNumericsMode(numerics_);
-    session_.setSolverMode(solver_);
-    session_.setToleranceTier(tier_);
-    session_.clearSampleContext();
-  }
-  SessionModeGuard(const SessionModeGuard&) = delete;
-  SessionModeGuard& operator=(const SessionModeGuard&) = delete;
-
- private:
-  spice::SimSession& session_;
-  models::NumericsMode numerics_;
-  linalg::SolverMode solver_;
-  spice::ToleranceTier tier_;
-};
-
-}  // namespace detail
-
 /// Evaluates one campaign sample with rescue: binds the sample, runs `fn`,
-/// and on SampleFailure walks the ladder, replaying the sample's draws from
-/// `rngStart` on every attempt.  On success `ctx.rescueAttempts` holds the
-/// number of retries consumed (0 = clean first attempt); on exhaustion the
-/// last rung's failure is rethrown for the campaign runner to classify.
+/// and on SampleFailure walks the session's rescue rungs, replaying the
+/// sample's draws from `rngStart` on every attempt.  On success
+/// `ctx.rescueAttempts` holds the number of retries consumed (0 = clean
+/// first attempt); on exhaustion the last rung's failure is rethrown for
+/// the campaign runner to classify.  A sample that succeeds reports in
+/// `ctx` the Newton and factorization counters of every attempt it took.
 template <class Fixture, class Fn>
 void runSampleWithRescue(std::size_t index, CampaignSession<Fixture>& session,
                          const stats::Rng& rngStart, std::vector<double>& out,
                          mc::SampleContext& ctx, const Fn& fn,
                          const RescuePolicy& policy = {}) {
   spice::SimSession& solver = session.spice();
-  const detail::SessionModeGuard restoreModes(solver);
-  const models::NumericsMode baseNumerics = solver.numericsMode();
-  const linalg::SolverMode baseSolver = solver.solverMode();
-  // Per-sample iteration telemetry: diffed across every attempt the sample
-  // consumed (failed rungs included -- that is the sample's true cost), and
+  // Per-sample telemetry: diffed across every attempt the sample consumed
+  // (failed rungs included -- that is the sample's true cost), and
   // aggregated into McResult by mc::runCampaign.
   const spice::SimSession::IterationTelemetry itersAtEntry =
       solver.iterationTelemetry();
+  const spice::SimSession::SolverTelemetry factorsAtEntry =
+      solver.solverTelemetry();
+  struct EndSample {
+    spice::SimSession& solver;
+    ~EndSample() { solver.endSample(); }
+  } const restore{solver};
   const auto captureTelemetry = [&]() {
-    const spice::SimSession::IterationTelemetry& now =
+    const auto since = [](std::uint64_t now, std::uint64_t then) {
+      return static_cast<std::uint32_t>(now - then);
+    };
+    const spice::SimSession::IterationTelemetry& it =
         solver.iterationTelemetry();
-    ctx.newtonIterations = now.newtonIterations - itersAtEntry.newtonIterations;
-    ctx.warmStartHits = now.warmStartHits - itersAtEntry.warmStartHits;
-    ctx.warmStartOpportunities =
-        now.warmStartOpportunities - itersAtEntry.warmStartOpportunities;
+    ctx.newtonIterations =
+        since(it.newtonIterations, itersAtEntry.newtonIterations);
+    ctx.warmStartHits = since(it.warmStartHits, itersAtEntry.warmStartHits);
+    ctx.warmStartOpportunities = since(it.warmStartOpportunities,
+                                       itersAtEntry.warmStartOpportunities);
+    const spice::SimSession::SolverTelemetry lu = solver.solverTelemetry();
+    ctx.fullFactors = since(lu.fullFactors, factorsAtEntry.fullFactors);
+    ctx.fastRefactors = since(lu.fastRefactors, factorsAtEntry.fastRefactors);
+    ctx.pivotFallbacks =
+        since(lu.pivotFallbacks, factorsAtEntry.pivotFallbacks);
   };
 
-  solver.setSampleContext(index, /*attempt=*/0);
   std::exception_ptr lastFailure;
-  try {
-    stats::Rng rng = rngStart;
-    session.bindSample(rng);
-    fn(index, session, rng, out);
-    captureTelemetry();
-    return;  // clean sample: zero mode changes, zero extra work
-  } catch (const SampleFailure&) {
-    // Statistical-tier state is sample-scoped: a failure voids the warm
-    // chain (the next sample on this session cold-starts, deterministically
-    // -- the rule depends only on the sample index sequence), and every
-    // retry below runs the perSample contract so the ladder's escalations
-    // behave identically in either tier.
-    solver.clearWarmStarts();
-    if (!policy.enabled) throw;
-    lastFailure = std::current_exception();
-  }
-
-  solver.setToleranceTier(spice::ToleranceTier::perSample);
-  const std::vector<detail::RescueRung> ladder =
-      detail::buildLadder(baseNumerics, baseSolver);
-  for (std::size_t r = 0; r < ladder.size(); ++r) {
-    const detail::RescueRung& rung = ladder[r];
-    const int attempt = static_cast<int>(r) + 1;
-    solver.setSolveEffort(rung.harden ? detail::kHardenedEffort
-                                      : spice::SimSession::SolveEffort{});
-    solver.setSolverMode(rung.freshPivot ? linalg::SolverMode::fresh
-                                         : baseSolver);
-    solver.setNumericsMode(
-        rung.referenceNumerics ? models::NumericsMode::reference
-                               : baseNumerics);
-    solver.setSampleContext(index, attempt);
-    std::fill(out.begin(), out.end(), 0.0);
+  for (int attempt = 0; solver.beginAttempt(index, attempt); ++attempt) {
+    if (attempt > 0) std::fill(out.begin(), out.end(), 0.0);
     try {
-      // Replay the sample from scratch: same RNG state, same provider
-      // draws, same bind order -- only the solve configuration differs.
+      // Every attempt replays the whole sample: same RNG state, same
+      // provider draws, same bind order -- only the rung differs.
       stats::Rng rng = rngStart;
       session.bindSample(rng);
       fn(index, session, rng, out);
       ctx.rescueAttempts = attempt;
       captureTelemetry();
-      return;
+      return;  // a clean sample never leaves the baseline
     } catch (const SampleFailure&) {
       lastFailure = std::current_exception();
+      // Statistical-tier state is sample-scoped: a failure voids the warm
+      // chain (the next sample on this session cold-starts,
+      // deterministically -- the rule depends only on the sample index
+      // sequence).
+      if (attempt == 0) solver.clearWarmStarts();
+      if (!policy.enabled) break;
     }
   }
   std::rethrow_exception(lastFailure);

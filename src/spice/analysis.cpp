@@ -66,11 +66,11 @@ namespace detail {
 /// stay finite (every previously-passing sample) take the exact same
 /// floating-point path as before.
 bool newtonSolve(Assembler& assembler, linalg::Vector& x,
-                 const NewtonOptions& options) {
+                 const NewtonSettings& settings) {
   const std::size_t numNodes = assembler.numNodes();
   detail::NewtonWorkspace& ws = assembler.workspace();
   SolveReport& report = ws.report;
-  for (int iter = 0; iter < options.maxIterations; ++iter) {
+  for (int iter = 0; iter < settings.maxIterations; ++iter) {
     try {
       assembler.assemble(x);
     } catch (const NonFiniteError&) {
@@ -117,14 +117,14 @@ bool newtonSolve(Assembler& assembler, linalg::Vector& x,
       return false;
     }
 
-    if (maxVoltageStep < options.voltageTolerance &&
-        residualNorm < options.residualTolerance) {
+    if (maxVoltageStep < settings.voltageTolerance &&
+        residualNorm < settings.residualTolerance) {
       return true;  // assembly state matches x exactly; skip the sub-tol step
     }
 
     double scaleFactor = 1.0;
-    if (maxVoltageStep > options.maxUpdate)
-      scaleFactor = options.maxUpdate / maxVoltageStep;
+    if (maxVoltageStep > settings.maxUpdate)
+      scaleFactor = settings.maxUpdate / maxVoltageStep;
     for (std::size_t i = 0; i < x.size(); ++i) x[i] -= scaleFactor * ws.dx[i];
   }
   return false;
@@ -169,7 +169,7 @@ linalg::Vector unpackGuess(const Circuit& circuit, const OperatingPoint& op) {
 }
 
 bool dcSolveLadder(Assembler& assembler, linalg::Vector& x,
-                   const DcOptions& options) {
+                   const NewtonSettings& newton) {
   SolveReport& report = assembler.workspace().report;
   report.reset();
   const std::uint64_t fallbacksAtEntry =
@@ -194,7 +194,7 @@ bool dcSolveLadder(Assembler& assembler, linalg::Vector& x,
   assembler.setSourceScale(1.0);
   assembler.setGmin(0.0);
   report.homotopyRung = kRungPlainNewton;
-  if (newtonSolve(assembler, x, options.newton)) return finish(true);
+  if (newtonSolve(assembler, x, newton)) return finish(true);
 
   // Homotopies keep a gmin floor: a truly floating node (capacitor-only,
   // or isolated by off pass-transistors) leaves the exact-zero-gmin
@@ -213,7 +213,7 @@ bool dcSolveLadder(Assembler& assembler, linalg::Vector& x,
   bool ok = true;
   for (double gmin = 1e-2; gmin >= kGminFloor; gmin *= 0.1) {
     assembler.setGmin(gmin);
-    if (!newtonSolve(assembler, xTrial, options.newton)) {
+    if (!newtonSolve(assembler, xTrial, newton)) {
       ok = false;
       break;
     }
@@ -230,7 +230,7 @@ bool dcSolveLadder(Assembler& assembler, linalg::Vector& x,
   ok = true;
   for (int step = 1; step <= 20; ++step) {
     assembler.setSourceScale(static_cast<double>(step) / 20.0);
-    if (!newtonSolve(assembler, xTrial, options.newton)) {
+    if (!newtonSolve(assembler, xTrial, newton)) {
       ok = false;
       break;
     }
@@ -238,7 +238,7 @@ bool dcSolveLadder(Assembler& assembler, linalg::Vector& x,
   if (ok) {
     assembler.setSourceScale(1.0);
     assembler.setGmin(kGminFloor);
-    if (newtonSolve(assembler, xTrial, options.newton)) {
+    if (newtonSolve(assembler, xTrial, newton)) {
       x = xTrial;
       return finish(true);
     }
@@ -330,9 +330,9 @@ void runTransient(Assembler& assembler, const TransientOptions& options,
     x.assign(circuit.unknownCount(), 0.0);
   }
   const std::uint64_t fallbacksAtEntry = ws.lu.pivotFallbackCount();
-  if (!dcSolveLadder(assembler, x, options.dcOptions)) {
+  if (!dcSolveLadder(assembler, x, controls.newton)) {
     throwSolveFailure(ws.report, "transient: DC operating point failed",
-                      options.dcOptions.newton.maxIterations);
+                      controls.newton.maxIterations);
   }
   if (controls.dcSolutionOut != nullptr) *controls.dcSolutionOut = x;
 
@@ -454,7 +454,7 @@ void runTransient(Assembler& assembler, const TransientOptions& options,
       } else {
         xTrial = x;
       }
-      if (!newtonSolve(assembler, xTrial, options.newton)) {
+      if (!newtonSolve(assembler, xTrial, controls.newton)) {
         newtonRetry = true;
         h *= 0.5;
         if (++failures == kMaxNewtonRetries || h < kDtMin) break;
@@ -490,7 +490,7 @@ void runTransient(Assembler& assembler, const TransientOptions& options,
       }
       throwSolveFailure(report,
                         "transient: step failed at t = " + std::to_string(t),
-                        options.newton.maxIterations);
+                        controls.newton.maxIterations);
     }
 
     // newtonSolve left the assembler's charge state consistent with the
@@ -529,13 +529,12 @@ void runTransient(Assembler& assembler, const TransientOptions& options,
 
 // --- Free analyses: one-shot sessions ------------------------------------------
 
-OperatingPoint dcOperatingPoint(Circuit& circuit, const DcOptions& options) {
-  return SimSession(circuit).dcOperatingPoint(options);
+OperatingPoint dcOperatingPoint(Circuit& circuit) {
+  return SimSession(circuit).dcOperatingPoint();
 }
 
-OperatingPoint dcOperatingPoint(Circuit& circuit, const OperatingPoint& guess,
-                                const DcOptions& options) {
-  return SimSession(circuit).dcOperatingPoint(guess, options);
+OperatingPoint dcOperatingPoint(Circuit& circuit, const OperatingPoint& guess) {
+  return SimSession(circuit).dcOperatingPoint(guess);
 }
 
 double sourceCurrent(Circuit& circuit, const std::string& name,

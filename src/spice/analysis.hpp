@@ -13,6 +13,11 @@
 // The step sequence depends only on the circuit, its cards and the
 // options, so every run of the same inputs takes the same steps.
 //
+// Nothing here tunes Newton: SimSession derives every solve's iteration
+// budget, update clamp and tolerances from its tier and rescue rung
+// (spice/session.hpp), so the DC analyses take no options and
+// TransientOptions holds only the time axis.
+//
 // The free functions below are one-shot sessions: each builds a
 // spice::SimSession with default options (reference numerics, fresh
 // pivoting, per-sample tier) and runs one analysis on it.  Callers that
@@ -32,20 +37,6 @@
 
 namespace vsstat::spice {
 
-struct NewtonOptions {
-  int maxIterations = 80;
-  double voltageTolerance = 1e-7;   ///< convergence: max |dV| below this [V]
-  double residualTolerance = 1e-9;  ///< convergence: max |F| below this [A]
-  double maxUpdate = 0.4;           ///< per-iteration voltage-step clamp [V]
-};
-
-/// A DC solve that plain Newton cannot converge falls back on two
-/// homotopies, in order: gmin stepping (a decaying shunt conductance),
-/// then source stepping (sources ramped from zero).
-struct DcOptions {
-  NewtonOptions newton;
-};
-
 /// Converged DC solution.
 struct OperatingPoint {
   std::vector<double> nodeVoltages;   ///< indexed by NodeId (ground included)
@@ -57,14 +48,14 @@ struct OperatingPoint {
 };
 
 /// Solves the DC operating point; throws ConvergenceError when every
-/// homotopy fails.
-[[nodiscard]] OperatingPoint dcOperatingPoint(Circuit& circuit,
-                                              const DcOptions& options = {});
+/// homotopy fails.  A DC solve that plain Newton cannot converge falls
+/// back on two homotopies, in order: gmin stepping (a decaying shunt
+/// conductance), then source stepping (sources ramped from zero).
+[[nodiscard]] OperatingPoint dcOperatingPoint(Circuit& circuit);
 
 /// Like dcOperatingPoint but warm-started from a previous solution.
 [[nodiscard]] OperatingPoint dcOperatingPoint(Circuit& circuit,
-                                              const OperatingPoint& guess,
-                                              const DcOptions& options);
+                                              const OperatingPoint& guess);
 
 /// Branch current through a named voltage source at an operating point.
 [[nodiscard]] double sourceCurrent(Circuit& circuit, const std::string& name,
@@ -78,8 +69,6 @@ struct TransientOptions {
   double tStop = 0.0;      ///< end time [s]
   /// Largest step [s], SPICE's TMAX: the step control never exceeds it.
   double dt = 1e-13;
-  NewtonOptions newton;
-  DcOptions dcOptions;     ///< for the t=0 operating point
 };
 
 /// Accepted-step trajectory of one transient run: the full unknown vector

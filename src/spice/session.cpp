@@ -1,6 +1,7 @@
 #include "spice/session.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "spice/assembler.hpp"
@@ -14,6 +15,9 @@ SimSession::SimSession(Circuit& circuit, SessionOptions options)
     : circuit_(&circuit),
       assembler_(std::make_unique<detail::Assembler>(
           circuit, options.numerics, options.solver)),
+      baseNumerics_(options.numerics),
+      baseSolver_(options.solver),
+      baseTier_(options.tier),
       solverMode_(options.solver),
       tier_(options.tier) {
   if (options.faultInjector) {
@@ -45,7 +49,7 @@ SimSession::SolverTelemetry SimSession::solverTelemetry() const noexcept {
                          ws.report};
 }
 
-void SimSession::setSolverMode(linalg::SolverMode mode) {
+void SimSession::applySolverMode(linalg::SolverMode mode) {
   if (mode == solverMode_) return;
   solverMode_ = mode;
   assembler_->workspace().lu.setSolverMode(mode);
@@ -58,20 +62,39 @@ void SimSession::setSolverMode(linalg::SolverMode mode) {
   }
 }
 
-void SimSession::setNumericsMode(models::NumericsMode numerics) {
-  assembler_->setNumericsMode(numerics);
-}
+bool SimSession::beginAttempt(std::size_t sampleIndex, int attempt) {
+  struct Rung {
+    bool harden;
+    bool freshPivot;
+    bool referenceNumerics;
+  };
+  const bool reuse = baseSolver_ == linalg::SolverMode::reusePivot;
+  const bool fast = baseNumerics_ == models::NumericsMode::fast;
+  std::array<Rung, 5> ladder{};
+  int rungs = 0;
+  ladder[rungs++] = Rung{false, false, false};  // attempt 0: the baseline
+  ladder[rungs++] = Rung{true, false, false};
+  if (reuse) ladder[rungs++] = Rung{false, true, false};
+  if (fast) ladder[rungs++] = Rung{false, false, true};
+  if (reuse || fast) ladder[rungs++] = Rung{true, reuse, fast};
+  if (attempt < 0 || attempt >= rungs) return false;
 
-models::NumericsMode SimSession::numericsMode() const noexcept {
-  return assembler_->numericsMode();
-}
-
-void SimSession::setSampleContext(std::size_t sampleIndex,
-                                  int attempt) noexcept {
+  const Rung& rung = ladder[static_cast<std::size_t>(attempt)];
+  hardened_ = rung.harden;
+  applySolverMode(rung.freshPivot ? linalg::SolverMode::fresh : baseSolver_);
+  assembler_->setNumericsMode(rung.referenceNumerics
+                                  ? models::NumericsMode::reference
+                                  : baseNumerics_);
+  tier_ = attempt == 0 ? baseTier_ : ToleranceTier::perSample;
   assembler_->setSampleContext(sampleIndex, attempt);
+  return true;
 }
 
-void SimSession::clearSampleContext() noexcept {
+void SimSession::endSample() {
+  hardened_ = false;
+  assembler_->setNumericsMode(baseNumerics_);
+  applySolverMode(baseSolver_);
+  tier_ = baseTier_;
   assembler_->clearSampleContext();
 }
 
@@ -79,29 +102,29 @@ int SimSession::sampleAttempt() const noexcept {
   return assembler_->sampleAttempt();
 }
 
-DcOptions SimSession::applyEffort(const DcOptions& options) const noexcept {
-  DcOptions adjusted = options;
-  adjusted.newton = applyEffort(options.newton);
-  return adjusted;
-}
-
-NewtonOptions SimSession::applyEffort(
-    const NewtonOptions& options) const noexcept {
-  NewtonOptions adjusted = options;
-  adjusted.maxIterations = options.maxIterations * effort_.iterationMultiplier;
-  adjusted.maxUpdate = options.maxUpdate * effort_.maxUpdateScale;
-  if (tier_ == ToleranceTier::statistical) {
-    // Estimator contract: a 10x looser stationarity test (1e-6 V / 1e-8 A
-    // at the defaults) leaves the per-solve error orders of magnitude
-    // below one Monte Carlo standard error of any campaign estimator
-    // (SNM/delay sigmas are mV-scale).  Looser than this and the bistable
-    // sweeps (SRAM hold SNM) start accepting points off the tracked
-    // branch, which corrupts the butterfly eye -- measured, not
-    // hypothetical.
-    adjusted.voltageTolerance = options.voltageTolerance * 10.0;
-    adjusted.residualTolerance = options.residualTolerance * 10.0;
+detail::TransientControls SimSession::solveControls() const noexcept {
+  detail::TransientControls controls;
+  detail::NewtonSettings& newton = controls.newton;
+  if (hardened_) {
+    // A 3x budget covers slow-creeping stiff corners; a 0.25x clamp
+    // quarters the per-iteration voltage move, the classic fix for
+    // Newton overshooting on exponential device characteristics.
+    newton.maxIterations *= 3;
+    newton.maxUpdate *= 0.25;
   }
-  return adjusted;
+  controls.lteTolerance = kTransientLteVolts;
+  if (tier_ == ToleranceTier::statistical) {
+    // Estimator contract: a 10x looser stationarity test (1e-6 V / 1e-8 A)
+    // leaves the per-solve error orders of magnitude below one Monte
+    // Carlo standard error of any campaign estimator (SNM/delay sigmas
+    // are mV-scale).  Looser than this and the bistable sweeps (SRAM hold
+    // SNM) start accepting points off the tracked branch, which corrupts
+    // the butterfly eye -- measured, not hypothetical.
+    newton.voltageTolerance *= 10.0;
+    newton.residualTolerance *= 10.0;
+    controls.lteTolerance = kStatisticalTransientLteVolts;
+  }
+  return controls;
 }
 
 void SimSession::clearWarmStarts() noexcept {
@@ -169,22 +192,22 @@ void SimSession::primePivotReuse() {
   assembler.setDcMode();
 }
 
-OperatingPoint SimSession::dcOperatingPoint(const DcOptions& options) {
+OperatingPoint SimSession::dcOperatingPoint() {
   WarmSlot* slot = nextWarmSlot();
   if (slot == nullptr) {
     OperatingPoint zeroGuess;
-    return dcOperatingPoint(zeroGuess, options);
+    return dcOperatingPoint(zeroGuess);
   }
   // Statistical tier: seed Newton from the previous sample's converged
   // operating point (same topology, slightly different device cards) when
   // the slot holds one; the homotopy ladder still backs a failed warm
   // solve, so robustness matches the cold path.
   resetNumerics();
-  const DcOptions effective = applyEffort(options);
+  const detail::NewtonSettings newton = solveControls().newton;
   linalg::Vector x(circuit_->unknownCount(), 0.0);
   const bool seeded = slot->valid && slot->x.size() == x.size();
   if (seeded) x = slot->x;
-  const bool ok = detail::dcSolveLadder(*assembler_, x, effective);
+  const bool ok = detail::dcSolveLadder(*assembler_, x, newton);
   SolveReport& report = assembler_->workspace().report;
   report.warmStarted = seeded;
   noteSolve(report.iterations, seeded, /*opportunity=*/true);
@@ -192,33 +215,31 @@ OperatingPoint SimSession::dcOperatingPoint(const DcOptions& options) {
     slot->valid = false;
     detail::throwSolveFailure(report,
                               "SimSession::dcOperatingPoint: no convergence",
-                              effective.newton.maxIterations);
+                              newton.maxIterations);
   }
   slot->x = x;
   slot->valid = true;
   return detail::packSolution(*circuit_, x);
 }
 
-OperatingPoint SimSession::dcOperatingPoint(const OperatingPoint& guess,
-                                            const DcOptions& options) {
+OperatingPoint SimSession::dcOperatingPoint(const OperatingPoint& guess) {
   resetNumerics();
-  const DcOptions effective = applyEffort(options);
+  const detail::NewtonSettings newton = solveControls().newton;
   linalg::Vector x = detail::unpackGuess(*circuit_, guess);
-  const bool ok = detail::dcSolveLadder(*assembler_, x, effective);
+  const bool ok = detail::dcSolveLadder(*assembler_, x, newton);
   noteSolve(assembler_->workspace().report.iterations, false,
             /*opportunity=*/false);
   if (!ok) {
     detail::throwSolveFailure(assembler_->workspace().report,
                               "SimSession::dcOperatingPoint: no convergence",
-                              effective.newton.maxIterations);
+                              newton.maxIterations);
   }
   return detail::packSolution(*circuit_, x);
 }
 
 void SimSession::dcSweepNodes(const std::string& sourceName,
                               const std::vector<double>& levels,
-                              std::span<const SweepProbe> probes,
-                              const DcOptions& options) {
+                              std::span<const SweepProbe> probes) {
   VoltageSourceElement& src = circuit_->voltageSource(sourceName);
   const WaveformRestorer restore(src);
 
@@ -253,7 +274,7 @@ void SimSession::dcSweepNodes(const std::string& sourceName,
           ? &slot->traj
           : nullptr;
   if (slot != nullptr) trajScratch_.beginRecording(sweepX_.size());
-  const DcOptions effective = applyEffort(options);
+  const detail::NewtonSettings newton = solveControls().newton;
   std::size_t converged = 0;  // levels converged so far (statistical tier)
   double levelK = 0.0;    // converged level values: L_k,
   double levelKm1 = 0.0;  //   L_{k-1},
@@ -335,7 +356,7 @@ void SimSession::dcSweepNodes(const std::string& sourceName,
     }
     src.setDcLevel(level);
     resetNumerics();
-    const bool ok = detail::dcSolveLadder(*assembler_, sweepX_, effective);
+    const bool ok = detail::dcSolveLadder(*assembler_, sweepX_, newton);
     SolveReport& report = assembler_->workspace().report;
     report.warmStarted = slot != nullptr && (converged > 0 || seeded);
     noteSolve(report.iterations, converged == 0 && seeded,
@@ -344,7 +365,7 @@ void SimSession::dcSweepNodes(const std::string& sourceName,
       if (slot != nullptr) slot->valid = false;
       detail::throwSolveFailure(report,
                                 "SimSession::dcSweepNodes: no convergence",
-                                effective.newton.maxIterations);
+                                newton.maxIterations);
     }
     if (slot != nullptr) {
       if (converged == 0) {
@@ -378,14 +399,8 @@ Waveform SimSession::transient(const TransientOptions& options) {
 
 void SimSession::transient(const TransientOptions& options, Waveform& out) {
   resetNumerics();
-  TransientOptions effective = options;
-  effective.newton = applyEffort(options.newton);
-  effective.dcOptions = applyEffort(options.dcOptions);
   WarmSlot* slot = nextWarmSlot();
-  detail::TransientControls controls;
-  controls.lteTolerance = tier_ == ToleranceTier::statistical
-                              ? kStatisticalTransientLteVolts
-                              : kTransientLteVolts;
+  detail::TransientControls controls = solveControls();
   bool seeded = false;
   if (slot != nullptr) {
     seeded = slot->valid && slot->x.size() == circuit_->unknownCount();
@@ -402,7 +417,7 @@ void SimSession::transient(const TransientOptions& options, Waveform& out) {
     slot->valid = false;
   }
   try {
-    detail::runTransient(*assembler_, effective, out, controls);
+    detail::runTransient(*assembler_, options, out, controls);
   } catch (...) {
     noteSolve(assembler_->workspace().report.iterations, seeded,
               /*opportunity=*/slot != nullptr);

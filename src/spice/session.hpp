@@ -38,6 +38,14 @@
 // assignments; only the Newton trajectory differs from fresh mode
 // (statistically equivalent, tolerance-tested like fast numerics).  The two
 // axes compose freely.
+//
+// Solve policy: the session alone decides how a solve runs.  Its three
+// axes are fixed at construction (SessionOptions), every solve's Newton
+// settings and transient truncation tolerance come from one private
+// function of the tier and the rescue rung (solveControls), and the
+// rescue rungs themselves are session calls (beginAttempt / endSample)
+// that sim::runSampleWithRescue replays a failed sample through.  No
+// analysis takes Newton options.
 #ifndef VSSTAT_SPICE_SESSION_HPP
 #define VSSTAT_SPICE_SESSION_HPP
 
@@ -60,6 +68,7 @@ namespace vsstat::spice {
 
 namespace detail {
 class Assembler;
+struct TransientControls;
 }
 
 /// Third orthogonal campaign axis (alongside models::NumericsMode and
@@ -154,11 +163,10 @@ class SimSession {
 
   /// DC operating point from a zero guess; throws ConvergenceError when
   /// every homotopy fails.
-  [[nodiscard]] OperatingPoint dcOperatingPoint(const DcOptions& options = {});
+  [[nodiscard]] OperatingPoint dcOperatingPoint();
 
   /// Warm-started DC operating point.
-  [[nodiscard]] OperatingPoint dcOperatingPoint(const OperatingPoint& guess,
-                                                const DcOptions& options);
+  [[nodiscard]] OperatingPoint dcOperatingPoint(const OperatingPoint& guess);
 
   /// DC sweep of a named voltage source for probe-node consumers
   /// (VTC/butterfly loops): each level warm-starts from the previous
@@ -167,15 +175,14 @@ class SimSession {
   /// Allocation-free in steady state (the records' capacity is reused).
   void dcSweepNodes(const std::string& sourceName,
                     const std::vector<double>& levels,
-                    std::span<const SweepProbe> probes,
-                    const DcOptions& options = {});
+                    std::span<const SweepProbe> probes);
 
   /// One-probe form of dcSweepNodes.
   void dcSweepNode(const std::string& sourceName,
                    const std::vector<double>& levels, NodeId probeNode,
-                   std::vector<double>& out, const DcOptions& options = {}) {
+                   std::vector<double>& out) {
     const SweepProbe probe{probeNode, &out};
-    dcSweepNodes(sourceName, levels, {&probe, 1}, options);
+    dcSweepNodes(sourceName, levels, {&probe, 1});
   }
 
   /// Transient analysis (the t = 0 operating point included).
@@ -221,41 +228,43 @@ class SimSession {
   };
   [[nodiscard]] SolverTelemetry solverTelemetry() const noexcept;
 
-  // --- rescue-ladder controls (sim::CampaignSession) -------------------------
-  // Everything below is deterministic state the rescue ladder flips per
-  // retry and restores afterwards; none of it is thread- or time-dependent.
+  // --- rescue ladder (sim::runSampleWithRescue) -----------------------------
+  // The session owns its rescue rungs.  Attempt 0 of a sample runs the
+  // baseline the session was built with (SessionOptions); retry k applies
+  // rung k on top of it:
+  //
+  //   1. hardened Newton    -- 3x the iteration budget, a 0.25x update
+  //      clamp (heavier damping); the gmin/source-stepping homotopy reruns
+  //      on every rung, as it is part of every solve;
+  //   2. fresh pivoting     -- reusePivot baselines only: re-derive the
+  //      pivot order from this sample's own values;
+  //   3. reference numerics -- fast baselines only: the reference
+  //      evaluation chain in place of the vectorized kernels;
+  //   4. all of the above combined, when rung 2 or 3 exists.
+  //
+  // Retries run the perSample tier, so a rung behaves the same in either
+  // tier.  The ladder depends only on the baseline -- never on the
+  // failure, the thread or the schedule -- so every worker session walks
+  // the same rungs.
 
-  /// Switches the pivot policy in place.  Fresh -> reusePivot reuses the
-  /// snapshot primed at construction (repriming only if none exists);
-  /// reusePivot -> fresh makes every solve re-derive its own order.
-  void setSolverMode(linalg::SolverMode mode);
+  /// Applies attempt `attempt`'s rung and arms the fault injector (if any)
+  /// for (sampleIndex, attempt).  Returns false, changing nothing, when
+  /// the ladder has no rung `attempt`.
+  [[nodiscard]] bool beginAttempt(std::size_t sampleIndex, int attempt);
+  /// Restores the baseline and disarms the sample context, so the next
+  /// sample this session serves starts from the state every other session
+  /// has.  Warm slots are kept -- only their use is gated by the tier --
+  /// so the statistical warm chain resumes deterministically.
+  void endSample();
+
+  /// Pivot policy of the current attempt (tests).
   [[nodiscard]] linalg::SolverMode solverMode() const noexcept {
     return solverMode_;
   }
-
-  /// Switches the banked evaluation contract in place (fast <-> reference).
-  void setNumericsMode(models::NumericsMode numerics);
-  [[nodiscard]] models::NumericsMode numericsMode() const noexcept;
-
-  /// Extra Newton effort applied to every solve's options: the iteration
-  /// budget is multiplied and the update clamp scaled (a smaller clamp =
-  /// heavier damping).  The identity default changes nothing -- including
-  /// at the bit level, since scaling by exactly 1.0 is exact.
-  struct SolveEffort {
-    int iterationMultiplier = 1;
-    double maxUpdateScale = 1.0;
-  };
-  void setSolveEffort(const SolveEffort& effort) noexcept { effort_ = effort; }
-  [[nodiscard]] const SolveEffort& solveEffort() const noexcept {
-    return effort_;
-  }
-
-  /// Switches the accuracy tier in place (rescue rungs force `perSample`
-  /// for their retries and restore the baseline afterwards).  Warm slots
-  /// are kept -- only consumption/production is gated -- so restoring the
-  /// statistical tier resumes the warm chain deterministically.
-  void setToleranceTier(ToleranceTier tier) noexcept { tier_ = tier; }
-  [[nodiscard]] ToleranceTier toleranceTier() const noexcept { return tier_; }
+  /// Rescue attempt of the armed sample (0 on the first attempt and
+  /// outside campaigns) -- for metric code consulting
+  /// FaultInjector::metricThrowAt.
+  [[nodiscard]] int sampleAttempt() const noexcept;
 
   // --- statistical-tier warm starts ------------------------------------------
   // Under ToleranceTier::statistical every top-level analysis entry
@@ -285,14 +294,6 @@ class SimSession {
     return iterTelemetry_;
   }
 
-  /// Arms the fault injector (if any) for (sampleIndex, rescue attempt).
-  void setSampleContext(std::size_t sampleIndex, int attempt) noexcept;
-  void clearSampleContext() noexcept;
-  /// Rescue attempt of the armed sample context (0 on the first attempt
-  /// and outside campaigns) -- for metric code consulting
-  /// FaultInjector::metricThrowAt.
-  [[nodiscard]] int sampleAttempt() const noexcept;
-
  private:
   /// Resets the workspace LU pivot state at a solve boundary.  Fresh mode
   /// forgets the pivot order so this solve re-derives it from its own
@@ -311,13 +312,18 @@ class SimSession {
   /// to fresh-style per-solve pivoting, still deterministically.
   void primePivotReuse();
 
-  /// Applies the session's SolveEffort to per-call options (exact no-op at
-  /// the identity default).  Under the statistical tier the Newton
-  /// tolerances additionally relax 10x -- far below the Monte Carlo
-  /// standard error the tier's estimator contract is stated against.
-  [[nodiscard]] DcOptions applyEffort(const DcOptions& options) const noexcept;
-  [[nodiscard]] NewtonOptions applyEffort(
-      const NewtonOptions& options) const noexcept;
+  /// Switches the pivot policy in place.  Fresh -> reusePivot reuses the
+  /// snapshot primed at construction (repriming only if none exists);
+  /// reusePivot -> fresh makes every solve re-derive its own order.
+  void applySolverMode(linalg::SolverMode mode);
+
+  /// The one source of every solve's settings: Newton's iteration budget
+  /// and update clamp (80 and 0.4 V, or 240 and 0.1 V on a hardened
+  /// rung), its convergence tolerances (1e-7 V and 1e-9 A, 10x looser
+  /// under the statistical tier) and the transient step control's
+  /// truncation tolerance (kTransientLteVolts or
+  /// kStatisticalTransientLteVolts).
+  [[nodiscard]] detail::TransientControls solveControls() const noexcept;
 
   /// One sample-to-sample warm-start slot (see beginSampleWarmStart).
   struct WarmSlot {
@@ -334,9 +340,13 @@ class SimSession {
 
   Circuit* circuit_;
   std::unique_ptr<detail::Assembler> assembler_;
-  linalg::SolverMode solverMode_ = linalg::SolverMode::fresh;
-  ToleranceTier tier_ = ToleranceTier::perSample;
-  SolveEffort effort_;
+  // Baseline (rung 0, what endSample restores), then the current attempt.
+  models::NumericsMode baseNumerics_;
+  linalg::SolverMode baseSolver_;
+  ToleranceTier baseTier_;
+  linalg::SolverMode solverMode_;
+  ToleranceTier tier_;
+  bool hardened_ = false;
   linalg::Vector sweepX_;  ///< persistent sweep iterate (dcSweepNodes)
   linalg::Vector sweepPrevX_;   ///< previous converged level (extrapolation)
   linalg::Vector sweepPrev2X_;  ///< two-back converged level (quadratic)

@@ -26,20 +26,31 @@
 
 namespace vsstat::spice::detail {
 
+/// One solve's Newton settings.  SimSession::solveControls derives them
+/// for every solve from its tier and rescue rung; these defaults are the
+/// per-sample baseline.
+struct NewtonSettings {
+  int maxIterations = 80;
+  double voltageTolerance = 1e-7;   ///< convergence: max |dV| below this [V]
+  double residualTolerance = 1e-9;  ///< convergence: max |F| below this [A]
+  double maxUpdate = 0.4;           ///< per-iteration voltage-step clamp [V]
+};
+
 /// One damped Newton solve at fixed assembler settings.  Returns true on
 /// convergence; x holds the final iterate either way.  On return the
 /// assembler's residual/charge state is consistent with the final x
 /// (convergence is detected *before* applying a step), so callers never
 /// need to re-assemble at the solution.
 bool newtonSolve(Assembler& assembler, linalg::Vector& x,
-                 const NewtonOptions& options);
+                 const NewtonSettings& settings);
 
-/// DC solve ladder: plain Newton, then gmin stepping, then source stepping.
-/// Resets and fills the workspace SolveReport (outcome, iterations, deepest
-/// homotopy rung, final residual, pivot fallbacks, singular/non-finite
-/// flags) for successful and failed solves alike.
+/// DC solve ladder: plain Newton, then gmin stepping, then source stepping,
+/// every rung under `newton`.  Resets and fills the workspace SolveReport
+/// (outcome, iterations, deepest homotopy rung, final residual, pivot
+/// fallbacks, singular/non-finite flags) for successful and failed solves
+/// alike.
 bool dcSolveLadder(Assembler& assembler, linalg::Vector& x,
-                   const DcOptions& options);
+                   const NewtonSettings& newton);
 
 /// Throws the SampleFailure subclass matching `report.outcome`:
 /// NonFiniteError / SingularMatrixError / ConvergenceError, so campaign
@@ -50,9 +61,12 @@ bool dcSolveLadder(Assembler& assembler, linalg::Vector& x,
 OperatingPoint packSolution(const Circuit& circuit, const linalg::Vector& x);
 linalg::Vector unpackGuess(const Circuit& circuit, const OperatingPoint& op);
 
-/// The transient driver's tier seam: the step control's tolerance, and
-/// the statistical tier's warm starts (inert when left null).
+/// runTransient's session seam: the Newton settings and step
+/// control tolerance of the session's tier and rung, and the statistical
+/// tier's warm starts (inert when left null).
 struct TransientControls {
+  /// Newton settings of the t = 0 DC ladder and of every step.
+  NewtonSettings newton;
   /// Truncation-error tolerance of every trapezoidal step on the node
   /// voltages [V]: the session's kTransientLteVolts or
   /// kStatisticalTransientLteVolts.

@@ -10,11 +10,11 @@ namespace vsstat::timing {
 
 namespace {
 
-/// Scales a 3-sigma corner delta down to z sigmas.
+/// Scales a corner delta (core::kCornerSigmas sigmas) down to z sigmas.
 models::VariationDelta scaledCorner(const models::VariationDelta& fast3,
                                     double z) {
   models::VariationDelta d;
-  const double f = z / 3.0;
+  const double f = z / core::kCornerSigmas;
   d.dVt0 = f * fast3.dVt0;
   d.dLeff = f * fast3.dLeff;
   d.dWeff = f * fast3.dWeff;
@@ -31,8 +31,6 @@ CanonicalDelay characterizeStageDelay(const core::StatisticalVsKit& kit,
                                       const StageModelOptions& options) {
   require(options.mismatchSamples >= 8,
           "characterizeStageDelay: need >= 8 mismatch samples");
-  require(corners.options().nSigma == 3.0,
-          "characterizeStageDelay: expects 3-sigma corner axes");
 
   const models::DeviceGeometry pGeom =
       models::geometryNm(sizing.wPmosNm, sizing.lengthNm);

@@ -153,12 +153,12 @@ TEST(SramCell, HoldsBothStatesWhenSeeded) {
   SramCellBench cell = buildSramCell(p1, kVdd, /*wordlineOn=*/false,
                                      SramSizing{});
   const spice::OperatingPoint opHigh =
-      spice::dcOperatingPoint(cell.circuit, cell.stateGuess(true), {});
+      spice::dcOperatingPoint(cell.circuit, cell.stateGuess(true));
   EXPECT_GT(opHigh.v(cell.q), 0.85 * kVdd);
   EXPECT_LT(opHigh.v(cell.qb), 0.15 * kVdd);
 
   const spice::OperatingPoint opLow =
-      spice::dcOperatingPoint(cell.circuit, cell.stateGuess(false), {});
+      spice::dcOperatingPoint(cell.circuit, cell.stateGuess(false));
   EXPECT_LT(opLow.v(cell.q), 0.15 * kVdd);
   EXPECT_GT(opLow.v(cell.qb), 0.85 * kVdd);
 }
@@ -175,9 +175,9 @@ TEST(SramCell, ReadAccessLiftsTheLowNode) {
       buildSramCell(p2, kVdd, /*wordlineOn=*/true, SramSizing{});
 
   const double holdLow =
-      spice::dcOperatingPoint(hold.circuit, hold.stateGuess(), {}).v(hold.qb);
+      spice::dcOperatingPoint(hold.circuit, hold.stateGuess()).v(hold.qb);
   const double readLow =
-      spice::dcOperatingPoint(read.circuit, read.stateGuess(), {}).v(read.qb);
+      spice::dcOperatingPoint(read.circuit, read.stateGuess()).v(read.qb);
   EXPECT_GT(readLow, holdLow + 0.02);
 }
 
@@ -189,7 +189,7 @@ TEST(SramCell, SupplyNoiseTransferIsFiniteAndStateDependent) {
   SramCellBench cell = buildSramCell(p, kVdd, /*wordlineOn=*/false,
                                      SramSizing{});
   const spice::OperatingPoint op =
-      spice::dcOperatingPoint(cell.circuit, cell.stateGuess(), {});
+      spice::dcOperatingPoint(cell.circuit, cell.stateGuess());
   const spice::SmallSignalSystem system(cell.circuit, op);
   const auto excitation =
       system.voltageExcitation(cell.circuit, cell.vddSource);
@@ -282,7 +282,7 @@ TEST(SramColumn, HoldsStateWithSharedBitlines) {
   SramColumnBench b = buildSramColumn(p, 4, kVdd, SramSizing{});
   ASSERT_EQ(b.q.size(), 4u);
   const spice::OperatingPoint op =
-      spice::dcOperatingPoint(b.circuit, b.stateGuess(), {});
+      spice::dcOperatingPoint(b.circuit, b.stateGuess());
   for (std::size_t i = 0; i < b.q.size(); ++i) {
     const bool selected = static_cast<int>(i) == b.selected;
     EXPECT_GT(op.v(b.q[i]), 0.8 * kVdd) << "cell " << i;

@@ -8,7 +8,6 @@
 #include "core/corners.hpp"
 #include "measure/delay.hpp"
 #include "models/vs_model.hpp"
-#include "util/error.hpp"
 
 namespace vsstat::core {
 namespace {
@@ -23,12 +22,6 @@ const StatisticalVsKit& kit() {
                                           opt);
   }();
   return k;
-}
-
-TEST(Corners, ValidatesOptions) {
-  CornerOptions bad;
-  bad.nSigma = 0.0;
-  EXPECT_THROW(StatisticalCorners(kit(), bad), InvalidArgumentError);
 }
 
 TEST(Corners, TtIsExactlyNominal) {

@@ -11,7 +11,9 @@
 //   (c) rung semantics: a reusePivot pivot breakdown is healed by the
 //       fresh-pivot rung, a fast-numerics NaN lane by the reference rung
 //       (whose rescued metric matches a reference campaign within 1e-8),
-//       and session modes are restored after every sample;
+//       and SimSession::endSample restores the baseline after every
+//       sample: the next sample on a rescued session runs exactly as on a
+//       fresh one;
 //   (d) clean samples pay nothing: with rescue armed but no faults firing,
 //       metrics are bit-identical to a no-injector campaign.
 #include "spice/fault_injection.hpp"
@@ -20,7 +22,9 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "circuits/benchmarks.hpp"
@@ -268,10 +272,93 @@ TEST(FaultInjection, PowerGridPivotBreakdownIsHealedByTheFreshPivotRung) {
   EXPECT_EQ(ctx.rescueAttempts, 2);
   EXPECT_EQ(attemptsSeen, 3);
   EXPECT_GT(out[0], 0.0);
-  // Baseline modes and effort restored for the next sample.
+  // Baseline pivot policy restored for the next sample.
   EXPECT_EQ(session.spice().solverMode(), linalg::SolverMode::reusePivot);
-  EXPECT_EQ(session.spice().solveEffort().iterationMultiplier, 1);
   EXPECT_EQ(session.spice().sampleAttempt(), 0);
+}
+
+TEST(FaultInjection, RescuedSessionRunsTheNextSampleLikeAFreshOne) {
+  // The restore contract of SimSession::endSample.  Sample 0 hits an
+  // injected singular row on attempt 0, and its metric rejects every
+  // later attempt but the ladder's last, so it is rescued on the rung
+  // that departs from the baseline on every axis (hardened Newton, fresh
+  // pivoting and reference numerics where the baseline has them, the
+  // perSample tier).  Sample 1 then runs on the same session outside any
+  // attempt -- on exactly the state endSample left -- and must match
+  // sample 1 on a fresh session bit for bit: metric, Newton iterations,
+  // warm starts and factorization counts.
+  const auto injector = std::make_shared<FaultInjector>(std::vector<FaultSite>{
+      {FaultKind::singularJacobian, 0, /*persistent=*/false}});
+  const stats::Rng campaign(424242);
+  struct SampleRun {
+    double snm = 0.0;
+    std::vector<std::uint64_t> counts;
+  };
+  // Sample 1, bound and measured directly on the session's current state.
+  const auto runSampleOne = [&](CampaignSession<SramButterflyBench>& s) {
+    spice::SimSession& solver = s.spice();
+    const auto it0 = solver.iterationTelemetry();
+    const auto lu0 = solver.solverTelemetry();
+    s.bindSample(campaign.fork(1));
+    SampleRun run;
+    run.snm = measure::measureSnm(s.fixture(), solver, kSnmPoints).cellSnm();
+    const auto it1 = solver.iterationTelemetry();
+    const auto lu1 = solver.solverTelemetry();
+    run.counts = {it1.newtonIterations - it0.newtonIterations,
+                  it1.warmStartHits - it0.warmStartHits,
+                  it1.warmStartOpportunities - it0.warmStartOpportunities,
+                  lu1.fullFactors - lu0.fullFactors,
+                  lu1.fastRefactors - lu0.fastRefactors,
+                  lu1.pivotFallbacks - lu0.pivotFallbacks};
+    return run;
+  };
+  for (const auto numerics :
+       {models::NumericsMode::reference, models::NumericsMode::fast}) {
+    for (const auto solver :
+         {linalg::SolverMode::fresh, linalg::SolverMode::reusePivot}) {
+      for (const auto tier : {spice::ToleranceTier::perSample,
+                              spice::ToleranceTier::statistical}) {
+        SCOPED_TRACE(std::string(models::toString(numerics)) + "/" +
+                     linalg::toString(solver) + "/" + spice::toString(tier));
+        spice::SessionOptions options;
+        options.numerics = numerics;
+        options.solver = solver;
+        options.tier = tier;
+        options.faultInjector = injector;
+        const bool reuse = solver == linalg::SolverMode::reusePivot;
+        const bool fast = numerics == models::NumericsMode::fast;
+        const int lastRung = 1 + int{reuse} + int{fast} + int{reuse || fast};
+
+        CampaignSession<SramButterflyBench> rescued(buildCell, makeProvider(),
+                                                    options);
+        std::vector<double> out(1, 0.0);
+        mc::SampleContext ctx;
+        runSampleWithRescue(
+            0, rescued, campaign.fork(0), out, ctx,
+            [&](std::size_t, CampaignSession<SramButterflyBench>& s,
+                stats::Rng&, std::vector<double>& metrics) {
+              const int attempt = s.spice().sampleAttempt();
+              if (attempt > 0 && attempt < lastRung)
+                throw MetricDomainError("sample 0 waits for the last rung");
+              metrics[0] =
+                  measure::measureSnm(s.fixture(), s.spice(), kSnmPoints)
+                      .cellSnm();
+            });
+        EXPECT_EQ(ctx.rescueAttempts, lastRung);
+        EXPECT_EQ(rescued.spice().solverMode(), solver);
+        EXPECT_EQ(rescued.spice().sampleAttempt(), 0);
+
+        CampaignSession<SramButterflyBench> fresh(buildCell, makeProvider(),
+                                                  options);
+        const SampleRun afterRescue = runSampleOne(rescued);
+        const SampleRun onFresh = runSampleOne(fresh);
+        EXPECT_EQ(afterRescue.snm, onFresh.snm);  // bit-equal
+        EXPECT_EQ(afterRescue.counts, onFresh.counts)
+            << "iterations, warm hits, warm opportunities, full factors, "
+               "fast refactors, pivot fallbacks";
+      }
+    }
+  }
 }
 
 TEST(FaultInjection, SolveReportTelemetrySurfacesTheLastSolve) {

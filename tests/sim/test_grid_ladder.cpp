@@ -6,7 +6,9 @@
 //       and 4 workers, in ALL FOUR NumericsMode x SolverMode combinations.
 //       This is the acceptance determinism check of the sparse LU: the
 //       fill-reducing ordering and the Gilbert-Peierls factor are pure
-//       functions of the pattern, so scheduling cannot leak into results;
+//       functions of the pattern, so scheduling cannot leak into results.
+//       The campaign's summed Newton iterations, full factors, fast
+//       refactors and pivot fallbacks are equal at every worker count too;
 //   (b) fault-injection rescue at grid scale: an injected singular row on
 //       the 32x32 mesh (~1k unknowns) walks the same rescue ladder as the
 //       paper-scale cells -- transient faults rescued, persistent faults
@@ -81,6 +83,10 @@ void expectBitIdentical(const mc::McResult& lhs, const mc::McResult& rhs,
     EXPECT_EQ(lhs.metrics[m], rhs.metrics[m]) << what << " metric " << m;
   EXPECT_EQ(lhs.failures, rhs.failures) << what;
   EXPECT_EQ(lhs.rescued, rhs.rescued) << what;
+  EXPECT_EQ(lhs.newtonIterations, rhs.newtonIterations) << what;
+  EXPECT_EQ(lhs.fullFactors, rhs.fullFactors) << what;
+  EXPECT_EQ(lhs.fastRefactors, rhs.fastRefactors) << what;
+  EXPECT_EQ(lhs.pivotFallbacks, rhs.pivotFallbacks) << what;
 }
 
 /// The four session-mode combinations of the bit-identity acceptance check.
@@ -179,7 +185,7 @@ mc::McResult sramColumnCampaign(unsigned threads,
          stats::Rng&, std::vector<double>& out) {
         circuits::SramColumnBench& fx = session.fixture();
         const spice::OperatingPoint op =
-            session.spice().dcOperatingPoint(fx.stateGuess(), {});
+            session.spice().dcOperatingPoint(fx.stateGuess());
         // Retained-state margin of the selected (read-disturbed) cell.
         out[0] = op.v(fx.q[static_cast<std::size_t>(fx.selected)]) -
                  op.v(fx.qb[static_cast<std::size_t>(fx.selected)]);
@@ -193,6 +199,10 @@ TEST(GridLadder, MeshRungBitIdenticalAcrossWorkersInAllModeCombos) {
     const mc::McResult t2 = meshCampaign(10, 2, combo);
     const mc::McResult t4 = meshCampaign(10, 4, combo);
     EXPECT_EQ(t1.failures, 0) << comboName(combo);
+    // Every sweep level factors at least once, so the sums cannot tie at 0.
+    EXPECT_GE(t1.fullFactors + t1.fastRefactors,
+              static_cast<std::uint64_t>(kSamples * kSweepLevels))
+        << comboName(combo);
     expectBitIdentical(t1, t2, comboName(combo));
     expectBitIdentical(t1, t4, comboName(combo));
   }

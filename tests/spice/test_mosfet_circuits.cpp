@@ -166,7 +166,7 @@ TEST(MosfetDc, RingOfInvertersBistable) {
   guess.nodeVoltages[static_cast<std::size_t>(vdd)] = kVdd;
   guess.nodeVoltages[static_cast<std::size_t>(q)] = kVdd;
   guess.branchCurrents.assign(static_cast<std::size_t>(c.branchTotal()), 0.0);
-  const OperatingPoint op = dcOperatingPoint(c, guess, DcOptions{});
+  const OperatingPoint op = dcOperatingPoint(c, guess);
   EXPECT_GT(op.v(q), 0.8 * kVdd);
   EXPECT_LT(op.v(qb), 0.2 * kVdd);
 }

@@ -104,13 +104,6 @@ TEST(StatisticalCell, ValidatesOptions) {
   EXPECT_THROW((void)characterizeStageDelay(kit(), corners(),
                                             circuits::CellSizing{}, bad),
                InvalidArgumentError);
-
-  core::CornerOptions co;
-  co.nSigma = 2.0;
-  const core::StatisticalCorners twoSigma(kit(), co);
-  EXPECT_THROW((void)characterizeStageDelay(kit(), twoSigma,
-                                            circuits::CellSizing{}),
-               InvalidArgumentError);
 }
 
 }  // namespace
