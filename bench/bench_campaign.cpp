@@ -201,15 +201,17 @@ void emitTolerance(const std::string& name, int samples,
 }
 
 /// Plain session row (also every --scaling row): throughput, allocations,
-/// and the metrics hash that cross-thread-count identity is checked on.
+/// Newton iterations per sample, and the metrics hash that
+/// cross-thread-count identity is checked on.
 void emitSession(const std::string& name, int samples,
                  const CampaignTiming& t) {
   std::printf(
       "{\"name\": \"%s\", \"samples\": %d, \"threads\": %u, "
       "\"us_per_sample\": %.1f, \"samples_per_sec\": %.1f, "
-      "\"allocs_per_sample\": %.1f, \"metrics_fnv1a\": \"0x%016llx\"}\n",
+      "\"allocs_per_sample\": %.1f, \"mean_iters_per_sample\": %.1f, "
+      "\"metrics_fnv1a\": \"0x%016llx\"}\n",
       name.c_str(), samples, gThreads, t.usPerSample, 1e6 / t.usPerSample,
-      t.allocsPerSample,
+      t.allocsPerSample, t.result.meanIterationsPerSample(),
       static_cast<unsigned long long>(metricsHash(t.result)));
 }
 

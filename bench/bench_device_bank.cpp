@@ -2,7 +2,11 @@
 // bank (the 6T SRAM device population) -- per-device virtual evaluateLoad
 // vs one evaluateLoadBatch with per-lane cached derived parameters, in
 // both numerics modes (NumericsMode::fast = the SIMD transcendental
-// kernels).
+// kernels) -- and the circuit load a Newton iteration runs,
+// circuitLoadBatch: one series-resistance step from a carried current,
+// timed at the nested solution's current ("micro_vs_load_circuit" and
+// "_circuit_fast", each with "speedup_vs_banked" against the nested
+// reference batch of the same run).
 //
 // The banked row verifies bit-identity with the per-device calls in-run;
 // the fast row verifies the tolerance contract instead (max relative
@@ -23,6 +27,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "alloc_counter.hpp"
@@ -144,6 +149,46 @@ void benchMicro(int sweeps) {
               nsFast, nsScalar / nsFast, nsBatch / nsFast,
               static_cast<double>(a2 - a1) / evals, fastMaxRel,
               fastMaxRel <= 1e-9 ? "true" : "false");
+
+  // Circuit loads at the nested solution's current: the reference batch's
+  // currents at every bias of the sweep's period, tabulated up front.
+  constexpr int kPeriod = 97 * 89;  // biasAt repeats with this period
+  std::vector<double> idTable(static_cast<std::size_t>(kPeriod) * n);
+  for (int s = 0; s < kPeriod; ++s) {
+    biasAt(s);
+    bank->evaluateLoadBatch(vgs, vds, kStep, batchOut);
+    for (std::size_t i = 0; i < n; ++i)
+      idTable[static_cast<std::size_t>(s) * n + i] = batchOut[i].at.id;
+  }
+  const auto currentsAt = [&](int s) {
+    return std::span<const double>(
+        idTable.data() + static_cast<std::size_t>(s % kPeriod) * n, n);
+  };
+  const auto timeCircuit = [&](const models::MosfetLoadBank& b,
+                               std::vector<models::MosfetLoadEvaluation>& o) {
+    for (int s = 0; s < 200; ++s) {  // warmup
+      biasAt(s);
+      (void)b.circuitLoadBatch(vgs, vds, currentsAt(s), kStep, o);
+    }
+    const auto c0 = Clock::now();
+    for (int s = 0; s < sweeps; ++s) {
+      biasAt(s);
+      (void)b.circuitLoadBatch(vgs, vds, currentsAt(s), kStep, o);
+      for (std::size_t i = 0; i < n; ++i) checksum += o[i].at.id;
+    }
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               Clock::now() - c0)
+               .count() /
+           evals;
+  };
+  const double nsCircuit = timeCircuit(*bank, batchOut);
+  const double nsCircuitFast = timeCircuit(*fastBank, fastOut);
+  std::printf("{\"name\": \"micro_vs_load_circuit\", \"lanes\": 6, "
+              "\"ns_per_device_eval\": %.1f, \"speedup_vs_banked\": %.2f}\n",
+              nsCircuit, nsBatch / nsCircuit);
+  std::printf("{\"name\": \"micro_vs_load_circuit_fast\", \"lanes\": 6, "
+              "\"ns_per_device_eval\": %.1f, \"speedup_vs_banked\": %.2f}\n",
+              nsCircuitFast, nsBatch / nsCircuitFast);
   if (checksum == 12345.0) std::printf("# impossible\n");  // defeat DCE
 }
 

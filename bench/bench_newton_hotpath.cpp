@@ -1,10 +1,13 @@
 // Micro-benchmark of the Newton hot path on the paper's benchmark circuits
 // (NAND2 Fo3 and the closed 6T SRAM cell), for DC and transient assembler
-// settings.  One Newton iteration is timed at a converged operating point
-// (*_workspace rows): assemble into the captured CSR pattern and reuse the
-// per-assembler NewtonWorkspace (pattern-reusing SparseLu refactor +
-// preallocated dx).  The pre-workspace origin of this number lives in
-// BENCH_newton_hotpath_baseline.json (bench/measure_seed_baseline.sh).
+// settings.  One Newton iteration as a session runs it is timed at a
+// converged operating point (*_workspace rows), on the solve iterate that
+// carries every MOSFET's drain current: assemble into the captured CSR
+// pattern (one series step per VS device), reuse the per-assembler
+// NewtonWorkspace (pattern-reusing SparseLu refactor + preallocated dx),
+// and back-substitute the device currents' steps.  The pre-workspace
+// origin of this number lives in BENCH_newton_hotpath_baseline.json
+// (bench/measure_seed_baseline.sh).
 //
 // Output is machine-readable JSON, one object per line on stdout:
 //   {"name": "...", "ns_per_iter": ..., "allocs": ...}
@@ -15,6 +18,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <string>
 
 #include "alloc_counter.hpp"
@@ -25,21 +29,12 @@
 #include "spice/analysis.hpp"
 #include "spice/assembler.hpp"
 #include "spice/elements.hpp"
+#include "spice/solver_core.hpp"
 
 namespace vsstat {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-linalg::Vector flatten(const spice::Circuit& circuit,
-                       const spice::OperatingPoint& op) {
-  linalg::Vector x(circuit.unknownCount(), 0.0);
-  const std::size_t numNodes = circuit.nodeCount() - 1;
-  for (std::size_t n = 0; n < numNodes; ++n) x[n] = op.nodeVoltages[n + 1];
-  for (std::size_t b = 0; b < op.branchCurrents.size(); ++b)
-    x[numNodes + b] = op.branchCurrents[b];
-  return x;
-}
 
 struct IterResult {
   double nsPerIter = 0.0;
@@ -75,17 +70,20 @@ void emit(const std::string& name, const IterResult& r) {
 }
 
 /// Times one assembler configuration's Newton iteration (CSR assembly +
-/// pattern-reusing refactor, zero allocs) and emits its line.
+/// pattern-reusing refactor + device-current back-substitution, zero
+/// allocs) and emits its line.
 void benchConfiguration(const std::string& name,
                         spice::detail::Assembler& assembler,
                         const linalg::Vector& x, int iters) {
   spice::detail::NewtonWorkspace& ws = assembler.workspace();
+  const std::span<double> mnaStep(ws.dx.data(), assembler.numUnknowns());
   const auto workspace = [&] {
     assembler.assemble(x);
     std::copy(assembler.residual().begin(), assembler.residual().end(),
               ws.dx.begin());
     ws.lu.refactor(assembler.jacobian());
-    ws.lu.solveInPlace(ws.dx);
+    ws.lu.solveInPlace(mnaStep);
+    assembler.deviceCurrentSteps(x, ws.dx);
   };
   emit(name + "_workspace", timeIterations(workspace, iters));
 }
@@ -93,8 +91,9 @@ void benchConfiguration(const std::string& name,
 /// DC + transient benches on one circuit, converged at `op`.
 void benchCircuit(const std::string& name, const spice::Circuit& circuit,
                   const spice::OperatingPoint& op, int iters) {
-  const linalg::Vector x = flatten(circuit, op);
   spice::detail::Assembler assembler(circuit);
+  // The solve iterate: op's unknowns, then each device's converged current.
+  const linalg::Vector x = spice::detail::unpackGuess(assembler, op);
 
   assembler.setDcMode();
   assembler.setTime(0.0);

@@ -429,7 +429,7 @@ bool SparseLu::fastRefactor(const SparseMatrix& m,
   return true;
 }
 
-void SparseLu::solveInPlace(Vector& x) const {
+void SparseLu::solveInPlace(std::span<double> x) const {
   const std::size_t n = n_;
   require(pattern_ != nullptr, "SparseLu: solve before factorization");
   require(x.size() == n, "SparseLu: rhs size mismatch");

@@ -53,6 +53,7 @@
 #define VSSTAT_LINALG_SPARSE_LU_HPP
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -129,8 +130,9 @@ class SparseLu {
   void setSolverMode(SolverMode m) noexcept { mode_ = m; }
   [[nodiscard]] SolverMode solverMode() const noexcept { return mode_; }
 
-  /// Solves A x = b in place; allocation-free, O(nnz(L+U)).
-  void solveInPlace(Vector& x) const;
+  /// Solves A x = b in place; allocation-free, O(nnz(L+U)).  `x` has
+  /// size() entries.
+  void solveInPlace(std::span<double> x) const;
   [[nodiscard]] Vector solve(const Vector& b) const;
 
   [[nodiscard]] double determinant() const noexcept;

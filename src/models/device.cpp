@@ -18,6 +18,15 @@ bool MosfetLoadBank::rebindUniform(const MosfetModel& card,
   return true;
 }
 
+bool MosfetLoadBank::circuitLoadBatch(std::span<const double> vgs,
+                                      std::span<const double> vds,
+                                      std::span<const double> /*id*/,
+                                      double fdStep,
+                                      std::span<MosfetLoadEvaluation> out) const {
+  evaluateLoadBatch(vgs, vds, fdStep, out);
+  return true;
+}
+
 namespace {
 
 /// Default bank: one scalar evaluateLoad per lane.  No per-lane cached

@@ -137,6 +137,22 @@ class MosfetLoadBank {
                                  std::span<const double> vds, double fdStep,
                                  std::span<MosfetLoadEvaluation> out) const = 0;
 
+  /// Batched circuit Newton load, for a circuit iterate that carries each
+  /// device's N-convention drain current id[i] as an unknown of its own.
+  /// A model with an internal equation in that current (the VS series
+  /// resistance) takes one Newton step on it and stamps the eliminated
+  /// system: out[i].at.id is the stepped current, the derivatives are the
+  /// Schur complement, and the caller back-substitutes the current's update
+  /// from the voltage step (spice/device_bank.hpp).  At the current
+  /// evaluateLoadBatch settles on, the stamp is evaluateLoadBatch's to
+  /// solver precision.  Returns whether every lane's internal equation is
+  /// settled at id.  The default has no such equation: it ignores `id`,
+  /// runs evaluateLoadBatch and returns true.
+  [[nodiscard]] virtual bool circuitLoadBatch(
+      std::span<const double> vgs, std::span<const double> vds,
+      std::span<const double> id, double fdStep,
+      std::span<MosfetLoadEvaluation> out) const;
+
  protected:
   explicit MosfetLoadBank(std::vector<BankLane> lanes)
       : lanes_(std::move(lanes)) {}

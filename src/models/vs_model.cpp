@@ -1,5 +1,6 @@
 #include "models/vs_model.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 
@@ -51,11 +52,13 @@ inline void softplusVD(double x, double& v, double& dv) noexcept {
 //
 // Free functions of (params, geometry, bias).  One analytic chain -- the
 // card (makeLoadCard), the intrinsic current and source-end charge
-// (currentPart), the drain-end charge (chargePart), the series-resistance
-// Newton (evaluateLoadCard) and the partition (finishLoad) -- serves every
-// VsModel entry point (evaluate, evaluateLoad, drainCurrent) and the
-// reference lanes of the device bank.  The fast bank pipeline below shares
-// the card and finishLoad and runs the rest through SIMD kernels.
+// (currentPart), the drain-end charge (chargePart), the series step
+// (internalBias, seriesSlope), iterated to the solution by evaluateLoadCard
+// or taken once by circuitLoadCard, and the partition (finishLoad) --
+// serves every VsModel entry point (evaluate, evaluateLoad, drainCurrent)
+// and the reference lanes of the device bank.  The fast bank pipeline
+// below shares the card, the series step and finishLoad and runs the rest
+// through SIMD kernels.
 
 /// Bias-independent values derived from (params, geometry).  Computed once
 /// per load card and shared by every currentPart call of the
@@ -229,6 +232,76 @@ struct SolveFrame {
   bool clampG = false, clampD = false;
 };
 
+/// Canonical frame of an N-convention bias: a negative vds swaps the
+/// source and drain roles.
+SolveFrame canonicalFrame(double vgs, double vds) noexcept {
+  SolveFrame f;
+  f.reversed = vds < 0.0;
+  f.cvgs = f.reversed ? vgs - vds : vgs;
+  f.cvds = f.reversed ? -vds : vds;
+  return f;
+}
+
+// --- the series step ---------------------------------------------------------
+//
+// The terminal current i solves g(i) = f(cvgs - i*Rs, cvds - i*(Rs+Rd)) - i
+// = 0.  One series step evaluates currentPart at the internal bias of a
+// carried current (internalBias) and forms g and its slope g' =
+// -(gm*Rs + gd*(Rs+Rd)) - 1 (seriesSlope), so the Newton update
+// i - g/g' is quadratic.  The device-level solve (evaluateLoadCard and the
+// fast batch) iterates the step from i = 0 until nestedSettled; a circuit
+// load (circuitLoadCard and its fast twin) takes ONE step from the current
+// the circuit Newton iterate carries (circuitStep), so the series equation
+// converges together with the node voltages.
+
+/// Acceptance test of the device-level solve on |g| [A]: absolute and
+/// relative to the carried current.
+inline bool nestedSettled(double g, double i) noexcept {
+  return std::fabs(g) < 1e-13 + 1e-6 * std::fabs(i);
+}
+
+/// Acceptance test of a circuit lane on |g|.  The stamped current
+/// i - g/g' is off the series solution by O(g^2), so 1e-3 relative is
+/// far below the circuit Newton's own tolerances.
+inline bool circuitSettled(double g, double i) noexcept {
+  return std::fabs(g) <= 1e-13 + 1e-3 * std::fabs(i);
+}
+
+/// Whether a carried current is too far from its series solution for one
+/// step: |g| above a quarter of the larger of f and i.  Such a lane solves
+/// the series equation from i = 0 instead, as evaluateLoadCard does, and
+/// stamps that.  The step's linearization only holds near the solution:
+/// in the first iterations of a DC solve from the zero guess, carried
+/// currents extrapolated along 0.4 V voltage steps are far off, and
+/// stepping from them sent the DFF fixture's operating point to gmin
+/// stepping in 23 of 88 samples (1 of 88 with the nested solve).
+inline bool farFromSeries(double g, double f, double i) noexcept {
+  return std::fabs(g) > 0.25 * std::max(std::fabs(f), std::fabs(i)) + 1e-12;
+}
+
+/// Internal bias of the carried current f.i: the canonical bias less the
+/// IR drops, clamped at vgs = -1 V and vds = 0 (the clamp flags of f
+/// record where).
+inline void internalBias(const LoadCard& c, SolveFrame& f, double& vgsInt,
+                         double& vdsInt) noexcept {
+  vgsInt = f.cvgs - f.i * c.rsOhm;
+  vdsInt = f.cvds - f.i * (c.rsOhm + c.rdOhm);
+  f.clampG = vgsInt < -1.0;
+  f.clampD = vdsInt < 0.0;
+  if (f.clampG) vgsInt = -1.0;
+  if (f.clampD) vdsInt = 0.0;
+}
+
+/// Slope g' = dg/di of the series residual at the internal bias of f.i,
+/// from the intrinsic transconductances there (a clamped voltage does not
+/// move with i).
+inline double seriesSlope(const LoadCard& c, const SolveFrame& f, double gm,
+                          double gd) noexcept {
+  const double gmIt = f.clampG ? 0.0 : gm;
+  const double gdIt = f.clampD ? 0.0 : gd;
+  return -(gmIt * c.rsOhm + gdIt * (c.rsOhm + c.rdOhm)) - 1.0;
+}
+
 /// External small-signal map + Ward-Dutton partition + polarity restore:
 /// the shared tail of the scalar chain (evaluateLoadCard) and the banked
 /// fast pipeline (VsLoadBank).  Pure arithmetic on the already-solved
@@ -339,19 +412,10 @@ MosfetLoadEvaluation finishLoad(const LoadCard& c, const SolveFrame& f,
 
 MosfetLoadEvaluation evaluateLoadCard(const LoadCard& c, double vgs,
                                       double vds) {
-  SolveFrame f;
-  f.reversed = vds < 0.0;
-  f.cvgs = f.reversed ? vgs - vds : vgs;
-  f.cvds = f.reversed ? -vds : vds;
+  SolveFrame f = canonicalFrame(vgs, vds);
 
-  const double rsOhm = c.rsOhm;
-  const double rdOhm = c.rdOhm;
-
-  // Resolve the series-resistance fixed point i = f(cvgs - i*Rs,
-  // cvds - i*(Rs+Rd)) with a derivative-aware Newton: h'(i) =
-  // -(gm*Rs + gd*(Rs+Rd)) - 1 is available analytically, so the iteration
-  // is quadratic and typically lands in two or three evaluations.
-  double i = 0.0;
+  // Iterate the series step from i = 0 to the fixed point; the update is
+  // quadratic and typically lands in two or three evaluations.
   double vgsInt = f.cvgs;
   double vdsInt = f.cvds;
   CurrentState cur;
@@ -359,31 +423,18 @@ MosfetLoadEvaluation evaluateLoadCard(const LoadCard& c, double vgs,
   if (c.hasSeriesR) {
     bool converged = false;
     for (int it = 0; it < 8; ++it) {
-      vgsInt = f.cvgs - i * rsOhm;
-      vdsInt = f.cvds - i * (rsOhm + rdOhm);
-      f.clampG = vgsInt < -1.0;
-      f.clampD = vdsInt < 0.0;
-      if (f.clampG) vgsInt = -1.0;
-      if (f.clampD) vdsInt = 0.0;
+      internalBias(c, f, vgsInt, vdsInt);
       cur = currentPart(c, vgsInt, vdsInt);
-      const double h = cur.idW - i;
-      if (std::fabs(h) < 1e-13 + 1e-6 * std::fabs(i)) {
+      const double h = cur.idW - f.i;
+      if (nestedSettled(h, f.i)) {
         converged = true;
         break;
       }
-      const double gmIt = f.clampG ? 0.0 : cur.gm;
-      const double gdIt = f.clampD ? 0.0 : cur.gd;
-      const double hp = -(gmIt * rsOhm + gdIt * (rsOhm + rdOhm)) - 1.0;
-      i -= h / hp;
+      f.i -= h / seriesSlope(c, f, cur.gm, cur.gd);
     }
     // Internal bias of the accepted current (refreshed in case the loop
     // exhausted its budget with a pending update).
-    vgsInt = f.cvgs - i * rsOhm;
-    vdsInt = f.cvds - i * (rsOhm + rdOhm);
-    f.clampG = vgsInt < -1.0;
-    f.clampD = vdsInt < 0.0;
-    if (f.clampG) vgsInt = -1.0;
-    if (f.clampD) vdsInt = 0.0;
+    internalBias(c, f, vgsInt, vdsInt);
     // On convergence the loop broke before updating i, so the refreshed
     // biases equal the ones the last currentPart ran at and its state is
     // reusable as-is; only an exhausted budget forces a recomputation.
@@ -396,8 +447,57 @@ MosfetLoadEvaluation evaluateLoadCard(const LoadCard& c, double vgs,
   // A lane whose current is below the absolute tolerance accepts its
   // initial guess i = 0 without a step; it reports the current evaluated
   // there (whose IR drop is negligible), matching its nonzero slope.
-  f.i = c.hasSeriesR && i != 0.0 ? i : cur.idW;
+  if (!c.hasSeriesR || f.i == 0.0) f.i = cur.idW;
   return finishLoad(c, f, cur, chg);
+}
+
+/// The circuit side of the series step, on the states evaluated at the
+/// internal bias of the carried current f.i: with the circuit iterate
+/// carrying i, the extra unknown is eliminated lane by lane.  The stamped
+/// current becomes the Newton update i - g/g', its derivatives are
+/// finishLoad's implicit-function ones (exactly the Schur complement of
+/// the (v, i) Jacobian), and the channel charges move by the same step
+/// along their i-derivative, so residual, Jacobian and charges are the
+/// linearization at the updated current.  The circuit solver back-
+/// substitutes the current's own update from the terminal-voltage step.
+/// Returns whether the lane is settled (circuitSettled).
+bool circuitStep(const LoadCard& c, SolveFrame& f, CurrentState& cur,
+                 ChargeState& chg) noexcept {
+  const double g = cur.idW - f.i;
+  const double step = -g / seriesSlope(c, f, cur.gm, cur.gd);
+  const double dvg = f.clampG ? 0.0 : -c.rsOhm * step;
+  const double dvd = f.clampD ? 0.0 : -(c.rsOhm + c.rdOhm) * step;
+  cur.qS += cur.dqSvg * dvg + cur.dqSvd * dvd;
+  chg.qD += chg.dqDvg * dvg + chg.dqDvd * dvd;
+  const bool settled = circuitSettled(g, f.i);
+  f.i += step;
+  return settled;
+}
+
+/// One circuit load of a lane at N-convention bias (vgs, vds) carrying the
+/// N-convention drain current `id`; returns whether the lane's series
+/// equation is settled.  A lane without series resistance has no series
+/// equation: it ignores `id` and stamps evaluateLoadCard bit for bit, as
+/// does a lane whose carried current is farFromSeries (then unsettled).
+bool circuitLoadCard(const LoadCard& c, double vgs, double vds, double id,
+                     MosfetLoadEvaluation& out) {
+  if (!c.hasSeriesR) {
+    out = evaluateLoadCard(c, vgs, vds);
+    return true;
+  }
+  SolveFrame f = canonicalFrame(vgs, vds);
+  f.i = f.reversed ? -id : id;
+  double vgsInt, vdsInt;
+  internalBias(c, f, vgsInt, vdsInt);
+  CurrentState cur = currentPart(c, vgsInt, vdsInt);
+  if (farFromSeries(cur.idW - f.i, cur.idW, f.i)) {
+    out = evaluateLoadCard(c, vgs, vds);
+    return false;
+  }
+  ChargeState chg = chargePart(c, vgsInt, cur);
+  const bool settled = circuitStep(c, f, cur, chg);
+  out = finishLoad(c, f, cur, chg);
+  return settled;
 }
 
 // --- fast-numerics banked pipeline -------------------------------------------
@@ -405,11 +505,11 @@ MosfetLoadEvaluation evaluateLoadCard(const LoadCard& c, double vgs,
 // NumericsMode::fast restructures the lane loop into a struct-of-arrays
 // pipeline around the fused vector kernels of models/vs_fast_chain.hpp:
 // card parameters live as pre-inverted SoA arrays (refreshed per rebind),
-// each series-resistance Newton iteration evaluates the ENTIRE currentPart
-// of every lane with one fused kernel call (4 lanes per vector block), and
-// the charge block runs once on the accepted solution.  Everything outside
-// the two kernel calls -- canonicalization, the per-lane Newton update,
-// finishLoad -- is the scalar chain's own code.
+// each series step evaluates the ENTIRE currentPart of every lane with one
+// fused kernel call (4 lanes per vector block), and the charge block runs
+// once on the accepted solution.  Everything outside the two kernel calls
+// -- canonicalization, the per-lane series step, finishLoad -- is the
+// scalar chain's own code.
 //
 // Numerics: the kernels' polynomial exp/log and the pre-inverted divisions
 // put results within ~1e-9 relative of the reference chain (the bound
@@ -449,6 +549,10 @@ struct FastState {
   // Canonical frame + series-resistance iterate, per lane.
   std::vector<SolveFrame> frame;
   std::vector<std::uint8_t> settled;
+  // Circuit loads: lanes whose carried current is farFromSeries, and their
+  // device-level loads.
+  std::vector<std::uint8_t> far;
+  std::vector<MosfetLoadEvaluation> nested;
 
   void resizeLanes(std::size_t n) {
     lanes = n;
@@ -465,6 +569,8 @@ struct FastState {
     }
     frame.resize(n);
     settled.resize(n);
+    far.resize(n);
+    nested.resize(n);
     // Benign pad lanes: every kernel operation on them must stay finite
     // (unity scales dodge the reciprocals; zero charge/velocity/width
     // makes their outputs inert).  Their results are never read.
@@ -558,18 +664,54 @@ struct FastState {
 void gatherInternalBiases(const std::vector<LoadCard>& cards, FastState& s,
                           std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
-    const LoadCard& c = cards[i];
-    SolveFrame& f = s.frame[i];
-    if (!c.hasSeriesR) continue;
-    double vg = f.cvgs - f.i * c.rsOhm;
-    double vd = f.cvds - f.i * (c.rsOhm + c.rdOhm);
-    f.clampG = vg < -1.0;
-    f.clampD = vd < 0.0;
-    if (f.clampG) vg = -1.0;
-    if (f.clampD) vd = 0.0;
-    s.vgsInt[i] = vg;
-    s.vdsInt[i] = vd;
+    if (!cards[i].hasSeriesR) continue;
+    internalBias(cards[i], s.frame[i], s.vgsInt[i], s.vdsInt[i]);
   }
+}
+
+/// Canonical frames of every lane, the internal-bias inputs pinned at the
+/// canonical bias.  Returns whether any lane has series resistance.
+bool beginFastFrames(const std::vector<LoadCard>& cards, FastState& s,
+                     std::span<const double> vgs,
+                     std::span<const double> vds) {
+  bool anySeriesR = false;
+  for (std::size_t i = 0; i < cards.size(); ++i) {
+    SolveFrame& f = s.frame[i];
+    f = canonicalFrame(vgs[i], vds[i]);
+    s.vgsInt[i] = f.cvgs;
+    s.vdsInt[i] = f.cvds;
+    s.settled[i] = cards[i].hasSeriesR ? 0 : 1;
+    anySeriesR = anySeriesR || cards[i].hasSeriesR;
+  }
+  return anySeriesR;
+}
+
+/// The kernels' outputs of lane i, as the scalar chain's states.
+CurrentState fastCurrentAt(const FastState& s, std::size_t i) noexcept {
+  CurrentState cur;
+  cur.vt = s.vt[i];
+  cur.vdsat = s.vdsat[i];
+  cur.dvdsatg = s.dvdsatg[i];
+  cur.dvdsatd = s.dvdsatd[i];
+  cur.fsat = s.fsat[i];
+  cur.dfsatdr = s.dfsatdr[i];
+  cur.drg = s.drg[i];
+  cur.drd = s.drd[i];
+  cur.idW = s.idW[i];
+  cur.gm = s.gm[i];
+  cur.gd = s.gd[i];
+  cur.qS = s.qS[i];
+  cur.dqSvg = s.dqSvg[i];
+  cur.dqSvd = s.dqSvd[i];
+  return cur;
+}
+
+ChargeState fastChargeAt(const FastState& s, std::size_t i) noexcept {
+  ChargeState chg;
+  chg.qD = s.qD[i];
+  chg.dqDvg = s.dqDvg[i];
+  chg.dqDvd = s.dqDvd[i];
+  return chg;
 }
 
 void evaluateLoadBatchFast(const std::vector<LoadCard>& cards, FastState& s,
@@ -579,27 +721,12 @@ void evaluateLoadBatchFast(const std::vector<LoadCard>& cards, FastState& s,
   const std::size_t n = cards.size();
   const fastchain::CurrentIo curIo = s.currentIo();
 
-  bool anySeriesR = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    SolveFrame& f = s.frame[i];
-    f.reversed = vds[i] < 0.0;
-    f.cvgs = f.reversed ? vgs[i] - vds[i] : vgs[i];
-    f.cvds = f.reversed ? -vds[i] : vds[i];
-    f.i = 0.0;
-    f.clampG = false;
-    f.clampD = false;
-    s.vgsInt[i] = f.cvgs;
-    s.vdsInt[i] = f.cvds;
-    s.settled[i] = cards[i].hasSeriesR ? 0 : 1;
-    anySeriesR = anySeriesR || cards[i].hasSeriesR;
-  }
-
-  if (anySeriesR) {
-    // Lockstep derivative-aware Newton on i = f(internal biases), same
-    // 8-evaluation budget and convergence test as the scalar loop.  A lane
-    // that converges keeps its iterate; re-evaluating it at the unchanged
-    // bias while other lanes finish reproduces the same state, so no
-    // per-lane masking of the batch is needed.
+  if (beginFastFrames(cards, s, vgs, vds)) {
+    // Lockstep series steps from i = 0, same 8-evaluation budget and
+    // convergence test as the scalar loop.  A lane that converges keeps
+    // its iterate; re-evaluating it at the unchanged bias while other
+    // lanes finish reproduces the same state, so no per-lane masking of
+    // the batch is needed.
     gatherInternalBiases(cards, s, n);  // i = 0: clamp like scalar it 0
     bool pending = false;
     for (int it = 0; it < 8; ++it) {
@@ -607,18 +734,13 @@ void evaluateLoadBatchFast(const std::vector<LoadCard>& cards, FastState& s,
       pending = false;
       for (std::size_t i = 0; i < n; ++i) {
         if (s.settled[i] != 0) continue;
-        const LoadCard& c = cards[i];
         SolveFrame& f = s.frame[i];
         const double h = s.idW[i] - f.i;
-        if (std::fabs(h) < 1e-13 + 1e-6 * std::fabs(f.i)) {
+        if (nestedSettled(h, f.i)) {
           s.settled[i] = 1;
           continue;
         }
-        const double gmIt = f.clampG ? 0.0 : s.gm[i];
-        const double gdIt = f.clampD ? 0.0 : s.gd[i];
-        const double hp =
-            -(gmIt * c.rsOhm + gdIt * (c.rsOhm + c.rdOhm)) - 1.0;
-        f.i -= h / hp;
+        f.i -= h / seriesSlope(cards[i], f, s.gm[i], s.gd[i]);
         pending = true;
       }
       if (!pending) break;
@@ -641,28 +763,56 @@ void evaluateLoadBatchFast(const std::vector<LoadCard>& cards, FastState& s,
     if (!cards[i].hasSeriesR || s.frame[i].i == 0.0) s.frame[i].i = s.idW[i];
 
   fastchain::chargeBatch(s.chargeIo());
+  for (std::size_t i = 0; i < n; ++i)
+    out[i] = finishLoad(cards[i], s.frame[i], fastCurrentAt(s, i),
+                        fastChargeAt(s, i));
+}
+
+/// circuitLoadCard over every lane with the fused kernels: one current
+/// batch at the internal biases of the carried currents, one charge batch,
+/// then the scalar chain's circuitStep and finishLoad per lane.  Lanes
+/// farFromSeries take their evaluateLoadBatchFast result, which for each
+/// lane is independent of the others.
+bool circuitLoadBatchFast(const std::vector<LoadCard>& cards, FastState& s,
+                          std::span<const double> vgs,
+                          std::span<const double> vds,
+                          std::span<const double> id,
+                          std::span<MosfetLoadEvaluation> out) {
+  const std::size_t n = cards.size();
+  (void)beginFastFrames(cards, s, vgs, vds);
   for (std::size_t i = 0; i < n; ++i) {
-    CurrentState cur;
-    cur.vt = s.vt[i];
-    cur.vdsat = s.vdsat[i];
-    cur.dvdsatg = s.dvdsatg[i];
-    cur.dvdsatd = s.dvdsatd[i];
-    cur.fsat = s.fsat[i];
-    cur.dfsatdr = s.dfsatdr[i];
-    cur.drg = s.drg[i];
-    cur.drd = s.drd[i];
-    cur.idW = s.idW[i];
-    cur.gm = s.gm[i];
-    cur.gd = s.gd[i];
-    cur.qS = s.qS[i];
-    cur.dqSvg = s.dqSvg[i];
-    cur.dqSvd = s.dqSvd[i];
-    ChargeState chg;
-    chg.qD = s.qD[i];
-    chg.dqDvg = s.dqDvg[i];
-    chg.dqDvd = s.dqDvd[i];
-    out[i] = finishLoad(cards[i], s.frame[i], cur, chg);
+    SolveFrame& f = s.frame[i];
+    if (cards[i].hasSeriesR) f.i = f.reversed ? -id[i] : id[i];
   }
+  gatherInternalBiases(cards, s, n);
+  fastchain::currentBatch(s.currentIo());
+  fastchain::chargeBatch(s.chargeIo());
+  bool settled = true;
+  bool anyFar = false;
+  for (std::size_t i = 0; i < n; ++i) {
+    const LoadCard& c = cards[i];
+    SolveFrame& f = s.frame[i];
+    CurrentState cur = fastCurrentAt(s, i);
+    ChargeState chg = fastChargeAt(s, i);
+    s.far[i] = c.hasSeriesR && farFromSeries(cur.idW - f.i, cur.idW, f.i);
+    if (s.far[i] != 0) {
+      anyFar = true;
+      settled = false;
+      continue;
+    }
+    if (c.hasSeriesR) {
+      settled = circuitStep(c, f, cur, chg) && settled;
+    } else {
+      f.i = cur.idW;
+    }
+    out[i] = finishLoad(c, f, cur, chg);
+  }
+  if (anyFar) {
+    evaluateLoadBatchFast(cards, s, vgs, vds, s.nested);
+    for (std::size_t i = 0; i < n; ++i)
+      if (s.far[i] != 0) out[i] = s.nested[i];
+  }
+  return settled;
 }
 
 /// Struct-of-arrays lane block of the VS device bank: one cached LoadCard
@@ -713,6 +863,19 @@ class VsLoadBank final : public MosfetLoadBank {
     }
     for (std::size_t i = 0; i < cards_.size(); ++i)
       out[i] = evaluateLoadCard(cards_[i], vgs[i], vds[i]);
+  }
+
+  [[nodiscard]] bool circuitLoadBatch(
+      std::span<const double> vgs, std::span<const double> vds,
+      std::span<const double> id, double /*fdStep*/,
+      std::span<MosfetLoadEvaluation> out) const override {
+    if (mode_ == NumericsMode::fast)
+      return circuitLoadBatchFast(cards_, fastState_, vgs, vds, id, out);
+    bool settled = true;
+    for (std::size_t i = 0; i < cards_.size(); ++i)
+      settled = circuitLoadCard(cards_[i], vgs[i], vds[i], id[i], out[i]) &&
+                settled;
+    return settled;
   }
 
  private:

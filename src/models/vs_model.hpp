@@ -13,15 +13,22 @@
 // ARCHITECTURE.md, "Paper substitutions", S1.
 //
 // Series resistance: Rs/Rd (cards carry R*W) produce an internal-node IR
-// drop.  Each evaluation solves the terminal current i = f(vgs - i*Rs,
-// vds - i*(Rs+Rd)) with a derivative-aware Newton started from i = 0, and
-// closes the external derivatives through the implicit function theorem,
-// so the terminal behaviour stays smooth for the circuit solver.
+// drop.  The terminal current solves i = f(vgs - i*Rs, vds - i*(Rs+Rd)),
+// and the external derivatives close through the implicit function
+// theorem, so the terminal behaviour stays smooth for the circuit solver.
+// One series step evaluates the intrinsic chain at the internal bias of a
+// current and takes a derivative-aware Newton step on it.  Device-level
+// evaluation (evaluate, drainCurrent, evaluateLoad, the bank's
+// evaluateLoadBatch) iterates the step from i = 0 to the solution.  A
+// circuit load (the bank's circuitLoadBatch) takes ONE step from the
+// current the circuit Newton iterate carries for the device, so a load
+// costs one intrinsic evaluation and the series equation converges with
+// the node voltages (spice/device_bank.hpp).
 //
 // The model equations themselves live in vs_model.cpp as free functions of
 // (params, geometry, bias); the class is a thin card-owning adapter.  Every
 // entry point -- evaluate, drainCurrent, evaluateLoad -- and the batched
-// device-bank lane loop (makeLoadBank) run that one arithmetic chain, so
+// device-bank lane loops (makeLoadBank) run that one arithmetic chain, so
 // evaluate() == evaluateLoad().at and banked == scalar, both bit for bit:
 // the device targets BPV calibrates on (Idsat, Ioff, Cgg) come from the
 // same arithmetic the circuit simulator runs.
@@ -51,9 +58,9 @@ class VsModel final : public MosfetModel {
   /// Analytic Newton-load evaluation: the full derivative chain of the VS
   /// equations closes in a handful of multiplies with no extra
   /// transcendentals, and the series-resistance fixed point is solved with
-  /// a derivative-aware Newton instead of finite-difference re-solves.
-  /// One load costs ~3 intrinsic evaluations instead of ~12.  `fdStep` is
-  /// unused.
+  /// a derivative-aware Newton from i = 0 instead of finite-difference
+  /// re-solves: ~3 intrinsic evaluations instead of ~12 (a circuit load
+  /// through the bank's circuitLoadBatch takes one).  `fdStep` is unused.
   [[nodiscard]] MosfetLoadEvaluation evaluateLoad(const DeviceGeometry& geom,
                                                   double vgs, double vds,
                                                   double fdStep) const override;
@@ -61,9 +68,11 @@ class VsModel final : public MosfetModel {
   /// Struct-of-arrays device bank: per-lane bias-independent evaluation
   /// cards (derived parameters, pre-divided series resistances, charge
   /// prefactors) cached once per rebind, then one flat lane loop through
-  /// the same analytic chain evaluateLoad runs.  In NumericsMode::reference
-  /// (default) it is bit-identical to the scalar path by construction --
-  /// both call the same chain function.  NumericsMode::fast batches the
+  /// the same analytic chain evaluateLoad runs (evaluateLoadBatch), or its
+  /// one series step from carried currents (circuitLoadBatch).  In
+  /// NumericsMode::reference (default) evaluateLoadBatch is bit-identical
+  /// to the scalar path by construction -- both call the same chain
+  /// function.  NumericsMode::fast batches the
   /// chain's exp/log1p/pow across all lanes through the vectorized kernels
   /// of util/simd_math_kernels.inc: tolerance-checked against reference
   /// (tests/models/test_fast_numerics.cpp), still deterministic.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "linalg/matrix.hpp"
 #include "spice/assembler.hpp"
@@ -57,17 +58,25 @@ namespace detail {
 /// sparsity pattern and the per-assembler NewtonWorkspace supplies the
 /// reusable factorization and step buffer.
 ///
+/// The iterate carries every MOSFET's drain current after the MNA
+/// unknowns (Assembler::iterateSize); the assembled system is its Schur
+/// complement onto the MNA unknowns, and the device bank back-substitutes
+/// the currents' steps.  Convergence needs the node-voltage step, the KCL
+/// residual and every device's internal equation (deviceCurrentsSettled)
+/// within tolerance.
+///
 /// Diagnostics accumulate into the workspace SolveReport (iterations,
 /// residual, singular/non-finite flags); the report is reset by the solve
 /// entry points (dcSolveLadder / runTransient), not here, so homotopy rungs
 /// add up.  Non-finite numerics bail out immediately with x unchanged --
 /// wasting the remaining iteration budget on NaN would only corrupt the
-/// iterate the next homotopy rung starts from.  Samples whose residuals
-/// stay finite (every previously-passing sample) take the exact same
-/// floating-point path as before.
+/// iterate the next homotopy rung starts from.
 bool newtonSolve(Assembler& assembler, linalg::Vector& x,
                  const NewtonSettings& settings) {
   const std::size_t numNodes = assembler.numNodes();
+  const std::size_t numUnknowns = assembler.numUnknowns();
+  require(x.size() == assembler.iterateSize(),
+          "newtonSolve: iterate size does not match the circuit");
   detail::NewtonWorkspace& ws = assembler.workspace();
   SolveReport& report = ws.report;
   for (int iter = 0; iter < settings.maxIterations; ++iter) {
@@ -104,7 +113,8 @@ bool newtonSolve(Assembler& assembler, linalg::Vector& x,
       report.sawSingular = true;
       return false;
     }
-    ws.lu.solveInPlace(ws.dx);
+    ws.lu.solveInPlace(std::span<double>(ws.dx.data(), numUnknowns));
+    assembler.deviceCurrentSteps(x, ws.dx);
 
     // Newton update is x -= J^{-1} F; clamp by the largest voltage move.
     double maxVoltageStep = 0.0;
@@ -118,8 +128,14 @@ bool newtonSolve(Assembler& assembler, linalg::Vector& x,
     }
 
     if (maxVoltageStep < settings.voltageTolerance &&
-        residualNorm < settings.residualTolerance) {
-      return true;  // assembly state matches x exactly; skip the sub-tol step
+        residualNorm < settings.residualTolerance &&
+        assembler.deviceCurrentsSettled()) {
+      // The node voltages keep the assembled state (the sub-tolerance step
+      // is skipped, so the assembly matches them exactly).  The current
+      // unknowns -- branch and device -- take the step already solved:
+      // nothing else reads them, and it puts them on the assembled loads.
+      for (std::size_t i = numNodes; i < x.size(); ++i) x[i] -= ws.dx[i];
+      return true;
     }
 
     double scaleFactor = 1.0;
@@ -154,11 +170,13 @@ OperatingPoint packSolution(const Circuit& circuit, const linalg::Vector& x) {
   return op;
 }
 
-linalg::Vector unpackGuess(const Circuit& circuit, const OperatingPoint& op) {
-  linalg::Vector x(circuit.unknownCount(), 0.0);
+linalg::Vector unpackGuess(Assembler& assembler, const OperatingPoint& op) {
+  const Circuit& circuit = assembler.circuit();
+  linalg::Vector x(assembler.iterateSize(), 0.0);
   const std::size_t numNodes = circuit.nodeCount() - 1;
   if (op.nodeVoltages.size() == circuit.nodeCount()) {
     for (std::size_t n = 0; n < numNodes; ++n) x[n] = op.nodeVoltages[n + 1];
+    assembler.seedDeviceCurrents(x);
   }
   if (op.branchCurrents.size() ==
       static_cast<std::size_t>(circuit.branchTotal())) {
@@ -324,10 +342,10 @@ void runTransient(Assembler& assembler, const TransientOptions& options,
   // reuse never changes numerics.
   linalg::Vector& x = ws.xTransient;
   if (controls.dcWarmStart != nullptr &&
-      controls.dcWarmStart->size() == circuit.unknownCount()) {
+      controls.dcWarmStart->size() == assembler.iterateSize()) {
     x = *controls.dcWarmStart;
   } else {
-    x.assign(circuit.unknownCount(), 0.0);
+    x.assign(assembler.iterateSize(), 0.0);
   }
   const std::uint64_t fallbacksAtEntry = ws.lu.pivotFallbackCount();
   if (!dcSolveLadder(assembler, x, controls.newton)) {

@@ -19,9 +19,9 @@ Assembler::Assembler(const Circuit& circuit, models::NumericsMode numerics,
       chargePrev_(chargeNow_.size(), 0.0),
       histTerm_(chargeNow_.size(), 0.0) {
   capturePattern();
-  workspace_.dx.assign(numUnknowns_, 0.0);
   workspace_.lu.setSolverMode(solver);
   bankSet_ = std::make_unique<DeviceBankSet>(circuit_, pattern_, numerics);
+  workspace_.dx.assign(iterateSize(), 0.0);
 }
 
 void Assembler::checkBankLanesFinite() const {
@@ -82,6 +82,8 @@ void Assembler::capturePattern() {
 }
 
 void Assembler::assemble(const linalg::Vector& x) {
+  require(x.size() == iterateSize() || x.size() == numUnknowns_,
+          "Assembler: iterate is neither solve- nor MNA-sized");
   x_ = &x;
   values_.clear();
   std::fill(residual_.begin(), residual_.end(), 0.0);

@@ -19,6 +19,11 @@
 // before the element loop, then scatters each lane's result into
 // precaptured CSR slots at that MOSFET's position in the element loop.
 // The other elements stamp themselves through LoadContext.
+//
+// A solve's iterate is iterateSize() long: the MNA unknowns (node
+// voltages, then branch currents) followed by one carried drain current
+// per MOSFET.  The device bank eliminates the carried currents lane by
+// lane, so the Jacobian, the residual and the LU stay MNA-sized.
 #ifndef VSSTAT_SPICE_ASSEMBLER_HPP
 #define VSSTAT_SPICE_ASSEMBLER_HPP
 
@@ -44,6 +49,8 @@ namespace vsstat::spice::detail {
 /// across iterations, transient steps, and homotopy stages.
 struct NewtonWorkspace {
   linalg::SparseLu lu;
+  /// The Newton step over the whole iterate (MNA part from the LU solve,
+  /// carried currents back-substituted).
   linalg::Vector dx;
   // Transient-driver scratch (detail::runTransient): the iterate, the
   // trial step, the per-slot companion currents, and the recorded sample
@@ -123,7 +130,33 @@ class Assembler {
   void setGmin(double g) noexcept { gmin_ = g; }
 
   /// Rebuilds the Jacobian values and residual at iterate x.  Allocation-free.
+  /// `x` is either a solve iterate (iterateSize() entries, device currents
+  /// carried) or MNA-sized (numUnknowns() entries), in which case every
+  /// device loads its converged evaluation -- the AC linearization.
   void assemble(const linalg::Vector& x);
+
+  /// Newton iterate length: MNA unknowns plus one current per MOSFET.
+  [[nodiscard]] std::size_t iterateSize() const noexcept {
+    return bankSet_->iterateSize();
+  }
+  /// Whether every device's internal equation held at the carried currents
+  /// of the last assemble() (the Newton convergence test's device part).
+  [[nodiscard]] bool deviceCurrentsSettled() const noexcept {
+    return bankSet_->currentsSettled();
+  }
+  /// Sets every carried current of the solve iterate `x` to its device's
+  /// converged drain current at x's node voltages -- the currents an
+  /// MNA-sized assemble() of the same voltages loads.
+  void seedDeviceCurrents(linalg::Vector& x) {
+    syncDeviceBank();
+    bankSet_->seedCurrents(x);
+  }
+  /// After the LU solve of the last assemble()'s system into dx's first
+  /// numUnknowns() entries: fills dx's carried-current entries, so that
+  /// x -= dx is the full Newton step.  `x` is the assembled iterate.
+  void deviceCurrentSteps(const linalg::Vector& x, linalg::Vector& dx) const {
+    bankSet_->currentSteps(x, dx);
+  }
 
   /// Jacobian of the last assemble(), laid out on pattern().
   [[nodiscard]] const linalg::SparseMatrix& jacobian() const noexcept {

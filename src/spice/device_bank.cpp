@@ -20,7 +20,10 @@ inline std::int32_t rowOf(NodeId node) noexcept {
 DeviceBankSet::DeviceBankSet(const Circuit& circuit,
                              const linalg::SparsePattern& pattern,
                              models::NumericsMode numerics)
-    : circuit_(&circuit), pattern_(&pattern), numerics_(numerics) {
+    : circuit_(&circuit),
+      pattern_(&pattern),
+      numerics_(numerics),
+      mnaSize_(circuit.unknownCount()) {
   rebuild();
 }
 
@@ -62,6 +65,7 @@ void DeviceBankSet::rebuild() {
             &fresh.sDG, &fresh.sDD, &fresh.sDS, &fresh.sSG, &fresh.sSD,
             &fresh.sSS, &fresh.sGG, &fresh.sGD, &fresh.sGS})
         v->reserve(mosfetCount);
+      fresh.currentSlot.reserve(mosfetCount);
     }
     DeviceBankGroup& grp = groups_[static_cast<std::size_t>(g)];
 
@@ -77,6 +81,9 @@ void DeviceBankSet::rebuild() {
     grp.rowG.push_back(rg);
     grp.rowS.push_back(rs);
     grp.chargeBase.push_back(m->chargeBase());
+    // The slot follows the element, never the group, so a regroup after a
+    // cross-family rebind leaves every carried current where it was.
+    grp.currentSlot.push_back(mnaSize_ + laneCount_);
 
     // The element's 3x3 terminal Jacobian block was captured by the
     // assembler's symbolic pass (stamp structure is bias-independent by
@@ -113,6 +120,7 @@ void DeviceBankSet::rebuild() {
         grp.element.front()->model().makeLoadBank(std::move(lanes), numerics_);
     grp.vgs.resize(grp.element.size());
     grp.vds.resize(grp.element.size());
+    grp.id.resize(grp.element.size());
     grp.out.resize(grp.element.size());
   }
 }
@@ -131,28 +139,67 @@ bool DeviceBankSet::sync() {
   return true;
 }
 
+void DeviceBankSet::gatherBiases(DeviceBankGroup& grp,
+                                 const linalg::Vector& x) {
+  for (std::size_t i = 0; i < grp.element.size(); ++i) {
+    const double vd =
+        grp.rowD[i] < 0 ? 0.0 : x[static_cast<std::size_t>(grp.rowD[i])];
+    const double vg =
+        grp.rowG[i] < 0 ? 0.0 : x[static_cast<std::size_t>(grp.rowG[i])];
+    const double vs =
+        grp.rowS[i] < 0 ? 0.0 : x[static_cast<std::size_t>(grp.rowS[i])];
+    const double sign = grp.sign[i];
+    grp.vgs[i] = sign * (vg - vs);
+    grp.vds[i] = sign * (vd - vs);
+  }
+}
+
 void DeviceBankSet::evaluate(const linalg::Vector& x) {
+  const bool carried = x.size() == iterateSize();
+  settled_ = true;
   for (DeviceBankGroup& grp : groups_) {
-    const std::size_t n = grp.element.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      const double vd = grp.rowD[i] < 0
-                            ? 0.0
-                            : x[static_cast<std::size_t>(grp.rowD[i])];
-      const double vg = grp.rowG[i] < 0
-                            ? 0.0
-                            : x[static_cast<std::size_t>(grp.rowG[i])];
-      const double vs = grp.rowS[i] < 0
-                            ? 0.0
-                            : x[static_cast<std::size_t>(grp.rowS[i])];
-      const double sign = grp.sign[i];
-      grp.vgs[i] = sign * (vg - vs);
-      grp.vds[i] = sign * (vd - vs);
+    gatherBiases(grp, x);
+    const std::span<models::MosfetLoadEvaluation> out(grp.out);
+    if (carried) {
+      for (std::size_t i = 0; i < grp.element.size(); ++i)
+        grp.id[i] = grp.sign[i] * x[grp.currentSlot[i]];
+      settled_ = grp.bank->circuitLoadBatch(grp.vgs, grp.vds, grp.id,
+                                            kMosfetFdStep, out) &&
+                 settled_;
+    } else {
+      grp.bank->evaluateLoadBatch(grp.vgs, grp.vds, kMosfetFdStep, out);
     }
-    grp.bank->evaluateLoadBatch(std::span<const double>(grp.vgs),
-                                std::span<const double>(grp.vds),
-                                kMosfetFdStep,
-                                std::span<models::MosfetLoadEvaluation>(
-                                    grp.out));
+  }
+}
+
+void DeviceBankSet::seedCurrents(linalg::Vector& x) {
+  for (DeviceBankGroup& grp : groups_) {
+    gatherBiases(grp, x);
+    grp.bank->evaluateLoadBatch(grp.vgs, grp.vds, kMosfetFdStep, grp.out);
+    for (std::size_t i = 0; i < grp.element.size(); ++i)
+      x[grp.currentSlot[i]] = grp.sign[i] * grp.out[i].at.id;
+  }
+}
+
+void DeviceBankSet::currentSteps(const linalg::Vector& x,
+                                 linalg::Vector& dx) const {
+  // The eliminated current row reads i_new = i* + di/dvgs * dvgs +
+  // di/dvds * dvds, i* being the stamped current: in the x -= dx
+  // convention, dx_i = (i - i*) + di/dvgs * dx_vgs + di/dvds * dx_vds.
+  // The polarity sign enters the terminal current and the voltage
+  // differences alike, so the derivatives need none (as in the scatter).
+  const auto step = [&dx](std::int32_t row) {
+    return row < 0 ? 0.0 : dx[static_cast<std::size_t>(row)];
+  };
+  for (const DeviceBankGroup& grp : groups_) {
+    for (std::size_t i = 0; i < grp.element.size(); ++i) {
+      const models::MosfetLoadEvaluation& ev = grp.out[i];
+      const double dvs = step(grp.rowS[i]);
+      const std::size_t slot = grp.currentSlot[i];
+      dx[slot] = (x[slot] - grp.sign[i] * ev.at.id) +
+                 ev.didVgs * (step(grp.rowG[i]) - dvs) +
+                 ev.didVds * (step(grp.rowD[i]) - dvs);
+    }
   }
 }
 

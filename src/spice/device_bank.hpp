@@ -10,19 +10,31 @@
 //
 //   gather:   one pass pulls every lane's canonical (vgs, vds) out of the
 //             iterate,
-//   evaluate: ONE MosfetLoadBank::evaluateLoadBatch call per group replaces
-//             one virtual MosfetModel::evaluateLoad per device,
+//   evaluate: ONE batched call per group replaces one virtual
+//             MosfetModel::evaluateLoad per device,
 //   scatter:  the assembler writes each lane's currents/charges/Jacobian
 //             entries straight into the captured CSR slots, in circuit
 //             element order (Assembler::scatterBankedLane).
 //
+// Carried device currents: the Newton iterate of a solve is the MNA
+// unknowns followed by one current slot per MOSFET, in circuit element
+// order, holding the device's drain terminal current.  On such an iterate
+// a group evaluates MosfetLoadBank::circuitLoadBatch: a VS lane takes one
+// series-resistance step from its carried current instead of solving the
+// series equation from zero (unless the carried current is far off), and
+// stamps the Schur complement of the current unknown, so the LU stays
+// MNA-sized.  After the LU solve,
+// currentSteps back-substitutes each current's update from the voltage
+// step.  An MNA-sized iterate (AC, probes) evaluates evaluateLoadBatch,
+// the converged device loads.
+//
 // Reference contract: the gather reproduces LoadContext::v's voltage
-// lookup, and under NumericsMode::reference the bank reproduces
-// MosfetModel::evaluateLoad lane for lane (models::MosfetLoadBank
-// contract, pinned by test_model_contract).  The scatter stamps exactly
-// the values built from that evaluation (pinned by test_device_bank), at
-// each MOSFET's place in circuit element order -- so the accumulation
-// order of every sum is fixed by the circuit alone.
+// lookup, and under NumericsMode::reference an MNA-sized evaluation
+// reproduces MosfetModel::evaluateLoad lane for lane (models::
+// MosfetLoadBank contract, pinned by test_model_contract).  The scatter
+// stamps exactly the values built from the evaluation (pinned by
+// test_device_bank), at each MOSFET's place in circuit element order --
+// so the accumulation order of every sum is fixed by the circuit alone.
 //
 // Rebinds: lanes cache bias-independent state, so the bank tracks each
 // element's cardVersion().  sync() re-derives stale lanes through
@@ -64,6 +76,7 @@ struct DeviceBankGroup {
   std::vector<double> sign;             ///< +1 NMOS / -1 PMOS
   std::vector<std::int32_t> rowD, rowG, rowS;  ///< residual rows, -1 = ground
   std::vector<std::int32_t> chargeBase;        ///< global slot of qg
+  std::vector<std::size_t> currentSlot;  ///< iterate index of the current
   // CSR stamp slots of the 3x3 terminal Jacobian block (row x col over
   // drain/gate/source), -1 where a terminal is ground.  Named s<Row><Col>.
   std::vector<std::int32_t> sDG, sDD, sDS;
@@ -72,6 +85,7 @@ struct DeviceBankGroup {
 
   // --- per-assembly lanes (gather inputs / batch outputs) -------------------
   std::vector<double> vgs, vds;
+  std::vector<double> id;  ///< carried N-convention drain currents
   std::vector<models::MosfetLoadEvaluation> out;
 
   explicit DeviceBankGroup(std::type_index type) : cardType(type) {}
@@ -113,7 +127,26 @@ class DeviceBankSet {
 
   /// Gather + batch-evaluate every group at iterate `x` (node voltage of
   /// NodeId n is x[n-1], ground reads 0 -- the LoadContext::v convention).
+  /// An iterate of iterateSize() entries carries the device currents; an
+  /// MNA-sized one loads the converged device evaluations.
   void evaluate(const linalg::Vector& x);
+
+  /// MNA unknowns plus one carried current per MOSFET.
+  [[nodiscard]] std::size_t iterateSize() const noexcept {
+    return mnaSize_ + laneCount_;
+  }
+  /// Whether every lane's internal equation held at the carried currents
+  /// of the last evaluation (true after an MNA-sized one).
+  [[nodiscard]] bool currentsSettled() const noexcept { return settled_; }
+
+  /// Writes into each carried-current slot of the iterate `x` the device's
+  /// converged drain current at x's node voltages (evaluateLoadBatch).
+  void seedCurrents(linalg::Vector& x);
+
+  /// Back-substitution after the LU solve of an iterate-sized evaluation:
+  /// `dx` holds the MNA step in its first MNA-size entries (the Newton
+  /// update is x -= dx); writes each carried current's step into its slot.
+  void currentSteps(const linalg::Vector& x, linalg::Vector& dx) const;
 
   /// Per-circuit-element lane mapping, parallel to circuit.elements().
   [[nodiscard]] const std::vector<BankLaneRef>& elementLanes() const noexcept {
@@ -142,9 +175,14 @@ class DeviceBankSet {
   const Circuit* circuit_;
   const linalg::SparsePattern* pattern_;
   models::NumericsMode numerics_;
+  std::size_t mnaSize_;
   std::vector<DeviceBankGroup> groups_;
   std::vector<BankLaneRef> elementLanes_;
   std::size_t laneCount_ = 0;
+  bool settled_ = true;
+
+  /// Canonical (vgs, vds) of every lane of `grp` at iterate x.
+  static void gatherBiases(DeviceBankGroup& grp, const linalg::Vector& x);
 };
 
 }  // namespace vsstat::spice::detail

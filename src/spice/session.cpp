@@ -168,7 +168,7 @@ void SimSession::primePivotReuse() {
   // Campaign workers build their fixtures identically (same builder, same
   // provider seed), so every session primes the same order, which is what
   // keeps reuse-mode campaigns independent of sample-to-session scheduling.
-  const linalg::Vector zero(circuit_->unknownCount(), 0.0);
+  const linalg::Vector zero(assembler.iterateSize(), 0.0);
   assembler.setDcMode();
   assembler.setTime(0.0);
   assembler.setSourceScale(1.0);
@@ -204,7 +204,7 @@ OperatingPoint SimSession::dcOperatingPoint() {
   // solve, so robustness matches the cold path.
   resetNumerics();
   const detail::NewtonSettings newton = solveControls().newton;
-  linalg::Vector x(circuit_->unknownCount(), 0.0);
+  linalg::Vector x(assembler_->iterateSize(), 0.0);
   const bool seeded = slot->valid && slot->x.size() == x.size();
   if (seeded) x = slot->x;
   const bool ok = detail::dcSolveLadder(*assembler_, x, newton);
@@ -225,7 +225,7 @@ OperatingPoint SimSession::dcOperatingPoint() {
 OperatingPoint SimSession::dcOperatingPoint(const OperatingPoint& guess) {
   resetNumerics();
   const detail::NewtonSettings newton = solveControls().newton;
-  linalg::Vector x = detail::unpackGuess(*circuit_, guess);
+  linalg::Vector x = detail::unpackGuess(*assembler_, guess);
   const bool ok = detail::dcSolveLadder(*assembler_, x, newton);
   noteSolve(assembler_->workspace().report.iterations, false,
             /*opportunity=*/false);
@@ -263,7 +263,7 @@ void SimSession::dcSweepNodes(const std::string& sourceName,
   // the sweep overshoots.  The predictors only move the first iterate; the
   // ladder and tolerances still decide convergence.
   WarmSlot* slot = nextWarmSlot();
-  sweepX_.resize(circuit_->unknownCount());
+  sweepX_.resize(assembler_->iterateSize());
   std::fill(sweepX_.begin(), sweepX_.end(), 0.0);  // level 0: zero guess
   const bool seeded =
       slot != nullptr && slot->valid && slot->x.size() == sweepX_.size();
@@ -403,7 +403,7 @@ void SimSession::transient(const TransientOptions& options, Waveform& out) {
   detail::TransientControls controls = solveControls();
   bool seeded = false;
   if (slot != nullptr) {
-    seeded = slot->valid && slot->x.size() == circuit_->unknownCount();
+    seeded = slot->valid && slot->x.size() == assembler_->iterateSize();
     if (seeded) controls.dcWarmStart = &slot->x;
     // The converged t = 0 DC state lands straight in the slot; `valid`
     // only flips once the whole transient succeeds.
@@ -411,7 +411,7 @@ void SimSession::transient(const TransientOptions& options, Waveform& out) {
     // Previous sample's accepted waveform seeds every step; this run's
     // waveform is recorded into the scratch and swapped in on success, so
     // a failed run never leaves a half-trajectory as the next reference.
-    if (seeded && slot->traj.usableFor(circuit_->unknownCount()))
+    if (seeded && slot->traj.usableFor(assembler_->iterateSize()))
       controls.trajectoryIn = &slot->traj;
     controls.trajectoryOut = &trajScratch_;
     slot->valid = false;

@@ -58,8 +58,13 @@ bool dcSolveLadder(Assembler& assembler, linalg::Vector& x,
 [[noreturn]] void throwSolveFailure(const SolveReport& report,
                                     const std::string& what, int iterations);
 
+/// Node voltages and branch currents of an iterate.
 OperatingPoint packSolution(const Circuit& circuit, const linalg::Vector& x);
-linalg::Vector unpackGuess(const Circuit& circuit, const OperatingPoint& op);
+/// A solve iterate seeded with an operating point's node voltages and
+/// branch currents.  Given voltages, the carried device currents start at
+/// the converged device currents there (Assembler::seedDeviceCurrents);
+/// otherwise everything starts at zero.
+linalg::Vector unpackGuess(Assembler& assembler, const OperatingPoint& op);
 
 /// runTransient's session seam: the Newton settings and step
 /// control tolerance of the session's tier and rung, and the statistical

@@ -91,6 +91,36 @@ TEST(FastNumerics, TracksReferenceAcrossTheBiasPlane) {
   }
 }
 
+TEST(FastNumerics, CircuitStepTracksReference) {
+  // The circuit load's series step from a carried current, fast against
+  // reference, at the nested solution's current and 10 % either side of
+  // it (a step the size of a Newton iteration's).
+  FastBankFixture fx(6);
+  const std::size_t n = fx.cards.size();
+  std::vector<BankLane> lanes;
+  for (std::size_t i = 0; i < n; ++i)
+    lanes.push_back(BankLane{fx.cards[i].get(), &fx.geoms[i]});
+  const auto ref =
+      fx.cards.front()->makeLoadBank(lanes, NumericsMode::reference);
+  std::vector<double> vgs(n), vds(n), id(n);
+  std::vector<MosfetLoadEvaluation> nested(n), fast(n), reference(n);
+
+  for (int s = 0; s < 300; ++s) {
+    for (std::size_t i = 0; i < n; ++i) {
+      vgs[i] = -0.3 + 1.5 * ((s + static_cast<int>(i) * 7) % 97) / 96.0;
+      vds[i] = -0.9 + 1.8 * ((s + static_cast<int>(i) * 13) % 89) / 88.0;
+    }
+    ref->evaluateLoadBatch(vgs, vds, kStep, nested);
+    for (const double scale : {0.9, 1.0, 1.1}) {
+      for (std::size_t i = 0; i < n; ++i) id[i] = scale * nested[i].at.id;
+      (void)fx.bank->circuitLoadBatch(vgs, vds, id, kStep, fast);
+      (void)ref->circuitLoadBatch(vgs, vds, id, kStep, reference);
+      for (std::size_t i = 0; i < n; ++i)
+        expectWithinTolerance(fast[i], reference[i], "circuit step lane");
+    }
+  }
+}
+
 TEST(FastNumerics, DeepSubthresholdStaysRelativelyAccurate) {
   // Subthreshold currents underflow through exp(-30..-10); relative
   // accuracy must hold there, not just absolute smallness.

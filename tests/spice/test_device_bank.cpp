@@ -6,6 +6,7 @@
 // rebinds (a lane refresh resp. a bank rebuild) must reproduce bit for bit.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <string>
 #include <utility>
@@ -96,9 +97,12 @@ DrivenDevice addDrivenDevice(Circuit& c, const std::string& name,
 }
 
 /// The device's node residuals and 3x3 Jacobian block equal the values
-/// built from the model's own evaluateLoad at the integrator gain c0.
+/// built from the model's own evaluateLoad at the integrator gain c0, bit
+/// for bit -- the residuals only within residualRelTol of each entry when
+/// that is not 0.
 void expectStampMatchesEvaluateLoad(const detail::Assembler& assembler,
-                                    const DrivenDevice& dev, double c0) {
+                                    const DrivenDevice& dev, double c0,
+                                    double residualRelTol = 0.0) {
   const models::MosfetModel& model = dev.m->model();
   const double sign =
       model.deviceType() == models::DeviceType::Nmos ? 1.0 : -1.0;
@@ -114,9 +118,17 @@ void expectStampMatchesEvaluateLoad(const detail::Assembler& assembler,
   const auto r = [&](NodeId node) {
     return assembler.residual()[static_cast<std::size_t>(node - 1)];
   };
-  EXPECT_EQ(r(dev.d), id + c0 * (sign * ev.at.qd));
-  EXPECT_EQ(r(dev.g), c0 * (sign * ev.at.qg));
-  EXPECT_EQ(r(dev.s), -id + c0 * (sign * ev.at.qs));
+  const auto expectResidual = [residualRelTol](double actual,
+                                               double expected) {
+    if (residualRelTol == 0.0) {
+      EXPECT_EQ(actual, expected);
+    } else {
+      EXPECT_NEAR(actual, expected, residualRelTol * std::fabs(expected));
+    }
+  };
+  expectResidual(r(dev.d), id + c0 * (sign * ev.at.qd));
+  expectResidual(r(dev.g), c0 * (sign * ev.at.qg));
+  expectResidual(r(dev.s), -id + c0 * (sign * ev.at.qs));
 
   const auto j = [&](NodeId row, NodeId col) {
     return assembler.jacobian()(static_cast<std::size_t>(row - 1),
@@ -240,6 +252,117 @@ TEST(DeviceBank, FreeFunctionsMatchAReusedSession) {
   expectSameOp(dcOperatingPoint(freePath), session.dcOperatingPoint());
   expectSameWave(transient(freePath, opt), session.transient(opt));
   expectSameWave(first, session.transient(opt));
+}
+
+
+/// Node voltages of every driven device's terminals in the iterate.
+void setVoltages(const std::vector<DrivenDevice>& devices, linalg::Vector& x) {
+  for (const DrivenDevice& dev : devices) {
+    x[static_cast<std::size_t>(dev.d - 1)] = dev.vd;
+    x[static_cast<std::size_t>(dev.g - 1)] = dev.vg;
+    x[static_cast<std::size_t>(dev.s - 1)] = dev.vs;
+  }
+}
+
+/// VS NMOS and PMOS lanes in forward and reversed bias, plus a BsimLite
+/// lane (no internal equation).
+std::vector<DrivenDevice> addCarriedDevices(Circuit& c,
+                                            const models::VsParams& nmos,
+                                            const models::VsParams& pmos) {
+  return {addDrivenDevice(c, "n", std::make_unique<models::VsModel>(nmos),
+                          0.6, 0.7, 0.1),
+          addDrivenDevice(c, "nrev", std::make_unique<models::VsModel>(nmos),
+                          0.1, 0.8, 0.5),
+          addDrivenDevice(c, "p", std::make_unique<models::VsModel>(pmos),
+                          0.3, 0.2, 0.9),
+          addDrivenDevice(c, "prev", std::make_unique<models::VsModel>(pmos),
+                          0.8, 0.1, 0.4),
+          addDrivenDevice(
+              c, "bsim",
+              std::make_unique<models::BsimLite>(models::defaultBsimNmos()),
+              0.6, 0.7, 0.1)};
+}
+
+TEST(DeviceBank, ZeroSeriesResistanceCarriedStampIsEvaluateLoad) {
+  // Without series resistance a lane has no equation in its carried
+  // current: whatever the iterate carries, it stamps evaluateLoad bit for
+  // bit.
+  models::VsParams nmos = nmosCard();
+  models::VsParams pmos = pmosCard();
+  nmos.rs = nmos.rd = 0.0;
+  pmos.rs = pmos.rd = 0.0;
+  Circuit c;
+  const std::vector<DrivenDevice> devices = addCarriedDevices(c, nmos, pmos);
+  detail::Assembler assembler(c);
+  linalg::Vector x(assembler.iterateSize(), 0.0);
+  setVoltages(devices, x);
+  for (std::size_t k = c.unknownCount(); k < x.size(); ++k) x[k] = 3e-5;
+  for (const double c0 : {0.0, 1024.0}) {
+    if (c0 == 0.0) {
+      assembler.setDcMode();
+    } else {
+      assembler.setBackwardEuler(1.0 / 1024.0);
+    }
+    assembler.assemble(x);
+    EXPECT_TRUE(assembler.deviceCurrentsSettled());
+    for (const DrivenDevice& dev : devices) {
+      SCOPED_TRACE(dev.m->name());
+      expectStampMatchesEvaluateLoad(assembler, dev, c0);
+    }
+  }
+}
+
+TEST(DeviceBank, SeriesResistanceStampAtTheNestedCurrentIsEvaluateLoad) {
+  // At the current evaluateLoad's own series solve settles on, the
+  // circuit stamp evaluates the intrinsic chain at the same internal bias:
+  // its Jacobian is evaluateLoad's bit for bit, and its current and
+  // charges differ by one series step, which that solve's acceptance
+  // (|g| < 1e-6 |i|) bounds.  Typical biases land far below the bound
+  // (up to 1.4e-8 relative here), by quadratic convergence.
+  Circuit c;
+  const std::vector<DrivenDevice> devices =
+      addCarriedDevices(c, nmosCard(), pmosCard());
+  detail::Assembler assembler(c);
+  linalg::Vector x(assembler.iterateSize(), 0.0);
+  setVoltages(devices, x);
+  assembler.seedDeviceCurrents(x);
+  for (const double c0 : {0.0, 1024.0}) {
+    if (c0 == 0.0) {
+      assembler.setDcMode();
+    } else {
+      assembler.setBackwardEuler(1.0 / 1024.0);
+    }
+    assembler.assemble(x);
+    EXPECT_TRUE(assembler.deviceCurrentsSettled());
+    for (const DrivenDevice& dev : devices) {
+      SCOPED_TRACE(dev.m->name());
+      expectStampMatchesEvaluateLoad(assembler, dev, c0, 1e-6);
+    }
+  }
+}
+
+TEST(DeviceBank, CarriedCurrentStepSolvesTheSeriesEquation) {
+  // The eliminated row: with the node voltages held (a zero voltage step),
+  // each carried current's back-substituted step lands on the stamped
+  // current, and repeating the step converges to the nested solution.
+  Circuit c;
+  const std::vector<DrivenDevice> devices =
+      addCarriedDevices(c, nmosCard(), pmosCard());
+  detail::Assembler assembler(c);
+  linalg::Vector x(assembler.iterateSize(), 0.0);
+  setVoltages(devices, x);
+  linalg::Vector nested = x;
+  assembler.seedDeviceCurrents(nested);
+  assembler.setDcMode();
+  linalg::Vector dx(x.size(), 0.0);
+  for (int it = 0; it < 6; ++it) {
+    assembler.assemble(x);
+    std::fill(dx.begin(), dx.end(), 0.0);
+    assembler.deviceCurrentSteps(x, dx);
+    for (std::size_t k = c.unknownCount(); k < x.size(); ++k) x[k] -= dx[k];
+  }
+  for (std::size_t k = c.unknownCount(); k < x.size(); ++k)
+    EXPECT_NEAR(x[k], nested[k], 1e-6 * std::fabs(nested[k])) << "slot " << k;
 }
 
 }  // namespace
